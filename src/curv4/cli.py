@@ -119,7 +119,7 @@ def cmd_scan_family(args):
     for t in tvals:
         pd_max = twisted_eps_max(t, grid_n=args.pd_grid)
         # the empirical eps_max of the family: first eps violating the
-        # s/6 - W+ positivity, as opposed to the larger PD bound
+        # s/6 - W+ positivity, as opposed to the larger eigenvalue-floor bound
         pos_max = positivity_eps_max(t, grid_n=max(3, (args.grid // 2) | 1))
         if args.eps_values == "auto":
             evals = [0.0, pos_max / 2.0]
@@ -401,7 +401,9 @@ def build_parser():
     p.add_argument("--t-values", default="0:1:11")
     p.add_argument("--eps-values", default="auto",
                    help="'auto' (0 and eps_max/2) or list/range")
-    p.add_argument("--pd-grid", type=int, default=16)
+    p.add_argument("--pd-grid", type=int, default=16,
+                   help="validation grid per chart axis; the bound is exact "
+                        "on it plus the constructor's grid")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_scan_family)
 

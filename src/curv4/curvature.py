@@ -16,13 +16,15 @@ orthonormal (eta, etabar) basis the operator takes the block form
 with B induced by the traceless Ricci part.
 """
 
+import functools
+
 import numpy as np
 
 from . import bivector as bv
 from .bivector import CurvatureLike, ETA_FRAME, PAIRS, kn_tensor4, operator6, to_eta_basis
 from .errors import MetricConstructionError
 from .jets import Jet, seed2
-from .metrics import MetricField, _as_batch, _ring_float
+from .metrics import _as_batch, _ring_float
 
 I3 = np.eye(3)
 I4 = np.eye(4)
@@ -369,7 +371,7 @@ def condition_check(m, grid_n=6, rng=None, sectional_starts=12,
     smax = 0.0
     total = 0
 
-    def eval_chunk(chart, pts):
+    def eval_chunk(chart, pts, seed):
         data = curvature_batch(m, chart, pts)
         s = data["s"][:, None, None]
         out = {
@@ -381,16 +383,20 @@ def condition_check(m, grid_n=6, rng=None, sectional_starts=12,
         }
         if include_sectional:
             vals, _ = sectional_extremes(
-                data["M6"], rng=np.random.default_rng(rng.integers(2 ** 63)),
+                data["M6"], rng=np.random.default_rng(seed),
                 starts=sectional_starts, iters=150, samples=sectional_samples)
             out["min_sectional"] = vals
         return out, float(np.abs(data["s"]).max())
 
     jobs = [(chart, np.asarray(pts, dtype=float)) for chart, pts in chunks]
+    # seeds are drawn in chunk order before dispatch, so the thread
+    # schedule cannot change which chunk gets which seed
+    seeds = [rng.integers(2 ** 63) if include_sectional else None
+             for _ in jobs]
     if executor is not None:
-        results = list(executor.map(lambda cp: eval_chunk(*cp), jobs))
+        results = list(executor.map(eval_chunk, *zip(*jobs), seeds))
     else:
-        results = [eval_chunk(*cp) for cp in jobs]
+        results = [eval_chunk(*cp, seed) for cp, seed in zip(jobs, seeds)]
 
     records = []
     for (chart, pts), (out, schunk) in zip(jobs, results):
@@ -411,29 +417,27 @@ def condition_check(m, grid_n=6, rng=None, sectional_starts=12,
     return report
 
 
-_POS_EPS_CACHE = {}
-
-
 def positivity_eps_max(t, phi_id="height-product", grid_n=5, tol=1e-6,
                        steps=24):
     """Empirical threshold: largest eps of the twisted family keeping
-    min eig(s/6 - W+) >= -tol on a scan grid (bisection up to the
-    positive-definiteness bound of the metric itself).
+    min eig(s/6 - W+) >= -tol on a scan grid (bisection below 0.95 of
+    ``twisted_eps_max``, the bound keeping min eig(g) above 1e-3 of its
+    eps=0 floor).  Cached per argument tuple in a bounded LRU.
 
     Use odd grid sizes: the tightest spot of the built-in perturbation sits
     at a chart centre, which even grids skip.
     """
-    from .metrics import MetricField, twisted_eps_max, _twisted_parts
-    key = (round(float(t), 12), phi_id, grid_n, tol)
-    if key in _POS_EPS_CACHE:
-        return _POS_EPS_CACHE[key]
+    return _positivity_eps_max(round(float(t), 12), phi_id, grid_n, tol, steps)
+
+
+@functools.lru_cache(maxsize=64)
+def _positivity_eps_max(t, phi_id, grid_n, tol, steps):
+    from .metrics import twisted_eps_max, _twisted_parts
     pd_max = twisted_eps_max(t, phi_id)
 
     # the metric is affine in eps: evaluate the jets of both parts once,
     # then every bisection step is plain linear algebra
-    base, dg_comps = _twisted_parts(t, phi_id)
-    pert = MetricField("twisted-part", list(base.charts.values()), dg_comps,
-                       validate=False)
+    base, pert = _twisted_parts(t, phi_id)
     parts = []
     for chart, pts in base.grid_points(grid_n):
         parts.append((base.jets(chart, pts), pert.jets(chart, pts)))
@@ -452,7 +456,6 @@ def positivity_eps_max(t, phi_id="height-product", grid_n=5, tol=1e-6,
 
     hi = 0.95 * pd_max
     if margin(hi) >= -tol:
-        _POS_EPS_CACHE[key] = hi
         return hi
     lo = 0.0
     for _ in range(steps):
@@ -461,7 +464,6 @@ def positivity_eps_max(t, phi_id="height-product", grid_n=5, tol=1e-6,
             lo = mid
         else:
             hi = mid
-    _POS_EPS_CACHE[key] = lo
     return lo
 
 

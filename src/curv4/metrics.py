@@ -19,6 +19,7 @@ Conventions
   with line element 4 r^2 |dz|^2 / (1+|z|^2)^2.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -543,80 +544,53 @@ def _phi_height_product(name, x):
 
 PERTURBATIONS = {"height-product": _phi_height_product}
 
-_EPS_MAX_CACHE = {}
-
 
 def _twisted_parts(t, phi_id):
+    """(h_t, 2 Re ddbar phi) as fields; the second is not a metric."""
     if phi_id not in PERTURBATIONS:
         raise MetricConstructionError("unknown perturbation potential %r" % phi_id)
     base = ht_metric(t)
-    phi = PERTURBATIONS[phi_id]
-
-    def dg_comps(name, x):
-        return hessian_metric(phi, name, x)
-
-    return base, dg_comps
-
-
-def _stack_validation(base, dg_comps, grid_n):
-    Gs, Ps = [], []
-    for name in base.chart_order:
-        pts = np.stack(np.meshgrid(
-            *[np.linspace(-1, 1, grid_n)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-        G = base.eval(name, pts)
-        rows = dg_comps(name, [pts[:, i] for i in range(4)])
-        P = np.empty_like(G)
-        for i in range(4):
-            for j in range(4):
-                P[:, i, j] = _ring_float(rows[i][j], (len(pts),))
-        Gs.append(G)
-        Ps.append(P)
-    return np.concatenate(Gs), np.concatenate(Ps)
+    pert = MetricField("twisted-part", list(base.charts.values()),
+                       functools.partial(hessian_metric, PERTURBATIONS[phi_id]),
+                       validate=False)
+    return base, pert
 
 
 def twisted_eps_max(t, phi_id="height-product", grid_n=16):
-    """Largest eps keeping min eig(g) above 1e-3 of its eps=0 floor.
+    """Largest |eps| keeping min eig(g) above 1e-3 of its eps=0 floor.
 
-    Determined by bisection on a validation grid spanning all four charts;
-    cached per (t, phi_id, grid_n).
+    Exact on the validation points chart.grid(grid_n) plus chart.grid(5)
+    of every chart; the latter are the constructor's own check points and
+    contain the chart centres, which even grids skip, so every
+    |eps| <= eps_max passes MetricField._validate.  With G = h_t,
+    P = 2 Re ddbar phi and G - floor I = L L^T, the metric G + eps P stays
+    above the floor exactly when 1 + eps mu > 0 for every eigenvalue mu of
+    L^-1 P L^-T (Golub & Van Loan, Matrix Computations, 8.7), so
+    eps_max = 1 / max |mu| for both signs of eps.  Cached per
+    (t, phi_id, grid_n) in a bounded LRU.
     """
-    key = (round(float(t), 12), phi_id, grid_n)
-    if key in _EPS_MAX_CACHE:
-        return _EPS_MAX_CACHE[key]
-    base, dg_comps = _twisted_parts(t, phi_id)
-    G, P = _stack_validation(base, dg_comps, grid_n)
-    floor = 1e-3 * np.linalg.eigvalsh(G)[:, 0].min()
-    shifted = G - floor * np.eye(4)
+    return _eps_max(round(float(t), 12), phi_id, grid_n)
 
-    def ok(eps):
-        # min eig > floor  <=>  G + eps P - floor I admits a Cholesky factor
-        try:
-            np.linalg.cholesky(shifted + eps * P)
-            return True
-        except np.linalg.LinAlgError:
-            return False
 
-    hi = 1.0
-    for _ in range(24):
-        if not ok(hi):
-            break
-        hi *= 2.0
-    else:
-        raise MetricConstructionError("twisted_eps_max: no upper bracket found")
-    lo = 0.0
-    for _ in range(32):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    _EPS_MAX_CACHE[key] = lo
-    return lo
+@functools.lru_cache(maxsize=64)
+def _eps_max(t, phi_id, grid_n):
+    base, pert = _twisted_parts(t, phi_id)
+    points = [(name, np.concatenate([chart.grid(grid_n), chart.grid(5)]))
+              for name, chart in base.charts.items()]
+    floor = 1e-3 * min(np.linalg.eigvalsh(base.eval(name, pts))[:, 0].min()
+                       for name, pts in points)
+    mu = 0.0
+    for name, pts in points:
+        Linv = np.linalg.inv(np.linalg.cholesky(
+            base.eval(name, pts) - floor * np.eye(4)))
+        M = Linv @ pert.eval(name, pts) @ np.swapaxes(Linv, -1, -2)
+        mu = max(mu, float(np.abs(np.linalg.eigvalsh(M)).max()))
+    return 1.0 / mu
 
 
 def twisted_metric(t, eps, phi_id="height-product", grid_n=16):
     """Kahler deformation g = h_t + eps * (2 Re ddbar phi) on S^2 x S^2."""
-    base, dg_comps = _twisted_parts(t, phi_id)
+    base, pert = _twisted_parts(t, phi_id)
     emax = twisted_eps_max(t, phi_id, grid_n)
     if abs(eps) > emax:
         raise MetricConstructionError(
@@ -629,7 +603,7 @@ def twisted_metric(t, eps, phi_id="height-product", grid_n=16):
         g = base_comps(name, x)
         if eps == 0.0:
             return g
-        dg = dg_comps(name, x)
+        dg = pert.comps_ring(name, x)
         return [[g[i][j] + eps * dg[i][j] for j in range(4)] for i in range(4)]
 
     lam = 1.0 - t * t / 4.0

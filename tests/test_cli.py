@@ -122,6 +122,22 @@ def test_threads_do_not_change_output(tmp_path):
     assert ja["conditions"] == jb["conditions"]
 
 
+def test_threads_keep_report_bytes(tmp_path):
+    # the sectional search draws random starts per chunk, so this fails if
+    # the seeds follow the thread schedule instead of the chunk order
+    out = {n: (tmp_path / ("%d.json" % n), tmp_path / ("%d.csv" % n))
+           for n in (1, 2)}
+    for n, (rep, pts) in out.items():
+        assert main(["analyze", "--metric", "twisted(t=0.5,eps=0.05)",
+                     "--grid", "3", "--seed", "7", "--threads", str(n),
+                     "--out", str(rep), "--csv", str(pts)]) == 0
+    # the config echo is the only part that may name the thread count
+    echo = out[2][0].read_text().replace('"threads": 2', '"threads": 1')
+    echo = echo.replace(str(out[2][1]), str(out[1][1]))
+    assert echo == out[1][0].read_text()
+    assert out[2][1].read_bytes() == out[1][1].read_bytes()
+
+
 def test_version_flag():
     proc = run_cli(["--version"])
     assert proc.returncode == 0

@@ -5,9 +5,9 @@ import pytest
 from curv4.errors import MetricConstructionError, SpecParseError
 from curv4.jets import seed1, value
 from curv4.metrics import (
-    QuadSpec, flat_space, fubini_study, hessian_metric, ht_metric,
-    kaehler_residuals, parse_metric_spec, product_spheres, round_sphere4,
-    twisted_eps_max, twisted_metric, volume,
+    PERTURBATIONS, QuadSpec, flat_space, fubini_study, hessian_metric,
+    ht_metric, kaehler_residuals, parse_metric_spec, product_spheres,
+    round_sphere4, twisted_eps_max, twisted_metric, volume,
 )
 
 RNG = np.random.default_rng(42)
@@ -161,6 +161,68 @@ def test_twisted_rejects_large_eps():
     assert emax > 0
     with pytest.raises(MetricConstructionError):
         twisted_metric(0.2, 2.0 * emax)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_twisted_advertised_range_constructs(t):
+    emax = twisted_eps_max(t)
+    for sign in (1.0, -1.0):
+        twisted_metric(t, sign * 0.999 * emax)
+    with pytest.raises(MetricConstructionError):
+        twisted_metric(t, 1.001 * emax)
+
+
+def _twisted_validation_parts(t, grid_n):
+    """(h_t, 2 Re ddbar phi) per chart on chart.grid(grid_n) + chart.grid(5)."""
+    base = ht_metric(t)
+    out = []
+    for name, chart in base.charts.items():
+        pts = np.concatenate([chart.grid(grid_n), chart.grid(5)])
+        rows = hessian_metric(PERTURBATIONS["height-product"], name,
+                              [pts[:, i] for i in range(4)])
+        P = np.empty((len(pts), 4, 4))
+        for i in range(4):
+            for j in range(4):
+                P[:, i, j] = np.asarray(rows[i][j], dtype=float) * np.ones(len(pts))
+        out.append((base.eval(name, pts), P))
+    return out
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_twisted_eps_max_matches_cholesky_bisection(t):
+    grid_n = 4
+    emax = twisted_eps_max(t, grid_n=grid_n)
+    parts = _twisted_validation_parts(t, grid_n)
+    floor = 1e-3 * min(np.linalg.eigvalsh(G)[:, 0].min() for G, _ in parts)
+    shifted = [(G - floor * np.eye(4), P) for G, P in parts]
+
+    def above_floor(eps):
+        try:
+            for S, P in shifted:
+                np.linalg.cholesky(S + eps * P)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def bisect(sign):
+        lo, hi = 0.0, 1.0
+        while above_floor(sign * hi):
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if above_floor(sign * mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    oracle = min(bisect(1.0), bisect(-1.0))
+    assert abs(emax - oracle) <= 1e-8 * oracle
+    # the bound is attained: g - floor I is singular at some point
+    tight = min(np.linalg.eigvalsh(S + sign * emax * P)[:, 0].min()
+                for S, P in shifted for sign in (1.0, -1.0))
+    scale = max(np.linalg.eigvalsh(G)[:, -1].max() for G, _ in parts)
+    assert abs(tight) <= 1e-9 * scale
 
 
 def test_twisted_is_potential_hessian_of_full_potential():
