@@ -43,10 +43,10 @@ EXIT_CONSTRUCTION = 3
 
 
 def _base_report(args, command):
-    # output paths stay out of the echo so identical runs writing to
-    # different files still produce byte-identical reports
+    # output paths and the thread count stay out of the echo: neither
+    # changes the results, so such runs still give byte-identical reports
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "out", "csv")}
+           if k not in ("func", "out", "csv", "threads")}
     return {"tool": "curv4", "version": __version__, "command": command,
             "config": cfg}
 
@@ -120,7 +120,8 @@ def cmd_scan_family(args):
         pd_max = twisted_eps_max(t, grid_n=args.pd_grid)
         # the empirical eps_max of the family: first eps violating the
         # s/6 - W+ positivity, as opposed to the larger eigenvalue-floor bound
-        pos_max = positivity_eps_max(t, grid_n=max(3, (args.grid // 2) | 1))
+        pos_max = positivity_eps_max(t, grid_n=max(3, (args.grid // 2) | 1),
+                                     pd_grid=args.pd_grid)
         if args.eps_values == "auto":
             evals = [0.0, pos_max / 2.0]
         else:
@@ -356,6 +357,9 @@ def cmd_surface(args):
     report["morse_index"] = out["morse_index"]
     report["nullity"] = out["nullity"]
     report["L_used"] = out["L_used"]
+    report["refinement_history"] = [list(h) for h in out["history"]]
+    report["mass_rank"] = out["form"].mass_rank
+    report["basis_dim"] = out["form"].basis.dim
     report["spectrum_head"] = [float(v) for v in out["form"].spectrum[:8]]
     holo = near_holomorphic_section(S, m, SectionBasis(S, out["L_used"]), quad)
     report["holomorphic_energy"] = holo["energy"]

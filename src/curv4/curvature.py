@@ -418,22 +418,24 @@ def condition_check(m, grid_n=6, rng=None, sectional_starts=12,
 
 
 def positivity_eps_max(t, phi_id="height-product", grid_n=5, tol=1e-6,
-                       steps=24):
+                       steps=24, pd_grid=16):
     """Empirical threshold: largest eps of the twisted family keeping
     min eig(s/6 - W+) >= -tol on a scan grid (bisection below 0.95 of
-    ``twisted_eps_max``, the bound keeping min eig(g) above 1e-3 of its
-    eps=0 floor).  Cached per argument tuple in a bounded LRU.
+    ``twisted_eps_max`` at grid ``pd_grid``, the bound keeping min eig(g)
+    above 1e-3 of its eps=0 floor).  Cached per argument tuple in a bounded
+    LRU.
 
     Use odd grid sizes: the tightest spot of the built-in perturbation sits
     at a chart centre, which even grids skip.
     """
-    return _positivity_eps_max(round(float(t), 12), phi_id, grid_n, tol, steps)
+    return _positivity_eps_max(round(float(t), 12), phi_id, grid_n, tol,
+                               steps, pd_grid)
 
 
 @functools.lru_cache(maxsize=64)
-def _positivity_eps_max(t, phi_id, grid_n, tol, steps):
+def _positivity_eps_max(t, phi_id, grid_n, tol, steps, pd_grid):
     from .metrics import twisted_eps_max, _twisted_parts
-    pd_max = twisted_eps_max(t, phi_id)
+    pd_max = twisted_eps_max(t, phi_id, pd_grid)
 
     # the metric is affine in eps: evaluate the jets of both parts once,
     # then every bisection step is plain linear algebra

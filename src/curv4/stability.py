@@ -83,7 +83,25 @@ class SectionBasis:
         return out
 
     def as_section(self, coefs):
-        return LinearSection(self.sections(), coefs)
+        """sum_j coefs[j] * (element j) as a single section.
+
+        Field c gets the coefficient function sum_k coefs[c, k] Y_k, so each
+        evaluation costs one real_harmonics call per field, at any jet order.
+        """
+        W = np.asarray(coefs, dtype=float).reshape(self.n_fields,
+                                                    self.n_harmonics)
+        L = self.L
+
+        def combination(wc):
+            def f(chart, u):
+                return sum(float(w) * y
+                           for w, y in zip(wc, real_harmonics(chart, u, L)))
+            return f
+
+        fns = [combination(wc) for wc in W]
+        if self.S.normal_generators is None:
+            return FrameSection(*fns)
+        return ProjectedSection(self.S.normal_generators, fns)
 
     def node_data(self, cg):
         """Vectorized per-node coefficients and covariant derivatives.
@@ -158,11 +176,17 @@ class IndexForm:
         self.morse_index = int(np.sum(self.spectrum < -self.tol_idx))
         self.nullity = int(np.sum(np.abs(self.spectrum) <= self.tol_idx))
 
-    def eigensection(self, k):
-        return self.basis.as_section(self.vectors[:, k])
-
 
 def _accumulate_forms(S, m, basis, quad, ambient_override=None):
+    """The index form Q, mass matrix G and dbar matrix D of the basis.
+
+    Each is a quadrature sum over nodes n of w_n sqrt(h_n) F_n^T M_n F_n
+    for per-node feature rows F_n (values or frame derivatives of the
+    basis).  The weights w sqrt(h) are positive, so scaling each node's rows
+    by the real factor r = sqrt(w sqrt(h)) turns every sum into a single
+    BLAS product over the stacked rows: X^T X, or V^T (M V) for the
+    indefinite curvature-plus-shear block.
+    """
     geom = surface_geometry(S, m, quad)
     dim = basis.dim
     Q = np.zeros((dim, dim))
@@ -170,27 +194,34 @@ def _accumulate_forms(S, m, basis, quad, ambient_override=None):
     D = np.zeros((dim, dim))
     for cg in geom.charts:
         v3, v4, cov3, cov4 = basis.node_data(cg)
-        wA = cg.w * cg.sqrt_h
-        # frame-direction derivatives e_i = c[i,a] d_a
-        D3 = np.einsum("nia,nba->nbi", cg.c, cov3)
-        D4 = np.einsum("nia,nba->nbi", cg.c, cov4)
-        grad = (np.einsum("n,nai,nbi->ab", wA, D3, D3)
-                + np.einsum("n,nai,nbi->ab", wA, D4, D4))
-        V = np.stack([v3, v4], axis=-1)              # (n, dim, 2)
-        G += np.einsum("n,nas,nbs->ab", wA, V, V)
+        n = len(cg.w)
+        r = np.sqrt(cg.w * cg.sqrt_h)[:, None, None]
+        # rows e1, e2 of the n3 coefficient, then of the n4 coefficient,
+        # with the frame derivatives e_i = c[i,a] d_a
+        X = np.empty((n, 4, dim))
+        np.einsum("nia,nba->nib", cg.c, cov3, out=X[:, :2])
+        np.einsum("nia,nba->nib", cg.c, cov4, out=X[:, 2:])
+        del cov3, cov4
+        X *= r
+        V = np.stack([v3, v4], axis=1)               # (n, 2, dim)
+        del v3, v4
+        V *= r
         if ambient_override is None:
             Rt = cg.Rterm
         else:
-            Rt = 2.0 * float(ambient_override) * np.broadcast_to(
-                np.eye(2), cg.Rterm.shape).copy()
-        Ablock = np.einsum("nijs,nijt->nst", cg.A, cg.A)
-        curv = np.einsum("n,nas,nst,nbt->ab", wA, V, Rt, V, optimize=True)
-        shear = np.einsum("n,nas,nst,nbt->ab", wA, V, Ablock, V, optimize=True)
-        Q += grad - curv - shear
-        b3 = D3[..., 0] - D4[..., 1]
-        b4 = D4[..., 0] + D3[..., 1]
-        D += (np.einsum("n,na,nb->ab", wA, b3, b3)
-              + np.einsum("n,na,nb->ab", wA, b4, b4))
+            Rt = 2.0 * float(ambient_override) * np.eye(2)
+        M = Rt + np.einsum("nijs,nijt->nst", cg.A, cg.A)
+        Xf = X.reshape(4 * n, dim)
+        Vf = V.reshape(2 * n, dim)
+        Q += Xf.T @ Xf
+        Q -= Vf.T @ np.matmul(M, V).reshape(2 * n, dim)
+        G += Vf.T @ Vf
+        # dbar rows in place: b3 = D3_1 - D4_2 in row 0, b4 = D4_1 + D3_2
+        # in row 2; rows 0 and 2 of every node are then one strided view
+        X[:, 0] -= X[:, 3]
+        X[:, 2] += X[:, 1]
+        B = X[:, ::2].reshape(2 * n, dim)
+        D += B.T @ B
     return 0.5 * (Q + Q.T), 0.5 * (G + G.T), 0.5 * (D + D.T)
 
 
@@ -222,14 +253,15 @@ def near_holomorphic_section(S, m, basis, quad=None):
     if len(ties) > 1:
         # prefer sections that stay away from zero: largest L4 mass
         geom = surface_geometry(S, m, quad)
+        nodes = [(cg.w * cg.sqrt_h,) + basis.node_data(cg)[:2]
+                 for cg in geom.charts]
         best, best_l4 = ties[0], -np.inf
         for k in ties:
             coefs = Z @ V[:, k]
             l4 = 0.0
-            for cg in geom.charts:
-                v3, v4, _, _ = basis.node_data(cg)
+            for wA, v3, v4 in nodes:
                 n2 = (v3 @ coefs) ** 2 + (v4 @ coefs) ** 2
-                l4 += float(np.sum(cg.w * cg.sqrt_h * n2 ** 2))
+                l4 += float(np.sum(wA * n2 ** 2))
             if l4 > best_l4:
                 best, best_l4 = k, l4
         k0 = best

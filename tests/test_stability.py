@@ -8,11 +8,12 @@ from curv4.sphharm import harmonic_count, real_harmonics
 from curv4.stability import (
     IndexForm, LinearSection, SectionBasis, assemble_index_form,
     index_two_construction, near_holomorphic_section, refine_until_stable,
-    theorem_c_harness,
+    theorem_c_harness, _accumulate_forms,
 )
 from curv4.surfaces import (
-    cp1_line, equator_sphere, parallel_section, perturbed_slice, product_slice,
-    second_variation, surface_geometry,
+    _arr, _jd, cp1_line, dbar_perp_sq_field, equator_sphere,
+    parallel_section, perturbed_slice, product_slice, second_variation,
+    section_data, surface_geometry,
 )
 
 QUAD = QuadSpec(32)
@@ -79,6 +80,55 @@ def test_assembly_matches_quadratic_form():
     w = rng.normal(size=basis.dim)
     combo = LinearSection(secs, w)
     assert abs(second_variation(Se, MR, combo, QUAD) - w @ form.Q @ w) < 1e-6
+
+
+def _partials(x, shape, order):
+    """Value and every coordinate partial up to ``order`` of a jet."""
+    out = [_arr(x, shape)]
+    layer = [x]
+    for _ in range(order):
+        layer = [_jd(y, a) for y in layer for a in range(2)]
+        out += [_arr(y, shape) for y in layer]
+    return out
+
+
+@pytest.mark.parametrize("make_surface, metric", [
+    (cp1_line, MF),          # projected generator fields
+    (product_slice, MP),     # adapted frame
+])
+def test_as_section_matches_sum_of_elements(make_surface, metric):
+    S = make_surface()
+    basis = SectionBasis(S, 3)
+    w = np.random.default_rng(2).normal(size=basis.dim)
+    fast = basis.as_section(w)
+    ref = LinearSection(basis.sections(), w)
+    for cg in surface_geometry(S, metric, QuadSpec(12)).charts:
+        for order in (1, 2):
+            for a, b in zip(fast.coeff_jets(cg, order),
+                            ref.coeff_jets(cg, order)):
+                for x, y in zip(_partials(a, cg.shape, order),
+                                _partials(b, cg.shape, order)):
+                    assert_allclose(x, y, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make_surface, metric", [
+    (cp1_line, MF), (product_slice, MP), (equator_sphere, MR),
+])
+def test_mass_and_dbar_matrices_match_section_integrals(make_surface,
+                                                        metric):
+    # w^T G w = int |sigma|^2 and w^T D w = 2 int |dbar sigma|^2
+    S = make_surface()
+    basis = SectionBasis(S, 4)
+    _, G, D = _accumulate_forms(S, metric, basis, QUAD)
+    w = np.random.default_rng(5).normal(size=basis.dim)
+    sigma = basis.as_section(w)
+    geom = surface_geometry(S, metric, QUAD)
+    mass = geom.integrate([section_data(cg, sigma)["norm2"]
+                           for cg in geom.charts])
+    dbar = geom.integrate([dbar_perp_sq_field(cg, sigma)
+                           for cg in geom.charts])
+    assert_allclose(w @ G @ w, mass, rtol=1e-8)
+    assert_allclose(w @ D @ w, 2.0 * dbar, rtol=1e-8)
 
 
 def test_index_monotone_in_L():
