@@ -159,14 +159,3 @@ def kn_tensor4(B, g):
 def to_eta_basis(M):
     """Conjugate a 6x6 operator into the orthonormal (eta, etabar) basis."""
     return np.einsum("ia,...ij,jb->...ab", ETA_FRAME, M, ETA_FRAME)
-
-
-def frame_bivector(xi_coord, frame_inv):
-    """Components of a coordinate bivector in an orthonormal frame.
-
-    xi_coord: antisymmetric 4x4 coordinate components xi^{ij};
-    frame_inv: matrix with theta^a_i rows (inverse of the frame column matrix).
-    """
-    fr = np.einsum("...ai,...bj,...ij->...ab", frame_inv, frame_inv, xi_coord)
-    comps = [fr[..., i, j] for i, j in PAIRS]
-    return np.stack(comps, axis=-1)

@@ -80,9 +80,8 @@ def cmd_analyze(args):
     m = parse_metric_spec(args.metric)
     ex = _executor(args)
     rep, records = condition_check(
-        m, grid_n=args.grid, rng=np.random.default_rng(args.seed),
-        include_sectional=not args.no_sectional, executor=ex,
-        return_points=True)
+        m, grid_n=args.grid, include_sectional=not args.no_sectional,
+        executor=ex, return_points=True)
     if ex:
         ex.shutdown()
     report = _base_report(args, "analyze")
@@ -135,9 +134,8 @@ def cmd_scan_family(args):
                 cell["error"] = str(exc)
                 cells.append(cell)
                 continue
-            rep = condition_check(
-                m, grid_n=args.grid | 1, rng=np.random.default_rng(args.seed),
-                include_sectional=False)
+            rep = condition_check(m, grid_n=args.grid | 1,
+                                  include_sectional=False)
             cell["margins"] = rep.as_dict()["margins"]
             cell["volume"] = volume(m, QuadSpec(args.quad))
             cells.append(cell)
@@ -354,14 +352,15 @@ def cmd_surface(args):
     out = refine_until_stable(
         lambda L: assemble_index_form(S, m, SectionBasis(S, L), quad),
         L0=args.L0, L_max=args.L_max)
+    form = out["form"]
     report["morse_index"] = out["morse_index"]
     report["nullity"] = out["nullity"]
     report["L_used"] = out["L_used"]
     report["refinement_history"] = [list(h) for h in out["history"]]
-    report["mass_rank"] = out["form"].mass_rank
-    report["basis_dim"] = out["form"].basis.dim
-    report["spectrum_head"] = [float(v) for v in out["form"].spectrum[:8]]
-    holo = near_holomorphic_section(S, m, SectionBasis(S, out["L_used"]), quad)
+    report["mass_rank"] = form.mass_rank
+    report["basis_dim"] = form.basis.dim
+    report["spectrum_head"] = [float(v) for v in form.spectrum[:8]]
+    holo = near_holomorphic_section(S, m, form.basis, quad, form=form)
     report["holomorphic_energy"] = holo["energy"]
     wv = weitzenboeck_variation(S, m, holo["section"], quad)
     report["averaged_second_variation"] = {

@@ -134,10 +134,6 @@ class CurvatureFrameData:
         self.wminus = data["wminus"]
         self.ric_block = data["ric_block"]
 
-    def weyl_spectrum(self, which="plus"):
-        w = self.wplus if which == "plus" else self.wminus
-        return np.sort(np.linalg.eigvalsh(w))
-
 
 def riemann_at(m, chart, p):
     """CurvatureFrameData at a single point of the chart."""
@@ -206,116 +202,89 @@ def block_identity_residual(c):
 
 
 # ---------------------------------------------------------------------
-# sectional curvature extremization over decomposable planes
+# sectional curvature extremes by Thorpe duality
 
-def _gram_schmidt_pairs(x, y):
-    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    y = y - np.sum(x * y, axis=-1, keepdims=True) * x
-    return x, y / np.linalg.norm(y, axis=-1, keepdims=True)
+#: bisection steps on t; the primal-dual gap is at most the final bracket
+#: width 2 (lambda_max - lambda_min) 2^-steps, plus rounding
+SECTIONAL_STEPS = 40
 
 
-def _pair_grad(r, v, sign):
-    """Gradient of <r, e_k ^ v> in k; sign=-1 gives <r, v ^ e_k>."""
-    out = np.zeros(r.shape[:-1] + (4,))
+def sectional_extremes(M6, return_bound=False):
+    """Exact minimum of the sectional curvature <M xi, xi> over unit
+    decomposable bivectors xi = x ^ y, by Thorpe duality.
+
+    A unit bivector is decomposable exactly when <*xi, xi> = 0, so every
+    lambda_min(M + t *) is a lower bound on the minimum.  In dimension 4 the
+    largest of them equals it (Thorpe, J. Diff. Geom. 5, 1971; exact because
+    two quadratic forms map the unit sphere of Lambda^2 onto a convex set,
+    Brickman 1961).  lambda_min(M + t *) is concave in t with slope v^T * v
+    at a bottom eigenvector v, and its maximum lies in |t| <= lambda_max(M)
+    - lambda_min(M), so all points bisect together on the sign of that
+    slope.  The bottom eigenvectors kept at the two bracket ends have slopes
+    of opposite sign; their mix with <*xi, xi> = 0 is decomposable, and the
+    plane is the column space of its rank-2 antisymmetric matrix.
+
+    M6 may be batched (..., 6, 6); the computation is deterministic.
+    Returns (value, plane): value = <M xi, xi> is the curvature of the
+    returned plane, an upper bound on the minimum, and plane is an
+    orthonormal (..., 4, 2) pair spanning it.  With return_bound, a third
+    item is the certified lower bound lambda_min(M + t* *) at the better
+    bracket end; value minus bound is the primal-dual gap.
+    """
+    M = np.asarray(M6, dtype=float)
+    batch = M.shape[:-2]
+    M = M.reshape(-1, 6, 6)
+    rows = np.arange(len(M))
+    lam = np.linalg.eigvalsh(M)
+    # columns: the lower and the upper bracket end, with the bottom
+    # eigenpair found there
+    t = (lam[:, -1] - lam[:, 0])[:, None] * np.array([-1.0, 1.0])
+    f, v = np.linalg.eigh(M[:, None] + t[..., None, None] * bv.STAR6)
+    f, v = f[..., 0], v[..., 0]
+    for _ in range(SECTIONAL_STEPS):
+        mid = t.mean(axis=1)
+        fm, vm = np.linalg.eigh(M + mid[:, None, None] * bv.STAR6)
+        # slope > 0: the maximum lies above mid, which becomes the lower end
+        end = (bv.plucker_residual(vm[..., 0]) <= 0.0).astype(int)
+        t[rows, end] = mid
+        f[rows, end] = fm[:, 0]
+        v[rows, end] = vm[..., 0]
+
+    x, y = v[:, 0], v[:, 1]
+    y = y * np.where(np.sum(x * y, axis=-1) < 0.0, -1.0, 1.0)[:, None]
+    # <*xi, xi> on cos(th) x + sin(th) y is a c^2 + 2 b c s + d s^2 with
+    # a >= 0 >= d (the clips only absorb rounding at the initial ends);
+    # take its root in [0, pi/2], where |xi| >= 1, in the form free of
+    # cancellation
+    a = bv.plucker_residual(x).clip(min=0.0)
+    d = bv.plucker_residual(y).clip(max=0.0)
+    b = np.sum(bv.hodge_star(x) * y, axis=-1)
+    r = np.sqrt(b * b - a * d)
+    th = np.where(b > 0.0, np.arctan2(b + r, -d), np.arctan2(a, r - b))
+    xi = np.cos(th)[:, None] * x + np.sin(th)[:, None] * y
+    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+    value = np.einsum("ni,nij,nj->n", xi, M, xi)
+
+    A = np.zeros((len(M), 4, 4))
     for p, (i, j) in enumerate(PAIRS):
-        out[..., i] += sign * r[..., p] * v[..., j]
-        out[..., j] -= sign * r[..., p] * v[..., i]
+        A[:, i, j] = xi[:, p]
+        A[:, j, i] = -xi[:, p]
+    plane = np.linalg.eigh(A @ np.swapaxes(A, -1, -2))[1][..., 2:]
+    out = (value.reshape(batch), plane.reshape(batch + (4, 2)))
+    if return_bound:
+        out += (f.max(axis=1).reshape(batch),)
     return out
 
 
-def sectional_extremes(M6, rng=None, starts=64, iters=300, samples=10_000,
-                       step0=0.2, tol=1e-10):
-    """Minimize the sectional curvature <M xi, xi>/|xi|^2 over decomposable
-    bivectors xi = x ^ y by multi-start projected gradient descent.
-
-    M6 may be batched (..., 6, 6); returns (value, plane) with plane an
-    orthonormal (..., 4, 2) pair spanning an argmin 2-plane.  The result is
-    clamped below by direct evaluation on ``samples`` random planes.
-    """
-    rng = rng or np.random.default_rng(0)
-    M = np.asarray(M6, dtype=float)
-    batch = M.shape[:-2]
-    x = rng.normal(size=batch + (starts, 4))
-    y = rng.normal(size=batch + (starts, 4))
-    # deterministic coordinate-plane starts help flat directions
-    for k, (i, j) in enumerate(PAIRS):
-        if k < starts:
-            x[..., k, :] = 0.0
-            y[..., k, :] = 0.0
-            x[..., k, i] = 1.0
-            y[..., k, j] = 1.0
-    x, y = _gram_schmidt_pairs(x, y)
-    step = np.full(batch + (starts,), step0)
-    Mb = M[..., None, :, :]
-
-    def fval(x, y):
-        xi = bv.wedge(x, y)
-        n2 = np.sum(xi * xi, axis=-1)
-        Mxi = np.einsum("...ij,...j->...i", Mb, xi)
-        return np.sum(xi * Mxi, axis=-1) / n2, xi, n2, Mxi
-
-    F, xi, n2, Mxi = fval(x, y)
-    for _ in range(iters):
-        r = 2.0 * (Mxi - F[..., None] * xi) / n2[..., None]
-        gx = _pair_grad(r, y, +1.0)
-        gy = -_pair_grad(r, x, +1.0)
-        gn = np.sqrt(np.sum(gx * gx, axis=-1) + np.sum(gy * gy, axis=-1))
-        xc = x - step[..., None] * gx
-        yc = y - step[..., None] * gy
-        xc, yc = _gram_schmidt_pairs(xc, yc)
-        Fc, xic, n2c, Mxic = fval(xc, yc)
-        better = Fc < F
-        m3 = better[..., None]
-        x = np.where(m3, xc, x)
-        y = np.where(m3, yc, y)
-        xi = np.where(m3, xic, xi)
-        n2 = np.where(better, n2c, n2)
-        Mxi = np.where(m3, Mxic, Mxi)
-        F = np.where(better, Fc, F)
-        step = np.where(better, step * 1.2, step * 0.5)
-        if float((step * gn).max()) < tol:
-            break
-
-    best = np.argmin(F, axis=-1)
-    take = np.expand_dims(best, axis=-1)
-    fbest = np.take_along_axis(F, take, axis=-1)[..., 0]
-    xb = np.take_along_axis(x, take[..., None], axis=-2)[..., 0, :]
-    yb = np.take_along_axis(y, take[..., None], axis=-2)[..., 0, :]
-
-    if samples:
-        u = rng.normal(size=batch + (samples, 4))
-        v = rng.normal(size=batch + (samples, 4))
-        xi = bv.wedge(u, v)
-        vals = (np.einsum("...si,...ij,...sj->...s", xi, M, xi)
-                / np.sum(xi * xi, axis=-1))
-        smin = vals.min(axis=-1)
-        if np.any(smin < fbest):
-            # random samples may only *confirm* the optimizer; keep whichever
-            # is lower so the reported value is a true upper bound
-            idx = np.argmin(vals, axis=-1)
-            tk = np.expand_dims(idx, axis=-1)
-            su = np.take_along_axis(u, tk[..., None], axis=-2)[..., 0, :]
-            sv = np.take_along_axis(v, tk[..., None], axis=-2)[..., 0, :]
-            repl = smin < fbest
-            fbest = np.where(repl, smin, fbest)
-            xb = np.where(repl[..., None], su, xb)
-            yb = np.where(repl[..., None], sv, yb)
-
-    xb, yb = _gram_schmidt_pairs(xb, yb)
-    return fbest, np.stack([xb, yb], axis=-1)
-
-
-def min_sectional_curvature(c, rng=None, starts=64, samples=10_000):
+def min_sectional_curvature(c):
     """Minimal sectional curvature at a point with an argmin plane."""
-    val, plane = sectional_extremes(c.riemann.mat, rng=rng, starts=starts,
-                                    samples=samples)
+    val, plane = sectional_extremes(c.riemann.mat)
     return {"value": float(val), "plane": plane,
             "bivector": bv.wedge(plane[..., 0], plane[..., 1])}
 
 
-def max_sectional_curvature(c, rng=None, starts=64, samples=10_000):
-    val, plane = sectional_extremes(-c.riemann.mat, rng=rng, starts=starts,
-                                    samples=samples)
+def max_sectional_curvature(c):
+    val, plane = sectional_extremes(-c.riemann.mat)
     return {"value": float(-val), "plane": plane}
 
 
@@ -331,17 +300,22 @@ MARGIN_KEYS = ("min_sectional", "s6_minus_wplus", "s6_minus_wminus",
 
 
 class ConditionReport:
-    """Aggregate positivity margins of the pointwise curvature conditions."""
+    """Aggregate positivity margins of the pointwise curvature conditions.
 
-    def __init__(self, margins, worst, tol_psd, npoints):
+    ``sectional_gap`` is the largest primal-dual gap of the sectional
+    search over the points (None when it did not run).
+    """
+
+    def __init__(self, margins, worst, tol_psd, npoints, sectional_gap=None):
         self.margins = margins
         self.worst = worst
         self.tol_psd = tol_psd
         self.npoints = npoints
+        self.sectional_gap = sectional_gap
         self.satisfied = {k: margins[k] >= -tol_psd for k in margins}
 
     def as_dict(self):
-        return {
+        out = {
             "npoints": self.npoints,
             "tol_psd": self.tol_psd,
             "margins": {k: float(v) for k, v in self.margins.items()},
@@ -349,29 +323,36 @@ class ConditionReport:
             "worst_point": {k: {"chart": c, "point": list(map(float, p))}
                             for k, (c, p) in self.worst.items()},
         }
+        if self.sectional_gap is not None:
+            out["sectional_gap"] = self.sectional_gap
+        return out
 
 
-def condition_check(m, grid_n=6, rng=None, sectional_starts=12,
-                    sectional_samples=2000, include_sectional=True,
-                    points=None, executor=None, return_points=False):
+def condition_check(m, grid_n=6, include_sectional=True, points=None,
+                    executor=None, return_points=False):
     """Scan a grid (or explicit points) and aggregate eigenvalue margins.
 
-    Margins are minima over all sampled points of:
-    min eig(s/6 - W+-), min eig(s/12 + W+-), min eig(R_op) and the minimal
-    sectional curvature.  ``points`` overrides the grid: list of
-    (chart, (N,4) array).  With return_points, also gives the per-point
-    margin arrays for CSV dumps.
+    Margins are minima over all points of: min eig(s/6 - W+-),
+    min eig(s/12 + W+-), min eig(R_op) and the minimal sectional curvature.
+    The sectional minimum is exact up to the certified gap (Thorpe duality,
+    see ``sectional_extremes``): each point's value is the curvature of an
+    actual plane, so it is an upper bound, and it exceeds the dual lower
+    bound by at most the report's ``sectional_gap``.  Nothing is random, so
+    the result does not depend on a seed or on the executor's schedule.
+
+    ``points`` overrides the grid: list of (chart, (N,4) array).  With
+    return_points, also gives the per-point margin arrays for CSV dumps.
     """
-    rng = rng or np.random.default_rng(0)
     chunks = points if points is not None else m.grid_points(grid_n)
     if not chunks:
         raise ValueError("condition_check: empty grid")
     mins = {k: np.inf for k in MARGIN_KEYS}
     worst = {k: None for k in MARGIN_KEYS}
     smax = 0.0
+    gap = -np.inf
     total = 0
 
-    def eval_chunk(chart, pts, seed):
+    def eval_chunk(chart, pts):
         data = curvature_batch(m, chart, pts)
         s = data["s"][:, None, None]
         out = {
@@ -381,27 +362,24 @@ def condition_check(m, grid_n=6, rng=None, sectional_starts=12,
             "s12_plus_wminus": np.linalg.eigvalsh(s / 12 * I3 + data["wminus"])[:, 0],
             "curvature_operator": np.linalg.eigvalsh(data["R_op"])[:, 0],
         }
+        chunk_gap = -np.inf
         if include_sectional:
-            vals, _ = sectional_extremes(
-                data["M6"], rng=np.random.default_rng(seed),
-                starts=sectional_starts, iters=150, samples=sectional_samples)
+            vals, _, bound = sectional_extremes(data["M6"], return_bound=True)
             out["min_sectional"] = vals
-        return out, float(np.abs(data["s"]).max())
+            chunk_gap = float((vals - bound).max())
+        return out, float(np.abs(data["s"]).max()), chunk_gap
 
     jobs = [(chart, np.asarray(pts, dtype=float)) for chart, pts in chunks]
-    # seeds are drawn in chunk order before dispatch, so the thread
-    # schedule cannot change which chunk gets which seed
-    seeds = [rng.integers(2 ** 63) if include_sectional else None
-             for _ in jobs]
     if executor is not None:
-        results = list(executor.map(eval_chunk, *zip(*jobs), seeds))
+        results = list(executor.map(eval_chunk, *zip(*jobs)))
     else:
-        results = [eval_chunk(*cp, seed) for cp, seed in zip(jobs, seeds)]
+        results = [eval_chunk(*cp) for cp in jobs]
 
     records = []
-    for (chart, pts), (out, schunk) in zip(jobs, results):
+    for (chart, pts), (out, schunk, gchunk) in zip(jobs, results):
         total += len(pts)
         smax = max(smax, schunk)
+        gap = max(gap, gchunk)
         records.append((chart, pts, out))
         for key, vals in out.items():
             i = int(np.argmin(vals))
@@ -411,7 +389,8 @@ def condition_check(m, grid_n=6, rng=None, sectional_starts=12,
     if not include_sectional:
         mins.pop("min_sectional")
         worst.pop("min_sectional")
-    report = ConditionReport(mins, worst, psd_tolerance(smax), total)
+    report = ConditionReport(mins, worst, psd_tolerance(smax), total,
+                             gap if include_sectional else None)
     if return_points:
         return report, records
     return report

@@ -169,11 +169,3 @@ def hess2(x, m):
         else:
             rows.append([0.0] * m)
     return rows
-
-
-def asarray_shaped(entry, shape):
-    """Broadcast a jet coefficient (scalar or array) to the batch shape."""
-    a = np.asarray(entry, dtype=float)
-    if a.shape != tuple(shape):
-        a = np.broadcast_to(a, shape).copy()
-    return a

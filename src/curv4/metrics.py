@@ -182,12 +182,6 @@ class MetricField:
             return g[0], dg[0], d2g[0]
         return g, dg, d2g
 
-    def deriv1(self, chart, pts):
-        return self.jets(chart, pts)[1]
-
-    def deriv2(self, chart, pts):
-        return self.jets(chart, pts)[2]
-
     def require_inside(self, chart, pts, margin=CHART_MARGIN):
         ok = self.charts[chart].contains(pts, margin)
         if not np.all(ok):

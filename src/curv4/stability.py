@@ -156,18 +156,27 @@ class SectionBasis:
         return v3, v4, cov3, cov4
 
 
-class IndexForm:
-    """Discretized second-variation pencil Q x = lambda G x."""
+def _mass_whitening(G):
+    """Z with Z^T G Z = I on the directions kept by the MASS_COND_MAX cut."""
+    lam, U = np.linalg.eigh(G)
+    keep = lam > lam[-1] / MASS_COND_MAX
+    return U[:, keep] / np.sqrt(lam[keep])
 
-    def __init__(self, Q, G, basis):
+
+class IndexForm:
+    """Discretized second-variation pencil Q x = lambda G x.
+
+    D, the dbar matrix assembled with Q and G, is kept for
+    ``near_holomorphic_section``.
+    """
+
+    def __init__(self, Q, G, basis, D):
         self.Q = Q
         self.G = G
+        self.D = D
         self.basis = basis
-        lam, U = np.linalg.eigh(G)
-        keep = lam > lam[-1] / MASS_COND_MAX
-        self.mass_rank = int(keep.sum())
-        Z = U[:, keep] / np.sqrt(lam[keep])
-        self.Z = Z
+        self.Z = Z = _mass_whitening(G)
+        self.mass_rank = Z.shape[1]
         Qw = Z.T @ Q @ Z
         Qw = 0.5 * (Qw + Qw.T)
         self.spectrum, V = np.linalg.eigh(Qw)
@@ -231,21 +240,25 @@ def assemble_index_form(S, m, basis, quad=None, ambient_override=None):
     geom = surface_geometry(S, m, quad)
     if ambient_override is None:
         geom.require_minimal()
-    Q, G, _ = _accumulate_forms(S, m, basis, quad, ambient_override)
-    return IndexForm(Q, G, basis)
+    Q, G, D = _accumulate_forms(S, m, basis, quad, ambient_override)
+    return IndexForm(Q, G, basis, D)
 
 
-def near_holomorphic_section(S, m, basis, quad=None):
+def near_holomorphic_section(S, m, basis, quad=None, form=None):
     """Minimize the dbar energy over unit-mass sections of the basis.
+
+    ``form``, an IndexForm already assembled over ``basis``, lends its mass
+    whitening and dbar matrix instead of assembling them again.
 
     Returns {section, energy, coefficients}; runs regardless of the sign
     of c1 (a negative Chern number just means the energy cannot reach 0).
     """
     quad = quad or QuadSpec()
-    _, G, D = _accumulate_forms(S, m, basis, quad)
-    lam, U = np.linalg.eigh(G)
-    keep = lam > lam[-1] / MASS_COND_MAX
-    Z = U[:, keep] / np.sqrt(lam[keep])
+    if form is None:
+        _, G, D = _accumulate_forms(S, m, basis, quad)
+        Z = _mass_whitening(G)
+    else:
+        Z, D = form.Z, form.D
     Dw = Z.T @ D @ Z
     ev, V = np.linalg.eigh(0.5 * (Dw + Dw.T))
     lo = ev[0]
@@ -341,8 +354,9 @@ def theorem_c_harness(m, surface=None, L=4, quad=None, min_tol=1e-8):
 
     Reports c1 of the normal bundle, the best near-holomorphic section and
     its averaged second variation with the full term decomposition, plus
-    the hypothesis margins (eta-pairing positivity, shear, sectional
-    positivity proxy).  Refuses non-minimal slices, reporting the residual.
+    the hypothesis margins (eta-pairing positivity, shear, and the exact
+    minimal sectional curvature over all surface nodes).  Refuses
+    non-minimal slices, reporting the residual.
     """
     from .surfaces import product_slice
     from .curvature import sectional_extremes
@@ -361,14 +375,9 @@ def theorem_c_harness(m, surface=None, L=4, quad=None, min_tol=1e-8):
     pairing_min = min(float(cg.s6_pairing.min()) for cg in geom.charts)
     from .surfaces import a_wedge_a_sq
     shear_max = max(float(a_wedge_a_sq(cg.A).max()) for cg in geom.charts)
-    # sectional positivity sampled at the surface's ambient points
-    sec_min = np.inf
-    rng = np.random.default_rng(0)
-    for cg in geom.charts:
-        sel = rng.choice(len(cg.u), size=min(24, len(cg.u)), replace=False)
-        vals, _ = sectional_extremes(cg.curv["M6"][sel], rng=rng, starts=12,
-                                     iters=150, samples=1000)
-        sec_min = min(sec_min, float(vals.min()))
+    # exact minimal sectional curvature at every ambient surface node
+    sec_min = min(float(sectional_extremes(cg.curv["M6"])[0].min())
+                  for cg in geom.charts)
     hyps = pairing_min >= -1e-9 and sec_min > 1e-9
     if hyps:
         verdict = ("hypotheses hold: averaged second variation is negative "

@@ -68,10 +68,8 @@ def test_criterion_1_round_sphere():
         smax = max(smax, np.abs(data["s"] - 12.0).max())
         wmax = max(wmax, np.abs(data["wplus"]).max(),
                    np.abs(data["wminus"]).max())
-        lo, _ = sectional_extremes(data["M6"], rng=rng, starts=8, iters=120,
-                                   samples=500)
-        hi, _ = sectional_extremes(-data["M6"], rng=rng, starts=8, iters=120,
-                                   samples=500)
+        lo, _ = sectional_extremes(data["M6"])
+        hi, _ = sectional_extremes(-data["M6"])
         kmin = min(kmin, lo.min())
         kmax = max(kmax, (-hi).max())
     elapsed = time.time() - t0
@@ -98,8 +96,7 @@ def test_criterion_2_product_spheres():
             data["s"][:, None, None] / 6 * I3 - data["wplus"]), axis=-1)
         worst_c211 = max(worst_c211, np.abs(lam2 - [0.0, 1.0, 1.0]).max())
         rop_min = min(rop_min, np.linalg.eigvalsh(data["R_op"])[:, 0].min())
-        lo, _ = sectional_extremes(data["M6"], rng=rng, starts=16, iters=150,
-                                   samples=500)
+        lo, _ = sectional_extremes(data["M6"])
         ksec = min(ksec, lo.min())
     assert worst_s < 1e-6
     assert worst_wp < 1e-6

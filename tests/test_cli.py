@@ -36,6 +36,28 @@ def test_analyze_round_sphere(tmp_path):
     assert abs(rep["conditions"]["margins"]["s6_minus_wplus"] - 2.0) < 1e-8
 
 
+def test_analyze_sectional_is_exact_and_seed_free(tmp_path):
+    reps, rows = {}, {}
+    for seed in (1, 2):
+        out = tmp_path / ("%d.json" % seed)
+        csvp = tmp_path / ("%d.csv" % seed)
+        assert main(["analyze", "--metric", "twisted(t=0.5,eps=0.05)",
+                     "--grid", "3", "--seed", str(seed),
+                     "--out", str(out), "--csv", str(csvp)]) == 0
+        reps[seed] = json.loads(out.read_text())
+        rows[seed] = csvp.read_bytes()
+        assert reps[seed]["config"].pop("seed") == seed
+        assert reps[seed].pop("csv")["path"] == str(csvp)
+    assert reps[1] == reps[2]
+    assert rows[1] == rows[2]
+    # the certificate: primal minus dual over all points
+    assert 0.0 <= reps[1]["conditions"]["sectional_gap"] <= 1e-9
+    out = tmp_path / "nosec.json"
+    assert main(["analyze", "--metric", "twisted(t=0.5,eps=0.05)",
+                 "--grid", "3", "--no-sectional", "--out", str(out)]) == 0
+    assert "sectional_gap" not in json.loads(out.read_text())["conditions"]
+
+
 def test_exit_code_parse_error():
     proc = run_cli(["analyze", "--metric", "nonsense(r=1)"])
     assert proc.returncode == 2
@@ -140,8 +162,8 @@ def test_threads_do_not_change_output(tmp_path):
 
 
 def test_threads_keep_report_bytes(tmp_path):
-    # the sectional search draws random starts per chunk, so this fails if
-    # the seeds follow the thread schedule instead of the chunk order
+    # the chunks finish in any order at 2 threads; the per-point CSV must
+    # still come out in chunk order
     out = {n: (tmp_path / ("%d.json" % n), tmp_path / ("%d.csv" % n))
            for n in (1, 2)}
     for n, (rep, pts) in out.items():

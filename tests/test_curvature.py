@@ -79,9 +79,9 @@ def test_round_sphere_radius_two():
     m = round_sphere4(2.0)
     c = riemann_at(m, "s", np.array([0.2, 0.5, -0.1, 0.3]))
     assert_allclose(c.s, 12.0 / 4.0, atol=1e-10)
-    out = min_sectional_curvature(c, rng=np.random.default_rng(0))
+    out = min_sectional_curvature(c)
     assert_allclose(out["value"], 0.25, atol=1e-6)
-    assert_allclose(max_sectional_curvature(c, rng=np.random.default_rng(0))["value"],
+    assert_allclose(max_sectional_curvature(c)["value"],
                     0.25, atol=1e-6)
 
 
@@ -225,25 +225,25 @@ def test_lemma21_rejection_property():
 def test_min_sectional_round_product_fs():
     rng = np.random.default_rng(9)
     c = riemann_at(round_sphere4(1.0), "n", rng.uniform(-0.8, 0.8, 4))
-    assert_allclose(min_sectional_curvature(c, rng=rng)["value"], 1.0, atol=1e-6)
+    assert_allclose(min_sectional_curvature(c)["value"], 1.0, atol=1e-6)
 
     cp = riemann_at(product_spheres(1.0, 1.0), "aa", rng.uniform(-0.8, 0.8, 4))
-    out = min_sectional_curvature(cp, rng=rng)
+    out = min_sectional_curvature(cp)
     assert abs(out["value"]) < 1e-6
     # argmin is a mixed plane: its bivector has no pure-factor component
     xi = out["bivector"]
     assert abs(xi[0]) < 1e-3 and abs(xi[5]) < 1e-3
 
     cf = riemann_at(fubini_study(), "u0", rng.uniform(-0.7, 0.7, 4))
-    assert_allclose(min_sectional_curvature(cf, rng=rng)["value"], 1.0, atol=1e-4)
-    assert_allclose(max_sectional_curvature(cf, rng=rng)["value"], 4.0, atol=1e-4)
+    assert_allclose(min_sectional_curvature(cf)["value"], 1.0, atol=1e-4)
+    assert_allclose(max_sectional_curvature(cf)["value"], 4.0, atol=1e-4)
 
 
 def test_min_sectional_never_above_samples():
     rng = np.random.default_rng(10)
     for m in (product_spheres(1.0, 2.0), fubini_study()):
         c = riemann_at(m, m.chart_order[0], rng.uniform(-0.6, 0.6, 4))
-        val, _ = sectional_extremes(c.riemann.mat, rng=rng, samples=0)
+        val, _ = sectional_extremes(c.riemann.mat)
         u = rng.normal(size=(10_000, 4))
         v = rng.normal(size=(10_000, 4))
         from curv4.bivector import wedge
@@ -252,11 +252,68 @@ def test_min_sectional_never_above_samples():
         assert val <= vals.min() + 1e-12
 
 
+def _solver_cases():
+    """Random symmetric operators (most violate first Bianchi, the rest are
+    projected onto it) and degenerate ones: I, the Hodge star (every
+    eigenvalue of M + t * meets at t = -1) and the S^2 x S^2 Kaehler
+    operator, exactly diag(1, 0, 0, 0, 0, 1) and as computed at a point."""
+    from curv4.bivector import STAR6
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(8, 6, 6))
+    rand = A + np.swapaxes(A, 1, 2)
+    bianchi = rand[:, 0, 5] - rand[:, 1, 4] + rand[:, 2, 3]
+    projected = rand[:4] - bianchi[:4, None, None] / 3.0 * STAR6
+    kaehler = riemann_at(product_spheres(1.0, 1.0), "aa",
+                         np.array([0.3, 0.2, -0.4, 0.6])).riemann.mat
+    return np.concatenate([rand, projected, np.stack([
+        np.eye(6), STAR6, -STAR6, np.diag([1.0, 0, 0, 0, 0, 1.0]), kaehler])])
+
+
+def _sampled_sectional(M, n=100_000):
+    from curv4.bivector import wedge
+    rng = np.random.default_rng(22)
+    xi = wedge(rng.normal(size=(n, 4)), rng.normal(size=(n, 4)))
+    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+    return np.einsum("si,mij,sj->ms", xi, M, xi).min(axis=1)
+
+
+def test_sectional_extremes_exact_with_certificate():
+    from curv4.bivector import wedge
+    M = _solver_cases()
+    val, plane, bound = sectional_extremes(M, return_bound=True)
+    sampled = _sampled_sectional(M)
+    norm = np.linalg.norm(M, ord=2, axis=(1, 2))
+    # primal: never above any sampled plane; dual: never above the primal
+    assert np.all(val <= sampled + 1e-12)
+    assert np.all(bound <= val + 1e-12)
+    assert np.all(val - bound <= 1e-10 * (1.0 + norm))
+    # the plane is orthonormal and its curvature is the returned value
+    gram = np.einsum("mia,mib->mab", plane, plane)
+    assert np.abs(gram - np.eye(2)).max() < 1e-12
+    w = wedge(plane[..., 0], plane[..., 1])
+    assert_allclose(np.einsum("mi,mij,mj->m", w, M, w), val, rtol=0, atol=1e-12)
+    # known minima: 1 for I, 0 for the star and for S^2 x S^2
+    assert_allclose(val[-5:], [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_sectional_extremes_ignore_star_and_batch_shape():
+    # <* xi, xi> vanishes on decomposable xi, so adding t * changes no
+    # sectional curvature and must leave the minimum in place
+    from curv4.bivector import STAR6
+    M = _solver_cases()[:4]
+    shifted = M + np.array([-1.5, 0.3, 2.0, 7.0])[:, None, None] * STAR6
+    assert_allclose(sectional_extremes(shifted)[0], sectional_extremes(M)[0],
+                    rtol=0, atol=1e-10)
+    val, plane = sectional_extremes(M.reshape(2, 2, 6, 6))
+    assert val.shape == (2, 2) and plane.shape == (2, 2, 4, 2)
+    single, _ = sectional_extremes(M[3])
+    assert single.shape == () and single == val[1, 1]
+
+
 # ------------------------------------------------------------- conditions
 
 def test_condition_check_product():
-    rep = condition_check(product_spheres(1.0, 1.0), grid_n=3,
-                          rng=np.random.default_rng(11))
+    rep = condition_check(product_spheres(1.0, 1.0), grid_n=3)
     assert abs(rep.margins["s6_minus_wplus"]) < 1e-6
     assert abs(rep.margins["min_sectional"]) < 1e-6
     assert rep.margins["curvature_operator"] >= -1e-9
@@ -266,8 +323,7 @@ def test_condition_check_product():
 
 
 def test_condition_check_round():
-    rep = condition_check(round_sphere4(1.0), grid_n=3,
-                          rng=np.random.default_rng(12))
+    rep = condition_check(round_sphere4(1.0), grid_n=3)
     assert_allclose(rep.margins["s6_minus_wplus"], 2.0, atol=1e-8)
     assert_allclose(rep.margins["min_sectional"], 1.0, atol=1e-6)
 
@@ -283,9 +339,8 @@ class _ReversedExecutor:
 def test_condition_check_independent_of_schedule():
     m = twisted_metric(0.5, 0.05)
     kw = dict(grid_n=3, return_points=True)
-    seq, seq_pts = condition_check(m, rng=np.random.default_rng(7), **kw)
-    rev, rev_pts = condition_check(m, rng=np.random.default_rng(7),
-                                   executor=_ReversedExecutor(), **kw)
+    seq, seq_pts = condition_check(m, **kw)
+    rev, rev_pts = condition_check(m, executor=_ReversedExecutor(), **kw)
     assert seq.as_dict() == rev.as_dict()
     for (_, _, a), (_, _, b) in zip(seq_pts, rev_pts):
         assert_array_equal(a["min_sectional"], b["min_sectional"])

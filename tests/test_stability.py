@@ -171,6 +171,36 @@ def test_near_holomorphic_section_is_holomorphic_pointwise():
     assert dbar_perp_sq(S, MP, sig.rotated(), "a", [0.3, -0.4]) < 1e-10
 
 
+def test_near_holomorphic_reuses_assembled_form():
+    Sc = cp1_line()
+    basis = SectionBasis(Sc, 4)
+    form = assemble_index_form(Sc, MF, basis, QUAD)
+    fresh = near_holomorphic_section(Sc, MF, basis, QUAD)
+    reused = near_holomorphic_section(Sc, MF, basis, QUAD, form=form)
+    assert reused["energy"] == fresh["energy"]
+    assert np.array_equal(reused["coefficients"], fresh["coefficients"])
+
+
+def test_surface_command_assembles_each_level_once(tmp_path, monkeypatch):
+    import json
+    from curv4 import stability
+    from curv4.cli import main
+    levels = []
+    real = stability._accumulate_forms
+
+    def counted(S, m, basis, *args, **kw):
+        levels.append(basis.L)
+        return real(S, m, basis, *args, **kw)
+
+    monkeypatch.setattr(stability, "_accumulate_forms", counted)
+    out = tmp_path / "surf.json"
+    assert main(["surface", "--metric", "product(a=1,b=1)",
+                 "--surface", "slice(factor=1)", "--quad", "16",
+                 "--out", str(out)]) == 0
+    hist = json.loads(out.read_text())["refinement_history"]
+    assert levels == [h[0] for h in hist]
+
+
 # ------------------------------------------------------------- refinement
 
 def test_refine_until_stable():
