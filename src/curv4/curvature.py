@@ -33,12 +33,21 @@ I4 = np.eye(4)
 # ---------------------------------------------------------------------
 # batched tensor pipeline
 
+def _s_tensor(dg):
+    """S[...,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma = g^-1 S / 2.
+
+    Extra leading axes pass through, so the same call lowers d2g."""
+    S = np.einsum("...ijl->...lij", dg)
+    out = S + np.swapaxes(S, -1, -2)
+    out -= dg
+    return out
+
+
 def christoffel_arrays(g, dg):
     """(g^{-1}, Gamma^k_ij) from metric values and first derivatives."""
     ginv = np.linalg.inv(g)
-    S = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
-         - dg)
-    Gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, S)
+    S = _s_tensor(dg)
+    Gamma = 0.5 * (ginv @ S.reshape(S.shape[:-2] + (16,))).reshape(S.shape)
     return ginv, Gamma
 
 
@@ -49,27 +58,33 @@ def christoffel(m, chart, pts):
 
 
 def christoffel_derivatives(g, dg, d2g):
-    """(ginv, Gamma, dGamma) with dGamma[...,m,k,i,j] = d_m Gamma^k_ij."""
+    """(ginv, Gamma, dGamma) with dGamma[...,m,k,i,j] = d_m Gamma^k_ij.
+
+    With d_m g^-1 = -g^-1 (d_m g) g^-1 and S = 2 g Gamma this is
+    d_m Gamma = g^-1 (d_m S / 2 - (d_m g) Gamma), batched over m."""
     ginv, Gamma = christoffel_arrays(g, dg)
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv, optimize=True)
-    S = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
-         - dg)
-    dS = (np.einsum("...mijl->...mlij", d2g) + np.einsum("...mjil->...mlij", d2g)
-          - d2g)
-    dGamma = 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, S)
-                    + np.einsum("...kl,...mlij->...mkij", ginv, dS))
-    return ginv, Gamma, dGamma
+    batch = g.shape[:-2]
+    X = _s_tensor(d2g).reshape(batch + (4, 4, 16))
+    X *= 0.5
+    X -= dg @ Gamma.reshape(batch + (1, 4, 16))
+    dGamma = ginv[..., None, :, :] @ X
+    return ginv, Gamma, dGamma.reshape(batch + (4, 4, 4, 4))
 
 
 def riemann_arrays(g, dg, d2g):
-    """Coordinate curvature tensor Rm[...,i,j,k,l] = <R(di,dj)dl, dk>."""
+    """Coordinate curvature tensor Rm[...,i,j,k,l] = <R(di,dj)dl, dk>.
+
+    R^l_kij = A[i,l,j,k] - A[j,l,i,k] with A[i,l,j,k] = d_i Gamma^l_jk
+    + Gamma^l_im Gamma^m_jk; the quadratic term is one (16, 4) @ (4, 16)
+    product and the index is lowered by one (4, 4) @ (4, 64) product."""
     ginv, Gamma, dGamma = christoffel_derivatives(g, dg, d2g)
-    t1 = np.einsum("...iljk->...lkij", dGamma)
-    t2 = np.einsum("...jlik->...lkij", dGamma)
-    t3 = np.einsum("...lim,...mjk->...lkij", Gamma, Gamma)
-    t4 = np.einsum("...ljm,...mik->...lkij", Gamma, Gamma)
-    Rup = t1 - t2 + t3 - t4
-    Rm = np.einsum("...km,...mlij->...ijkl", g, Rup)
+    batch = g.shape[:-2]
+    A = Gamma.reshape(batch + (16, 4)) @ Gamma.reshape(batch + (4, 16))
+    A = np.swapaxes(A.reshape(batch + (4, 4, 4, 4)), -4, -3) + dGamma
+    Rup = np.subtract(np.einsum("...iljk->...lkij", A),
+                      np.einsum("...jlik->...lkij", A), order="C")
+    low = (g @ Rup.reshape(batch + (4, 64))).reshape(batch + (16, 16))
+    Rm = np.swapaxes(low, -1, -2).reshape(batch + (4, 4, 4, 4))
     return ginv, Gamma, dGamma, Rm
 
 
@@ -87,12 +102,13 @@ def curvature_from_arrays(g, dg, d2g):
     """
     ginv, Gamma, dGamma, Rm = riemann_arrays(g, dg, d2g)
     E = orthonormal_frames(g)
-    # frame transform as chained pairwise contractions (einsum's default
-    # path for the 5-operand form is catastrophically slow)
-    Rf = np.einsum("...ijkl,...ia->...jkla", Rm, E)
-    Rf = np.einsum("...jkla,...jb->...klab", Rf, E)
-    Rf = np.einsum("...klab,...kc->...labc", Rf, E)
-    Rf = np.einsum("...labc,...ld->...abcd", Rf, E)
+    # Rf[a,b,c,d] = E[i,a] E[j,b] E[k,c] E[l,d] Rm[i,j,k,l] is K^T Rm K
+    # on pair indices, K = E (x) E
+    batch = g.shape[:-2]
+    K = (E[..., :, None, :, None] * E[..., None, :, None, :]).reshape(
+        batch + (16, 16))
+    Rf = (np.swapaxes(K, -1, -2) @ Rm.reshape(batch + (16, 16)) @ K).reshape(
+        batch + (4, 4, 4, 4))
     M6 = operator6(Rf)
     R_op = to_eta_basis(M6)
     ric = np.einsum("...akbk->...ab", Rf)

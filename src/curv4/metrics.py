@@ -556,12 +556,23 @@ def twisted_eps_max(t, phi_id="height-product", grid_n=16):
     Exact on the validation points chart.grid(grid_n) plus chart.grid(5)
     of every chart; the latter are the constructor's own check points and
     contain the chart centres, which even grids skip, so every
-    |eps| <= eps_max passes MetricField._validate.  With G = h_t,
-    P = 2 Re ddbar phi and G - floor I = L L^T, the metric G + eps P stays
-    above the floor exactly when 1 + eps mu > 0 for every eigenvalue mu of
-    L^-1 P L^-T (Golub & Van Loan, Matrix Computations, 8.7), so
-    eps_max = 1 / max |mu| for both signs of eps.  Cached per
-    (t, phi_id, grid_n) in a bounded LRU.
+    |eps| <= eps_max passes MetricField._validate.  With G = h_t and
+    P = 2 Re ddbar phi, G + eps P stays above the floor exactly when
+    1 + eps mu > 0 for every generalized eigenvalue mu of the pencil
+    (P, G - floor I) (Golub & Van Loan, Matrix Computations, 8.7), so
+    eps_max = 1 / max |mu| for both signs of eps.
+
+    Both forms are invariant under the standard J: G is conformal on each
+    factor, so diagonal, and hessian_metric writes the J-paired entries of
+    P from the same numbers.  In the coordinates (x1, y1, x2, y2) such a
+    form S is the complex Hermitian 2x2 matrix [[S00, S02 + i S03],
+    [., S22]], and every real 4x4 generalized eigenvalue is a doubled
+    eigenvalue of the 2x2 pencil.  With H_G = diag(a, c) (floor already
+    subtracted) and H_P = [[p, q], [conj(q), r]], its eigenvalues are the
+    roots of det(H_P - mu H_G) = A mu^2 - B mu + C with A = a c,
+    B = p c + r a and C = p r - |q|^2, so
+    max |mu| = (|B| + sqrt(B^2 - 4 A C)) / 2A, a form free of
+    cancellation.  Cached per (t, phi_id, grid_n) in a bounded LRU.
     """
     return _eps_max(round(float(t), 12), phi_id, grid_n)
 
@@ -571,14 +582,16 @@ def _eps_max(t, phi_id, grid_n):
     base, pert = _twisted_parts(t, phi_id)
     points = [(name, np.concatenate([chart.grid(grid_n), chart.grid(5)]))
               for name, chart in base.charts.items()]
-    floor = 1e-3 * min(np.linalg.eigvalsh(base.eval(name, pts))[:, 0].min()
-                       for name, pts in points)
+    # copies of the entries used, so the 4x4 arrays can go
+    diag = [base.eval(name, pts)[:, [0, 2], [0, 2]] for name, pts in points]
+    floor = 1e-3 * min(float(d.min()) for d in diag)
     mu = 0.0
-    for name, pts in points:
-        Linv = np.linalg.inv(np.linalg.cholesky(
-            base.eval(name, pts) - floor * np.eye(4)))
-        M = Linv @ pert.eval(name, pts) @ np.swapaxes(Linv, -1, -2)
-        mu = max(mu, float(np.abs(np.linalg.eigvalsh(M)).max()))
+    for d, (name, pts) in zip(diag, points):
+        a, c = (d - floor).T
+        p, r, qr, qi = pert.eval(name, pts)[:, [0, 2, 0, 0], [0, 2, 2, 3]].T
+        A, B, C = a * c, p * c + r * a, p * r - qr * qr - qi * qi
+        root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
+        mu = max(mu, float(np.max((np.abs(B) + root) / (2.0 * A))))
     return 1.0 / mu
 
 
@@ -689,23 +702,16 @@ def fubini_study():
 # ---------------------------------------------------------------------
 # Kahler diagnostics
 
-def _christoffel_arrays(g, dg):
-    ginv = np.linalg.inv(g)
-    S = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
-         - np.einsum("...lij->...lij", dg))
-    return ginv, 0.5 * np.einsum("...kl,...lij->...kij", ginv, S)
-
-
-def kaehler_residuals(m, grid_n=4, rng=None):
+def kaehler_residuals(m, grid_n=4):
     """Max-norm residuals of J^2 + Id, g(J.,J.) - g and nabla J over a grid."""
+    from .curvature import christoffel_arrays  # curvature imports metrics
     if not m.is_kaehler:
         raise MetricConstructionError("%s has no complex structure" % m.name)
     out = {"j_squared": 0.0, "compatibility": 0.0, "nabla_j": 0.0}
     for chart in m.chart_order:
-        pts = m.charts[chart].grid(grid_n) if rng is None \
-            else m.charts[chart].sample(rng, grid_n ** 4)
+        pts = m.charts[chart].grid(grid_n)
         g, dg, _ = m.jets(chart, pts)
-        _, Gamma = _christoffel_arrays(g, dg)
+        _, Gamma = christoffel_arrays(g, dg)
         J = m.kaehler.matrix(chart, pts)
         out["j_squared"] = max(out["j_squared"], np.abs(
             np.einsum("...ij,...jk->...ik", J, J) + np.eye(4)).max())

@@ -578,6 +578,13 @@ def section_data(cg, sigma):
                      + e4[..., 0] ** 2 + e4[..., 1] ** 2}
 
 
+def _j_rotated_data(d):
+    """section_data of J sigma from that of sigma: the frame coefficients
+    and their covariant derivatives turn by +90 degrees, (c3, c4) ->
+    (-c4, c3); the norms do not change."""
+    return dict(d, c3=-d["c4"], c4=d["c3"], D3=-d["D4"], D4=d["D3"])
+
+
 def normal_connection(S, m, sigma, X, chart, u):
     """Ambient components of nabla^perp_X sigma at a single point.
 
@@ -592,10 +599,14 @@ def normal_connection(S, m, sigma, X, chart, u):
     return a3 * cg.n[0, :, 0] + a4 * cg.n[0, :, 1]
 
 
-def dbar_vector(cg, sigma, tau=0.0):
-    """dbar(sigma; e) = nabla^perp_e sigma + nabla^perp_{Ie}(J sigma), in
-    frame coefficients, for e = cos(tau) e1 + sin(tau) e2."""
-    d = section_data(cg, sigma)
+def dbar_perp_sq_field(cg, sigma, tau=0.0):
+    return _dbar_sq(section_data(cg, sigma), tau)
+
+
+def _dbar_sq(d, tau=0.0):
+    """|dbar(sigma; e)|^2 / 2 from the section_data dict of sigma, where
+    dbar(sigma; e) = nabla^perp_e sigma + nabla^perp_{Ie}(J sigma) and
+    e = cos(tau) e1 + sin(tau) e2."""
     ct, st = np.cos(tau), np.sin(tau)
     # I e = -sin(tau) e1 + cos(tau) e2
     D3_e = ct * d["D3"][..., 0] + st * d["D3"][..., 1]
@@ -603,11 +614,7 @@ def dbar_vector(cg, sigma, tau=0.0):
     # J sigma has coefficients (-c4, c3): covariant derivative rotates too
     D3J_Ie = -(-st * d["D4"][..., 0] + ct * d["D4"][..., 1])
     D4J_Ie = (-st * d["D3"][..., 0] + ct * d["D3"][..., 1])
-    return D3_e + D3J_Ie, D4_e + D4J_Ie
-
-
-def dbar_perp_sq_field(cg, sigma, tau=0.0):
-    b3, b4 = dbar_vector(cg, sigma, tau)
+    b3, b4 = D3_e + D3J_Ie, D4_e + D4J_Ie
     return 0.5 * (b3 ** 2 + b4 ** 2)
 
 
@@ -705,8 +712,8 @@ def area(S, m, quad=None):
 # ---------------------------------------------------------------------
 # variational integrals
 
-def _second_variation_fields(cg, sigma):
-    d = section_data(cg, sigma)
+def _second_variation_density(cg, d):
+    """Integrand of delta^2 from the section_data dict of sigma."""
     sig_amb = (d["c3"][..., None] * cg.n[..., 0]
                + d["c4"][..., None] * cg.n[..., 1])
     curv = np.einsum("...ijkl,...ir,...j,...kr,...l->...",
@@ -714,14 +721,15 @@ def _second_variation_fields(cg, sigma):
     Asig = np.einsum("...ijs,...s->...ij", cg.A,
                      np.stack([d["c3"], d["c4"]], axis=-1))
     ashear = np.sum(Asig ** 2, axis=(-1, -2))
-    return d, d["grad2"] - curv - ashear
+    return d["grad2"] - curv - ashear
 
 
 def second_variation(S, m, sigma, quad=None):
     """delta^2(sigma) for a minimal surface (unnormalized curvature term)."""
     geom = surface_geometry(S, m, quad)
     geom.require_minimal()
-    vals = [_second_variation_fields(cg, sigma)[1] for cg in geom.charts]
+    vals = [_second_variation_density(cg, section_data(cg, sigma))
+            for cg in geom.charts]
     return geom.integrate(vals)
 
 
@@ -733,7 +741,7 @@ def variational_identity_lemma310(S, m, sigma, quad=None):
         d = section_data(cg, sigma)
         lhs += float(np.sum(cg.w * cg.sqrt_h * d["grad2"]))
         rhs += float(np.sum(cg.w * cg.sqrt_h *
-                            (2 * dbar_perp_sq_field(cg, sigma)
+                            (2 * _dbar_sq(d)
                              + cg.kperp * d["norm2"])))
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
@@ -746,14 +754,18 @@ def weitzenboeck_variation(S, m, sigma, quad=None):
     """
     geom = surface_geometry(S, m, quad)
     geom.require_minimal()
-    jsig = sigma.rotated()
-    lhs = (second_variation(S, m, sigma, quad)
-           + second_variation(S, m, jsig, quad))
+    # sigma is evaluated once per chart; J sigma's data is its rotation
+    data = [section_data(cg, sigma) for cg in geom.charts]
+
+    def delta2(ds):
+        return geom.integrate([_second_variation_density(cg, d)
+                               for cg, d in zip(geom.charts, ds)])
+
+    lhs = delta2(data) + delta2([_j_rotated_data(d) for d in data])
     t_dbar, t_weyl, t_shear = 0.0, 0.0, 0.0
-    for cg in geom.charts:
-        d = section_data(cg, sigma)
+    for cg, d in zip(geom.charts, data):
         base = cg.w * cg.sqrt_h
-        t_dbar += float(np.sum(base * 4.0 * dbar_perp_sq_field(cg, sigma)))
+        t_dbar += float(np.sum(base * 4.0 * _dbar_sq(d)))
         t_weyl -= float(np.sum(base * cg.s6_pairing * d["norm2"]))
         t_shear -= float(np.sum(base * a_wedge_a_sq(cg.A) * d["norm2"]))
     rhs = t_dbar + t_weyl + t_shear

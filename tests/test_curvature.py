@@ -9,7 +9,7 @@ from curv4.curvature import (
     min_sectional_curvature, riemann_at, ric_block_from_traceless,
     sectional_extremes, weyl_blocks,
 )
-from curv4.bivector import kn_tensor4
+from curv4.bivector import kn_tensor4, operator6, to_eta_basis
 from curv4.metrics import (
     flat_space, fubini_study, ht_metric, product_spheres, round_sphere4,
     twisted_metric,
@@ -430,6 +430,63 @@ def test_ad_vs_fd_pipeline():
             assert abs(exact["s"][0] - approx["s"][0]) < 1e-5
             assert np.abs(exact["wplus"] - approx["wplus"]).max() < 1e-5
             assert np.abs(exact["Rm"] - approx["Rm"]).max() < 1e-4
+
+
+def _einsum_curvature(g, dg, d2g):
+    """The curvature pipeline as chained einsums, kept as an oracle for the
+    matmul kernel."""
+    ginv = np.linalg.inv(g)
+    S = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+         - dg)
+    Gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, S)
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv,
+                       optimize=True)
+    dS = (np.einsum("...mijl->...mlij", d2g)
+          + np.einsum("...mjil->...mlij", d2g) - d2g)
+    dGamma = 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, S)
+                    + np.einsum("...kl,...mlij->...mkij", ginv, dS))
+    Rup = (np.einsum("...iljk->...lkij", dGamma)
+           - np.einsum("...jlik->...lkij", dGamma)
+           + np.einsum("...lim,...mjk->...lkij", Gamma, Gamma)
+           - np.einsum("...ljm,...mik->...lkij", Gamma, Gamma))
+    Rm = np.einsum("...km,...mlij->...ijkl", g, Rup)
+    E = np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)
+    Rf = np.einsum("...ijkl,...ia->...jkla", Rm, E)
+    Rf = np.einsum("...jkla,...jb->...klab", Rf, E)
+    Rf = np.einsum("...klab,...kc->...labc", Rf, E)
+    Rf = np.einsum("...labc,...ld->...abcd", Rf, E)
+    M6 = operator6(Rf)
+    R_op = to_eta_basis(M6)
+    ric = np.einsum("...akbk->...ab", Rf)
+    s = np.einsum("...aa->...", ric)
+    s3 = s[..., None, None]
+    return {
+        "g": g, "ginv": ginv, "Gamma": Gamma, "dGamma": dGamma, "Rm": Rm,
+        "frame": E, "Rm_frame": Rf, "M6": M6, "R_op": R_op, "s": s,
+        "ric": ric, "ric0": ric - s3 / 4.0 * I4,
+        "wplus": R_op[..., :3, :3] - s3 / 12.0 * I3,
+        "wminus": R_op[..., 3:, 3:] - s3 / 12.0 * I3,
+        "ric_block": R_op[..., :3, 3:],
+    }
+
+
+@pytest.mark.parametrize("batch", [(1,), (7,), (3, 5)])
+def test_matmul_kernel_matches_einsum_oracle(batch):
+    rng = np.random.default_rng(sum(batch))
+    X = rng.normal(size=batch + (4, 4))
+    g = X @ np.swapaxes(X, -1, -2) + 0.5 * I4
+    # jets of a real metric: dg symmetric in (i, j), d2g also in (l, k)
+    dg = rng.normal(size=batch + (4, 4, 4))
+    dg = dg + np.swapaxes(dg, -1, -2)
+    d2g = rng.normal(size=batch + (4, 4, 4, 4))
+    d2g = d2g + np.swapaxes(d2g, -1, -2)
+    d2g = d2g + np.swapaxes(d2g, -3, -4)
+    got = curvature_from_arrays(g, dg, d2g)
+    want = _einsum_curvature(g, dg, d2g)
+    assert set(got) == set(want)
+    for key, ref in want.items():
+        assert got[key].shape == ref.shape, key
+        assert np.abs(got[key] - ref).max() <= 1e-12 * np.abs(ref).max(), key
 
 
 def test_riemann_symmetries_random_points():

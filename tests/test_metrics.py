@@ -1,5 +1,5 @@
 import numpy as np
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 import pytest
 
 from curv4.errors import MetricConstructionError, SpecParseError
@@ -172,13 +172,13 @@ def test_twisted_advertised_range_constructs(t):
         twisted_metric(t, 1.001 * emax)
 
 
-def _twisted_validation_parts(t, grid_n):
+def _twisted_validation_parts(t, grid_n, phi_id="height-product"):
     """(h_t, 2 Re ddbar phi) per chart on chart.grid(grid_n) + chart.grid(5)."""
     base = ht_metric(t)
     out = []
     for name, chart in base.charts.items():
         pts = np.concatenate([chart.grid(grid_n), chart.grid(5)])
-        rows = hessian_metric(PERTURBATIONS["height-product"], name,
+        rows = hessian_metric(PERTURBATIONS[phi_id], name,
                               [pts[:, i] for i in range(4)])
         P = np.empty((len(pts), 4, 4))
         for i in range(4):
@@ -223,6 +223,48 @@ def test_twisted_eps_max_matches_cholesky_bisection(t):
                 for S, P in shifted for sign in (1.0, -1.0))
     scale = max(np.linalg.eigvalsh(G)[:, -1].max() for G, _ in parts)
     assert abs(tight) <= 1e-9 * scale
+
+
+def _cross_potential(name, x):
+    """A test potential whose ddbar is dominated by the z1-z2 cross terms,
+    with real and imaginary parts, and whose bound is set by a negative
+    eigenvalue; the built-in perturbation is decided on the diagonal and
+    by a positive one."""
+    q = 1.0 + x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
+    return -(x[0] * x[2] + x[1] * x[3] + 0.5 * (x[1] * x[2] - x[0] * x[3])
+             + 0.3 * (x[0] * x[0] + x[1] * x[1])) / q
+
+
+@pytest.mark.parametrize("phi_id", ["height-product", "cross"])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_twisted_eps_max_matches_whitened_eigvalsh(t, phi_id, monkeypatch):
+    # the 4x4 path the closed-form pencil replaced: whiten by the Cholesky
+    # factor of G - floor I and take the spectrum of L^-1 P L^-T
+    monkeypatch.setitem(PERTURBATIONS, "cross", _cross_potential)
+    grid_n = 8
+    parts = _twisted_validation_parts(t, grid_n, phi_id)
+    floor = 1e-3 * min(np.linalg.eigvalsh(G)[:, 0].min() for G, _ in parts)
+    mu = 0.0
+    for G, P in parts:
+        Linv = np.linalg.inv(np.linalg.cholesky(G - floor * np.eye(4)))
+        M = Linv @ P @ np.swapaxes(Linv, -1, -2)
+        mu = max(mu, np.abs(np.linalg.eigvalsh(M)).max())
+    oracle = 1.0 / mu
+    got = twisted_eps_max(t, phi_id, grid_n=grid_n)
+    assert abs(got - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_twisted_parts_are_j_invariant(t):
+    # the structure the closed-form eps bound relies on: J S J^T = S for
+    # both h_t and 2 Re ddbar phi at every validation point
+    J = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
+    for G, P in _twisted_validation_parts(t, 16):
+        for S in (G, P):
+            assert np.abs(J @ S @ J.T - S).max() <= 1e-15 * np.abs(S).max()
+        # and h_t is diagonal, conformal on each factor
+        assert_array_equal(G, G * np.eye(4))
 
 
 def test_twisted_is_potential_hessian_of_full_potential():

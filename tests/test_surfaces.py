@@ -2,11 +2,13 @@ import numpy as np
 from numpy.testing import assert_allclose
 import pytest
 
+from curv4 import surfaces
 from curv4.errors import NonMinimalSurfaceError, SectionError, SpecParseError
 from curv4.metrics import QuadSpec, fubini_study, product_spheres, round_sphere4
 from curv4.surfaces import (
     FrameSection, ProjectedSection, SecondFundamentalForm, a_wedge_a_sq,
     a_wedge_a_sq_expansion, area, chern_number, cp1_line, dbar_perp_sq,
+    dbar_perp_sq_field,
     equator_sphere, induced_geometry, k_perp_extrinsic, k_perp_intrinsic,
     log_norm_check, normal_connection, parallel_section, parse_surface_spec,
     perturbed_slice, product_slice, ric_perp_identity_residual, second_fundamental,
@@ -336,6 +338,45 @@ def test_weitzenboeck_variation_random_sections():
                 sig = smooth_frame_section(seed)
             out = weitzenboeck_variation(S, m, sig, QUAD)
             assert out["residual"] < 1e-4, (name, out)
+
+
+def test_j_rotated_data_matches_rotated_section():
+    for name, S, m in SURFACES:
+        sig = (smooth_frame_section(24) if S.normal_generators is None
+               else smooth_projected_section(S, 24))
+        for cg in surface_geometry(S, m, QUAD).charts:
+            got = surfaces._j_rotated_data(section_data(cg, sig))
+            want = section_data(cg, sig.rotated())
+            assert set(got) == set(want)
+            for key, ref in want.items():
+                assert_allclose(got[key], ref, rtol=1e-13,
+                                atol=1e-13 * np.abs(ref).max(), err_msg=key)
+
+
+def test_weitzenboeck_variation_evaluates_section_once_per_chart(monkeypatch):
+    S = cp1_line()
+    sig = smooth_projected_section(S, 23)
+    geom = surface_geometry(S, MF, QUAD)
+    # both sides term by term through the public path, J sigma evaluated
+    # on its own
+    lhs = (second_variation(S, MF, sig, QUAD)
+           + second_variation(S, MF, sig.rotated(), QUAD))
+    t_dbar, t_weyl, t_shear = 0.0, 0.0, 0.0
+    for cg in geom.charts:
+        norm2 = section_data(cg, sig)["norm2"]
+        base = cg.w * cg.sqrt_h
+        t_dbar += float(np.sum(base * 4.0 * dbar_perp_sq_field(cg, sig)))
+        t_weyl -= float(np.sum(base * cg.s6_pairing * norm2))
+        t_shear -= float(np.sum(base * a_wedge_a_sq(cg.A) * norm2))
+    rhs = t_dbar + t_weyl + t_shear
+    calls = []
+    real = surfaces.section_data
+    monkeypatch.setattr(surfaces, "section_data",
+                        lambda cg, s: calls.append(cg.chart) or real(cg, s))
+    out = weitzenboeck_variation(S, MF, sig, QUAD)
+    assert calls == [cg.chart for cg in geom.charts]
+    assert abs(out["lhs"] - lhs) <= 1e-13 * abs(lhs)
+    assert abs(out["rhs"] - rhs) <= 1e-13 * abs(rhs)
 
 
 # ------------------------------------------------------------- Lemma 3.15
