@@ -23,8 +23,7 @@ import numpy as np
 from . import bivector as bv
 from .bivector import CurvatureLike, ETA_FRAME, PAIRS, kn_tensor4, operator6, to_eta_basis
 from .errors import MetricConstructionError
-from .jets import Jet, seed2
-from .metrics import _as_batch, _ring_float
+from .metrics import _comps_jets
 
 I3 = np.eye(3)
 I4 = np.eye(4)
@@ -534,28 +533,8 @@ class TwoFormField:
         return self._comps(chart, x)
 
     def jets(self, chart, pts):
-        pts, single = _as_batch(pts)
-        shape = pts.shape[:-1]
-        x = seed2([pts[:, i] for i in range(4)])
-        rows = self._comps(chart, x)
-        A = np.zeros(shape + (4, 4))
-        dA = np.zeros(shape + (4, 4, 4))
-        d2A = np.zeros(shape + (4, 4, 4, 4))
-        for i in range(4):
-            for j in range(4):
-                ent = rows[i][j]
-                A[..., i, j] = _ring_float(ent, shape)
-                if not isinstance(ent, Jet):
-                    continue
-                for k in range(4):
-                    dk = ent.d[k]
-                    dA[..., k, i, j] = _ring_float(dk, shape)
-                    if isinstance(dk, Jet):
-                        for l in range(4):
-                            d2A[..., l, k, i, j] = _ring_float(dk.d[l], shape)
-        if single:
-            return A[0], dA[0], d2A[0]
-        return A, dA, d2A
+        """(A, dA, d2A) laid out as ``MetricField.jets``."""
+        return _comps_jets(self._comps, chart, pts)
 
 
 def kaehler_form(m):

@@ -10,6 +10,19 @@ All closed-form fields in this package (metric components, Kahler
 potentials, immersions, test 2-forms, spherical harmonics) are written as
 plain arithmetic over a generic scalar ring, so the same code path produces
 values, gradients and Hessians depending on how the inputs are seeded.
+
+This module is the only one that reads the nested layout (``.f``, ``.d``).
+Everything else seeds with ``seedn`` and reads results through
+
+* ``value(x)``: the plain value, all jet layers stripped;
+* ``partial(x, a)``: the a-th partial, one layer down (0 for constants);
+* ``drop(x)``: the same jet one order lower, mapped over nested lists;
+* ``array(x, shape)``, ``grad_array(x, shape, m)``,
+  ``hess_array(x, shape, m)``: value, gradient and Hessian as float arrays
+  with the partial indices last;
+* ``component_jets(rows, shape)``: a twice-seeded 4x4 field as arrays.
+
+Constructing ``Jet(value, partials)`` directly stays allowed.
 """
 
 import numpy as np
@@ -149,23 +162,65 @@ def value(x):
     return x
 
 
+def partial(x, a):
+    """The a-th partial coefficient of x, one layer down; constants give 0."""
+    return x.d[a] if isinstance(x, Jet) else 0.0
+
+
+def drop(x):
+    """x with its outermost jet layer removed (a jet one order lower).
+
+    Maps over nested lists and tuples; constants pass through."""
+    if isinstance(x, (list, tuple)):
+        return [drop(v) for v in x]
+    return x.f if isinstance(x, Jet) else x
+
+
+def array(x, shape):
+    """The value of x as a float array of the given shape (broadcast)."""
+    v = np.asarray(value(x), dtype=float)
+    return v if v.shape == shape else np.broadcast_to(v, shape)
+
+
+def grad_array(x, shape, m):
+    """First partials of x as an array of shape ``shape + (m,)``."""
+    return np.stack([array(partial(x, a), shape) for a in range(m)], axis=-1)
+
+
+def hess_array(x, shape, m):
+    """Second partials of x as an array of shape ``shape + (m, m)``."""
+    return np.stack([grad_array(partial(x, a), shape, m) for a in range(m)],
+                    axis=-2)
+
+
+def component_jets(rows, shape):
+    """(A, dA, d2A) of a 4x4 nested list of twice-seeded ring elements,
+    with dA[..., k, i, j] = d_k A_ij and d2A[..., l, k, i, j] = d_l d_k A_ij.
+    Constant entries and partials leave zeros."""
+    A = np.empty(shape + (4, 4))
+    dA = np.zeros(shape + (4, 4, 4))
+    d2A = np.zeros(shape + (4, 4, 4, 4))
+    for i in range(4):
+        for j in range(4):
+            ent = rows[i][j]
+            A[..., i, j] = array(ent, shape)
+            if not isinstance(ent, Jet):
+                continue
+            for k in range(4):
+                dk = ent.d[k]
+                dA[..., k, i, j] = array(dk, shape)
+                if isinstance(dk, Jet):
+                    for l in range(4):
+                        d2A[..., l, k, i, j] = array(dk.d[l], shape)
+    return A, dA, d2A
+
+
 def grad1(x, m):
     """First partials of a once-seeded result (list of length m)."""
-    if isinstance(x, Jet):
-        return [value(x.d[k]) if isinstance(x.d[k], Jet) else x.d[k]
-                for k in range(m)]
-    return [0.0] * m
+    return [value(partial(x, k)) for k in range(m)]
 
 
 def hess2(x, m):
     """Second partials of a twice-seeded result (m x m nested list)."""
-    if not isinstance(x, Jet):
-        return [[0.0] * m for _ in range(m)]
-    rows = []
-    for k in range(m):
-        dk = x.d[k]
-        if isinstance(dk, Jet):
-            rows.append([value(dk.d[l]) for l in range(m)])
-        else:
-            rows.append([0.0] * m)
-    return rows
+    return [[value(partial(partial(x, k), l)) for l in range(m)]
+            for k in range(m)]

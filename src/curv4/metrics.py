@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 
 from .errors import ChartDomainError, MetricConstructionError, SpecParseError
-from .jets import Jet, jlog, seed2
+from .jets import array, component_jets, jlog, partial, seed2
 
 CHART_MARGIN = 0.1
 
@@ -105,19 +105,12 @@ def _as_batch(pts):
     return pts, single
 
 
-def _extract_d(entry, k):
-    """k-th partial coefficient of a jet (constants differentiate to 0)."""
-    return entry.d[k] if isinstance(entry, Jet) else 0.0
-
-
-def _ring_float(entry, shape):
-    v = entry
-    while isinstance(v, Jet):
-        v = v.f
-    a = np.asarray(v, dtype=float)
-    if a.shape != shape:
-        a = np.broadcast_to(a, shape)
-    return a
+def _comps_jets(comps, chart, pts):
+    """(A, dA, d2A) of a ring-generic 4x4 component field at points."""
+    pts, single = _as_batch(pts)
+    out = component_jets(comps(chart, seed2([pts[:, i] for i in range(4)])),
+                         pts.shape[:-1])
+    return tuple(a[0] for a in out) if single else out
 
 
 class MetricField:
@@ -154,33 +147,12 @@ class MetricField:
         g = np.empty(shape + (4, 4))
         for i in range(4):
             for j in range(4):
-                g[..., i, j] = _ring_float(rows[i][j], shape)
+                g[..., i, j] = array(rows[i][j], shape)
         return g[0] if single else g
 
     def jets(self, chart, pts):
         """(g, dg, d2g) with dg[...,k,i,j] = d_k g_ij, d2g[...,l,k,i,j]."""
-        pts, single = _as_batch(pts)
-        shape = pts.shape[:-1]
-        x = seed2([pts[:, i] for i in range(4)])
-        rows = self._comps(chart, x)
-        g = np.empty(shape + (4, 4))
-        dg = np.zeros(shape + (4, 4, 4))
-        d2g = np.zeros(shape + (4, 4, 4, 4))
-        for i in range(4):
-            for j in range(4):
-                ent = rows[i][j]
-                g[..., i, j] = _ring_float(ent, shape)
-                if not isinstance(ent, Jet):
-                    continue
-                for k in range(4):
-                    dk = ent.d[k]
-                    dg[..., k, i, j] = _ring_float(dk, shape)
-                    if isinstance(dk, Jet):
-                        for l in range(4):
-                            d2g[..., l, k, i, j] = _ring_float(dk.d[l], shape)
-        if single:
-            return g[0], dg[0], d2g[0]
-        return g, dg, d2g
+        return _comps_jets(self._comps, chart, pts)
 
     def require_inside(self, chart, pts, margin=CHART_MARGIN):
         ok = self.charts[chart].contains(pts, margin)
@@ -245,7 +217,7 @@ def hessian_metric(potential, chart, x):
     """
     X = seed2(x)
     F = potential(chart, X)
-    H = [[_extract_d(_extract_d(F, a), b) for b in range(4)] for a in range(4)]
+    H = [[partial(partial(F, a), b) for b in range(4)] for a in range(4)]
     g = _zeros4()
     for a in range(2):
         for b in range(2):

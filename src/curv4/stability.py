@@ -19,9 +19,9 @@ from .sphharm import harmonic_fn, real_harmonics
 from .surfaces import (
     FrameSection, NormalSection, ProjectedSection, chern_number,
     dbar_perp_sq_field, second_variation, section_data, surface_geometry,
-    weitzenboeck_variation, _arr, _jd, _jet1_of, _dot, _jet1_of_vec,
+    weitzenboeck_variation, _dot,
 )
-from .jets import seedn
+from .jets import array, grad_array, seedn
 
 MASS_COND_MAX = 1e6
 
@@ -112,30 +112,24 @@ class SectionBasis:
         sh = cg.shape
         uj = seedn([cg.u[:, 0], cg.u[:, 1]], 1)
         Y = real_harmonics(cg.chart, uj, self.L)
-        Yv = np.stack([_arr(y, sh) for y in Y], axis=-1)
-        dY = np.stack([np.stack([_arr(_jd(y, a), sh) for a in range(2)],
-                                axis=-1) for y in Y], axis=-2)
+        Yv = np.stack([array(y, sh) for y in Y], axis=-1)
+        dY = np.stack([grad_array(y, sh, 2) for y in Y], axis=-2)
         if self.S.normal_generators is None:
             p3 = np.stack([np.ones(sh), np.zeros(sh)], axis=-1)
             p4 = np.stack([np.zeros(sh), np.ones(sh)], axis=-1)
             dp3 = np.zeros(sh + (2, 2))
             dp4 = np.zeros(sh + (2, 2))
         else:
-            Fj = [_jet1_of(_jet1_of(f)) for f in cg.Fj]
-            g1 = [[_jet1_of(cg.g2[i][j]) for j in range(4)] for i in range(4)]
-            n3 = _jet1_of_vec(cg.n_jets[0])
-            n4 = _jet1_of_vec(cg.n_jets[1])
+            Fj, g1, n3, n4 = cg.frame_jets(1)
             p3c, p4c, dp3c, dp4c = [], [], [], []
             for gen in self.S.normal_generators:
                 V = gen(cg.chart, uj, Fj)
                 a3 = _dot(g1, V, n3)
                 a4 = _dot(g1, V, n4)
-                p3c.append(_arr(a3, sh))
-                p4c.append(_arr(a4, sh))
-                dp3c.append(np.stack([_arr(_jd(a3, a), sh) for a in range(2)],
-                                     axis=-1))
-                dp4c.append(np.stack([_arr(_jd(a4, a), sh) for a in range(2)],
-                                     axis=-1))
+                p3c.append(array(a3, sh))
+                p4c.append(array(a4, sh))
+                dp3c.append(grad_array(a3, sh, 2))
+                dp4c.append(grad_array(a4, sh, 2))
             p3 = np.stack(p3c, axis=-1)
             p4 = np.stack(p4c, axis=-1)
             dp3 = np.stack(dp3c, axis=-2)

@@ -23,30 +23,15 @@ import numpy as np
 from . import bivector as bv
 from .curvature import curvature_from_arrays
 from .errors import NonMinimalSurfaceError, SectionError
-from .jets import Jet, jlog, jsqrt, seedn
+from .jets import (Jet, array, drop, grad_array, hess_array, jlog, jsqrt,
+                   partial, seedn)
 from .metrics import QuadSpec, sphere_chart_nodes
 
 TOL_MIN = 1e-8  # minimality threshold on the mean curvature vector
 
 
 # ---------------------------------------------------------------------
-# jet plumbing
-
-def _jval(x):
-    while isinstance(x, Jet):
-        x = x.f
-    return x
-
-
-def _jd(x, a):
-    """Partial coefficient a (one layer down); constants give 0."""
-    return x.d[a] if isinstance(x, Jet) else 0.0
-
-
-def _arr(x, shape):
-    v = np.asarray(_jval(x), dtype=float)
-    return np.broadcast_to(v, shape) if v.shape != shape else v
-
+# ring-generic vector algebra
 
 def _dot(g, u, v):
     """<u, v> with a 4x4 metric, all entries in a common jet ring."""
@@ -65,11 +50,6 @@ def _axpy(a, x, y):
 
 def _scale(a, x):
     return [a * x[i] for i in range(4)]
-
-
-def _jet1_of(x):
-    """First-order view of a deeper jet (drop the outermost layer)."""
-    return x.f if isinstance(x, Jet) else x
 
 
 # ---------------------------------------------------------------------
@@ -269,35 +249,28 @@ class ChartGeometry:
         uj = seedn([self.u[:, 0], self.u[:, 1]], 3)
         Fj = S.map_ring(chart, uj)
         self.Fj = Fj
-        self.F = np.stack([_arr(f, shape) for f in Fj], axis=-1)
-        self.dF = np.stack(
-            [np.stack([_arr(_jd(f, a), shape) for a in range(2)], axis=-1)
-             for f in Fj], axis=-2)
-        self.d2F = np.stack(
-            [np.stack([np.stack([_arr(_jd(_jd(f, a), b), shape)
-                                 for b in range(2)], axis=-1)
-                       for a in range(2)], axis=-2)
-             for f in Fj], axis=-3)
+        self.F = np.stack([array(f, shape) for f in Fj], axis=-1)
+        self.dF = np.stack([grad_array(f, shape, 2) for f in Fj], axis=-2)
+        self.d2F = np.stack([hess_array(f, shape, 2) for f in Fj], axis=-3)
 
         # ambient metric composed with the immersion, as 2-layer jets
-        F2 = [_jet1_of(f) for f in Fj]
-        self.g2 = m.comps_ring(self.amb, F2)
+        self.g2 = m.comps_ring(self.amb, drop(Fj))
         self.g = np.empty(shape + (4, 4))
         for i in range(4):
             for j in range(4):
-                self.g[..., i, j] = _arr(self.g2[i][j], shape)
+                self.g[..., i, j] = array(self.g2[i][j], shape)
 
         # tangent 2-jets and adapted frames
-        t = [[Fj[i].d[a] for i in range(4)] for a in range(2)]
+        t = [[partial(f, a) for f in Fj] for a in range(2)]
         self.t2 = t
         h11 = _dot(self.g2, t[0], t[0])
         h12 = _dot(self.g2, t[0], t[1])
         h22 = _dot(self.g2, t[1], t[1])
         self.h_jets = ((h11, h12), (h12, h22))
         self.h = np.empty(shape + (2, 2))
-        self.h[..., 0, 0] = _arr(h11, shape)
-        self.h[..., 0, 1] = self.h[..., 1, 0] = _arr(h12, shape)
-        self.h[..., 1, 1] = _arr(h22, shape)
+        self.h[..., 0, 0] = array(h11, shape)
+        self.h[..., 0, 1] = self.h[..., 1, 0] = array(h12, shape)
+        self.h[..., 1, 1] = array(h22, shape)
         det = self.h[..., 0, 0] * self.h[..., 1, 1] - self.h[..., 0, 1] ** 2
         if det.min() <= 1e-20:
             raise NonMinimalSurfaceError(
@@ -313,9 +286,9 @@ class ChartGeometry:
         self.e_jets = (e1, e2)
         # coefficients of (e1, e2) on the coordinate tangents
         c = np.zeros(shape + (2, 2))
-        c[..., 0, 0] = 1.0 / _arr(n1, shape)
-        c[..., 1, 0] = -_arr(p, shape) / (_arr(n1, shape) * _arr(n2, shape))
-        c[..., 1, 1] = 1.0 / _arr(n2, shape)
+        c[..., 0, 0] = 1.0 / array(n1, shape)
+        c[..., 1, 0] = -array(p, shape) / (array(n1, shape) * array(n2, shape))
+        c[..., 1, 1] = 1.0 / array(n2, shape)
         self.c = c
 
         # normal frame from the fixed seed directions
@@ -332,14 +305,14 @@ class ChartGeometry:
 
         # positive orientation of (e1, e2, n3, n4) in the ambient chart
         mat = np.stack([
-            np.stack([_arr(v[i], shape) for i in range(4)], axis=-1)
+            np.stack([array(v[i], shape) for i in range(4)], axis=-1)
             for v in (e1, e2, n3, n4)], axis=-1)
         sgn = np.sign(np.linalg.det(mat))
         n4 = _scale(sgn, n4)
         self.n_jets = (n3, n4)
-        self.e = np.stack([np.stack([_arr(v[i], shape) for i in range(4)],
+        self.e = np.stack([np.stack([array(v[i], shape) for i in range(4)],
                                     axis=-1) for v in (e1, e2)], axis=-1)
-        self.n = np.stack([np.stack([_arr(v[i], shape) for i in range(4)],
+        self.n = np.stack([np.stack([array(v[i], shape) for i in range(4)],
                                     axis=-1) for v in (n3, n4)], axis=-1)
 
         # ambient curvature data at the immersed points
@@ -371,12 +344,11 @@ class ChartGeometry:
         # normal connection form and intrinsic bundle curvature:
         # omega_a = <nabla_a n3, n4>, K_perp = (d1 w2 - d2 w1)/sqrt(det h)
         omega = []
-        n3_1, n4_1 = _jet1_of_vec(n3), _jet1_of_vec(n4)
-        g1 = [[_jet1_of(self.g2[i][j]) for j in range(4)] for i in range(4)]
-        dF1 = [[_jet1_of(t[a][i]) for i in range(4)] for a in range(2)]
+        _, g1, n3_1, n4_1 = self.frame_jets(1)
+        dF1 = drop(t)
         for a in range(2):
             # d_a n3 as a 1-jet: the derivative slot of the 2-jet frame
-            cov = [_jd(n3[i], a) for i in range(4)]
+            cov = [partial(n3[i], a) for i in range(4)]
             for i in range(4):
                 acc = cov[i]
                 for p_ in range(4):
@@ -384,10 +356,11 @@ class ChartGeometry:
                         acc = acc + self.Gamma_j[i][p_][q_] * dF1[a][p_] * n3_1[q_]
                 cov[i] = acc
             omega.append(_dot(g1, cov, n4_1))
-        self.omega = np.stack([_arr(o, shape) for o in omega], axis=-1)
+        self.omega = np.stack([array(o, shape) for o in omega], axis=-1)
         # K_perp pairs R_perp(e1,e2) n4 against n3; with nabla n4 = -omega n3
         # this is the negative curl of the connection form
-        curl = _arr(_jd(omega[1], 0), shape) - _arr(_jd(omega[0], 1), shape)
+        curl = (array(partial(omega[1], 0), shape)
+                - array(partial(omega[0], 1), shape))
         self.kperp = -curl / self.sqrt_h
 
         # frame-basis data for Theorem-3.18-type pairings
@@ -407,6 +380,16 @@ class ChartGeometry:
                                self.Rm, self.e, self.n, self.e, self.n,
                                optimize=True)
 
+    def frame_jets(self, order):
+        """(F, g, n3, n4) as u-jets of order 1 or 2: the immersion, the
+        ambient metric along it and the adapted normal frame."""
+        jets = [drop(self.Fj), self.g2, self.n_jets[0], self.n_jets[1]]
+        if order == 1:
+            return drop(jets)
+        if order == 2:
+            return jets
+        raise ValueError("order must be 1 or 2")
+
     def _weyl6(self):
         from .bivector import kn_tensor4, operator6
         I4 = np.eye(4)
@@ -421,10 +404,6 @@ class ChartGeometry:
         gn = np.einsum("nij,njs->nis", self.g, self.n)
         comp = np.einsum("nabi,nis->nabs", V, gn)
         return np.einsum("nabs,nis->nabi", comp, self.n)
-
-
-def _jet1_of_vec(v):
-    return [_jet1_of(vi) for vi in v]
 
 
 class SurfaceGeometry:
@@ -517,20 +496,8 @@ class ProjectedSection(NormalSection):
         self.coeffs = list(coeffs)
 
     def coeff_jets(self, cg, order=1):
+        Fj, g, n3, n4 = cg.frame_jets(order)
         uj = seedn([cg.u[:, 0], cg.u[:, 1]], order)
-        if order == 1:
-            # immersion jets are 3 layers deep, frames and metric 2 deep
-            Fj = [_jet1_of(_jet1_of(f)) for f in cg.Fj]
-            g = [[_jet1_of(cg.g2[i][j]) for j in range(4)] for i in range(4)]
-            n3 = _jet1_of_vec(cg.n_jets[0])
-            n4 = _jet1_of_vec(cg.n_jets[1])
-        elif order == 2:
-            Fj = [_jet1_of(f) for f in cg.Fj]
-            g = cg.g2
-            n3 = cg.n_jets[0]
-            n4 = cg.n_jets[1]
-        else:
-            raise ValueError("order must be 1 or 2")
         sig = [0.0, 0.0, 0.0, 0.0]
         for f, cf in zip(self.fields, self.coeffs):
             V = f(cg.chart, uj, Fj)
@@ -556,10 +523,10 @@ class JRotated(NormalSection):
 def _covariant_coeffs(cg, c3, c4):
     """(nabla^perp_{d_a} sigma) frame coefficients, a = 1, 2 (arrays)."""
     sh = cg.shape
-    d3 = np.stack([_arr(_jd(c3, a), sh) for a in range(2)], axis=-1)
-    d4 = np.stack([_arr(_jd(c4, a), sh) for a in range(2)], axis=-1)
-    v3 = _arr(c3, sh)
-    v4 = _arr(c4, sh)
+    d3 = grad_array(c3, sh, 2)
+    d4 = grad_array(c4, sh, 2)
+    v3 = array(c3, sh)
+    v4 = array(c4, sh)
     cov3 = d3 - cg.omega * v4[..., None]
     cov4 = d4 + cg.omega * v3[..., None]
     return v3, v4, cov3, cov4
@@ -795,7 +762,7 @@ def log_norm_check(S, m, sigma, quad=None, holo_tol=1e-6, norm_floor=1e-3,
                 % float(dbar.max()))
         c3, c4 = sigma.coeff_jets(cg, order=2)
         norm2 = c3 * c3 + c4 * c4
-        if np.sqrt(_arr(norm2, cg.shape)).min() < norm_floor:
+        if np.sqrt(array(norm2, cg.shape)).min() < norm_floor:
             raise SectionError("section norm falls below the floor")
         lap = _surface_laplacian(cg, jlog(norm2))
         worst = max(worst, float(np.abs(cg.kperp + 0.5 * lap).max()))
@@ -806,16 +773,14 @@ def _surface_laplacian(cg, f):
     """Laplace-Beltrami of a 2-jet scalar on the induced metric
     (div grad convention: <= 0 at interior maxima)."""
     sh = cg.shape
-    df = np.stack([_arr(_jd(f, a), sh) for a in range(2)], axis=-1)
-    d2f = np.stack([np.stack([_arr(_jd(_jd(f, a), b), sh) for b in range(2)],
-                             axis=-1) for a in range(2)], axis=-2)
+    df = grad_array(f, sh, 2)
+    d2f = hess_array(f, sh, 2)
     h = cg.h
     hinv = np.linalg.inv(h)
     dh = np.empty(sh + (2, 2, 2))
     for a in range(2):
         for b in range(2):
-            dh[..., 0, a, b] = _arr(_jd(cg.h_jets[a][b], 0), sh)
-            dh[..., 1, a, b] = _arr(_jd(cg.h_jets[a][b], 1), sh)
+            dh[..., :, a, b] = grad_array(cg.h_jets[a][b], sh, 2)
     S2 = (np.einsum("...abd->...dab", dh) + np.einsum("...bad->...dab", dh)
           - dh)
     GamS = 0.5 * np.einsum("...cd,...dab->...cab", hinv, S2)

@@ -1,7 +1,15 @@
+import re
+from pathlib import Path
+
 import numpy as np
 from numpy.testing import assert_allclose
+import pytest
 
+from curv4.curvature import TwoFormField, kaehler_form
 from curv4.jets import Jet, jsqrt, jlog, jexp, seed1, seed2, value, grad1, hess2
+from curv4.metrics import twisted_metric
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "curv4"
 
 
 def f_scalar(x):
@@ -81,3 +89,83 @@ def test_division_and_rops():
     assert_allclose(z.f, (1 - 2) * (2 - 0.5) - 1.0)
     w = jexp(x * 0.0)
     assert_allclose(value(w), 1.0)
+
+
+# ------------------------------------------------------------- jet layout
+
+def test_only_jets_module_reads_jet_layout():
+    layout = re.compile(r"\.d\[|\.f\b|isinstance\([^)]*Jet")
+    readers = ["%s:%d: %s" % (p.name, n, line.strip())
+               for p in sorted(SRC.glob("*.py")) if p.name != "jets.py"
+               for n, line in enumerate(p.read_text().splitlines(), 1)
+               if layout.search(line)]
+    assert readers == []
+
+
+# ------------------------------------------------------------- 2-form jets
+
+def _cubic_form():
+    """A 2-form with polynomial, constant-jet and plain-constant entries."""
+    def comps(chart, x):
+        out = [[0.0] * 4 for _ in range(4)]
+        vals = {(0, 1): 1.0 + x[0] * x[1] * x[2] - 0.5 * x[3] ** 3,
+                (0, 2): 2.0 + 0.0 * x[0],
+                (1, 3): x[1] * x[1] * x[3] + 0.3 * x[0] * x[2],
+                (2, 3): -0.7 * x[0] ** 3 + x[2] * x[3]}
+        for (i, j), v in vals.items():
+            out[i][j] = v
+            out[j][i] = -1.0 * v
+        return out
+    return TwoFormField("cubic", comps)
+
+
+def _form_values(alpha, chart, p):
+    rows = alpha.comps_ring(chart, list(p))
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+def _fd1(alpha, chart, p, h):
+    out = np.zeros((4, 4, 4))
+    for k in range(4):
+        pp, pm = p.copy(), p.copy()
+        pp[k] += h
+        pm[k] -= h
+        out[k] = (_form_values(alpha, chart, pp)
+                  - _form_values(alpha, chart, pm)) / (2 * h)
+    return out
+
+
+def _fd2(alpha, chart, p, h):
+    out = np.zeros((4, 4, 4, 4))
+    for l in range(4):
+        pp, pm = p.copy(), p.copy()
+        pp[l] += h
+        pm[l] -= h
+        out[l] = (_fd1(alpha, chart, pp, h) - _fd1(alpha, chart, pm, h)) / (2 * h)
+    return out
+
+
+def _form_cases():
+    rng = np.random.default_rng(3)
+    m = twisted_metric(0.5, 0.05)
+    kf = kaehler_form(m)
+    cases = [pytest.param(kf, chart, pts, id="kaehler-twisted-" + chart)
+             for chart, pts in m.sample_points(rng, 2)]
+    cases.append(pytest.param(_cubic_form(), "e",
+                              rng.uniform(-0.8, 0.8, size=(3, 4)), id="cubic"))
+    return cases
+
+
+@pytest.mark.parametrize("alpha, chart, pts", _form_cases())
+def test_two_form_jets_match_central_differences(alpha, chart, pts):
+    A, dA, d2A = alpha.jets(chart, pts)
+    assert A.shape == (len(pts), 4, 4)
+    for n, p in enumerate(pts):
+        single = alpha.jets(chart, p)
+        for batched, one in zip((A, dA, d2A), single):
+            assert_allclose(batched[n], one, rtol=1e-14, atol=1e-14)
+        assert_allclose(A[n], _form_values(alpha, chart, p), atol=1e-14)
+        scale = max(1.0, np.abs(dA[n]).max())
+        assert np.abs(dA[n] - _fd1(alpha, chart, p, 1e-4)).max() / scale < 5e-7
+        s2 = max(1.0, np.abs(d2A[n]).max())
+        assert np.abs(d2A[n] - _fd2(alpha, chart, p, 1e-4)).max() / s2 < 1e-5

@@ -3,6 +3,7 @@ from numpy.testing import assert_allclose
 import pytest
 
 from curv4.errors import NonMinimalSurfaceError, RefinementError
+from curv4.jets import array as _arr, partial as _jd
 from curv4.metrics import QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4
 from curv4.sphharm import harmonic_count, real_harmonics
 from curv4.stability import (
@@ -11,7 +12,7 @@ from curv4.stability import (
     theorem_c_harness, _accumulate_forms,
 )
 from curv4.surfaces import (
-    _arr, _jd, cp1_line, dbar_perp_sq_field, equator_sphere,
+    cp1_line, dbar_perp_sq_field, equator_sphere,
     parallel_section, perturbed_slice, product_slice, second_variation,
     section_data, surface_geometry,
 )
