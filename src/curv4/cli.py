@@ -9,10 +9,8 @@ timing goes to stderr only.  Exit codes: 0 success, 1 identity violation,
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,11 +27,11 @@ from .metrics import (
 from .stability import SectionBasis, assemble_index_form, near_holomorphic_section, refine_until_stable
 from .surfaces import (
     a_wedge_a_sq, a_wedge_a_sq_expansion, area, chern_number, cp1_line,
-    dbar_perp_sq_field, equator_sphere, parse_surface_spec, perturbed_slice,
+    equator_sphere, parse_surface_spec, perturbed_slice,
     product_slice, ric_perp_identity_residual, second_variation, section_data,
     sphere_functions, surface_geometry, variational_identity_lemma310,
     weitzenboeck_variation, FrameSection, ProjectedSection,
-    _kperp_extrinsic_field,
+    _dbar_sq, _kperp_extrinsic_field,
 )
 
 EXIT_OK = 0
@@ -43,10 +41,10 @@ EXIT_CONSTRUCTION = 3
 
 
 def _base_report(args, command):
-    # output paths and the thread count stay out of the echo: neither
-    # changes the results, so such runs still give byte-identical reports
+    # output paths stay out of the echo: they do not change the results,
+    # so such runs still give byte-identical reports
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "out", "csv", "threads")}
+           if k not in ("func", "out", "csv")}
     return {"tool": "curv4", "version": __version__, "command": command,
             "config": cfg}
 
@@ -68,22 +66,13 @@ def _parse_values(spec):
     return [float(t) for t in spec.split(",") if t.strip()]
 
 
-def _executor(args):
-    if args.threads > 1:
-        return ThreadPoolExecutor(max_workers=args.threads)
-    return None
-
-
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args):
     m = parse_metric_spec(args.metric)
-    ex = _executor(args)
     rep, records = condition_check(
         m, grid_n=args.grid, include_sectional=not args.no_sectional,
-        executor=ex, return_points=True)
-    if ex:
-        ex.shutdown()
+        return_points=True)
     report = _base_report(args, "analyze")
     report["metric"] = {"name": m.name, "params": m.params}
     report["conditions"] = rep.as_dict()
@@ -286,10 +275,10 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
             sig = _random_section(S, rng)
             l310 = max(l310, variational_identity_lemma310(S, m, sig, quad)["residual"])
             for cg in geom.charts:
-                v0 = dbar_perp_sq_field(cg, sig, tau=0.0)
-                v1 = dbar_perp_sq_field(cg, sig, tau=0.785)
-                dbar_rot = max(dbar_rot, np.abs(v0 - v1).max())
                 d = section_data(cg, sig)
+                v0, v1 = _dbar_sq(d, 0.0), _dbar_sq(d, 0.785)
+                dbar_rot = max(dbar_rot, np.abs(v0 - v1).max())
+                # J sigma evaluated on its own: the second path of the check
                 dj = section_data(cg, sig.rotated())
                 dbar_rot = max(dbar_rot,
                                np.abs(dj["grad2"] - d["grad2"]).max(),
@@ -385,8 +374,6 @@ def build_parser():
                             "include chart centres)")
         p.add_argument("--quad", type=int, default=32,
                        help="quadrature resolution")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("CURV4_THREADS", "1")))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="report path (JSON)")
         p.add_argument("--tol", type=float, default=1.0,

@@ -344,7 +344,7 @@ class ConditionReport:
 
 
 def condition_check(m, grid_n=6, include_sectional=True, points=None,
-                    executor=None, return_points=False):
+                    return_points=False):
     """Scan a grid (or explicit points) and aggregate eigenvalue margins.
 
     Margins are minima over all points of: min eig(s/6 - W+-),
@@ -353,7 +353,7 @@ def condition_check(m, grid_n=6, include_sectional=True, points=None,
     see ``sectional_extremes``): each point's value is the curvature of an
     actual plane, so it is an upper bound, and it exceeds the dual lower
     bound by at most the report's ``sectional_gap``.  Nothing is random, so
-    the result does not depend on a seed or on the executor's schedule.
+    the result does not depend on a seed.
 
     ``points`` overrides the grid: list of (chart, (N,4) array).  With
     return_points, also gives the per-point margin arrays for CSV dumps.
@@ -385,10 +385,7 @@ def condition_check(m, grid_n=6, include_sectional=True, points=None,
         return out, float(np.abs(data["s"]).max()), chunk_gap
 
     jobs = [(chart, np.asarray(pts, dtype=float)) for chart, pts in chunks]
-    if executor is not None:
-        results = list(executor.map(eval_chunk, *zip(*jobs)))
-    else:
-        results = [eval_chunk(*cp) for cp in jobs]
+    results = [eval_chunk(*cp) for cp in jobs]
 
     records = []
     for (chart, pts), (out, schunk, gchunk) in zip(jobs, results):

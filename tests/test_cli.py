@@ -151,31 +151,6 @@ def test_scan_family_computes_pd_bound_once(tmp_path):
     assert metrics._eps_max.cache_info().misses == 1
 
 
-def test_threads_do_not_change_output(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    base = ["analyze", "--metric", "product(a=1,b=1)", "--grid", "3",
-            "--seed", "7"]
-    assert main(base + ["--threads", "1", "--out", str(a)]) == 0
-    assert main(base + ["--threads", "3", "--out", str(b)]) == 0
-    # the thread count is not echoed, so the whole reports agree
-    assert json.loads(a.read_text()) == json.loads(b.read_text())
-
-
-def test_threads_keep_report_bytes(tmp_path):
-    # the chunks finish in any order at 2 threads; the per-point CSV must
-    # still come out in chunk order
-    out = {n: (tmp_path / ("%d.json" % n), tmp_path / ("%d.csv" % n))
-           for n in (1, 2)}
-    for n, (rep, pts) in out.items():
-        assert main(["analyze", "--metric", "twisted(t=0.5,eps=0.05)",
-                     "--grid", "3", "--seed", "7", "--threads", str(n),
-                     "--out", str(rep), "--csv", str(pts)]) == 0
-    # the report names its CSV path, which is the only difference allowed
-    echo = out[2][0].read_text().replace(str(out[2][1]), str(out[1][1]))
-    assert echo == out[1][0].read_text()
-    assert out[2][1].read_bytes() == out[1][1].read_bytes()
-
-
 def test_version_flag():
     proc = run_cli(["--version"])
     assert proc.returncode == 0

@@ -1,5 +1,5 @@
 import numpy as np
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 import pytest
 
 from curv4.curvature import (
@@ -326,24 +326,6 @@ def test_condition_check_round():
     rep = condition_check(round_sphere4(1.0), grid_n=3)
     assert_allclose(rep.margins["s6_minus_wplus"], 2.0, atol=1e-8)
     assert_allclose(rep.margins["min_sectional"], 1.0, atol=1e-6)
-
-
-class _ReversedExecutor:
-    """Runs the chunks last to first, as a thread pool may."""
-
-    def map(self, fn, *iterables):
-        jobs = list(zip(*iterables))
-        return reversed([fn(*args) for args in reversed(jobs)])
-
-
-def test_condition_check_independent_of_schedule():
-    m = twisted_metric(0.5, 0.05)
-    kw = dict(grid_n=3, return_points=True)
-    seq, seq_pts = condition_check(m, **kw)
-    rev, rev_pts = condition_check(m, executor=_ReversedExecutor(), **kw)
-    assert seq.as_dict() == rev.as_dict()
-    for (_, _, a), (_, _, b) in zip(seq_pts, rev_pts):
-        assert_array_equal(a["min_sectional"], b["min_sectional"])
 
 
 # ------------------------------------------------------------- bisectional
