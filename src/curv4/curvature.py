@@ -310,15 +310,13 @@ def psd_tolerance(s):
     return 1e-9 * (1.0 + np.abs(s) / 12.0)
 
 
-MARGIN_KEYS = ("min_sectional", "s6_minus_wplus", "s6_minus_wminus",
-               "s12_plus_wplus", "s12_plus_wminus", "curvature_operator")
-
-
 class ConditionReport:
     """Aggregate positivity margins of the pointwise curvature conditions.
 
     ``sectional_gap`` is the largest primal-dual gap of the sectional
-    search over the points (None when it did not run).
+    search over the points (None when it did not run).  ``worst`` maps each
+    margin to (chart, point, ties): the first point within ``tol_psd`` of
+    the minimum and the number of such points.
     """
 
     def __init__(self, margins, worst, tol_psd, npoints, sectional_gap=None):
@@ -335,8 +333,9 @@ class ConditionReport:
             "tol_psd": self.tol_psd,
             "margins": {k: float(v) for k, v in self.margins.items()},
             "satisfied": {k: bool(v) for k, v in self.satisfied.items()},
-            "worst_point": {k: {"chart": c, "point": list(map(float, p))}
-                            for k, (c, p) in self.worst.items()},
+            "worst_point": {k: {"chart": c, "point": list(map(float, p)),
+                                "ties": n}
+                            for k, (c, p, n) in self.worst.items()},
         }
         if self.sectional_gap is not None:
             out["sectional_gap"] = self.sectional_gap
@@ -361,13 +360,10 @@ def condition_check(m, grid_n=6, include_sectional=True, points=None,
     chunks = points if points is not None else m.grid_points(grid_n)
     if not chunks:
         raise ValueError("condition_check: empty grid")
-    mins = {k: np.inf for k in MARGIN_KEYS}
-    worst = {k: None for k in MARGIN_KEYS}
-    smax = 0.0
-    gap = -np.inf
-    total = 0
-
-    def eval_chunk(chart, pts):
+    smax, gap, total = 0.0, -np.inf, 0
+    records = []
+    for chart, pts in chunks:
+        pts = np.asarray(pts, dtype=float)
         data = curvature_batch(m, chart, pts)
         s = data["s"][:, None, None]
         out = {
@@ -377,31 +373,27 @@ def condition_check(m, grid_n=6, include_sectional=True, points=None,
             "s12_plus_wminus": np.linalg.eigvalsh(s / 12 * I3 + data["wminus"])[:, 0],
             "curvature_operator": np.linalg.eigvalsh(data["R_op"])[:, 0],
         }
-        chunk_gap = -np.inf
         if include_sectional:
             vals, _, bound = sectional_extremes(data["M6"], return_bound=True)
             out["min_sectional"] = vals
-            chunk_gap = float((vals - bound).max())
-        return out, float(np.abs(data["s"]).max()), chunk_gap
-
-    jobs = [(chart, np.asarray(pts, dtype=float)) for chart, pts in chunks]
-    results = [eval_chunk(*cp) for cp in jobs]
-
-    records = []
-    for (chart, pts), (out, schunk, gchunk) in zip(jobs, results):
+            gap = max(gap, float((vals - bound).max()))
+        smax = max(smax, float(np.abs(data["s"]).max()))
         total += len(pts)
-        smax = max(smax, schunk)
-        gap = max(gap, gchunk)
         records.append((chart, pts, out))
-        for key, vals in out.items():
-            i = int(np.argmin(vals))
-            if vals[i] < mins[key]:
-                mins[key] = float(vals[i])
-                worst[key] = (chart, pts[i].tolist())
-    if not include_sectional:
-        mins.pop("min_sectional")
-        worst.pop("min_sectional")
-    report = ConditionReport(mins, worst, psd_tolerance(smax), total,
+
+    # a margin's worst point is the first point, in chart and grid order,
+    # within tol_psd of its minimum: where the margin is flat up to rounding
+    # (s/12 + W+ on a Kaehler metric), the grid fixes the point, not the
+    # order of the kernel's sums
+    tol = psd_tolerance(smax)
+    mins, worst = {}, {}
+    for key in records[0][2]:
+        mins[key] = min(float(out[key].min()) for _, _, out in records)
+        near = [(chart, pts[out[key] <= mins[key] + tol])
+                for chart, pts, out in records]
+        chart, pts = next((c, p) for c, p in near if len(p))
+        worst[key] = (chart, pts[0].tolist(), sum(len(p) for _, p in near))
+    report = ConditionReport(mins, worst, tol, total,
                              gap if include_sectional else None)
     if return_points:
         return report, records

@@ -369,11 +369,12 @@ class ChartGeometry:
         ef = np.einsum("...ij,...jk->...ik", Einv, self.e)
         nf = np.einsum("...ij,...jk->...ik", Einv, self.n)
         self.eta6 = bv.wedge(ef[..., 0], ef[..., 1]) + bv.wedge(nf[..., 0], nf[..., 1])
-        W6 = self._weyl6()
-        self.W6 = W6
-        self.s6_pairing = (self.s / 6.0 * np.sum(self.eta6 ** 2, axis=-1)
-                           - np.einsum("...i,...ij,...j->...", self.eta6, W6,
-                                       self.eta6))
+        # pair eta with W+ and W- in the (eta, etabar) basis
+        y = self.eta6 @ bv.ETA_FRAME
+        yp, ym = y[..., :3], y[..., 3:]
+        weyl = (np.einsum("...i,...ij,...j->...", yp, self.curv["wplus"], yp)
+                + np.einsum("...i,...ij,...j->...", ym, self.curv["wminus"], ym))
+        self.s6_pairing = self.s / 6.0 * np.sum(self.eta6 ** 2, axis=-1) - weyl
 
         # curvature term of the index form on the normal components
         self.Rterm = np.einsum("...ijkl,...im,...jp,...km,...lq->...pq",
@@ -389,15 +390,6 @@ class ChartGeometry:
         if order == 2:
             return jets
         raise ValueError("order must be 1 or 2")
-
-    def _weyl6(self):
-        from .bivector import kn_tensor4, operator6
-        I4 = np.eye(4)
-        Rf = self.curv["Rm_frame"]
-        s = self.s[..., None, None, None, None]
-        W4 = Rf - s / 12.0 * kn_tensor4(I4, I4) \
-            - kn_tensor4(self.curv["ric0"], I4)
-        return operator6(W4)
 
     def _project_normal_arr(self, V):
         """Normal projection of (n, 2, 2, 4) ambient vector arrays."""

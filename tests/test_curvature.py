@@ -328,6 +328,20 @@ def test_condition_check_round():
     assert_allclose(rep.margins["min_sectional"], 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("m", [round_sphere4(1.0), product_spheres(1.0, 1.0)],
+                         ids=lambda m: m.name)
+def test_worst_point_is_first_of_ties(m):
+    # on a homogeneous metric every margin is flat up to rounding, so each
+    # worst point is the first grid point of the first chart, whatever the
+    # order of the sums that produced the rounding
+    d = condition_check(m, grid_n=3).as_dict()
+    chart, pts = m.grid_points(3)[0]
+    assert set(d["worst_point"]) == set(d["margins"])
+    for key, w in d["worst_point"].items():
+        assert w == {"chart": chart, "point": pts[0].tolist(),
+                     "ties": d["npoints"]}, key
+
+
 # ------------------------------------------------------------- bisectional
 
 def test_holomorphic_bisectional_product():

@@ -4,7 +4,10 @@ import pytest
 
 from curv4 import surfaces
 from curv4.errors import NonMinimalSurfaceError, SectionError, SpecParseError
-from curv4.metrics import QuadSpec, fubini_study, product_spheres, round_sphere4
+from curv4.bivector import kn_tensor4, operator6
+from curv4.metrics import (
+    QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4,
+)
 from curv4.surfaces import (
     FrameSection, ProjectedSection, SecondFundamentalForm, a_wedge_a_sq,
     a_wedge_a_sq_expansion, area, chern_number, cp1_line, dbar_perp_sq,
@@ -327,6 +330,31 @@ def test_weitzenboeck_variation_equator():
     geom = surface_geometry(equator_sphere(), MR, QUAD)
     for cg in geom.charts:
         assert_allclose(cg.s6_pairing, 4.0, atol=1e-10)
+
+
+def _s6_pairing_kulkarni_nomizu(cg):
+    """s/6 |eta|^2 - <W eta, eta> with W = Rm - s/12 (g o g) - (ric0 o g)
+    built from the frame Riemann tensor by Kulkarni-Nomizu products."""
+    I4 = np.eye(4)
+    s = cg.s[..., None, None, None, None]
+    W4 = (cg.curv["Rm_frame"] - s / 12.0 * kn_tensor4(I4, I4)
+          - kn_tensor4(cg.curv["ric0"], I4))
+    W6 = operator6(W4)
+    return (cg.s / 6.0 * np.sum(cg.eta6 ** 2, axis=-1)
+            - np.einsum("...i,...ij,...j->...", cg.eta6, W6, cg.eta6))
+
+
+@pytest.mark.parametrize("S, m", [(cp1_line(), MF),
+                                  (product_slice(), ht_metric(0.6)),
+                                  (perturbed_slice(0.15), ht_metric(0.6))],
+                         ids=["cp1-line-fs", "slice-ht0.6",
+                              "perturbed-slice-ht0.6"])
+def test_s6_pairing_matches_kulkarni_nomizu_weyl(S, m):
+    # the pairing vanishes on complex curves of Kaehler surfaces (the first
+    # two cases); on the perturbed slice it is of order one
+    for cg in surface_geometry(S, m, QUAD).charts:
+        assert_allclose(cg.s6_pairing, _s6_pairing_kulkarni_nomizu(cg),
+                        rtol=0, atol=1e-12)
 
 
 def test_weitzenboeck_variation_random_sections():
