@@ -383,7 +383,8 @@ class ChartGeometry:
 
     def frame_jets(self, order):
         """(F, g, n3, n4) as u-jets of order 1 or 2: the immersion, the
-        ambient metric along it and the adapted normal frame."""
+        ambient metric along it and the adapted normal frame.  The immersion
+        is held three layers deep, the metric and frame two."""
         jets = [drop(self.Fj), self.g2, self.n_jets[0], self.n_jets[1]]
         if order == 1:
             return drop(jets)
