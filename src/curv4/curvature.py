@@ -23,7 +23,7 @@ import numpy as np
 from . import bivector as bv
 from .bivector import CurvatureLike, ETA_FRAME, PAIRS, kn_tensor4, operator6, to_eta_basis
 from .errors import MetricConstructionError
-from .metrics import _comps_jets
+from .metrics import _J_STANDARD, _comps_jets
 
 I3 = np.eye(3)
 I4 = np.eye(4)
@@ -533,13 +533,12 @@ def kaehler_form(m):
 
     def comps(chart, x):
         g = m.comps_ring(chart, x)
-        J = m.kaehler.jfun(chart, x)
         out = [[0.0] * 4 for _ in range(4)]
         for i in range(4):
             for j in range(4):
                 acc = 0.0
                 for k in range(4):
-                    acc = acc + J[k][i] * g[k][j]
+                    acc = acc + _J_STANDARD[k][i] * g[k][j]
                 out[i][j] = acc
         return out
 

@@ -11,8 +11,11 @@ potentials, immersions, test 2-forms, spherical harmonics) are written as
 plain arithmetic over a generic scalar ring, so the same code path produces
 values, gradients and Hessians depending on how the inputs are seeded.
 
-This module is the only one that reads the nested layout (``.f``, ``.d``).
-Everything else seeds with ``seedn`` and reads results through
+The interface is arithmetic (``+ - * / **``), ``jsqrt``, ``jlog`` and the
+functions below.  This module is the only one that reads the nested layout
+(``.f``, ``.d``).  Everything else seeds with ``seedn(x, order)``, which
+adds its layers outside whatever ring the entries of x already live in,
+and reads results through
 
 * ``value(x)``: the plain value, all jet layers stripped;
 * ``partial(x, a)``: the a-th partial, one layer down (0 for constants);
@@ -105,27 +108,6 @@ def jlog(x):
     return np.log(x)
 
 
-def jexp(x):
-    if isinstance(x, Jet):
-        e = jexp(x.f)
-        return Jet(e, tuple(a * e for a in x.d))
-    return np.exp(x)
-
-
-def jsin(x):
-    if isinstance(x, Jet):
-        c = jcos(x.f)
-        return Jet(jsin(x.f), tuple(a * c for a in x.d))
-    return np.sin(x)
-
-
-def jcos(x):
-    if isinstance(x, Jet):
-        s = jsin(x.f)
-        return Jet(jcos(x.f), tuple(-(a * s) for a in x.d))
-    return np.cos(x)
-
-
 # ---- seeding ---------------------------------------------------------
 
 def seedn(x, order):
@@ -143,16 +125,6 @@ def seedn(x, order):
             xi = Jet(xi, e)
         out.append(xi)
     return out
-
-
-def seed1(x):
-    """Wrap coordinates for one derivative order: returns first-order jets."""
-    return seedn(x, 1)
-
-
-def seed2(x):
-    """Wrap coordinates for two derivative orders (nested duals)."""
-    return seedn(x, 2)
 
 
 def value(x):
@@ -214,13 +186,3 @@ def component_jets(rows, shape):
                         d2A[..., l, k, i, j] = array(dk.d[l], shape)
     return A, dA, d2A
 
-
-def grad1(x, m):
-    """First partials of a once-seeded result (list of length m)."""
-    return [value(partial(x, k)) for k in range(m)]
-
-
-def hess2(x, m):
-    """Second partials of a twice-seeded result (m x m nested list)."""
-    return [[value(partial(partial(x, k), l)) for l in range(m)]
-            for k in range(m)]

@@ -1,11 +1,13 @@
+import functools
+
 import numpy as np
 from numpy.testing import assert_allclose, assert_array_equal
 import pytest
 
 from curv4.errors import MetricConstructionError, SpecParseError
-from curv4.jets import seed1, value
+from curv4.jets import partial, seedn, value
 from curv4.metrics import (
-    PERTURBATIONS, QuadSpec, flat_space, fubini_study, hessian_metric,
+    PERTURBATIONS, MetricField, QuadSpec, flat_space, fubini_study,
     ht_metric, kaehler_residuals, parse_metric_spec, product_spheres,
     round_sphere4, twisted_eps_max, twisted_metric, volume,
 )
@@ -79,7 +81,7 @@ def test_chart_overlap_consistency(m):
                     for i in pair:
                         pts[:, i] *= r / cur
             x = [pts[:, i] for i in range(4)]
-            ximg = fmap(seed1(x))
+            ximg = fmap(seedn(x, 1))
             img = np.stack([value(c) for c in ximg], axis=-1)
             Jac = np.empty((n, 4, 4))
             for i in range(4):
@@ -172,13 +174,41 @@ def test_twisted_advertised_range_constructs(t):
         twisted_metric(t, 1.001 * emax)
 
 
+def hessian_metric(potential, chart, x):
+    """Oracle for metrics.toric_metric: g = 2 Re(ddbar Phi) from the full
+    4x4 Hessian of a potential of x, taken with two nested dual layers
+    seeded on the incoming coordinates (any scalar ring)."""
+    F = potential(chart, seedn(x, 2))
+    H = [[partial(partial(F, a), b) for b in range(4)] for a in range(4)]
+    g = [[0.0] * 4 for _ in range(4)]
+    for a in range(2):
+        for b in range(2):
+            xa, ya = 2 * a, 2 * a + 1
+            xb, yb = 2 * b, 2 * b + 1
+            P = H[xa][xb] + H[ya][yb]
+            Q = H[xa][yb] - H[ya][xb]
+            g[xa][xb] = 0.5 * P
+            g[ya][yb] = 0.5 * P
+            g[xa][yb] = 0.5 * Q
+            g[yb][xa] = 0.5 * Q
+            g[ya][xb] = -0.5 * Q
+            g[xb][ya] = -0.5 * Q
+    return g
+
+
+def _in_x(pot):
+    """A potential of s = (|z1|^2, |z2|^2) as a potential of x."""
+    return lambda ch, x: pot(ch, [x[0] * x[0] + x[1] * x[1],
+                                  x[2] * x[2] + x[3] * x[3]])
+
+
 def _twisted_validation_parts(t, grid_n, phi_id="height-product"):
     """(h_t, 2 Re ddbar phi) per chart on chart.grid(grid_n) + chart.grid(5)."""
     base = ht_metric(t)
     out = []
     for name, chart in base.charts.items():
         pts = np.concatenate([chart.grid(grid_n), chart.grid(5)])
-        rows = hessian_metric(PERTURBATIONS[phi_id], name,
+        rows = hessian_metric(_in_x(PERTURBATIONS[phi_id]), name,
                               [pts[:, i] for i in range(4)])
         P = np.empty((len(pts), 4, 4))
         for i in range(4):
@@ -225,14 +255,12 @@ def test_twisted_eps_max_matches_cholesky_bisection(t):
     assert abs(tight) <= 1e-9 * scale
 
 
-def _cross_potential(name, x):
+def _cross_potential(name, s):
     """A test potential whose ddbar is dominated by the z1-z2 cross terms,
     with real and imaginary parts, and whose bound is set by a negative
     eigenvalue; the built-in perturbation is decided on the diagonal and
     by a positive one."""
-    q = 1.0 + x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
-    return -(x[0] * x[2] + x[1] * x[3] + 0.5 * (x[1] * x[2] - x[0] * x[3])
-             + 0.3 * (x[0] * x[0] + x[1] * x[1])) / q
+    return -(s[0] * s[1]) / (1.0 + s[0] + s[1])
 
 
 @pytest.mark.parametrize("phi_id", ["height-product", "cross"])
@@ -244,14 +272,23 @@ def test_twisted_eps_max_matches_whitened_eigvalsh(t, phi_id, monkeypatch):
     grid_n = 8
     parts = _twisted_validation_parts(t, grid_n, phi_id)
     floor = 1e-3 * min(np.linalg.eigvalsh(G)[:, 0].min() for G, _ in parts)
-    mu = 0.0
+    mu, P_mu = 0.0, None     # the binding eigenvalue, P at its point
     for G, P in parts:
         Linv = np.linalg.inv(np.linalg.cholesky(G - floor * np.eye(4)))
         M = Linv @ P @ np.swapaxes(Linv, -1, -2)
-        mu = max(mu, np.abs(np.linalg.eigvalsh(M)).max())
-    oracle = 1.0 / mu
+        w = np.linalg.eigvalsh(M)
+        n, k = np.unravel_index(np.abs(w).argmax(), w.shape)
+        if abs(w[n, k]) > abs(mu):
+            mu, P_mu = w[n, k], P[n]
+    oracle = 1.0 / abs(mu)
     got = twisted_eps_max(t, phi_id, grid_n=grid_n)
     assert abs(got - oracle) <= 1e-13 * oracle
+    if phi_id == "cross":
+        # the fixture's claims: the bound is set by a negative eigenvalue,
+        # at a point where the cross term q of P outweighs p and r
+        assert mu < 0
+        q = np.hypot(P_mu[0, 2], P_mu[0, 3])
+        assert q > max(abs(P_mu[0, 0]), abs(P_mu[2, 2]))
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
@@ -267,19 +304,31 @@ def test_twisted_parts_are_j_invariant(t):
         assert_array_equal(G, G * np.eye(4))
 
 
-def test_twisted_is_potential_hessian_of_full_potential():
-    # the closed-form base + eps * perturbation equals the nested-dual
-    # Hessian metric of the assembled potential
-    m = twisted_metric(0.3, 0.008)
+@pytest.mark.parametrize("make", [
+    lambda: twisted_metric(0.3, 0.008),
+    fubini_study,
+    lambda: twisted_metric(0.0, -0.9 * twisted_eps_max(0.0)),
+    lambda: twisted_metric(1.0, 0.9 * twisted_eps_max(1.0)),
+], ids=["twisted-0.3", "fubini-study", "twisted-0-neg", "twisted-1-pos"])
+def test_twisted_is_potential_hessian_of_full_potential(make):
+    # the toric rule equals the nested-dual Hessian metric of the same
+    # potential, in values and in exact first and second derivatives
+    m = make()
+    oracle = MetricField("oracle", list(m.charts.values()),
+                         functools.partial(hessian_metric,
+                                           _in_x(m.kaehler.potential)),
+                         validate=False)
     rng = np.random.default_rng(13)
     for chart, pts in m.sample_points(rng, 5):
         x = [pts[:, i] for i in range(4)]
-        rows = hessian_metric(m.kaehler.potential, chart, x)
+        rows = hessian_metric(_in_x(m.kaehler.potential), chart, x)
         direct = m.eval(chart, pts)
         for i in range(4):
             for j in range(4):
                 assert_allclose(np.asarray(rows[i][j], dtype=float) * np.ones(len(pts)),
                                 direct[:, i, j], atol=1e-11)
+        for got, want in zip(m.jets(chart, pts), oracle.jets(chart, pts)):
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 # ---------------------------------------------------------------- Kahler
