@@ -79,19 +79,15 @@ def plucker_residual(xi):
 class CurvatureLike:
     """Symmetric operator on bivectors: a 4-tensor with pair symmetry,
     stored as a symmetric 6x6 matrix M[(ij),(kl)] = T(e_i,e_j;e_k,e_l).
-
-    ``geometric`` marks tensors expected to satisfy the first Bianchi
-    identity (actual curvature tensors, Kulkarni-Nomizu products).
     """
 
-    def __init__(self, mat, geometric=False):
+    def __init__(self, mat):
         mat = np.asarray(mat, dtype=float)
         if mat.shape != (6, 6):
             raise ValueError("CurvatureLike expects a 6x6 matrix")
         if not np.allclose(mat, mat.T, atol=1e-12 * (1 + np.abs(mat).max())):
             raise ValueError("CurvatureLike matrix must be symmetric")
         self.mat = 0.5 * (mat + mat.T)
-        self.geometric = geometric
 
     def bianchi_residual(self):
         """|R_1234 + R_1342 + R_1423| computed from the matrix slots."""
@@ -111,13 +107,13 @@ class CurvatureLike:
         return T
 
     @staticmethod
-    def from_tensor4(T, geometric=False):
+    def from_tensor4(T):
         T = np.asarray(T, dtype=float)
         m = np.empty((6, 6))
         for a, (i, j) in enumerate(PAIRS):
             for b, (k, l) in enumerate(PAIRS):
                 m[a, b] = T[i, j, k, l]
-        return CurvatureLike(0.5 * (m + m.T), geometric=geometric)
+        return CurvatureLike(0.5 * (m + m.T))
 
 
 def operator6(T):
@@ -144,7 +140,7 @@ def kulkarni_nomizu(B, g):
         if M.shape != (4, 4) or not np.allclose(M, M.T, atol=1e-12 * (1 + np.abs(M).max())):
             raise ValueError("kulkarni_nomizu: %s must be a symmetric 4x4 matrix" % name)
     T = kn_tensor4(B, g)
-    return CurvatureLike.from_tensor4(T, geometric=True)
+    return CurvatureLike.from_tensor4(T)
 
 
 def kn_tensor4(B, g):

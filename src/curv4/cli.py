@@ -2,8 +2,14 @@
 
 Reports are JSON with floats serialized by repr (shortest round-trip), so a
 fixed seed and configuration produce byte-identical output; wall-clock
-timing goes to stderr only.  Exit codes: 0 success, 1 identity violation,
-2 parse error, 3 metric construction failure.
+timing goes to stderr only.
+
+Exit codes: 0 success; 1 identity violation or another curv4 error; 2 parse
+error: an unknown flag, a malformed metric or surface spec (the grammar of
+``metrics.parse_spec``), a value a surface constructor rejects, --grid below
+3, --quad below 8 or --L0 not below --L-max; 3 metric construction failure,
+e.g. |eps| above the twisted family's eps_max.  Spec, range and
+construction errors print one line on stderr and no traceback.
 """
 
 import argparse
@@ -16,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .curvature import (
-    condition_check, curvature_batch, curvature_from_arrays, lemma21_check,
-    riemann_at, weitzenboeck_residual, kaehler_form, TwoFormField,
+    condition_check, curvature_batch, lemma21_check, riemann_at,
+    weitzenboeck_residual, kaehler_form, TwoFormField,
 )
 from .errors import Curv4Error, MetricConstructionError, SpecParseError
 from .metrics import (
@@ -28,7 +34,7 @@ from .stability import SectionBasis, assemble_index_form, near_holomorphic_secti
 from .surfaces import (
     a_wedge_a_sq, a_wedge_a_sq_expansion, area, chern_number, cp1_line,
     equator_sphere, parse_surface_spec, perturbed_slice,
-    product_slice, ric_perp_identity_residual, second_variation, section_data,
+    product_slice, ric_perp_identity_residual, section_data,
     sphere_functions, surface_geometry, variational_identity_lemma310,
     weitzenboeck_variation, FrameSection, ProjectedSection,
     _dbar_sq, _kperp_extrinsic_field,
@@ -105,11 +111,10 @@ def cmd_scan_family(args):
     cells = []
     rows = []
     for t in tvals:
-        pd_max = twisted_eps_max(t, grid_n=args.pd_grid)
+        pd_max = twisted_eps_max(t)
         # the empirical eps_max of the family: first eps violating the
         # s/6 - W+ positivity, as opposed to the larger eigenvalue-floor bound
-        pos_max = positivity_eps_max(t, grid_n=max(3, (args.grid // 2) | 1),
-                                     pd_grid=args.pd_grid)
+        pos_max = positivity_eps_max(t, grid_n=max(3, (args.grid // 2) | 1))
         if args.eps_values == "auto":
             evals = [0.0, pos_max / 2.0]
         else:
@@ -118,7 +123,7 @@ def cmd_scan_family(args):
             cell = {"t": t, "eps": eps, "eps_max_pd": pd_max,
                     "eps_max_positivity": pos_max}
             try:
-                m = twisted_metric(t, eps, grid_n=args.pd_grid)
+                m = twisted_metric(t, eps)
             except MetricConstructionError as exc:
                 cell["error"] = str(exc)
                 cells.append(cell)
@@ -373,7 +378,7 @@ def build_parser():
                        help="grid resolution per chart axis (>= 3; odd sizes "
                             "include chart centres)")
         p.add_argument("--quad", type=int, default=32,
-                       help="quadrature resolution")
+                       help="quadrature resolution (>= %d)" % QuadSpec.MIN_N)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="report path (JSON)")
         p.add_argument("--tol", type=float, default=1.0,
@@ -391,9 +396,6 @@ def build_parser():
     p.add_argument("--t-values", default="0:1:11")
     p.add_argument("--eps-values", default="auto",
                    help="'auto' (0 and eps_max/2) or list/range")
-    p.add_argument("--pd-grid", type=int, default=16,
-                   help="validation grid per chart axis; the bound is exact "
-                        "on it plus the constructor's grid")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_scan_family)
 
@@ -413,6 +415,18 @@ def build_parser():
     return ap
 
 
+def _check_ranges(args):
+    """Reject out-of-range numbers before any work is done."""
+    for bad, what in (
+            (args.grid < 3, "--grid must be >= 3"),
+            (args.quad < QuadSpec.MIN_N,
+             "--quad must be >= %d" % QuadSpec.MIN_N),
+            (args.command == "surface" and args.L0 >= args.L_max,
+             "--L0 must be below --L-max")):
+        if bad:
+            raise SpecParseError(what)
+
+
 def main(argv=None):
     ap = build_parser()
     try:
@@ -422,6 +436,7 @@ def main(argv=None):
         return int(exc.code or 0)
     t0 = time.time()
     try:
+        _check_ranges(args)
         code = args.func(args)
     except SpecParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

@@ -16,14 +16,12 @@ orthonormal (eta, etabar) basis the operator takes the block form
 with B induced by the traceless Ricci part.
 """
 
-import functools
-
 import numpy as np
 
 from . import bivector as bv
-from .bivector import CurvatureLike, ETA_FRAME, PAIRS, kn_tensor4, operator6, to_eta_basis
+from .bivector import CurvatureLike, PAIRS, kn_tensor4, operator6, to_eta_basis
 from .errors import MetricConstructionError
-from .metrics import _J_STANDARD, _comps_jets
+from .metrics import _J_STANDARD, _comps_jets, _twisted_parts, twisted_eps_max
 
 I3 = np.eye(3)
 I4 = np.eye(4)
@@ -43,10 +41,11 @@ def _s_tensor(dg):
 
 
 def christoffel_arrays(g, dg):
-    """(g^{-1}, Gamma^k_ij) from metric values and first derivatives."""
+    """(g^{-1}, Gamma^k_ij) from metric values and first derivatives, in
+    any dimension n: g is (..., n, n) and dg[..., k, i, j] = d_k g_ij."""
     ginv = np.linalg.inv(g)
     S = _s_tensor(dg)
-    Gamma = 0.5 * (ginv @ S.reshape(S.shape[:-2] + (16,))).reshape(S.shape)
+    Gamma = 0.5 * (ginv @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
     return ginv, Gamma
 
 
@@ -140,7 +139,7 @@ class CurvatureFrameData:
         self.frame = data["frame"]
         self.riemann_coord = data["Rm"]
         self.riemann4 = data["Rm_frame"]
-        self.riemann = CurvatureLike(data["M6"], geometric=True)
+        self.riemann = CurvatureLike(data["M6"])
         self.r_op = data["R_op"]
         self.s = float(data["s"])
         self.ric = data["ric"]
@@ -342,9 +341,8 @@ class ConditionReport:
         return out
 
 
-def condition_check(m, grid_n=6, include_sectional=True, points=None,
-                    return_points=False):
-    """Scan a grid (or explicit points) and aggregate eigenvalue margins.
+def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
+    """Scan a grid of every chart and aggregate eigenvalue margins.
 
     Margins are minima over all points of: min eig(s/6 - W+-),
     min eig(s/12 + W+-), min eig(R_op) and the minimal sectional curvature.
@@ -354,16 +352,11 @@ def condition_check(m, grid_n=6, include_sectional=True, points=None,
     bound by at most the report's ``sectional_gap``.  Nothing is random, so
     the result does not depend on a seed.
 
-    ``points`` overrides the grid: list of (chart, (N,4) array).  With
-    return_points, also gives the per-point margin arrays for CSV dumps.
+    With return_points, also returns the per-point margins for CSV dumps.
     """
-    chunks = points if points is not None else m.grid_points(grid_n)
-    if not chunks:
-        raise ValueError("condition_check: empty grid")
     smax, gap, total = 0.0, -np.inf, 0
     records = []
-    for chart, pts in chunks:
-        pts = np.asarray(pts, dtype=float)
+    for chart, pts in m.grid_points(grid_n):
         data = curvature_batch(m, chart, pts)
         s = data["s"][:, None, None]
         out = {
@@ -400,29 +393,24 @@ def condition_check(m, grid_n=6, include_sectional=True, points=None,
     return report
 
 
-def positivity_eps_max(t, phi_id="height-product", grid_n=5, tol=1e-6,
-                       steps=24, pd_grid=16):
+#: the s/6 - W+ margin tolerated by positivity_eps_max, and its bisections
+POSITIVITY_TOL, POSITIVITY_STEPS = 1e-6, 24
+
+
+def positivity_eps_max(t, grid_n=5):
     """Empirical threshold: largest eps of the twisted family keeping
-    min eig(s/6 - W+) >= -tol on a scan grid (bisection below 0.95 of
-    ``twisted_eps_max`` at grid ``pd_grid``, the bound keeping min eig(g)
-    above 1e-3 of its eps=0 floor).  Cached per argument tuple in a bounded
-    LRU.
+    min eig(s/6 - W+) >= -POSITIVITY_TOL on chart.grid(grid_n) of every
+    chart: 0.95 of ``twisted_eps_max(t)`` if that passes, else the lower
+    end after POSITIVITY_STEPS bisections of [0, 0.95 twisted_eps_max(t)].
 
     Use odd grid sizes: the tightest spot of the built-in perturbation sits
     at a chart centre, which even grids skip.
     """
-    return _positivity_eps_max(round(float(t), 12), phi_id, grid_n, tol,
-                               steps, pd_grid)
-
-
-@functools.lru_cache(maxsize=64)
-def _positivity_eps_max(t, phi_id, grid_n, tol, steps, pd_grid):
-    from .metrics import twisted_eps_max, _twisted_parts
-    pd_max = twisted_eps_max(t, phi_id, pd_grid)
+    pd_max = twisted_eps_max(t)
 
     # the metric is affine in eps: evaluate the jets of both parts once,
     # then every bisection step is plain linear algebra
-    base, pert = _twisted_parts(t, phi_id)
+    base, pert = _twisted_parts(t)
     parts = []
     for chart, pts in base.grid_points(grid_n):
         parts.append((base.jets(chart, pts), pert.jets(chart, pts)))
@@ -440,12 +428,12 @@ def _positivity_eps_max(t, phi_id, grid_n, tol, steps, pd_grid):
         return worst
 
     hi = 0.95 * pd_max
-    if margin(hi) >= -tol:
+    if margin(hi) >= -POSITIVITY_TOL:
         return hi
     lo = 0.0
-    for _ in range(steps):
+    for _ in range(POSITIVITY_STEPS):
         mid = 0.5 * (lo + hi)
-        if margin(mid) >= -tol:
+        if margin(mid) >= -POSITIVITY_TOL:
             lo = mid
         else:
             hi = mid

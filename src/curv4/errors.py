@@ -14,7 +14,7 @@ class MetricConstructionError(Curv4Error):
 
 
 class SpecParseError(Curv4Error):
-    """A metric or surface specification string could not be parsed."""
+    """A metric or surface spec, or a CLI number, is malformed or invalid."""
 
 
 class NonMinimalSurfaceError(Curv4Error):

@@ -80,7 +80,7 @@ def harmonic_count(L):
     return (L + 1) ** 2
 
 
-def harmonic_fn(l, m, L=None):
+def harmonic_fn(l, m):
     """Single harmonic as a ring-generic closure (chart, u) -> value."""
     idx = l * l + (m + l)
 

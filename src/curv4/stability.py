@@ -13,12 +13,12 @@ instability branch that no constructible metric can reach.
 
 import numpy as np
 
-from .errors import NonMinimalSurfaceError, RefinementError
+from .errors import RefinementError
 from .metrics import QuadSpec
 from .sphharm import harmonic_fn, real_harmonics
 from .surfaces import (
     FrameSection, NormalSection, ProjectedSection, chern_number,
-    dbar_perp_sq_field, second_variation, section_data, surface_geometry,
+    second_variation, section_data, surface_geometry,
     weitzenboeck_variation, _dot,
 )
 from .jets import array, grad_array, seedn

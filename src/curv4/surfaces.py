@@ -16,16 +16,14 @@ ambient coordinate directions, with n4 flipped where needed so that
 the normal rotation J are the +90-degree turns in these oriented planes.
 """
 
-import re
-
 import numpy as np
 
 from . import bivector as bv
-from .curvature import curvature_from_arrays
+from .curvature import christoffel_arrays, curvature_from_arrays
 from .errors import NonMinimalSurfaceError, SectionError
 from .jets import (Jet, array, drop, grad_array, hess_array, jlog, jsqrt,
                    partial, seedn)
-from .metrics import QuadSpec, sphere_chart_nodes
+from .metrics import QuadSpec, parse_spec, sphere_chart_nodes
 
 TOL_MIN = 1e-8  # minimality threshold on the mean curvature vector
 
@@ -65,12 +63,6 @@ def sphere_functions(chart, u):
     return 2.0 * x / q, -(2.0 * y / q), 2.0 / q - 1.0
 
 
-def _surface_transition(u):
-    """Chart a -> chart b of the surface atlas (w = 1/z on real coords)."""
-    r2 = u[0] * u[0] + u[1] * u[1]
-    return [u[0] / r2, -(u[1] / r2)]
-
-
 class SurfaceImmersion:
     """Parametrized 2-sphere inside a metric field's atlas.
 
@@ -94,9 +86,6 @@ class SurfaceImmersion:
 
     def map_ring(self, chart, u):
         return self.fmap(chart, u)
-
-    def transition(self, u):
-        return _surface_transition(u)
 
 
 # ---------------------------------------------------------------------
@@ -194,40 +183,13 @@ def perturbed_slice(c=0.1):
                             normal_seeds=(2, 3))
 
 
+SURFACES = {"slice": product_slice, "equator4": equator_sphere,
+            "cp1-line": cp1_line, "perturbed-slice": perturbed_slice}
+
+
 def parse_surface_spec(spec):
-    from .errors import SpecParseError
-    spec = spec.strip()
-    name, args = spec, {}
-    point = (0.0, 0.0)
-    if "(" in spec:
-        if not spec.endswith(")"):
-            raise SpecParseError("malformed surface spec %r" % spec)
-        name, rest = spec.split("(", 1)
-        body = rest[:-1]
-        pm = re.search(r"point=\(([^)]*)\)", body)
-        if pm:
-            try:
-                point = tuple(float(t) for t in pm.group(1).split(","))
-            except ValueError:
-                raise SpecParseError("malformed point in %r" % spec)
-            body = body[:pm.start()] + body[pm.end():]
-        for item in body.split(","):
-            if not item.strip():
-                continue
-            if "=" not in item:
-                raise SpecParseError("malformed parameter %r" % item)
-            k, v = item.split("=", 1)
-            args[k.strip()] = v.strip()
-        name = name.strip()
-    if name == "slice":
-        return product_slice(factor=int(args.get("factor", "1")), point=point)
-    if name == "equator4":
-        return equator_sphere()
-    if name == "cp1-line":
-        return cp1_line()
-    if name == "perturbed-slice":
-        return perturbed_slice(c=float(args.get("c", "0.1")))
-    raise SpecParseError("unknown surface %r" % name)
+    """Build an immersion from a CLI string like 'slice(factor=2)'."""
+    return parse_spec(spec, SURFACES)
 
 
 # ---------------------------------------------------------------------
@@ -255,10 +217,6 @@ class ChartGeometry:
 
         # ambient metric composed with the immersion, as 2-layer jets
         self.g2 = m.comps_ring(self.amb, drop(Fj))
-        self.g = np.empty(shape + (4, 4))
-        for i in range(4):
-            for j in range(4):
-                self.g[..., i, j] = array(self.g2[i][j], shape)
 
         # tangent 2-jets and adapted frames
         t = [[partial(f, a) for f in Fj] for a in range(2)]
@@ -318,6 +276,7 @@ class ChartGeometry:
         # ambient curvature data at the immersed points
         gA, dgA, d2gA = m.jets(self.amb, self.F)
         self.curv = curvature_from_arrays(gA, dgA, d2gA)
+        self.g = self.curv["g"]
         self.Gamma = self.curv["Gamma"]
         self.dGamma = self.curv["dGamma"]
         self.Rm = self.curv["Rm"]
@@ -768,16 +727,12 @@ def _surface_laplacian(cg, f):
     sh = cg.shape
     df = grad_array(f, sh, 2)
     d2f = hess_array(f, sh, 2)
-    h = cg.h
-    hinv = np.linalg.inv(h)
     dh = np.empty(sh + (2, 2, 2))
     for a in range(2):
         for b in range(2):
             dh[..., :, a, b] = grad_array(cg.h_jets[a][b], sh, 2)
-    S2 = (np.einsum("...abd->...dab", dh) + np.einsum("...bad->...dab", dh)
-          - dh)
-    GamS = 0.5 * np.einsum("...cd,...dab->...cab", hinv, S2)
-    hess = d2f - np.einsum("...cab,...c->...ab", GamS, df)
+    hinv, Gamma = christoffel_arrays(cg.h, dh)
+    hess = d2f - np.einsum("...cab,...c->...ab", Gamma, df)
     return np.einsum("...ab,...ab->...", hinv, hess)
 
 

@@ -130,7 +130,7 @@ def test_operator6_round_trip():
     B = 0.5 * (B + B.T)
     T = kn_tensor4(B, np.eye(4))
     M = operator6(T)
-    cl = CurvatureLike(M, geometric=True)
+    cl = CurvatureLike(M)
     assert_allclose(cl.as_tensor4(), T, atol=1e-13)
 
 

@@ -64,6 +64,25 @@ def test_exit_code_parse_error():
     assert "parse error" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", "--metric", "round4(radius=2)"],
+    ["analyze", "--metric", "twisted(t=0.5,eps=0.05,phi=height-product)"],
+    ["surface", "--metric", "fs", "--surface", "slice(factor=3)"],
+    ["analyze", "--metric", "flat", "--quad", "4"],
+    ["analyze", "--metric", "flat", "--grid", "0"],
+    ["surface", "--metric", "fs", "--surface", "cp1-line",
+     "--L0", "6", "--L-max", "6"],
+], ids=["unknown-key", "removed-phi-key", "surface-rejects-value",
+        "quad-below-8", "grid-below-3", "L0-not-below-L-max"])
+def test_exit_code_invalid_input(args):
+    # typed: a one-line parse error, no traceback
+    proc = run_cli(args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("parse error: ")
+
+
 def test_exit_code_construction_error():
     proc = run_cli(["analyze", "--metric", "twisted(t=0.2,eps=99)"])
     assert proc.returncode == 3
@@ -126,8 +145,7 @@ def test_scan_family_small(tmp_path):
     out = tmp_path / "fam.json"
     csvp = tmp_path / "fam.csv"
     code = main(["scan-family", "--t-values", "0,1", "--grid", "3",
-                 "--quad", "16", "--pd-grid", "8",
-                 "--out", str(out), "--csv", str(csvp)])
+                 "--quad", "16", "--out", str(out), "--csv", str(csvp)])
     assert code == 0
     rep = json.loads(out.read_text())
     assert len(rep["cells"]) == 4
@@ -140,12 +158,11 @@ def test_scan_family_small(tmp_path):
 
 
 def test_scan_family_computes_pd_bound_once(tmp_path):
-    # the positivity bisection must start from the bound on --pd-grid, the
-    # one the report prints, not compute a second bound on the default grid
-    from curv4 import curvature, metrics
+    # the positivity bisection must start from the bound the report prints,
+    # not compute a second bound on another grid
+    from curv4 import metrics
     metrics._eps_max.cache_clear()
-    curvature._positivity_eps_max.cache_clear()
-    assert main(["scan-family", "--t-values", "0.5", "--pd-grid", "8",
+    assert main(["scan-family", "--t-values", "0.5",
                  "--grid", "3", "--quad", "16",
                  "--out", str(tmp_path / "fam.json")]) == 0
     assert metrics._eps_max.cache_info().misses == 1

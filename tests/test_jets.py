@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -99,6 +100,22 @@ def test_only_jets_module_reads_jet_layout():
                for n, line in enumerate(p.read_text().splitlines(), 1)
                if layout.search(line)]
     assert readers == []
+
+
+def test_no_module_imports_unused_names():
+    # every name a module imports is read in it; __init__ only re-exports
+    unused = []
+    for p in sorted(SRC.glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += ["%s:%d: %s" % (p.name, node.lineno, a.asname or a.name)
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for a in node.names
+                   if (a.asname or a.name).split(".")[0] not in used]
+    assert unused == []
 
 
 # ------------------------------------------------------------- 2-form jets

@@ -4,11 +4,12 @@ import numpy as np
 from numpy.testing import assert_allclose, assert_array_equal
 import pytest
 
+from curv4 import metrics
 from curv4.errors import MetricConstructionError, SpecParseError
 from curv4.jets import partial, seedn, value
 from curv4.metrics import (
-    PERTURBATIONS, MetricField, QuadSpec, flat_space, fubini_study,
-    ht_metric, kaehler_residuals, parse_metric_spec, product_spheres,
+    MetricField, QuadSpec, flat_space, fubini_study, ht_metric,
+    kaehler_residuals, parse_metric_spec, parse_spec, product_spheres,
     round_sphere4, twisted_eps_max, twisted_metric, volume,
 )
 
@@ -202,13 +203,13 @@ def _in_x(pot):
                                   x[2] * x[2] + x[3] * x[3]])
 
 
-def _twisted_validation_parts(t, grid_n, phi_id="height-product"):
+def _twisted_validation_parts(t, grid_n, phi=metrics._phi_height_product):
     """(h_t, 2 Re ddbar phi) per chart on chart.grid(grid_n) + chart.grid(5)."""
     base = ht_metric(t)
     out = []
     for name, chart in base.charts.items():
         pts = np.concatenate([chart.grid(grid_n), chart.grid(5)])
-        rows = hessian_metric(_in_x(PERTURBATIONS[phi_id]), name,
+        rows = hessian_metric(_in_x(phi), name,
                               [pts[:, i] for i in range(4)])
         P = np.empty((len(pts), 4, 4))
         for i in range(4):
@@ -263,14 +264,25 @@ def _cross_potential(name, s):
     return -(s[0] * s[1]) / (1.0 + s[0] + s[1])
 
 
-@pytest.mark.parametrize("phi_id", ["height-product", "cross"])
+@pytest.fixture
+def perturbation(request, monkeypatch):
+    """The twisted family's phi: the built-in one, or the cross potential
+    patched in; the bounds cached meanwhile are dropped on both sides."""
+    metrics._eps_max.cache_clear()
+    request.addfinalizer(metrics._eps_max.cache_clear)
+    if request.param == "cross":
+        monkeypatch.setattr(metrics, "_phi_height_product", _cross_potential)
+    return request.param
+
+
+@pytest.mark.parametrize("perturbation", ["height-product", "cross"],
+                         indirect=True)
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
-def test_twisted_eps_max_matches_whitened_eigvalsh(t, phi_id, monkeypatch):
+def test_twisted_eps_max_matches_whitened_eigvalsh(t, perturbation):
     # the 4x4 path the closed-form pencil replaced: whiten by the Cholesky
     # factor of G - floor I and take the spectrum of L^-1 P L^-T
-    monkeypatch.setitem(PERTURBATIONS, "cross", _cross_potential)
     grid_n = 8
-    parts = _twisted_validation_parts(t, grid_n, phi_id)
+    parts = _twisted_validation_parts(t, grid_n, metrics._phi_height_product)
     floor = 1e-3 * min(np.linalg.eigvalsh(G)[:, 0].min() for G, _ in parts)
     mu, P_mu = 0.0, None     # the binding eigenvalue, P at its point
     for G, P in parts:
@@ -281,9 +293,9 @@ def test_twisted_eps_max_matches_whitened_eigvalsh(t, phi_id, monkeypatch):
         if abs(w[n, k]) > abs(mu):
             mu, P_mu = w[n, k], P[n]
     oracle = 1.0 / abs(mu)
-    got = twisted_eps_max(t, phi_id, grid_n=grid_n)
+    got = twisted_eps_max(t, grid_n=grid_n)
     assert abs(got - oracle) <= 1e-13 * oracle
-    if phi_id == "cross":
+    if perturbation == "cross":
         # the fixture's claims: the bound is set by a negative eigenvalue,
         # at a point where the cross term q of P outweighs p and r
         assert mu < 0
@@ -373,8 +385,32 @@ def test_parse_metric_spec():
     assert parse_metric_spec("round4(r=2)").params["r"] == 2.0
     assert parse_metric_spec("product(a=1,b=1)").name == "product"
     assert parse_metric_spec("fubini-study").name == "fubini-study"
-    m = parse_metric_spec("twisted(t=0.5,eps=0.001,phi=height-product)")
+    m = parse_metric_spec("twisted(t=0.5,eps=0.001)")
     assert m.params["eps"] == 0.001
-    for bad in ("nope", "round4(r=x)", "ht()", "round4(r=1"):
+    for bad in ("nope", "round4(r=x)", "ht()", "round4(r=1",
+                "twisted(t=0.5,eps=0.001,phi=height-product)"):
         with pytest.raises(SpecParseError):
             parse_metric_spec(bad)
+
+
+def _picky(c=1.0):
+    if c == 3.0:
+        raise ValueError("c must not be 3")
+    return c
+
+
+def test_parse_spec_grammar():
+    # keys are the constructor's parameters, values numbers or pairs
+    builders = {"pair": lambda point=(0.0, 0.0), c=1.0: (point, c),
+                "needs": lambda t: t, "picky": _picky}
+    assert parse_spec("pair", builders) == ((0.0, 0.0), 1.0)
+    assert parse_spec(" pair( point = (1, -2e-1) , c=3 ) ", builders) \
+        == ((1.0, -0.2), 3.0)
+    assert parse_spec("needs(t=-0.5)", builders) == -0.5
+    assert parse_spec("picky(c=2)", builders) == 2.0
+    for bad in ("pair(c=(1,2))", "pair(point=1)", "pair(point=(1,2,3))",
+                "pair(c=1,c=2)", "pair(c=1,)", "pair(d=1)", "needs",
+                "needs()", "pair(c)", "pair(c=1", "other", "pair(c=1)x",
+                "picky(c=3)"):
+        with pytest.raises(SpecParseError):
+            parse_spec(bad, builders)
