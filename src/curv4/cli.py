@@ -6,8 +6,9 @@ timing goes to stderr only.
 
 Exit codes: 0 success; 1 identity violation or another curv4 error; 2 parse
 error: an unknown flag, a malformed metric or surface spec (the grammar of
-``metrics.parse_spec``), a value a surface constructor rejects, --grid below
-3, --quad below 8 or --L0 not below --L-max; 3 metric construction failure,
+``metrics.parse_spec``), a value a surface constructor rejects, a malformed
+--t-values or --eps-values list, --grid below 3, --quad below 8, --sections
+below 1 or --L0 not below --L-max; 3 metric construction failure,
 e.g. |eps| above the twisted family's eps_max.  Spec, range and
 construction errors print one line on stderr and no traceback.
 """
@@ -32,11 +33,11 @@ from .metrics import (
 )
 from .stability import SectionBasis, assemble_index_form, near_holomorphic_section, refine_until_stable
 from .surfaces import (
-    a_wedge_a_sq, a_wedge_a_sq_expansion, area, chern_number, cp1_line,
-    equator_sphere, parse_surface_spec, perturbed_slice,
-    product_slice, ric_perp_identity_residual, section_data,
-    sphere_functions, surface_geometry, variational_identity_lemma310,
-    weitzenboeck_variation, FrameSection, ProjectedSection,
+    a_wedge_a_sq, a_wedge_a_sq_expansion, area, averaged_second_variation,
+    chern_number, cp1_line, equator_sphere, lemma310_integrals,
+    parse_surface_spec, perturbed_slice, product_slice,
+    ric_perp_identity_residual, section_data, sphere_functions,
+    surface_geometry, weitzenboeck_variation, FrameSection, ProjectedSection,
     _dbar_sq, _kperp_extrinsic_field,
 )
 
@@ -65,11 +66,20 @@ def _write_report(report, out_path):
 
 
 def _parse_values(spec):
-    """'a:b:n' inclusive range or comma-separated list of floats."""
-    if ":" in spec:
-        lo, hi, n = spec.split(":")
-        return list(np.linspace(float(lo), float(hi), int(n)))
-    return [float(t) for t in spec.split(",") if t.strip()]
+    """'a:b:n' inclusive range or comma-separated list of floats; an
+    empty list is malformed too."""
+    try:
+        if ":" in spec:
+            lo, hi, n = spec.split(":")
+            vals = list(np.linspace(float(lo), float(hi), int(n)))
+        else:
+            vals = [float(t) for t in spec.split(",") if t.strip()]
+    except ValueError:
+        vals = []
+    if not vals:
+        raise SpecParseError("malformed value list %r: expected 'a:b:n' with "
+                             "n >= 1 or comma-separated numbers" % spec)
+    return vals
 
 
 # ---------------------------------------------------------------- analyze
@@ -108,6 +118,8 @@ def cmd_scan_family(args):
     from .curvature import positivity_eps_max
     report = _base_report(args, "scan-family")
     tvals = _parse_values(args.t_values)
+    auto_eps = args.eps_values == "auto"
+    evals = None if auto_eps else _parse_values(args.eps_values)
     cells = []
     rows = []
     for t in tvals:
@@ -115,10 +127,8 @@ def cmd_scan_family(args):
         # the empirical eps_max of the family: first eps violating the
         # s/6 - W+ positivity, as opposed to the larger eigenvalue-floor bound
         pos_max = positivity_eps_max(t, grid_n=max(3, (args.grid // 2) | 1))
-        if args.eps_values == "auto":
+        if auto_eps:
             evals = [0.0, pos_max / 2.0]
-        else:
-            evals = _parse_values(args.eps_values)
         for eps in evals:
             cell = {"t": t, "eps": eps, "eps_max_pd": pd_max,
                     "eps_max_positivity": pos_max}
@@ -168,22 +178,11 @@ def _poly_form(rng):
     return TwoFormField("poly", comps)
 
 
-def _random_frame_section(rng):
-    b = rng.uniform(-0.6, 0.6, size=8)
-
-    def a3(chart, u):
-        n1, n2, n3 = sphere_functions(chart, u)
-        return b[0] + b[1] * n1 + b[2] * n2 + b[3] * n3
-
-    def a4(chart, u):
-        n1, n2, n3 = sphere_functions(chart, u)
-        return b[4] + b[5] * n1 + b[6] * n2 + b[7] * n3
-
-    return FrameSection(a3, a4)
-
-
-def _random_projected_section(S, rng):
-    b = rng.uniform(-0.6, 0.6, size=(len(S.normal_generators), 4))
+def _random_section(S, rng):
+    """Coefficient functions affine in the R^3 embedding functions, on the
+    normal frame or on the surface's normal generators."""
+    gens = S.normal_generators
+    b = rng.uniform(-0.6, 0.6, size=(2 if gens is None else len(gens), 4))
 
     def make(c):
         def f(chart, u):
@@ -191,13 +190,8 @@ def _random_projected_section(S, rng):
             return c[0] + c[1] * n1 + c[2] * n2 + c[3] * n3
         return f
 
-    return ProjectedSection(S.normal_generators, [make(c) for c in b])
-
-
-def _random_section(S, rng):
-    if S.normal_generators is not None:
-        return _random_projected_section(S, rng)
-    return _random_frame_section(rng)
+    fns = [make(c) for c in b]
+    return FrameSection(*fns) if gens is None else ProjectedSection(gens, fns)
 
 
 def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
@@ -278,9 +272,10 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
         l310, dbar_rot, t318 = 0.0, 0.0, 0.0
         for k in range(n_sections):
             sig = _random_section(S, rng)
-            l310 = max(l310, variational_identity_lemma310(S, m, sig, quad)["residual"])
-            for cg in geom.charts:
-                d = section_data(cg, sig)
+            # sigma is evaluated once per chart for all three checks
+            data = [section_data(cg, sig) for cg in geom.charts]
+            l310 = max(l310, lemma310_integrals(geom, data)["residual"])
+            for cg, d in zip(geom.charts, data):
                 v0, v1 = _dbar_sq(d, 0.0), _dbar_sq(d, 0.785)
                 dbar_rot = max(dbar_rot, np.abs(v0 - v1).max())
                 # J sigma evaluated on its own: the second path of the check
@@ -289,7 +284,8 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
                                np.abs(dj["grad2"] - d["grad2"]).max(),
                                np.abs(dj["norm2"] - d["norm2"]).max())
             if minimal:
-                t318 = max(t318, weitzenboeck_variation(S, m, sig, quad)["residual"])
+                t318 = max(t318,
+                           averaged_second_variation(geom, data)["residual"])
         add("lemma-3-10", ctx, l310, 1e-5)
         add("dbar-frame-independence", ctx, dbar_rot, 1e-8)
         if minimal:
@@ -373,16 +369,15 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--grid", type=int, default=5,
-                       help="grid resolution per chart axis (>= 3; odd sizes "
-                            "include chart centres)")
+    def common(p, grid=True):
+        if grid:
+            p.add_argument("--grid", type=int, default=5,
+                           help="grid resolution per chart axis (>= 3; odd "
+                                "sizes include chart centres)")
         p.add_argument("--quad", type=int, default=32,
                        help="quadrature resolution (>= %d)" % QuadSpec.MIN_N)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="report path (JSON)")
-        p.add_argument("--tol", type=float, default=1.0,
-                       help="tolerance scale factor for identity checks")
 
     p = sub.add_parser("analyze", help="pointwise curvature condition scan")
     common(p)
@@ -400,13 +395,15 @@ def build_parser():
     p.set_defaults(func=cmd_scan_family)
 
     p = sub.add_parser("verify-identities", help="cross-module identity suite")
-    common(p)
+    common(p, grid=False)
     p.add_argument("--sections", type=int, default=5,
-                   help="random sections per surface")
+                   help="random sections per surface (>= 1)")
+    p.add_argument("--tol", type=float, default=1.0,
+                   help="tolerance scale factor for identity checks")
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("surface", help="minimal-surface stability report")
-    common(p)
+    common(p, grid=False)
     p.add_argument("--metric", required=True)
     p.add_argument("--surface", required=True)
     p.add_argument("--L0", type=int, default=2)
@@ -418,9 +415,11 @@ def build_parser():
 def _check_ranges(args):
     """Reject out-of-range numbers before any work is done."""
     for bad, what in (
-            (args.grid < 3, "--grid must be >= 3"),
+            ("grid" in args and args.grid < 3, "--grid must be >= 3"),
             (args.quad < QuadSpec.MIN_N,
              "--quad must be >= %d" % QuadSpec.MIN_N),
+            (args.command == "verify-identities" and args.sections < 1,
+             "--sections must be >= 1"),
             (args.command == "surface" and args.L0 >= args.L_max,
              "--L0 must be below --L-max")):
         if bad:

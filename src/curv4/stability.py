@@ -6,6 +6,10 @@ set of projected ambient fields (twisted bundles, e.g. the projective
 line).  The polarized second variation and the mass matrix define a
 generalized eigenvalue pencil whose negative count is the Morse index.
 
+The basis and single sections (``index_two_construction``) read the same
+per-node data of ``surfaces.ChartGeometry``: the frame coefficients of the
+normal directions, the connection form and the Jacobi block.
+
 The Theorem-C-style harness drives the pieces end to end on slice spheres
 in S^2 x S^2 metrics, and a curvature-override fixture exercises the
 instability branch that no constructible metric can reach.
@@ -18,10 +22,10 @@ from .metrics import QuadSpec
 from .sphharm import harmonic_fn, real_harmonics
 from .surfaces import (
     FrameSection, NormalSection, ProjectedSection, chern_number,
-    second_variation, section_data, surface_geometry,
-    weitzenboeck_variation, _dot,
+    jacobi_block, section_data, surface_geometry, weitzenboeck_variation,
+    _covariant_coeffs, _second_variation_density,
 )
-from .jets import array, grad_array, seedn
+from .jets import array, drop, grad_array, seedn
 
 MASS_COND_MAX = 1e6
 
@@ -58,10 +62,8 @@ class SectionBasis:
         self.S = S
         self.L = int(L)
         self.n_harmonics = (L + 1) ** 2
-        if S.normal_generators is None:
-            self.n_fields = 2
-        else:
-            self.n_fields = len(S.normal_generators)
+        self.n_fields = (2 if S.normal_generators is None
+                         else len(S.normal_generators))
         self.dim = self.n_fields * self.n_harmonics
 
     def sections(self):
@@ -114,26 +116,12 @@ class SectionBasis:
         Y = real_harmonics(cg.chart, uj, self.L)
         Yv = np.stack([array(y, sh) for y in Y], axis=-1)
         dY = np.stack([grad_array(y, sh, 2) for y in Y], axis=-2)
-        if self.S.normal_generators is None:
-            p3 = np.stack([np.ones(sh), np.zeros(sh)], axis=-1)
-            p4 = np.stack([np.zeros(sh), np.ones(sh)], axis=-1)
-            dp3 = np.zeros(sh + (2, 2))
-            dp4 = np.zeros(sh + (2, 2))
-        else:
-            Fj, g1, n3, n4 = cg.frame_jets(1)
-            p3c, p4c, dp3c, dp4c = [], [], [], []
-            for gen in self.S.normal_generators:
-                V = gen(cg.chart, uj, Fj)
-                a3 = _dot(g1, V, n3)
-                a4 = _dot(g1, V, n4)
-                p3c.append(array(a3, sh))
-                p4c.append(array(a4, sh))
-                dp3c.append(grad_array(a3, sh, 2))
-                dp4c.append(grad_array(a4, sh, 2))
-            p3 = np.stack(p3c, axis=-1)
-            p4 = np.stack(p4c, axis=-1)
-            dp3 = np.stack(dp3c, axis=-2)
-            dp4 = np.stack(dp4c, axis=-2)
+        # frame coefficients of the normal directions and their gradients
+        gens = drop(cg.gen_coeffs)
+        p3 = np.stack([array(a3, sh) for a3, _ in gens], axis=-1)
+        p4 = np.stack([array(a4, sh) for _, a4 in gens], axis=-1)
+        dp3 = np.stack([grad_array(a3, sh, 2) for a3, _ in gens], axis=-2)
+        dp4 = np.stack([grad_array(a4, sh, 2) for _, a4 in gens], axis=-2)
 
         # combine: element (c, k) has coefficients Y_k p3_c, Y_k p4_c
         v3 = (p3[..., :, None] * Yv[..., None, :]).reshape(sh + (self.dim,))
@@ -144,10 +132,7 @@ class SectionBasis:
               + p4[..., :, None, None] * dY[..., None, :, :])
         d3 = d3.reshape(sh + (self.dim, 2))
         d4 = d4.reshape(sh + (self.dim, 2))
-        om = cg.omega[..., None, :]
-        cov3 = d3 - om * v4[..., None]
-        cov4 = d4 + om * v3[..., None]
-        return v3, v4, cov3, cov4
+        return (v3, v4) + _covariant_coeffs(cg, v3, v4, d3, d4)
 
 
 def _mass_whitening(G):
@@ -209,11 +194,7 @@ def _accumulate_forms(S, m, basis, quad, ambient_override=None):
         V = np.stack([v3, v4], axis=1)               # (n, 2, dim)
         del v3, v4
         V *= r
-        if ambient_override is None:
-            Rt = cg.Rterm
-        else:
-            Rt = 2.0 * float(ambient_override) * np.eye(2)
-        M = Rt + np.einsum("nijs,nijt->nst", cg.A, cg.A)
+        M = jacobi_block(cg, ambient_override)
         Xf = X.reshape(4 * n, dim)
         Vf = V.reshape(2 * n, dim)
         Q += Xf.T @ Xf
@@ -300,19 +281,15 @@ def refine_until_stable(op, L0=2, L_max=12):
 def index_two_construction(S, m, sigma, quad=None, ambient_override=None):
     """The sigma, sigma +- J sigma pair: both second variations negative
     whenever the averaged one is (polarization decides the sign)."""
-    quad = quad or QuadSpec()
+    geom = surface_geometry(S, m, quad)
+    if ambient_override is None:
+        geom.require_minimal()
 
     def d2(sec):
-        if ambient_override is None:
-            return second_variation(S, m, sec, quad)
-        geom = surface_geometry(S, m, quad)
-        total = 0.0
-        kap = float(ambient_override)
-        for cg in geom.charts:
-            d = section_data(cg, sec)
-            total += float(np.sum(cg.w * cg.sqrt_h *
-                                  (d["grad2"] - 2.0 * kap * d["norm2"])))
-        return total
+        return geom.integrate([
+            _second_variation_density(cg, section_data(cg, sec),
+                                      ambient_override)
+            for cg in geom.charts])
 
     jsig = sigma.rotated()
     a = d2(sigma)
@@ -322,9 +299,10 @@ def index_two_construction(S, m, sigma, quad=None, ambient_override=None):
         a, b = b, a
     cross = 0.5 * (d2(LinearSection([sigma, jsig], [1.0, 1.0])) - a - b)
     partner = LinearSection([sigma, jsig], [1.0, -1.0] if cross > 0 else [1.0, 1.0])
+    b_pair = d2(partner)
     return {"d2_sigma": a, "d2_jsigma": b, "cross": cross,
-            "pair": (sigma, partner), "d2_pair": (a, d2(partner)),
-            "unstable_pair": a < 0 and d2(partner) < 0}
+            "pair": (sigma, partner), "d2_pair": (a, b_pair),
+            "unstable_pair": a < 0 and b_pair < 0}
 
 
 class TheoremCReport:

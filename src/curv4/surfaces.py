@@ -9,6 +9,11 @@ with nested dual numbers: the immersion is evaluated three jet layers deep,
 which yields the frame derivatives needed for the intrinsic normal-bundle
 curvature.
 
+``ChartGeometry`` computes the per-node data of the second variation once:
+the connection form ``omega``, the frame coefficients ``gen_coeffs`` of the
+normal generator fields (2-jets in u) and the Jacobi block ``jacobi``.
+Single sections here and the index-form basis of ``stability`` read it.
+
 Adapted frames use the deterministic recipe: e1, e2 from Gram-Schmidt of
 the coordinate tangent vectors, n3, n4 from Gram-Schmidt of two fixed
 ambient coordinate directions, with n4 flipped where needed so that
@@ -203,27 +208,25 @@ class ChartGeometry:
         self.amb = S.chart_map[chart]
         self.u = np.asarray(u_nodes, dtype=float)
         self.w = np.asarray(weights, dtype=float)
+        self.generators = S.normal_generators
         n = len(self.u)
         shape = (n,)
         self.shape = shape
 
         # immersion three jet layers deep; tangents are then 2-layer jets
-        uj = seedn([self.u[:, 0], self.u[:, 1]], 3)
-        Fj = S.map_ring(chart, uj)
-        self.Fj = Fj
-        self.F = np.stack([array(f, shape) for f in Fj], axis=-1)
-        self.dF = np.stack([grad_array(f, shape, 2) for f in Fj], axis=-2)
-        self.d2F = np.stack([hess_array(f, shape, 2) for f in Fj], axis=-3)
+        Fj = S.map_ring(chart, seedn([self.u[:, 0], self.u[:, 1]], 3))
+        F = np.stack([array(f, shape) for f in Fj], axis=-1)
+        self.dF = dF = np.stack([grad_array(f, shape, 2) for f in Fj], axis=-2)
+        d2F = np.stack([hess_array(f, shape, 2) for f in Fj], axis=-3)
 
         # ambient metric composed with the immersion, as 2-layer jets
-        self.g2 = m.comps_ring(self.amb, drop(Fj))
+        g2 = m.comps_ring(self.amb, drop(Fj))
 
         # tangent 2-jets and adapted frames
         t = [[partial(f, a) for f in Fj] for a in range(2)]
-        self.t2 = t
-        h11 = _dot(self.g2, t[0], t[0])
-        h12 = _dot(self.g2, t[0], t[1])
-        h22 = _dot(self.g2, t[1], t[1])
+        h11 = _dot(g2, t[0], t[0])
+        h12 = _dot(g2, t[0], t[1])
+        h22 = _dot(g2, t[1], t[1])
         self.h_jets = ((h11, h12), (h12, h22))
         self.h = np.empty(shape + (2, 2))
         self.h[..., 0, 0] = array(h11, shape)
@@ -237,11 +240,10 @@ class ChartGeometry:
 
         n1 = jsqrt(h11)
         e1 = _scale(1.0 / n1, t[0])
-        p = _dot(self.g2, t[1], e1)
+        p = _dot(g2, t[1], e1)
         e2r = _axpy(-p, e1, t[1])
-        n2 = jsqrt(_dot(self.g2, e2r, e2r))
+        n2 = jsqrt(_dot(g2, e2r, e2r))
         e2 = _scale(1.0 / n2, e2r)
-        self.e_jets = (e1, e2)
         # coefficients of (e1, e2) on the coordinate tangents
         c = np.zeros(shape + (2, 2))
         c[..., 0, 0] = 1.0 / array(n1, shape)
@@ -253,13 +255,13 @@ class ChartGeometry:
         s3, s4 = S.normal_seeds
         v3 = [1.0 if i == s3 else 0.0 for i in range(4)]
         v4 = [1.0 if i == s4 else 0.0 for i in range(4)]
-        n3r = _axpy(-_dot(self.g2, v3, e2), e2,
-                    _axpy(-_dot(self.g2, v3, e1), e1, v3))
-        n3 = _scale(1.0 / jsqrt(_dot(self.g2, n3r, n3r)), n3r)
-        n4r = _axpy(-_dot(self.g2, v4, n3), n3,
-                    _axpy(-_dot(self.g2, v4, e2), e2,
-                          _axpy(-_dot(self.g2, v4, e1), e1, v4)))
-        n4 = _scale(1.0 / jsqrt(_dot(self.g2, n4r, n4r)), n4r)
+        n3r = _axpy(-_dot(g2, v3, e2), e2,
+                    _axpy(-_dot(g2, v3, e1), e1, v3))
+        n3 = _scale(1.0 / jsqrt(_dot(g2, n3r, n3r)), n3r)
+        n4r = _axpy(-_dot(g2, v4, n3), n3,
+                    _axpy(-_dot(g2, v4, e2), e2,
+                          _axpy(-_dot(g2, v4, e1), e1, v4)))
+        n4 = _scale(1.0 / jsqrt(_dot(g2, n4r, n4r)), n4r)
 
         # positive orientation of (e1, e2, n3, n4) in the ambient chart
         mat = np.stack([
@@ -267,32 +269,36 @@ class ChartGeometry:
             for v in (e1, e2, n3, n4)], axis=-1)
         sgn = np.sign(np.linalg.det(mat))
         n4 = _scale(sgn, n4)
-        self.n_jets = (n3, n4)
         self.e = np.stack([np.stack([array(v[i], shape) for i in range(4)],
                                     axis=-1) for v in (e1, e2)], axis=-1)
         self.n = np.stack([np.stack([array(v[i], shape) for i in range(4)],
                                     axis=-1) for v in (n3, n4)], axis=-1)
 
+        # (n3, n4) coefficients of each normal generator field as 2-jets in
+        # u; with no generators the frame itself spans the normal bundle
+        self.gen_coeffs = [(1.0, 0.0), (0.0, 1.0)]
+        if S.normal_generators is not None:
+            u2, F2 = seedn([self.u[:, 0], self.u[:, 1]], 2), drop(Fj)
+            Vs = [gen(chart, u2, F2) for gen in S.normal_generators]
+            self.gen_coeffs = [(_dot(g2, V, n3), _dot(g2, V, n4)) for V in Vs]
+
         # ambient curvature data at the immersed points
-        gA, dgA, d2gA = m.jets(self.amb, self.F)
+        gA, dgA, d2gA = m.jets(self.amb, F)
         self.curv = curvature_from_arrays(gA, dgA, d2gA)
         self.g = self.curv["g"]
-        self.Gamma = self.curv["Gamma"]
-        self.dGamma = self.curv["dGamma"]
+        self.Gamma = Gamma = self.curv["Gamma"]
         self.Rm = self.curv["Rm"]
         self.s = self.curv["s"]
 
         # Christoffel symbols along the surface as 1-jets in u (chain rule)
-        dGam_u = np.einsum("...mkij,...ma->...akij", self.dGamma, self.dF)
-        self.Gamma_j = [[[Jet(self.Gamma[..., k, i, j],
-                              (dGam_u[..., 0, k, i, j], dGam_u[..., 1, k, i, j]))
-                          for j in range(4)] for i in range(4)] for k in range(4)]
+        dGam_u = np.einsum("...mkij,...ma->...akij", self.curv["dGamma"], dF)
+        Gamma_j = [[[Jet(Gamma[..., k, i, j],
+                         (dGam_u[..., 0, k, i, j], dGam_u[..., 1, k, i, j]))
+                     for j in range(4)] for i in range(4)] for k in range(4)]
 
         # second fundamental form: normal part of F_ab + Gamma(F_a, F_b)
-        dd = self.d2F + np.einsum("...kij,...ia,...jb->...kab",
-                                  self.Gamma, self.dF, self.dF)
+        dd = d2F + np.einsum("...kij,...ia,...jb->...kab", Gamma, dF, dF)
         npart = self._project_normal_arr(np.moveaxis(dd, -3, -1))  # (...,2,2,4)
-        self.A_amb = npart
         Aef = np.einsum("...ia,...jb,...abk->...ijk", c, c, npart)
         # components <A(e_i, e_j), n_sigma>
         self.A = np.einsum("...ijk,...kl,...ls->...ijs", Aef, self.g, self.n)
@@ -303,8 +309,7 @@ class ChartGeometry:
         # normal connection form and intrinsic bundle curvature:
         # omega_a = <nabla_a n3, n4>, K_perp = (d1 w2 - d2 w1)/sqrt(det h)
         omega = []
-        _, g1, n3_1, n4_1 = self.frame_jets(1)
-        dF1 = drop(t)
+        g1, n3_1, n4_1, dF1 = drop([g2, n3, n4, t])
         for a in range(2):
             # d_a n3 as a 1-jet: the derivative slot of the 2-jet frame
             cov = [partial(n3[i], a) for i in range(4)]
@@ -312,7 +317,7 @@ class ChartGeometry:
                 acc = cov[i]
                 for p_ in range(4):
                     for q_ in range(4):
-                        acc = acc + self.Gamma_j[i][p_][q_] * dF1[a][p_] * n3_1[q_]
+                        acc = acc + Gamma_j[i][p_][q_] * dF1[a][p_] * n3_1[q_]
                 cov[i] = acc
             omega.append(_dot(g1, cov, n4_1))
         self.omega = np.stack([array(o, shape) for o in omega], axis=-1)
@@ -335,21 +340,13 @@ class ChartGeometry:
                 + np.einsum("...i,...ij,...j->...", ym, self.curv["wminus"], ym))
         self.s6_pairing = self.s / 6.0 * np.sum(self.eta6 ** 2, axis=-1) - weyl
 
-        # curvature term of the index form on the normal components
+        # Jacobi block on the normal frame: sum_r Rm(e_r, n_p, e_r, n_q)
+        # plus the shear sum_ij A_ijp A_ijq
         self.Rterm = np.einsum("...ijkl,...im,...jp,...km,...lq->...pq",
                                self.Rm, self.e, self.n, self.e, self.n,
                                optimize=True)
-
-    def frame_jets(self, order):
-        """(F, g, n3, n4) as u-jets of order 1 or 2: the immersion, the
-        ambient metric along it and the adapted normal frame.  The immersion
-        is held three layers deep, the metric and frame two."""
-        jets = [drop(self.Fj), self.g2, self.n_jets[0], self.n_jets[1]]
-        if order == 1:
-            return drop(jets)
-        if order == 2:
-            return jets
-        raise ValueError("order must be 1 or 2")
+        self.jacobi = self.Rterm + np.einsum("...ijs,...ijt->...st",
+                                             self.A, self.A)
 
     def _project_normal_arr(self, V):
         """Normal projection of (n, 2, 2, 4) ambient vector arrays."""
@@ -437,7 +434,8 @@ def parallel_section(c3=1.0, c4=0.0):
 
 
 class ProjectedSection(NormalSection):
-    """sigma = P_N(sum_k f_k V_k) for ambient fields V_k along the surface.
+    """sigma = P_N(sum_k f_k V_k) for the surface's normal generators V_k:
+    frame coefficients sum_k f_k p_k, p_k from the chart's ``gen_coeffs``.
 
     Globally smooth whenever the fields and coefficient functions are, so
     it works on twisted normal bundles where no global frame exists.
@@ -448,14 +446,23 @@ class ProjectedSection(NormalSection):
         self.coeffs = list(coeffs)
 
     def coeff_jets(self, cg, order=1):
-        Fj, g, n3, n4 = cg.frame_jets(order)
+        # the same functions (code and captured values), so that separately
+        # built instances of one surface agree
+        key = lambda fs: [(f.__code__, f.__closure__) for f in fs]
+        if (not cg.generators or key(self.fields) != key(cg.generators)
+                or len(self.coeffs) != len(self.fields)):
+            raise SectionError("a projected section takes the surface's "
+                               "normal generators, one coefficient each")
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+        gens = cg.gen_coeffs if order == 2 else drop(cg.gen_coeffs)
         uj = seedn([cg.u[:, 0], cg.u[:, 1]], order)
-        sig = [0.0, 0.0, 0.0, 0.0]
-        for f, cf in zip(self.fields, self.coeffs):
-            V = f(cg.chart, uj, Fj)
+        c3, c4 = 0.0, 0.0
+        for (p3, p4), cf in zip(gens, self.coeffs):
             a = cf(cg.chart, uj)
-            sig = _axpy(a, V, sig)
-        return _dot(g, sig, n3), _dot(g, sig, n4)
+            c3 = c3 + a * p3
+            c4 = c4 + a * p4
+        return c3, c4
 
 
 class JRotated(NormalSection):
@@ -472,22 +479,21 @@ class JRotated(NormalSection):
 # ---------------------------------------------------------------------
 # pointwise operators on sections
 
-def _covariant_coeffs(cg, c3, c4):
-    """(nabla^perp_{d_a} sigma) frame coefficients, a = 1, 2 (arrays)."""
-    sh = cg.shape
-    d3 = grad_array(c3, sh, 2)
-    d4 = grad_array(c4, sh, 2)
-    v3 = array(c3, sh)
-    v4 = array(c4, sh)
-    cov3 = d3 - cg.omega * v4[..., None]
-    cov4 = d4 + cg.omega * v3[..., None]
-    return v3, v4, cov3, cov4
+def _covariant_coeffs(cg, v3, v4, d3, d4):
+    """(nabla^perp_{d_a} sigma) frame coefficients, a = 1, 2, from the frame
+    coefficients (v3, v4) and their coordinate gradients (d3, d4).  The
+    arrays may carry a section axis between the node and derivative axes."""
+    om = cg.omega.reshape(cg.shape + (1,) * (v3.ndim - 1) + (2,))
+    return d3 - om * v4[..., None], d4 + om * v3[..., None]
 
 
 def section_data(cg, sigma):
     """Values, frame covariant derivatives along e1/e2, and norms."""
     c3, c4 = sigma.coeff_jets(cg, order=1)
-    v3, v4, cov3, cov4 = _covariant_coeffs(cg, c3, c4)
+    sh = cg.shape
+    v3, v4 = array(c3, sh), array(c4, sh)
+    cov3, cov4 = _covariant_coeffs(cg, v3, v4, grad_array(c3, sh, 2),
+                                   grad_array(c4, sh, 2))
     # along the orthonormal tangent frame: e_i = c[i,a] d_a
     e3 = np.einsum("...ia,...a->...i", cg.c, cov3)
     e4 = np.einsum("...ia,...a->...i", cg.c, cov4)
@@ -510,12 +516,10 @@ def normal_connection(S, m, sigma, X, chart, u):
     X is a tangent vector in surface chart coordinates.
     """
     cg = _point_geometry(S, m, chart, u)
-    c3, c4 = sigma.coeff_jets(cg, order=1)
-    _, _, cov3, cov4 = _covariant_coeffs(cg, c3, c4)
-    X = np.asarray(X, dtype=float)
-    a3 = cov3[0] @ X
-    a4 = cov4[0] @ X
-    return a3 * cg.n[0, :, 0] + a4 * cg.n[0, :, 1]
+    d = section_data(cg, sigma)
+    # X on the orthonormal frame: e_i = c[i,a] d_a, so X^a = c[i,a] x_i
+    x = np.linalg.solve(cg.c[0].T, np.asarray(X, dtype=float))
+    return (d["D3"][0] @ x) * cg.n[0, :, 0] + (d["D4"][0] @ x) * cg.n[0, :, 1]
 
 
 def dbar_perp_sq_field(cg, sigma, tau=0.0):
@@ -631,16 +635,21 @@ def area(S, m, quad=None):
 # ---------------------------------------------------------------------
 # variational integrals
 
-def _second_variation_density(cg, d):
+def jacobi_block(cg, ambient_override=None):
+    """The 2x2 block M of the second-variation density |nabla sigma|^2 -
+    c^T M c on the frame coefficients c of sigma.  ambient_override = kappa
+    puts the curvature term of constant curvature kappa, 2 kappa I, in place
+    of the ambient one and keeps the shear."""
+    if ambient_override is None:
+        return cg.jacobi
+    return cg.jacobi - cg.Rterm + 2.0 * float(ambient_override) * np.eye(2)
+
+
+def _second_variation_density(cg, d, ambient_override=None):
     """Integrand of delta^2 from the section_data dict of sigma."""
-    sig_amb = (d["c3"][..., None] * cg.n[..., 0]
-               + d["c4"][..., None] * cg.n[..., 1])
-    curv = np.einsum("...ijkl,...ir,...j,...kr,...l->...",
-                     cg.Rm, cg.e, sig_amb, cg.e, sig_amb, optimize=True)
-    Asig = np.einsum("...ijs,...s->...ij", cg.A,
-                     np.stack([d["c3"], d["c4"]], axis=-1))
-    ashear = np.sum(Asig ** 2, axis=(-1, -2))
-    return d["grad2"] - curv - ashear
+    c = np.stack([d["c3"], d["c4"]], axis=-1)
+    return d["grad2"] - np.einsum("...s,...st,...t->...", c,
+                                  jacobi_block(cg, ambient_override), c)
 
 
 def second_variation(S, m, sigma, quad=None):
@@ -652,12 +661,10 @@ def second_variation(S, m, sigma, quad=None):
     return geom.integrate(vals)
 
 
-def variational_identity_lemma310(S, m, sigma, quad=None):
-    """| int |nabla sigma|^2 - int (2 |dbar sigma|^2 + Kperp |sigma|^2) |."""
-    geom = surface_geometry(S, m, quad)
+def lemma310_integrals(geom, data):
+    """Both sides of Lemma 3.10 from the per-chart section_data of sigma."""
     lhs, rhs = 0.0, 0.0
-    for cg in geom.charts:
-        d = section_data(cg, sigma)
+    for cg, d in zip(geom.charts, data):
         lhs += float(np.sum(cg.w * cg.sqrt_h * d["grad2"]))
         rhs += float(np.sum(cg.w * cg.sqrt_h *
                             (2 * _dbar_sq(d)
@@ -665,17 +672,20 @@ def variational_identity_lemma310(S, m, sigma, quad=None):
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
-def weitzenboeck_variation(S, m, sigma, quad=None):
-    """Both sides of the averaged second-variation identity.
+def variational_identity_lemma310(S, m, sigma, quad=None):
+    """| int |nabla sigma|^2 - int (2 |dbar sigma|^2 + Kperp |sigma|^2) |."""
+    geom = surface_geometry(S, m, quad)
+    return lemma310_integrals(geom, [section_data(cg, sigma)
+                                     for cg in geom.charts])
+
+
+def averaged_second_variation(geom, data):
+    """Both sides of the averaged second-variation identity from the
+    per-chart section_data of sigma; J sigma's data is its rotation.
 
     lhs = delta^2(sigma) + delta^2(J sigma); rhs integrates
     4 |dbar sigma|^2 - [ <(s/6 - W+) eta, eta> + |A ^ A|^2 ] |sigma|^2.
     """
-    geom = surface_geometry(S, m, quad)
-    geom.require_minimal()
-    # sigma is evaluated once per chart; J sigma's data is its rotation
-    data = [section_data(cg, sigma) for cg in geom.charts]
-
     def delta2(ds):
         return geom.integrate([_second_variation_density(cg, d)
                                for cg, d in zip(geom.charts, ds)])
@@ -691,6 +701,15 @@ def weitzenboeck_variation(S, m, sigma, quad=None):
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
             "terms": {"dbar": t_dbar, "weyl_pairing": t_weyl,
                       "shear": t_shear}}
+
+
+def weitzenboeck_variation(S, m, sigma, quad=None):
+    """averaged_second_variation of sigma on a minimal surface, sigma
+    evaluated once per chart."""
+    geom = surface_geometry(S, m, quad)
+    geom.require_minimal()
+    return averaged_second_variation(
+        geom, [section_data(cg, sigma) for cg in geom.charts])
 
 
 def log_norm_check(S, m, sigma, quad=None, holo_tol=1e-6, norm_floor=1e-3,

@@ -72,8 +72,14 @@ def test_exit_code_parse_error():
     ["analyze", "--metric", "flat", "--grid", "0"],
     ["surface", "--metric", "fs", "--surface", "cp1-line",
      "--L0", "6", "--L-max", "6"],
+    ["scan-family", "--t-values", "0:1"],
+    ["scan-family", "--t-values", "abc"],
+    ["scan-family", "--t-values", "0:1:0"],
+    ["verify-identities", "--sections", "0"],
 ], ids=["unknown-key", "removed-phi-key", "surface-rejects-value",
-        "quad-below-8", "grid-below-3", "L0-not-below-L-max"])
+        "quad-below-8", "grid-below-3", "L0-not-below-L-max",
+        "range-without-count", "values-not-numbers", "empty-range",
+        "no-sections"])
 def test_exit_code_invalid_input(args):
     # typed: a one-line parse error, no traceback
     proc = run_cli(args)
@@ -81,6 +87,18 @@ def test_exit_code_invalid_input(args):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--metric", "flat", "--tol", "2"],
+    ["scan-family", "--tol", "2"],
+    ["surface", "--metric", "fs", "--surface", "cp1-line", "--grid", "1"],
+    ["surface", "--metric", "fs", "--surface", "cp1-line", "--tol", "2"],
+    ["verify-identities", "--grid", "3"],
+])
+def test_subcommands_reject_options_they_do_not_read(args, capsys):
+    assert main(args) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exit_code_construction_error():

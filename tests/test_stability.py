@@ -258,6 +258,36 @@ def test_synthetic_instability_fixture():
     assert_allclose(form.spectrum[:2], [-2 * kappa, -2 * kappa], atol=1e-8)
 
 
+def test_index_two_construction_matches_assembled_form_with_shear():
+    # on the perturbed slice A != 0: the single-section second variation
+    # under the override must keep the shear, like the assembled form
+    S = perturbed_slice(0.15)
+    kappa = 0.8
+    basis = SectionBasis(S, 2)
+    Q = assemble_index_form(S, MP, basis, QUAD, ambient_override=kappa).Q
+    k = 2                                  # Y_k n3; J turns it into Y_k n4
+    j = basis.n_harmonics + k
+    fix = index_two_construction(S, MP, basis.sections()[k], QUAD,
+                                 ambient_override=kappa)
+    assert_allclose([fix["d2_sigma"], fix["d2_jsigma"]],
+                    sorted([Q[k, k], Q[j, j]]), rtol=1e-10)
+    assert_allclose(fix["cross"], Q[k, j], atol=1e-10 * abs(Q[k, k]))
+    # the partner sigma -+ J sigma takes the sign that lowers delta^2
+    w = np.zeros(basis.dim)
+    w[k], w[j] = 1.0, -np.sign(Q[k, j])
+    assert_allclose(fix["d2_pair"][1], w @ Q @ w, rtol=1e-10)
+    # both against the override density with the shear written out
+    geom = surface_geometry(S, MP, QUAD)
+    vals = []
+    for cg in geom.charts:
+        d = section_data(cg, basis.sections()[k])
+        shear = np.sum((cg.A[..., 0] * d["c3"][:, None, None]
+                        + cg.A[..., 1] * d["c4"][:, None, None]) ** 2,
+                       axis=(1, 2))
+        vals.append(d["grad2"] - 2.0 * kappa * d["norm2"] - shear)
+    assert_allclose(Q[k, k], geom.integrate(vals), rtol=1e-10)
+
+
 # ------------------------------------------------------------- harness
 
 def test_harness_on_product_family():

@@ -5,6 +5,7 @@ import pytest
 from curv4 import surfaces
 from curv4.errors import NonMinimalSurfaceError, SectionError, SpecParseError
 from curv4.bivector import kn_tensor4, operator6
+from curv4.jets import array as jet_array, drop, jsqrt, partial, seedn
 from curv4.metrics import (
     QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4,
 )
@@ -291,6 +292,26 @@ def test_totally_geodesic_kperp_as_sectional_sum():
             assert np.abs(cg.kperp - (k13 + k14)).max() < 1e-8
 
 
+def test_second_variation_density_matches_ambient_formula_with_shear():
+    # the perturbed slice is the one test surface with A != 0, so the shear
+    # part of the Jacobi block is live there; the oracle is the ambient
+    # formula |nabla sigma|^2 - sum_r Rm(e_r, sigma, e_r, sigma) - |A^sigma|^2
+    sig = smooth_frame_section(31)
+    for cg in surface_geometry(perturbed_slice(0.15), MP, QUAD).charts:
+        d = section_data(cg, sig)
+        sig_amb = (d["c3"][:, None] * cg.n[..., 0]
+                   + d["c4"][:, None] * cg.n[..., 1])
+        curv = np.einsum("nijkl,nir,nj,nkr,nl->n",
+                         cg.Rm, cg.e, sig_amb, cg.e, sig_amb)
+        Asig = np.einsum("nijs,ns->nij", cg.A,
+                         np.stack([d["c3"], d["c4"]], axis=-1))
+        shear = np.sum(Asig ** 2, axis=(1, 2))
+        assert shear.max() > 1e-2
+        want = d["grad2"] - curv - shear
+        assert_allclose(surfaces._second_variation_density(cg, d), want,
+                        rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 def test_second_variation_equator():
     val = second_variation(equator_sphere(), MR, parallel_section(1.0, 0.0), QUAD)
     assert abs(val + 8 * np.pi) < 1e-3
@@ -405,6 +426,78 @@ def test_weitzenboeck_variation_evaluates_section_once_per_chart(monkeypatch):
     assert calls == [cg.chart for cg in geom.charts]
     assert abs(out["lhs"] - lhs) <= 1e-13 * abs(lhs)
     assert abs(out["rhs"] - rhs) <= 1e-13 * abs(rhs)
+
+
+def _direct_projection(S, m, cg, sig, order):
+    """(<g V, n3>, <g V, n4>) for V = sum_c f_c V_c, as u-jets of ``order``,
+    with the adapted frame rebuilt here by Gram-Schmidt."""
+    u = [cg.u[:, 0], cg.u[:, 1]]
+    Fj = S.map_ring(cg.chart, seedn(u, order + 1))
+    F = drop(Fj)
+    g = m.comps_ring(S.chart_map[cg.chart], F)
+
+    def dot(x, y):
+        return sum(g[i][j] * x[i] * y[j] for i in range(4) for j in range(4))
+
+    frame = []
+    seeds = [[1.0 if i == s else 0.0 for i in range(4)]
+             for s in S.normal_seeds]
+    for v in [[partial(f, a) for f in Fj] for a in range(2)] + seeds:
+        for b in frame:
+            c = dot(v, b)
+            v = [v[i] - c * b[i] for i in range(4)]
+        r = jsqrt(dot(v, v))
+        frame.append([x / r for x in v])
+    n3, n4 = frame[2], frame[3]
+    # orient n4 like the chart geometry's frame
+    sgn = np.sign(sum(jet_array(n4[i], cg.shape) * cg.n[:, i, 1]
+                      for i in range(4)))
+    n4 = [sgn * x for x in n4]
+    uj = seedn(u, order)
+    V = [0.0] * 4
+    for gen, cf in zip(sig.fields, sig.coeffs):
+        a = cf(cg.chart, uj)
+        V = [V[i] + a * x for i, x in enumerate(gen(cg.chart, uj, F))]
+    return dot(V, n3), dot(V, n4)
+
+
+def _jet_partials(x, shape, order):
+    """Value and every coordinate partial up to ``order`` of a jet."""
+    out, layer = [jet_array(x, shape)], [x]
+    for _ in range(order):
+        layer = [partial(y, a) for y in layer for a in range(2)]
+        out += [jet_array(y, shape) for y in layer]
+    return out
+
+
+def test_projected_coeff_jets_match_direct_projection():
+    # the frame coefficients summed from the chart's generator coefficients
+    # against projecting the ambient field sum_c f_c V_c directly
+    S = cp1_line()
+    sig = smooth_projected_section(S, 32)
+    for cg in surface_geometry(S, MF, QuadSpec(12)).charts:
+        for order in (1, 2):
+            for got, want in zip(sig.coeff_jets(cg, order),
+                                 _direct_projection(S, MF, cg, sig, order)):
+                for x, y in zip(_jet_partials(got, cg.shape, order),
+                                _jet_partials(want, cg.shape, order)):
+                    assert_allclose(x, y, rtol=0,
+                                    atol=1e-12 * max(1.0, np.abs(y).max()))
+
+
+def test_projected_section_rejects_other_fields():
+    S = cp1_line()
+    cg = surface_geometry(S, MF, QuadSpec(12)).charts[0]
+    one = lambda chart, u: 1.0 + 0.0 * u[0]
+    other = ProjectedSection([lambda chart, u, F: [0.0, 0.0, 1.0, 0.0]],
+                             [one])
+    with pytest.raises(SectionError):
+        other.coeff_jets(cg)
+    # a trivial bundle has no generator fields to project
+    sig = ProjectedSection(S.normal_generators, [one] * 4)
+    with pytest.raises(SectionError):
+        sig.coeff_jets(surface_geometry(product_slice(), MP,
+                                        QuadSpec(12)).charts[0])
 
 
 # ------------------------------------------------------------- Lemma 3.15
