@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .bivector import (
-    CurvatureLike, EtaBasis, eta_basis, hodge_star, kulkarni_nomizu,
-    plucker_residual, wedge,
+    CurvatureLike, hodge_star, kulkarni_nomizu, plucker_residual, wedge,
 )
 from .curvature import (
     CurvatureFrameData, ConditionReport, TwoFormField, christoffel,
@@ -26,11 +25,10 @@ from .stability import (
     refine_until_stable, theorem_c_harness,
 )
 from .surfaces import (
-    FrameSection, NormalSection, ProjectedSection, SecondFundamentalForm,
-    SurfaceImmersion, a_wedge_a_sq, area, chern_number, cp1_line,
-    dbar_perp_sq, equator_sphere, induced_geometry, k_perp_extrinsic,
-    k_perp_intrinsic, log_norm_check, normal_connection, parallel_section,
-    parse_surface_spec, perturbed_slice, product_slice, second_fundamental,
-    second_variation, surface_geometry, variational_identity_lemma310,
-    weitzenboeck_variation,
+    NormalSection, SecondFundamentalForm, SurfaceImmersion, a_wedge_a_sq, area,
+    chern_number, cp1_line, dbar_perp_sq, equator_sphere, induced_geometry,
+    k_perp_extrinsic, k_perp_intrinsic, log_norm_check, normal_connection,
+    parallel_section, parse_surface_spec, perturbed_slice, product_slice,
+    second_fundamental, second_variation, surface_geometry,
+    variational_identity_lemma310, weitzenboeck_variation,
 )

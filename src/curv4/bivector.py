@@ -41,18 +41,6 @@ ETA_MINUS = np.array([
 ETA_FRAME = np.vstack([ETA_PLUS, ETA_MINUS]).T / np.sqrt(2.0)
 
 
-class EtaBasis:
-    """The self-dual / anti-self-dual eta vectors, rows of shape (3, 6)."""
-
-    def __init__(self):
-        self.plus = ETA_PLUS.copy()
-        self.minus = ETA_MINUS.copy()
-
-
-def eta_basis():
-    return EtaBasis()
-
-
 def wedge(u, v):
     """Exterior product of two 4-vectors as a 6-component bivector.
 

@@ -8,7 +8,7 @@ Exit codes: 0 success; 1 identity violation or another curv4 error; 2 parse
 error: an unknown flag, a malformed metric or surface spec (the grammar of
 ``metrics.parse_spec``), a value a surface constructor rejects, a malformed
 --t-values or --eps-values list, --grid below 3, --quad below 8, --sections
-below 1 or --L0 not below --L-max; 3 metric construction failure,
+below 1, --L0 below 0 or not below --L-max; 3 metric construction failure,
 e.g. |eps| above the twisted family's eps_max.  Spec, range and
 construction errors print one line on stderr and no traceback.
 """
@@ -23,13 +23,15 @@ import numpy as np
 
 from . import __version__
 from .curvature import (
-    condition_check, curvature_batch, lemma21_check, riemann_at,
-    weitzenboeck_residual, kaehler_form, TwoFormField,
+    block_identity_residual, condition_check, curvature_batch, lemma21_check,
+    positivity_eps_max, riemann_at, weitzenboeck_residual, kaehler_form,
+    TwoFormField,
 )
 from .errors import Curv4Error, MetricConstructionError, SpecParseError
 from .metrics import (
-    QuadSpec, flat_space, fubini_study, ht_metric, parse_metric_spec,
-    product_spheres, round_sphere4, twisted_eps_max, twisted_metric, volume,
+    QuadSpec, flat_space, fubini_study, ht_metric, kaehler_residuals,
+    parse_metric_spec, product_spheres, round_sphere4, twisted_eps_max,
+    twisted_metric, volume,
 )
 from .stability import SectionBasis, assemble_index_form, near_holomorphic_section, refine_until_stable
 from .surfaces import (
@@ -37,8 +39,8 @@ from .surfaces import (
     chern_number, cp1_line, equator_sphere, lemma310_integrals,
     parse_surface_spec, perturbed_slice, product_slice,
     ric_perp_identity_residual, section_data, sphere_functions,
-    surface_geometry, weitzenboeck_variation, FrameSection, ProjectedSection,
-    _dbar_sq, _kperp_extrinsic_field,
+    surface_geometry, weitzenboeck_variation, NormalSection, _dbar_sq,
+    _kperp_extrinsic_field,
 )
 
 EXIT_OK = 0
@@ -95,7 +97,6 @@ def cmd_analyze(args):
     if m.regions:
         report["volume"] = volume(m, QuadSpec(args.quad))
     if m.is_kaehler:
-        from .metrics import kaehler_residuals
         report["kaehler_residuals"] = kaehler_residuals(m)
     if args.csv:
         keys = sorted(records[0][2].keys())
@@ -115,7 +116,6 @@ def cmd_analyze(args):
 # ---------------------------------------------------------------- scan
 
 def cmd_scan_family(args):
-    from .curvature import positivity_eps_max
     report = _base_report(args, "scan-family")
     tvals = _parse_values(args.t_values)
     auto_eps = args.eps_values == "auto"
@@ -179,10 +179,9 @@ def _poly_form(rng):
 
 
 def _random_section(S, rng):
-    """Coefficient functions affine in the R^3 embedding functions, on the
-    normal frame or on the surface's normal generators."""
-    gens = S.normal_generators
-    b = rng.uniform(-0.6, 0.6, size=(2 if gens is None else len(gens), 4))
+    """Coefficient functions affine in the R^3 embedding functions, one
+    per normal direction of the surface."""
+    b = rng.uniform(-0.6, 0.6, size=(S.n_directions, 4))
 
     def make(c):
         def f(chart, u):
@@ -190,8 +189,7 @@ def _random_section(S, rng):
             return c[0] + c[1] * n1 + c[2] * n2 + c[3] * n3
         return f
 
-    fns = [make(c) for c in b]
-    return FrameSection(*fns) if gens is None else ProjectedSection(gens, fns)
+    return NormalSection([make(c) for c in b])
 
 
 def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
@@ -215,7 +213,6 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
             for p in pts:
                 c = riemann_at(m, chart, p)
                 bian = max(bian, c.riemann.bianchi_residual())
-                from .curvature import block_identity_residual
                 block = max(block, block_identity_residual(c))
                 trace = max(trace, abs(np.trace(c.wplus)) + abs(np.trace(c.wminus)))
                 rec = lemma21_check(c)
@@ -420,6 +417,8 @@ def _check_ranges(args):
              "--quad must be >= %d" % QuadSpec.MIN_N),
             (args.command == "verify-identities" and args.sections < 1,
              "--sections must be >= 1"),
+            (args.command == "surface" and args.L0 < 0,
+             "--L0 must be >= 0"),
             (args.command == "surface" and args.L0 >= args.L_max,
              "--L0 must be below --L-max")):
         if bad:

@@ -1,10 +1,11 @@
 """Second-variation index forms over minimal 2-spheres.
 
-Normal sections are discretized by real spherical harmonics times either
-the adapted normal frame (trivial normal bundles) or a globally spanning
-set of projected ambient fields (twisted bundles, e.g. the projective
-line).  The polarized second variation and the mass matrix define a
-generalized eigenvalue pencil whose negative count is the Morse index.
+Normal sections are discretized by real spherical harmonics times the
+surface's normal directions: the adapted normal frame on trivial normal
+bundles, or a globally spanning set of projected ambient fields on twisted
+ones (e.g. the projective line).  Both are ``surfaces.NormalSection``s.
+The polarized second variation and the mass matrix define a generalized
+eigenvalue pencil whose negative count is the Morse index.
 
 The basis and single sections (``index_two_construction``) read the same
 per-node data of ``surfaces.ChartGeometry``: the frame coefficients of the
@@ -17,53 +18,34 @@ instability branch that no constructible metric can reach.
 
 import numpy as np
 
+from .curvature import sectional_extremes
 from .errors import RefinementError
 from .metrics import QuadSpec
 from .sphharm import harmonic_fn, real_harmonics
 from .surfaces import (
-    FrameSection, NormalSection, ProjectedSection, chern_number,
-    jacobi_block, section_data, surface_geometry, weitzenboeck_variation,
-    _covariant_coeffs, _second_variation_density,
+    NormalSection, a_wedge_a_sq, chern_number, jacobi_block, product_slice,
+    section_data, surface_geometry, weitzenboeck_variation, _covariant_coeffs,
+    _j_rotated_data, _second_variation_density,
 )
 from .jets import array, drop, grad_array, seedn
 
 MASS_COND_MAX = 1e6
 
 
-class LinearSection(NormalSection):
-    """Weighted sum of normal sections (used to materialize eigenvectors)."""
-
-    def __init__(self, parts, weights):
-        self.parts = list(parts)
-        self.weights = np.asarray(weights, dtype=float)
-
-    def coeff_jets(self, cg, order=1):
-        c3 = 0.0
-        c4 = 0.0
-        for w, p in zip(self.weights, self.parts):
-            if w == 0.0:
-                continue
-            a3, a4 = p.coeff_jets(cg, order)
-            c3 = c3 + w * a3
-            c4 = c4 + w * a4
-        return c3, c4
-
-
 class SectionBasis:
     """Harmonics-times-normal-directions basis over a surface.
 
-    For surfaces with a global adapted frame the elements are Y_lm n_3 and
-    Y_lm n_4 (dimension 2 (L+1)^2); on twisted bundles each of the
-    surface's normal generator fields is used instead and the redundant
-    mass-matrix kernel is projected out when solving.
+    The elements are Y_lm V_c for the surface's normal directions V_c: the
+    adapted frame n3, n4 on a trivial bundle (dimension 2 (L+1)^2), else
+    each of its normal generator fields, whose redundant mass-matrix kernel
+    is projected out when solving.
     """
 
     def __init__(self, S, L):
         self.S = S
         self.L = int(L)
         self.n_harmonics = (L + 1) ** 2
-        self.n_fields = (2 if S.normal_generators is None
-                         else len(S.normal_generators))
+        self.n_fields = S.n_directions
         self.dim = self.n_fields * self.n_harmonics
 
     def sections(self):
@@ -74,14 +56,9 @@ class SectionBasis:
         zero = lambda chart, u: 0.0 * u[0]
         for c in range(self.n_fields):
             for f in fns:
-                if self.S.normal_generators is None:
-                    out.append(FrameSection(f, zero) if c == 0
-                               else FrameSection(zero, f))
-                else:
-                    coeffs = [zero] * self.n_fields
-                    coeffs[c] = f
-                    out.append(ProjectedSection(self.S.normal_generators,
-                                                list(coeffs)))
+                coeffs = [zero] * self.n_fields
+                coeffs[c] = f
+                out.append(NormalSection(coeffs))
         return out
 
     def as_section(self, coefs):
@@ -100,10 +77,7 @@ class SectionBasis:
                            for w, y in zip(wc, real_harmonics(chart, u, L)))
             return f
 
-        fns = [combination(wc) for wc in W]
-        if self.S.normal_generators is None:
-            return FrameSection(*fns)
-        return ProjectedSection(self.S.normal_generators, fns)
+        return NormalSection([combination(wc) for wc in W])
 
     def node_data(self, cg):
         """Vectorized per-node coefficients and covariant derivatives.
@@ -280,29 +254,37 @@ def refine_until_stable(op, L0=2, L_max=12):
 
 def index_two_construction(S, m, sigma, quad=None, ambient_override=None):
     """The sigma, sigma +- J sigma pair: both second variations negative
-    whenever the averaged one is (polarization decides the sign)."""
+    whenever the averaged one is (polarization decides the sign).
+
+    sigma is evaluated once per chart.  section_data is linear in the
+    section, so the data of a sigma + b J sigma is a (c3, c4, D3, D4) of
+    sigma plus b of J sigma's rotated data, and grad2 follows from D3, D4.
+    Returns the two second variations ordered low to high, their cross term
+    and (d2_sigma, d2 of the partner sigma -+ J sigma that lowers it).  The
+    combinations are never built as sections, so no "pair" of sections is
+    returned.
+    """
     geom = surface_geometry(S, m, quad)
     if ambient_override is None:
         geom.require_minimal()
+    data = [section_data(cg, sigma) for cg in geom.charts]
 
-    def d2(sec):
-        return geom.integrate([
-            _second_variation_density(cg, section_data(cg, sec),
-                                      ambient_override)
-            for cg in geom.charts])
+    def d2(a, b):
+        vals = []
+        for cg, d in zip(geom.charts, data):
+            dj = _j_rotated_data(d)
+            dab = {k: a * d[k] + b * dj[k] for k in ("c3", "c4", "D3", "D4")}
+            D3, D4 = dab["D3"], dab["D4"]
+            dab["grad2"] = (D3[..., 0] ** 2 + D3[..., 1] ** 2
+                            + D4[..., 0] ** 2 + D4[..., 1] ** 2)
+            vals.append(_second_variation_density(cg, dab, ambient_override))
+        return geom.integrate(vals)
 
-    jsig = sigma.rotated()
-    a = d2(sigma)
-    b = d2(jsig)
-    if a > b:
-        sigma, jsig = jsig, sigma
-        a, b = b, a
-    cross = 0.5 * (d2(LinearSection([sigma, jsig], [1.0, 1.0])) - a - b)
-    partner = LinearSection([sigma, jsig], [1.0, -1.0] if cross > 0 else [1.0, 1.0])
-    b_pair = d2(partner)
+    a, b = sorted((d2(1.0, 0.0), d2(0.0, 1.0)))
+    cross = 0.5 * (d2(1.0, 1.0) - a - b)
+    b_pair = d2(1.0, -1.0 if cross > 0 else 1.0)
     return {"d2_sigma": a, "d2_jsigma": b, "cross": cross,
-            "pair": (sigma, partner), "d2_pair": (a, b_pair),
-            "unstable_pair": a < 0 and b_pair < 0}
+            "d2_pair": (a, b_pair), "unstable_pair": a < 0 and b_pair < 0}
 
 
 class TheoremCReport:
@@ -330,8 +312,6 @@ def theorem_c_harness(m, surface=None, L=4, quad=None, min_tol=1e-8):
     minimal sectional curvature over all surface nodes).  Refuses
     non-minimal slices, reporting the residual.
     """
-    from .surfaces import product_slice
-    from .curvature import sectional_extremes
     quad = quad or QuadSpec()
     S = surface if surface is not None else product_slice()
     geom = surface_geometry(S, m, quad)
@@ -345,7 +325,6 @@ def theorem_c_harness(m, surface=None, L=4, quad=None, min_tol=1e-8):
     sigma = holo["section"]
     wv = weitzenboeck_variation(S, m, sigma, quad)
     pairing_min = min(float(cg.s6_pairing.min()) for cg in geom.charts)
-    from .surfaces import a_wedge_a_sq
     shear_max = max(float(a_wedge_a_sq(cg.A).max()) for cg in geom.charts)
     # exact minimal sectional curvature at every ambient surface node
     sec_min = min(float(sectional_extremes(cg.curv["M6"])[0].min())

@@ -11,8 +11,15 @@ curvature.
 
 ``ChartGeometry`` computes the per-node data of the second variation once:
 the connection form ``omega``, the frame coefficients ``gen_coeffs`` of the
-normal generator fields (2-jets in u) and the Jacobi block ``jacobi``.
-Single sections here and the index-form basis of ``stability`` read it.
+normal directions (2-jets in u) and the Jacobi block ``jacobi``.  Single
+sections here and the index-form basis of ``stability`` read it.
+
+There is one section type, ``NormalSection``: a coefficient function per
+normal direction.  The directions are the surface's normal generator
+fields, or on a trivial bundle the adapted frame (n3, n4) with constant
+coefficients (1, 0) and (0, 1).  ``section_data`` is linear in the
+section, so the data of J sigma and of a sigma + b J sigma follow from one
+evaluation of sigma.
 
 Adapted frames use the deterministic recipe: e1, e2 from Gram-Schmidt of
 the coordinate tangent vectors, n3, n4 from Gram-Schmidt of two fixed
@@ -78,6 +85,8 @@ class SurfaceImmersion:
     normal_generators: optional list of ambient vector fields
     gen(chart, u, F) -> 4 ring components, spanning the normal bundle
     globally (used where no global normal frame exists, e.g. c1 != 0).
+    n_directions counts the normal directions a NormalSection takes
+    coefficients on: the generators, else the two frame vectors n3, n4.
     """
 
     def __init__(self, name, chart_map, fmap, normal_seeds=(2, 3),
@@ -87,10 +96,9 @@ class SurfaceImmersion:
         self.fmap = fmap
         self.normal_seeds = tuple(normal_seeds)
         self.normal_generators = normal_generators
+        self.n_directions = (2 if normal_generators is None
+                             else len(normal_generators))
         self._geom_cache = {}
-
-    def map_ring(self, chart, u):
-        return self.fmap(chart, u)
 
 
 # ---------------------------------------------------------------------
@@ -208,13 +216,12 @@ class ChartGeometry:
         self.amb = S.chart_map[chart]
         self.u = np.asarray(u_nodes, dtype=float)
         self.w = np.asarray(weights, dtype=float)
-        self.generators = S.normal_generators
         n = len(self.u)
         shape = (n,)
         self.shape = shape
 
         # immersion three jet layers deep; tangents are then 2-layer jets
-        Fj = S.map_ring(chart, seedn([self.u[:, 0], self.u[:, 1]], 3))
+        Fj = S.fmap(chart, seedn([self.u[:, 0], self.u[:, 1]], 3))
         F = np.stack([array(f, shape) for f in Fj], axis=-1)
         self.dF = dF = np.stack([grad_array(f, shape, 2) for f in Fj], axis=-2)
         d2F = np.stack([hess_array(f, shape, 2) for f in Fj], axis=-3)
@@ -403,56 +410,24 @@ def _point_geometry(S, m, chart, u):
 # normal sections
 
 class NormalSection:
-    """Base: provides per-node frame coefficients (c3, c4) as u-jets."""
+    """sigma = P_N(sum_k f_k V_k) over the surface's normal directions V_k,
+    one coefficient function f_k(chart, u) each.
 
-    def coeff_jets(self, cg, order=1):
-        raise NotImplementedError
-
-    def rotated(self):
-        return JRotated(self)
-
-
-class FrameSection(NormalSection):
-    """sigma = a3 n3 + a4 n4 with ring-generic coefficient functions.
-
-    Valid as a global section only where the adapted normal frame is
-    globally smooth (trivial normal bundles: slices, the equator).
+    The directions are the normal generator fields where the surface has
+    them (twisted bundles, e.g. the projective line), else the adapted
+    frame (n3, n4), which counts as the two directions of a trivial bundle.
+    The frame coefficients are sum_k f_k p_k with p_k from the chart's
+    ``gen_coeffs``, so the section is globally smooth whenever the f_k are.
     """
 
-    def __init__(self, a3, a4):
-        self.a3 = a3
-        self.a4 = a4
-
-    def coeff_jets(self, cg, order=1):
-        uj = seedn([cg.u[:, 0], cg.u[:, 1]], order)
-        return self.a3(cg.chart, uj), self.a4(cg.chart, uj)
-
-
-def parallel_section(c3=1.0, c4=0.0):
-    return FrameSection(lambda chart, u: c3 + 0.0 * u[0],
-                        lambda chart, u: c4 + 0.0 * u[0])
-
-
-class ProjectedSection(NormalSection):
-    """sigma = P_N(sum_k f_k V_k) for the surface's normal generators V_k:
-    frame coefficients sum_k f_k p_k, p_k from the chart's ``gen_coeffs``.
-
-    Globally smooth whenever the fields and coefficient functions are, so
-    it works on twisted normal bundles where no global frame exists.
-    """
-
-    def __init__(self, fields, coeffs):
-        self.fields = list(fields)
+    def __init__(self, coeffs):
         self.coeffs = list(coeffs)
 
     def coeff_jets(self, cg, order=1):
-        # the same functions (code and captured values), so that separately
-        # built instances of one surface agree
-        key = lambda fs: [(f.__code__, f.__closure__) for f in fs]
-        if (not cg.generators or key(self.fields) != key(cg.generators)
-                or len(self.coeffs) != len(self.fields)):
-            raise SectionError("a projected section takes the surface's "
-                               "normal generators, one coefficient each")
+        if len(self.coeffs) != len(cg.gen_coeffs):
+            raise SectionError("a normal section takes one coefficient per "
+                               "normal direction of the surface (%d), not %d"
+                               % (len(cg.gen_coeffs), len(self.coeffs)))
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
         gens = cg.gen_coeffs if order == 2 else drop(cg.gen_coeffs)
@@ -464,8 +439,19 @@ class ProjectedSection(NormalSection):
             c4 = c4 + a * p4
         return c3, c4
 
+    def rotated(self):
+        return JRotated(self)
 
-class JRotated(NormalSection):
+
+def parallel_section(c3=1.0, c4=0.0):
+    """c3 n3 + c4 n4 with constant coefficients on a trivial normal bundle.
+    Surfaces with generator fields (cp1-line) have no such global section:
+    evaluating it there raises SectionError."""
+    return NormalSection([lambda chart, u: c3 + 0.0 * u[0],
+                          lambda chart, u: c4 + 0.0 * u[0]])
+
+
+class JRotated:
     """J sigma: rotate the frame coefficients by +90 degrees."""
 
     def __init__(self, base):

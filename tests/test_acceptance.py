@@ -28,7 +28,7 @@ from curv4.surfaces import (
     chern_number, cp1_line, equator_sphere, parallel_section, perturbed_slice,
     product_slice, second_variation, surface_geometry, sphere_functions,
     variational_identity_lemma310, weitzenboeck_variation,
-    FrameSection, ProjectedSection, _kperp_extrinsic_field,
+    NormalSection, _kperp_extrinsic_field,
 )
 
 QUAD = QuadSpec(48)
@@ -53,9 +53,7 @@ def _rand_section(S, rng):
             return c[0] + c[1] * n1 + c[2] * n2 + c[3] * n3
         return f
 
-    if S.normal_generators is not None:
-        return ProjectedSection(S.normal_generators, [make(c) for c in b])
-    return FrameSection(make(b[0]), make(b[1]))
+    return NormalSection([make(c) for c in b[:S.n_directions]])
 
 
 def test_criterion_1_round_sphere():

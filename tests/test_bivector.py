@@ -3,7 +3,7 @@ from numpy.testing import assert_allclose
 import pytest
 
 from curv4.bivector import (
-    PAIRS, STAR6, ETA_FRAME, CurvatureLike, eta_basis, hodge_star,
+    PAIRS, STAR6, ETA_FRAME, ETA_MINUS, ETA_PLUS, CurvatureLike, hodge_star,
     kulkarni_nomizu, kn_tensor4, operator6, plucker_residual, to_eta_basis,
     wedge,
 )
@@ -62,15 +62,14 @@ def test_selfdual_antiselfdual_split():
 
 
 def test_eta_basis_invariants():
-    eb = eta_basis()
-    assert_allclose(eb.plus[1], wedge(E[0], E[2]) - wedge(E[1], E[3]))
-    for row in eb.plus:
+    assert_allclose(ETA_PLUS[1], wedge(E[0], E[2]) - wedge(E[1], E[3]))
+    for row in ETA_PLUS:
         assert_allclose(hodge_star(row), row, atol=1e-15)
         assert_allclose(row @ row, 2.0)
-    for row in eb.minus:
+    for row in ETA_MINUS:
         assert_allclose(hodge_star(row), -row, atol=1e-15)
         assert_allclose(row @ row, 2.0)
-    allsix = np.vstack([eb.plus, eb.minus])
+    allsix = np.vstack([ETA_PLUS, ETA_MINUS])
     gram = allsix @ allsix.T
     assert_allclose(gram, 2 * np.eye(6), atol=1e-15)
     # the normalized vectors are the orthonormal change of basis
@@ -82,8 +81,7 @@ def test_plucker_residual():
     for _ in range(1000):
         u, v = rng.normal(size=(2, 4))
         assert abs(plucker_residual(wedge(u, v))) < 1e-12
-    eb = eta_basis()
-    assert_allclose(plucker_residual(eb.plus[0]), 2.0)
+    assert_allclose(plucker_residual(ETA_PLUS[0]), 2.0)
     for t in (0.0, 0.5, -2.0):
         xi = wedge(E[0], E[1]) + t * wedge(E[2], E[3])
         assert_allclose(plucker_residual(xi), 2 * t, atol=1e-15)

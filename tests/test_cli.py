@@ -72,14 +72,16 @@ def test_exit_code_parse_error():
     ["analyze", "--metric", "flat", "--grid", "0"],
     ["surface", "--metric", "fs", "--surface", "cp1-line",
      "--L0", "6", "--L-max", "6"],
+    ["surface", "--metric", "fs", "--surface", "cp1-line",
+     "--L0", "-2", "--L-max", "2"],
     ["scan-family", "--t-values", "0:1"],
     ["scan-family", "--t-values", "abc"],
     ["scan-family", "--t-values", "0:1:0"],
     ["verify-identities", "--sections", "0"],
 ], ids=["unknown-key", "removed-phi-key", "surface-rejects-value",
         "quad-below-8", "grid-below-3", "L0-not-below-L-max",
-        "range-without-count", "values-not-numbers", "empty-range",
-        "no-sections"])
+        "negative-L0", "range-without-count", "values-not-numbers",
+        "empty-range", "no-sections"])
 def test_exit_code_invalid_input(args):
     # typed: a one-line parse error, no traceback
     proc = run_cli(args)

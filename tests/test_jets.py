@@ -118,6 +118,22 @@ def test_no_module_imports_unused_names():
     assert unused == []
 
 
+def test_no_function_local_imports_but_the_cycle_breaker():
+    # a package import inside a function is kept only where a module-level
+    # one would close an import cycle: curvature imports metrics
+    local = set()
+    for p in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local |= {"%s:%s: from .%s import %s"
+                          % (p.stem, fn.name, node.module,
+                             ", ".join(a.name for a in node.names))
+                          for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom) and node.level}
+    assert sorted(local) == [
+        "metrics:kaehler_residuals: from .curvature import christoffel_arrays"]
+
+
 # ------------------------------------------------------------- 2-form jets
 
 def _cubic_form():

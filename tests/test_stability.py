@@ -7,12 +7,12 @@ from curv4.jets import array as _arr, partial as _jd
 from curv4.metrics import QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4
 from curv4.sphharm import harmonic_count, real_harmonics
 from curv4.stability import (
-    IndexForm, LinearSection, SectionBasis, assemble_index_form,
+    IndexForm, SectionBasis, assemble_index_form,
     index_two_construction, near_holomorphic_section, refine_until_stable,
     theorem_c_harness, _accumulate_forms,
 )
 from curv4.surfaces import (
-    cp1_line, dbar_perp_sq_field, equator_sphere,
+    NormalSection, cp1_line, dbar_perp_sq_field, equator_sphere,
     parallel_section, perturbed_slice, product_slice, second_variation,
     section_data, surface_geometry,
 )
@@ -21,6 +21,26 @@ QUAD = QuadSpec(32)
 MP = product_spheres(1.0, 1.0)
 MR = round_sphere4(1.0)
 MF = fubini_study()
+
+
+class LinearSection:
+    """Weighted sum of normal sections, summed jet by jet: the oracle for
+    combinations the library forms by linearity."""
+
+    def __init__(self, parts, weights):
+        self.parts = list(parts)
+        self.weights = np.asarray(weights, dtype=float)
+
+    def coeff_jets(self, cg, order=1):
+        c3 = 0.0
+        c4 = 0.0
+        for w, p in zip(self.weights, self.parts):
+            if w == 0.0:
+                continue
+            a3, a4 = p.coeff_jets(cg, order)
+            c3 = c3 + w * a3
+            c4 = c4 + w * a4
+        return c3, c4
 
 
 def test_harmonics_orthonormal_on_unit_sphere():
@@ -256,6 +276,20 @@ def test_synthetic_instability_fixture():
                                ambient_override=kappa)
     assert form.morse_index == 2
     assert_allclose(form.spectrum[:2], [-2 * kappa, -2 * kappa], atol=1e-8)
+
+
+def test_index_two_construction_evaluates_section_once_per_chart():
+    # J sigma and sigma +- J sigma come from sigma's data by linearity
+    S = product_slice()
+    sig = parallel_section(1.0, 0.0)
+    calls = []
+    real = sig.coeff_jets
+    sig.coeff_jets = lambda cg, order=1: (calls.append(cg.chart)
+                                          or real(cg, order))
+    fix = index_two_construction(S, MP, sig, QuadSpec(16),
+                                 ambient_override=0.8)
+    assert calls == ["a", "b"]
+    assert fix["unstable_pair"]
 
 
 def test_index_two_construction_matches_assembled_form_with_shear():

@@ -10,7 +10,7 @@ from curv4.metrics import (
     QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4,
 )
 from curv4.surfaces import (
-    FrameSection, ProjectedSection, SecondFundamentalForm, a_wedge_a_sq,
+    NormalSection, SecondFundamentalForm, a_wedge_a_sq,
     a_wedge_a_sq_expansion, area, chern_number, cp1_line, dbar_perp_sq,
     dbar_perp_sq_field,
     equator_sphere, induced_geometry, k_perp_extrinsic, k_perp_intrinsic,
@@ -47,7 +47,7 @@ def smooth_frame_section(seed):
         n1, n2, n3 = sphere_functions(chart, u)
         return b[4] + b[5] * n1 + b[6] * n2 + b[7] * n3
 
-    return FrameSection(a3, a4)
+    return NormalSection([a3, a4])
 
 
 def smooth_projected_section(S, seed):
@@ -60,7 +60,7 @@ def smooth_projected_section(S, seed):
             return c[0] + c[1] * n1 + c[2] * n2 + c[3] * n3
         return f
 
-    return ProjectedSection(S.normal_generators, [make(c) for c in b])
+    return NormalSection([make(c) for c in b])
 
 
 # ------------------------------------------------------------- induced data
@@ -432,7 +432,7 @@ def _direct_projection(S, m, cg, sig, order):
     """(<g V, n3>, <g V, n4>) for V = sum_c f_c V_c, as u-jets of ``order``,
     with the adapted frame rebuilt here by Gram-Schmidt."""
     u = [cg.u[:, 0], cg.u[:, 1]]
-    Fj = S.map_ring(cg.chart, seedn(u, order + 1))
+    Fj = S.fmap(cg.chart, seedn(u, order + 1))
     F = drop(Fj)
     g = m.comps_ring(S.chart_map[cg.chart], F)
 
@@ -455,7 +455,7 @@ def _direct_projection(S, m, cg, sig, order):
     n4 = [sgn * x for x in n4]
     uj = seedn(u, order)
     V = [0.0] * 4
-    for gen, cf in zip(sig.fields, sig.coeffs):
+    for gen, cf in zip(S.normal_generators, sig.coeffs):
         a = cf(cg.chart, uj)
         V = [V[i] + a * x for i, x in enumerate(gen(cg.chart, uj, F))]
     return dot(V, n3), dot(V, n4)
@@ -485,19 +485,16 @@ def test_projected_coeff_jets_match_direct_projection():
                                     atol=1e-12 * max(1.0, np.abs(y).max()))
 
 
-def test_projected_section_rejects_other_fields():
-    S = cp1_line()
-    cg = surface_geometry(S, MF, QuadSpec(12)).charts[0]
+def test_normal_section_rejects_wrong_coefficient_count():
     one = lambda chart, u: 1.0 + 0.0 * u[0]
-    other = ProjectedSection([lambda chart, u, F: [0.0, 0.0, 1.0, 0.0]],
-                             [one])
+    # the projective line has four generator fields, not one direction
+    cg = surface_geometry(cp1_line(), MF, QuadSpec(12)).charts[0]
     with pytest.raises(SectionError):
-        other.coeff_jets(cg)
-    # a trivial bundle has no generator fields to project
-    sig = ProjectedSection(S.normal_generators, [one] * 4)
+        NormalSection([one]).coeff_jets(cg)
+    # a trivial bundle has the two frame directions, not four
+    cg = surface_geometry(product_slice(), MP, QuadSpec(12)).charts[0]
     with pytest.raises(SectionError):
-        sig.coeff_jets(surface_geometry(product_slice(), MP,
-                                        QuadSpec(12)).charts[0])
+        NormalSection([one] * 4).coeff_jets(cg)
 
 
 # ------------------------------------------------------------- Lemma 3.15
@@ -510,8 +507,8 @@ def test_log_norm_parallel():
 def test_log_norm_local_holomorphic():
     # (a3 + i a4) = 1 + 0.3 z is holomorphic on chart a; the 2d Laplacian of
     # log|1 + 0.3 z|^2 vanishes in any conformal metric, matching Kperp = 0
-    sig = FrameSection(lambda chart, u: 1.0 + 0.3 * u[0],
-                       lambda chart, u: 0.3 * u[1])
+    sig = NormalSection([lambda chart, u: 1.0 + 0.3 * u[0],
+                         lambda chart, u: 0.3 * u[1]])
     res = log_norm_check(product_slice(), MP, sig, QUAD,
                          chart_filter=lambda cg: cg.chart == "a")
     assert res < 1e-4
@@ -550,7 +547,7 @@ def test_log_norm_on_projective_line_sections():
         # canonical nonvanishing-on-chart-a section certifies the identity
         ones = lambda chart, u: 1.0 + 0.0 * u[0]
         zero = lambda chart, u: 0.0 * u[0]
-        sig = ProjectedSection(S.normal_generators, [ones, zero, zero, zero])
+        sig = NormalSection([ones, zero, zero, zero])
         res = log_norm_check(S, MF, sig, QUAD,
                              chart_filter=lambda cg: cg.chart == "a")
         assert res < 1e-3
