@@ -31,7 +31,7 @@ from .errors import Curv4Error, MetricConstructionError, SpecParseError
 from .metrics import (
     QuadSpec, flat_space, fubini_study, ht_metric, kaehler_residuals,
     parse_metric_spec, product_spheres, round_sphere4, twisted_eps_max,
-    twisted_metric, volume,
+    twisted_metric, volume_estimate,
 )
 from .stability import SectionBasis, assemble_index_form, near_holomorphic_section, refine_until_stable
 from .surfaces import (
@@ -39,8 +39,8 @@ from .surfaces import (
     chern_number, cp1_line, equator_sphere, lemma310_integrals,
     parse_surface_spec, perturbed_slice, product_slice,
     ric_perp_identity_residual, section_data, sphere_functions,
-    surface_geometry, weitzenboeck_variation, NormalSection, _dbar_sq,
-    _kperp_extrinsic_field,
+    surface_geometry, weitzenboeck_variation, NormalSection, dbar_sq,
+    kperp_extrinsic_field,
 )
 
 EXIT_OK = 0
@@ -94,8 +94,8 @@ def cmd_analyze(args):
     report = _base_report(args, "analyze")
     report["metric"] = {"name": m.name, "params": m.params}
     report["conditions"] = rep.as_dict()
-    if m.regions:
-        report["volume"] = volume(m, QuadSpec(args.quad))
+    report["volume"], report["volume_error"] = volume_estimate(
+        m, QuadSpec(args.quad))
     if m.is_kaehler:
         report["kaehler_residuals"] = kaehler_residuals(m)
     if args.csv:
@@ -141,7 +141,8 @@ def cmd_scan_family(args):
             rep = condition_check(m, grid_n=args.grid | 1,
                                   include_sectional=False)
             cell["margins"] = rep.as_dict()["margins"]
-            cell["volume"] = volume(m, QuadSpec(args.quad))
+            cell["volume"], cell["volume_error"] = volume_estimate(
+                m, QuadSpec(args.quad))
             cells.append(cell)
             rows.append([t, eps, pd_max, pos_max, cell["volume"],
                          cell["margins"]["s6_minus_wplus"]])
@@ -261,7 +262,7 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
     for S, m, minimal in surfaces:
         geom = surface_geometry(S, m, quad)
         ctx = "%s@%s" % (S.name, m.name)
-        kx = max(np.abs(cg.kperp - _kperp_extrinsic_field(cg)).max()
+        kx = max(np.abs(cg.kperp - kperp_extrinsic_field(cg)).max()
                  for cg in geom.charts)
         add("kperp-cross-path", ctx, kx, 1e-5)
         add("ric-perp-eta-pairing", ctx,
@@ -273,7 +274,7 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
             data = [section_data(cg, sig) for cg in geom.charts]
             l310 = max(l310, lemma310_integrals(geom, data)["residual"])
             for cg, d in zip(geom.charts, data):
-                v0, v1 = _dbar_sq(d, 0.0), _dbar_sq(d, 0.785)
+                v0, v1 = dbar_sq(d, 0.0), dbar_sq(d, 0.785)
                 dbar_rot = max(dbar_rot, np.abs(v0 - v1).max())
                 # J sigma evaluated on its own: the second path of the check
                 dj = section_data(cg, sig.rotated())
@@ -372,7 +373,9 @@ def build_parser():
                            help="grid resolution per chart axis (>= 3; odd "
                                 "sizes include chart centres)")
         p.add_argument("--quad", type=int, default=32,
-                       help="quadrature resolution (>= %d)" % QuadSpec.MIN_N)
+                       help="Gauss-Legendre nodes per axis of the surface "
+                            "quadrature and of the orbit volume rule (>= %d)"
+                            % QuadSpec.MIN_N)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="report path (JSON)")
 

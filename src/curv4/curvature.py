@@ -21,7 +21,7 @@ import numpy as np
 from . import bivector as bv
 from .bivector import CurvatureLike, PAIRS, kn_tensor4, operator6, to_eta_basis
 from .errors import MetricConstructionError
-from .metrics import _J_STANDARD, _comps_jets, _twisted_parts, twisted_eps_max
+from .metrics import J_STANDARD, comps_jets, twisted_parts, twisted_eps_max
 
 I3 = np.eye(3)
 I4 = np.eye(4)
@@ -410,7 +410,7 @@ def positivity_eps_max(t, grid_n=5):
 
     # the metric is affine in eps: evaluate the jets of both parts once,
     # then every bisection step is plain linear algebra
-    base, pert = _twisted_parts(t)
+    base, pert = twisted_parts(t)
     parts = []
     for chart, pts in base.grid_points(grid_n):
         parts.append((base.jets(chart, pts), pert.jets(chart, pts)))
@@ -511,7 +511,7 @@ class TwoFormField:
 
     def jets(self, chart, pts):
         """(A, dA, d2A) laid out as ``MetricField.jets``."""
-        return _comps_jets(self._comps, chart, pts)
+        return comps_jets(self._comps, chart, pts)
 
 
 def kaehler_form(m):
@@ -526,7 +526,7 @@ def kaehler_form(m):
             for j in range(4):
                 acc = 0.0
                 for k in range(4):
-                    acc = acc + _J_STANDARD[k][i] * g[k][j]
+                    acc = acc + J_STANDARD[k][i] * g[k][j]
                 out[i][j] = acc
         return out
 

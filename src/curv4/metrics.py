@@ -18,6 +18,12 @@ Those come from two dual layers seeded on s outside the caller's ring:
 Phi sees only s, never x, so the caller's x-layers and the s-layers stay
 apart even though jets carry no tags.
 
+Every curved built-in is invariant under the T^2 rotations
+z_a -> e^{i theta_a} z_a in every chart, so ``volume`` integrates over the
+orbit space (|z1|, |z2|) with a 2-D Gauss rule.  ``QuadSpec.n`` (the CLI's
+``--quad``) is the node count per axis of both that rule and the surface
+quadrature.
+
 Conventions
 -----------
 * All charts are positively oriented; stereographic pairs are glued by the
@@ -30,7 +36,6 @@ Conventions
 
 import functools
 import inspect
-import itertools
 import re
 
 import numpy as np
@@ -42,10 +47,10 @@ CHART_MARGIN = 0.1
 
 # the complex structure of every Kahler built-in in every chart, on the
 # coordinates (x1, y1, x2, y2) with z_a = x_a + i y_a (columns J(e_j))
-_J_STANDARD = [[0.0, -1.0, 0.0, 0.0],
-               [1.0, 0.0, 0.0, 0.0],
-               [0.0, 0.0, 0.0, -1.0],
-               [0.0, 0.0, 1.0, 0.0]]
+J_STANDARD = [[0.0, -1.0, 0.0, 0.0],
+              [1.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, -1.0],
+              [0.0, 0.0, 1.0, 0.0]]
 
 
 class Chart:
@@ -92,7 +97,7 @@ class Chart:
 class KaehlerStructure:
     """Complex structure + per-chart potential(chart, s) of a Kahler built-in.
 
-    J is the constant _J_STANDARD in every chart.
+    J is the constant J_STANDARD in every chart.
     """
 
     def __init__(self, potential):
@@ -100,7 +105,7 @@ class KaehlerStructure:
 
     def matrix(self, chart, pts):
         shape = np.shape(pts)[:-1] + (4, 4)
-        return np.broadcast_to(np.array(_J_STANDARD), shape).copy()
+        return np.broadcast_to(np.array(J_STANDARD), shape).copy()
 
 
 def _as_batch(pts):
@@ -111,7 +116,7 @@ def _as_batch(pts):
     return pts, single
 
 
-def _comps_jets(comps, chart, pts):
+def comps_jets(comps, chart, pts):
     """(A, dA, d2A) of a ring-generic 4x4 component field at points."""
     pts, single = _as_batch(pts)
     out = component_jets(comps(chart, seedn([pts[:, i] for i in range(4)], 2)),
@@ -127,14 +132,14 @@ class MetricField:
     """
 
     def __init__(self, name, charts, comps, params=None, kaehler=None,
-                 regions=None, validate=True):
+                 volume_nodes=None, validate=True):
         self.name = name
         self.params = dict(params or {})
         self.charts = {c.name: c for c in charts}
         self.chart_order = [c.name for c in charts]
         self._comps = comps
         self.kaehler = kaehler
-        self.regions = regions or []
+        self.volume_nodes = volume_nodes  # n -> [(chart, pts, w)]
         if validate:
             self._validate()
 
@@ -158,7 +163,7 @@ class MetricField:
 
     def jets(self, chart, pts):
         """(g, dg, d2g) with dg[...,k,i,j] = d_k g_ij, d2g[...,l,k,i,j]."""
-        return _comps_jets(self._comps, chart, pts)
+        return comps_jets(self._comps, chart, pts)
 
     def require_inside(self, chart, pts, margin=CHART_MARGIN):
         ok = self.charts[chart].contains(pts, margin)
@@ -245,7 +250,9 @@ def toric_metric(potential):
 # quadrature
 
 class QuadSpec:
-    """Single-knob quadrature resolution (Gauss-Legendre node count)."""
+    """Single-knob quadrature resolution: the Gauss-Legendre node count per
+    axis, both of the surface quadrature (``sphere_chart_nodes``) and of the
+    orbit volume rule (``volume``)."""
 
     MIN_N = 8
 
@@ -260,122 +267,108 @@ def _gl(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _hemisphere_rays(n):
+    """Rays of a round-sphere factor, split across its two charts.
+
+    Gauss-Legendre in c = cos(theta); returns [(hemisphere_id, r, wc, jac)]
+    with r = sqrt((1 - c)/(1 + c)) the chart radius of each node and
+    jac = 1/(1 + c)^2, so that wc * jac are the weights of r dr (two
+    factors, because the surface weights are formed as wc * wphi * jac).
+    An odd n has a node on the equator c = 0; chart 'a' takes it.
+    """
+    c, wc = _gl(n, -1.0, 1.0)
+    out = []
+    for hemi, sel in (("a", c >= 0), ("b", c < 0)):
+        ch = np.abs(c[sel])
+        out.append((hemi, np.sqrt((1 - ch) / (1 + ch)), wc[sel],
+                    1.0 / (1 + ch) ** 2))
+    return out
+
+
 def sphere_chart_nodes(n):
     """Quadrature for one round-sphere factor, split across its two charts.
 
-    Gauss-Legendre in cos(theta) x uniform phi; returns
+    The rays of ``_hemisphere_rays`` times uniform phi; returns
     [(hemisphere_id, u (N,2), w (N,))] where w includes the Jacobian of the
     (c, phi) -> chart-coordinate substitution, so sum w * sqrt(det g2)
     integrates the factor area.
     """
-    c, wc = _gl(n, -1.0, 1.0)
     nphi = 2 * n
     phi = (np.arange(nphi) + 0.5) * (2 * np.pi / nphi)
     wphi = 2 * np.pi / nphi
     out = []
-    for hemi, sel in (("a", c > 0), ("b", c < 0)):
-        ch = c[sel] if hemi == "a" else -c[sel]
-        C, PH = np.meshgrid(ch, phi, indexing="ij")
-        R = np.sqrt((1 - C) / (1 + C))
+    for hemi, r, wc, jac in _hemisphere_rays(n):
         sgn = 1.0 if hemi == "a" else -1.0
-        u = np.stack([R * np.cos(PH), sgn * R * np.sin(PH)], axis=-1).reshape(-1, 2)
-        jac = 1.0 / (1 + C) ** 2
-        w = (wc[sel][:, None] * wphi * jac).reshape(-1)
-        out.append((hemi, u, w))
+        u = np.stack([r[:, None] * np.cos(phi), sgn * r[:, None] * np.sin(phi)],
+                     axis=-1).reshape(-1, 2)
+        out.append((hemi, u, np.repeat(wc * wphi * jac, nphi)))
     return out
 
 
-def _vol_n(spec):
-    # volume integrands are smooth; a quarter of the surface resolution is
-    # already far inside the 0.1% budget
-    return max(QuadSpec.MIN_N, spec.n // 4)
+def _orbit_nodes(chart, r1, r2, w):
+    """Volume nodes at the orbit representatives (r1, 0, r2, 0); r1, r2 and
+    w broadcast, w weighs r1 r2 dr1 dr2 and the T^2 angles add (2 pi)^2."""
+    r1, r2, w = np.broadcast_arrays(r1, r2, w)
+    zero = np.zeros(r1.size)
+    pts = np.stack([r1.ravel(), zero, r2.ravel(), zero], axis=-1)
+    return chart, pts, (2 * np.pi) ** 2 * w.ravel()
 
 
-class ProductS2Region:
-    """Volume nodes for product-of-spheres charts named 'ab' etc."""
-
-    def nodes(self, spec):
-        per_factor = sphere_chart_nodes(_vol_n(spec))
-        for (h1, u1, w1), (h2, u2, w2) in itertools.product(per_factor, per_factor):
-            pts = np.concatenate([
-                np.repeat(u1, len(u2), axis=0),
-                np.tile(u2, (len(u1), 1)),
-            ], axis=1)
-            w = (w1[:, None] * w2[None, :]).reshape(-1)
-            yield h1 + h2, pts, w
+def _product_volume_nodes(n):
+    """Orbit nodes of the four product charts 'aa', 'ab', 'ba', 'bb'."""
+    rays = _hemisphere_rays(n)
+    return [_orbit_nodes(h1 + h2, r1[:, None], r2[None, :],
+                         (wc1 * jac1)[:, None] * (wc2 * jac2)[None, :])
+            for h1, r1, wc1, jac1 in rays for h2, r2, wc2, jac2 in rays]
 
 
-class Ball4Region:
-    """Volume nodes for two-chart stereographic atlases of S^4."""
-
-    def nodes(self, spec):
-        n = _vol_n(spec)
-        r, wr = _gl(n, 0.0, 1.0)
-        psi, wpsi = _gl(n, 0.0, np.pi)
-        c, wc = _gl(n, -1.0, 1.0)
-        nphi = 2 * n
-        phi = (np.arange(nphi) + 0.5) * (2 * np.pi / nphi)
-        wphi = 2 * np.pi / nphi
-        R, PS, C, PH = np.meshgrid(r, psi, c, phi, indexing="ij")
-        s = np.sqrt(1 - C ** 2)
-        pts = np.stack([
-            R * np.cos(PS),
-            R * np.sin(PS) * C,
-            R * np.sin(PS) * s * np.cos(PH),
-            R * np.sin(PS) * s * np.sin(PH),
-        ], axis=-1).reshape(-1, 4)
-        W = (wr[:, None, None, None] * wpsi[None, :, None, None]
-             * wc[None, None, :, None] * wphi)
-        w = (W * R ** 3 * np.sin(PS) ** 2).reshape(-1)
-        for chart in ("n", "s"):
-            yield chart, pts, w
+def _polar_volume_nodes(charts, rho_max, n):
+    """Orbit nodes r1 = tan(rho) cos(th), r2 = tan(rho) sin(th) with
+    th in [0, pi/2] and rho in [0, rho_max], the same on every chart of
+    ``charts``; dr1 dr2 = tan(rho) sec^2(rho) drho dth."""
+    rho, wrho = _gl(n, 0.0, rho_max)
+    th, wth = _gl(n, 0.0, np.pi / 2)
+    R = np.tan(rho)
+    r1, r2 = R[:, None] * np.cos(th), R[:, None] * np.sin(th)
+    w = r1 * r2 * (R / np.cos(rho) ** 2 * wrho)[:, None] * wth
+    return [_orbit_nodes(chart, r1, r2, w) for chart in charts]
 
 
-class CP2Region:
-    """Volume nodes for CP^2 through the dense affine chart u0."""
-
-    def nodes(self, spec):
-        n = 2 * _vol_n(spec)
-        chi, wchi = _gl(n, 0.0, np.pi / 2)
-        nphi = 2 * _vol_n(spec)
-        phi = (np.arange(nphi) + 0.5) * (2 * np.pi / nphi)
-        wphi = 2 * np.pi / nphi
-        C1, P1, C2, P2 = np.meshgrid(chi, phi, chi, phi, indexing="ij")
-        t1, t2 = np.tan(C1), np.tan(C2)
-        pts = np.stack([t1 * np.cos(P1), t1 * np.sin(P1),
-                        t2 * np.cos(P2), t2 * np.sin(P2)], axis=-1).reshape(-1, 4)
-        jac = (t1 / np.cos(C1) ** 2) * (t2 / np.cos(C2) ** 2)
-        W = wchi[:, None, None, None] * wphi * wchi[None, None, :, None] * wphi
-        w = (W * jac).reshape(-1)
-        yield "u0", pts, w
+def _flat_box_nodes(n):
+    """4-D Gauss nodes over the box [-1, 1]^4 of the flat chart 'e': the
+    orbit rule does not apply, as the box is not T^2-invariant."""
+    x, w = _gl(max(QuadSpec.MIN_N, n // 4), -1.0, 1.0)
+    pts = np.stack(np.meshgrid(*([x] * 4), indexing="ij"), axis=-1)
+    W = np.prod(np.meshgrid(*([w] * 4), indexing="ij"), axis=0)
+    return [("e", pts.reshape(-1, 4), W.reshape(-1))]
 
 
-class BoxRegion:
-    """Volume nodes over a coordinate box of a flat single-chart field."""
-
-    def __init__(self, chart, half_width):
-        self.chart = chart
-        self.h = float(half_width)
-
-    def nodes(self, spec):
-        n = max(QuadSpec.MIN_N, spec.n // 4)
-        x, w = _gl(n, -self.h, self.h)
-        grids = np.meshgrid(*([x] * 4), indexing="ij")
-        pts = np.stack(grids, axis=-1).reshape(-1, 4)
-        W = w[:, None, None, None] * w[None, :, None, None] \
-            * w[None, None, :, None] * w[None, None, None, :]
-        yield self.chart, pts, W.reshape(-1)
+def _node_sum(m, n):
+    total = 0.0
+    for chart, pts, w in m.volume_nodes(n):
+        g = m.eval(chart, pts)
+        total += float(np.sum(w * np.sqrt(np.linalg.det(g))))
+    return total
 
 
 def volume(m, quad=None):
-    """Integral of sqrt(det g) over the atlas partition of the field."""
-    quad = quad or QuadSpec()
-    total = 0.0
-    for region in m.regions:
-        for chart, pts, w in region.nodes(quad):
-            g = m.eval(chart, pts)
-            total += float(np.sum(w * np.sqrt(np.linalg.det(g))))
-    return total
+    """Integral of sqrt(det g) over the atlas partition of the field.
+
+    Precondition of the curved built-ins: the rotations z_a -> e^{i th_a} z_a
+    are isometries in every chart (the test suite checks this for every
+    entry of METRICS), so sqrt(det g) is constant on each T^2 orbit and
+    vol = (2 pi)^2 int int r1 r2 sqrt(det g)(r1, 0, r2, 0) dr1 dr2, a 2-D
+    Gauss rule with quad.n nodes per axis.  Flat space integrates its box
+    with a 4-D rule.
+    """
+    return _node_sum(m, (quad or QuadSpec()).n)
+
+
+def volume_estimate(m, quad):
+    """(V(n), |V(n) - V(n // 2)|) with n = quad.n: the volume and the change
+    from halving the node count, an estimate of its quadrature error."""
+    v = volume(m, quad)
+    return v, abs(v - _node_sum(m, quad.n // 2))
 
 
 # ---------------------------------------------------------------------
@@ -404,8 +397,7 @@ def flat_space():
             g[i][i] = 1.0 + 0.0 * x[0]
         return g
 
-    return MetricField("flat", [chart], comps,
-                       regions=[BoxRegion("e", 1.0)])
+    return MetricField("flat", [chart], comps, volume_nodes=_flat_box_nodes)
 
 
 def round_sphere4(r=1.0):
@@ -423,7 +415,8 @@ def round_sphere4(r=1.0):
         return g
 
     return MetricField("round4", _stereo_pair_charts_s4(), comps,
-                       params={"r": r}, regions=[Ball4Region()])
+                       params={"r": r}, volume_nodes=functools.partial(
+                           _polar_volume_nodes, ("n", "s"), np.pi / 4))
 
 
 def _product_charts():
@@ -474,7 +467,7 @@ def product_spheres(a=1.0, b=1.0):
     kae = KaehlerStructure(_product_potential(a * a, b * b))
     return MetricField("product", _product_charts(), comps,
                        params={"a": a, "b": b}, kaehler=kae,
-                       regions=[ProductS2Region()])
+                       volume_nodes=_product_volume_nodes)
 
 
 def ht_metric(t):
@@ -505,7 +498,7 @@ def _phi_height_product(name, s):
     return parts[0] * parts[1]
 
 
-def _twisted_parts(t):
+def twisted_parts(t):
     """(h_t, 2 Re ddbar phi) as fields; the second is not a metric."""
     base = ht_metric(t)
     pert = MetricField("twisted-part", list(base.charts.values()),
@@ -548,7 +541,7 @@ def twisted_eps_max(t, grid_n=16):
 
 @functools.lru_cache(maxsize=64)
 def _eps_max(t, grid_n):
-    base, pert = _twisted_parts(t)
+    base, pert = twisted_parts(t)
     points = [(name, np.concatenate([chart.grid(grid_n), chart.grid(5)]))
               for name, chart in base.charts.items()]
     # copies of the entries used, so the 4x4 arrays can go
@@ -580,7 +573,7 @@ def twisted_metric(t, eps):
     return MetricField("twisted", _product_charts(), toric_metric(potential),
                        params={"t": t, "eps": eps},
                        kaehler=KaehlerStructure(potential),
-                       regions=[ProductS2Region()])
+                       volume_nodes=_product_volume_nodes)
 
 
 def _cp2_charts():
@@ -628,7 +621,8 @@ def fubini_study():
 
     kae = KaehlerStructure(potential)
     return MetricField("fubini-study", _cp2_charts(), toric_metric(potential),
-                       kaehler=kae, regions=[CP2Region()])
+                       kaehler=kae, volume_nodes=functools.partial(
+                           _polar_volume_nodes, ("u0",), np.pi / 2))
 
 
 # ---------------------------------------------------------------------

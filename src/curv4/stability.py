@@ -24,8 +24,8 @@ from .metrics import QuadSpec
 from .sphharm import harmonic_fn, real_harmonics
 from .surfaces import (
     NormalSection, a_wedge_a_sq, chern_number, jacobi_block, product_slice,
-    section_data, surface_geometry, weitzenboeck_variation, _covariant_coeffs,
-    _j_rotated_data, _second_variation_density,
+    section_data, surface_geometry, weitzenboeck_variation, covariant_coeffs,
+    j_rotated_data, second_variation_density,
 )
 from .jets import array, drop, grad_array, seedn
 
@@ -106,7 +106,7 @@ class SectionBasis:
               + p4[..., :, None, None] * dY[..., None, :, :])
         d3 = d3.reshape(sh + (self.dim, 2))
         d4 = d4.reshape(sh + (self.dim, 2))
-        return (v3, v4) + _covariant_coeffs(cg, v3, v4, d3, d4)
+        return (v3, v4) + covariant_coeffs(cg, v3, v4, d3, d4)
 
 
 def _mass_whitening(G):
@@ -272,12 +272,12 @@ def index_two_construction(S, m, sigma, quad=None, ambient_override=None):
     def d2(a, b):
         vals = []
         for cg, d in zip(geom.charts, data):
-            dj = _j_rotated_data(d)
+            dj = j_rotated_data(d)
             dab = {k: a * d[k] + b * dj[k] for k in ("c3", "c4", "D3", "D4")}
             D3, D4 = dab["D3"], dab["D4"]
             dab["grad2"] = (D3[..., 0] ** 2 + D3[..., 1] ** 2
                             + D4[..., 0] ** 2 + D4[..., 1] ** 2)
-            vals.append(_second_variation_density(cg, dab, ambient_override))
+            vals.append(second_variation_density(cg, dab, ambient_override))
         return geom.integrate(vals)
 
     a, b = sorted((d2(1.0, 0.0), d2(0.0, 1.0)))

@@ -465,7 +465,7 @@ class JRotated:
 # ---------------------------------------------------------------------
 # pointwise operators on sections
 
-def _covariant_coeffs(cg, v3, v4, d3, d4):
+def covariant_coeffs(cg, v3, v4, d3, d4):
     """(nabla^perp_{d_a} sigma) frame coefficients, a = 1, 2, from the frame
     coefficients (v3, v4) and their coordinate gradients (d3, d4).  The
     arrays may carry a section axis between the node and derivative axes."""
@@ -478,8 +478,8 @@ def section_data(cg, sigma):
     c3, c4 = sigma.coeff_jets(cg, order=1)
     sh = cg.shape
     v3, v4 = array(c3, sh), array(c4, sh)
-    cov3, cov4 = _covariant_coeffs(cg, v3, v4, grad_array(c3, sh, 2),
-                                   grad_array(c4, sh, 2))
+    cov3, cov4 = covariant_coeffs(cg, v3, v4, grad_array(c3, sh, 2),
+                                  grad_array(c4, sh, 2))
     # along the orthonormal tangent frame: e_i = c[i,a] d_a
     e3 = np.einsum("...ia,...a->...i", cg.c, cov3)
     e4 = np.einsum("...ia,...a->...i", cg.c, cov4)
@@ -489,7 +489,7 @@ def section_data(cg, sigma):
                      + e4[..., 0] ** 2 + e4[..., 1] ** 2}
 
 
-def _j_rotated_data(d):
+def j_rotated_data(d):
     """section_data of J sigma from that of sigma: the frame coefficients
     and their covariant derivatives turn by +90 degrees, (c3, c4) ->
     (-c4, c3); the norms do not change."""
@@ -509,10 +509,10 @@ def normal_connection(S, m, sigma, X, chart, u):
 
 
 def dbar_perp_sq_field(cg, sigma, tau=0.0):
-    return _dbar_sq(section_data(cg, sigma), tau)
+    return dbar_sq(section_data(cg, sigma), tau)
 
 
-def _dbar_sq(d, tau=0.0):
+def dbar_sq(d, tau=0.0):
     """|dbar(sigma; e)|^2 / 2 from the section_data dict of sigma, where
     dbar(sigma; e) = nabla^perp_e sigma + nabla^perp_{Ie}(J sigma) and
     e = cos(tau) e1 + sin(tau) e2."""
@@ -536,7 +536,7 @@ def k_perp_intrinsic(S, m, chart, u):
     return float(_point_geometry(S, m, chart, u).kperp[0])
 
 
-def _kperp_extrinsic_field(cg):
+def kperp_extrinsic_field(cg):
     # Ricci equation in the sign conventions of curv4.curvature:
     # Kperp = Rm(e1,e2,e3,e4) + <A3(e1), A4(e2)> - <A4(e1), A3(e2)>
     amb = np.einsum("...ijkl,...i,...j,...k,...l->...",
@@ -549,7 +549,7 @@ def _kperp_extrinsic_field(cg):
 
 
 def k_perp_extrinsic(S, m, chart, u):
-    return float(_kperp_extrinsic_field(_point_geometry(S, m, chart, u))[0])
+    return float(kperp_extrinsic_field(_point_geometry(S, m, chart, u))[0])
 
 
 def chern_number(S, m, quad=None):
@@ -631,7 +631,7 @@ def jacobi_block(cg, ambient_override=None):
     return cg.jacobi - cg.Rterm + 2.0 * float(ambient_override) * np.eye(2)
 
 
-def _second_variation_density(cg, d, ambient_override=None):
+def second_variation_density(cg, d, ambient_override=None):
     """Integrand of delta^2 from the section_data dict of sigma."""
     c = np.stack([d["c3"], d["c4"]], axis=-1)
     return d["grad2"] - np.einsum("...s,...st,...t->...", c,
@@ -642,7 +642,7 @@ def second_variation(S, m, sigma, quad=None):
     """delta^2(sigma) for a minimal surface (unnormalized curvature term)."""
     geom = surface_geometry(S, m, quad)
     geom.require_minimal()
-    vals = [_second_variation_density(cg, section_data(cg, sigma))
+    vals = [second_variation_density(cg, section_data(cg, sigma))
             for cg in geom.charts]
     return geom.integrate(vals)
 
@@ -653,7 +653,7 @@ def lemma310_integrals(geom, data):
     for cg, d in zip(geom.charts, data):
         lhs += float(np.sum(cg.w * cg.sqrt_h * d["grad2"]))
         rhs += float(np.sum(cg.w * cg.sqrt_h *
-                            (2 * _dbar_sq(d)
+                            (2 * dbar_sq(d)
                              + cg.kperp * d["norm2"])))
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
@@ -673,14 +673,14 @@ def averaged_second_variation(geom, data):
     4 |dbar sigma|^2 - [ <(s/6 - W+) eta, eta> + |A ^ A|^2 ] |sigma|^2.
     """
     def delta2(ds):
-        return geom.integrate([_second_variation_density(cg, d)
+        return geom.integrate([second_variation_density(cg, d)
                                for cg, d in zip(geom.charts, ds)])
 
-    lhs = delta2(data) + delta2([_j_rotated_data(d) for d in data])
+    lhs = delta2(data) + delta2([j_rotated_data(d) for d in data])
     t_dbar, t_weyl, t_shear = 0.0, 0.0, 0.0
     for cg, d in zip(geom.charts, data):
         base = cg.w * cg.sqrt_h
-        t_dbar += float(np.sum(base * 4.0 * _dbar_sq(d)))
+        t_dbar += float(np.sum(base * 4.0 * dbar_sq(d)))
         t_weyl -= float(np.sum(base * cg.s6_pairing * d["norm2"]))
         t_shear -= float(np.sum(base * a_wedge_a_sq(cg.A) * d["norm2"]))
     rhs = t_dbar + t_weyl + t_shear

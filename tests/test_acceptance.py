@@ -28,7 +28,7 @@ from curv4.surfaces import (
     chern_number, cp1_line, equator_sphere, parallel_section, perturbed_slice,
     product_slice, second_variation, surface_geometry, sphere_functions,
     variational_identity_lemma310, weitzenboeck_variation,
-    NormalSection, _kperp_extrinsic_field,
+    NormalSection, kperp_extrinsic_field,
 )
 
 QUAD = QuadSpec(48)
@@ -248,7 +248,7 @@ def test_criterion_9_kperp_cross_path():
         geom = surface_geometry(S, m, QUAD)
         for cg in geom.charts:
             worst = max(worst,
-                        np.abs(cg.kperp - _kperp_extrinsic_field(cg)).max())
+                        np.abs(cg.kperp - kperp_extrinsic_field(cg)).max())
     assert worst < 1e-5
     report(9, "K_perp intrinsic vs extrinsic: worst %.1e" % worst)
 

@@ -23,6 +23,7 @@ def test_analyze_product(tmp_path):
     rep = json.loads(out.read_text())
     assert abs(rep["conditions"]["margins"]["s6_minus_wplus"]) < 1e-6
     assert abs(rep["volume"] - 16 * np.pi ** 2) / (16 * np.pi ** 2) < 1e-3
+    assert 0.0 <= rep["volume_error"] < 1e-12 * rep["volume"]
     rows = csvp.read_text().strip().splitlines()
     assert len(rows) - 1 == rep["conditions"]["npoints"]
 
@@ -172,6 +173,7 @@ def test_scan_family_small(tmp_path):
     for cell in rep["cells"]:
         assert "error" not in cell
         assert abs(cell["volume"] - 16 * np.pi ** 2) / (16 * np.pi ** 2) < 1e-3
+        assert 0.0 <= cell["volume_error"] < 1e-12 * cell["volume"]
         assert cell["margins"]["s6_minus_wplus"] >= -1e-6
     rows = csvp.read_text().strip().splitlines()
     assert len(rows) == 5

@@ -118,6 +118,17 @@ def test_no_module_imports_unused_names():
     assert unused == []
 
 
+def test_no_module_imports_private_names():
+    # a name another module needs is public: no `from .module import _name`
+    private = ["%s:%d: %s" % (p.name, node.lineno, a.name)
+               for p in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for a in node.names
+               if a.name.startswith("_") and not a.name.endswith("__")]
+    assert private == []
+
+
 def test_no_function_local_imports_but_the_cycle_breaker():
     # a package import inside a function is kept only where a module-level
     # one would close an import cycle: curvature imports metrics

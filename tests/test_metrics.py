@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import pytest
 
 from curv4 import metrics
+from curv4.curvature import curvature_batch
 from curv4.errors import MetricConstructionError, SpecParseError
 from curv4.jets import partial, seedn, value
 from curv4.metrics import (
@@ -372,6 +373,65 @@ def test_volume_stable_under_doubling():
         v1 = volume(m, QuadSpec(48))
         v2 = volume(m, QuadSpec(96))
         assert abs(v1 - v2) / abs(v2) < 1e-3
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 32])
+def test_volume_is_exact_at_every_quad(n):
+    # exact values: Duistermaat-Heckman gives (2 pi)^2 times the area of the
+    # moment polygon, which the eps-twist of S^2 x S^2 leaves at 16 pi^2
+    quad = QuadSpec(n)
+    cases = [(fubini_study(), np.pi ** 2 / 2),
+             (round_sphere4(1.0), 8 * np.pi ** 2 / 3)]
+    for t in (0.0, 0.5, 1.0):
+        e = twisted_eps_max(t)
+        cases += [(twisted_metric(t, eps), 16 * np.pi ** 2)
+                  for eps in (-e / 2, 0.0, e / 2)]
+    for m, exact in cases:
+        assert abs(volume(m, quad) - exact) / exact < 1e-12, (m.name, m.params)
+
+
+def test_volume_estimate_halves_the_node_count():
+    m = fubini_study()
+    v, err = metrics.volume_estimate(m, QuadSpec(32))
+    assert (v, err) == (volume(m, QuadSpec(32)),
+                        abs(v - volume(m, QuadSpec(16))))
+    # the halved rule may fall below QuadSpec.MIN_N
+    assert 1e-5 < metrics.volume_estimate(m, QuadSpec(9))[1] < 1e-3
+
+
+# every entry of METRICS, with the parameters its builder needs
+T2_SPECS = {"ht": "ht(t=0.6)", "twisted": "twisted(t=0.5,eps=0.05)"}
+
+
+def _t2_rotated(pts, th):
+    """pts with z_a -> e^{i th_a} z_a, one angle pair per point."""
+    out = pts.copy()
+    for a in (0, 2):
+        c, s = np.cos(th[:, a // 2]), np.sin(th[:, a // 2])
+        out[:, a] = c * pts[:, a] - s * pts[:, a + 1]
+        out[:, a + 1] = s * pts[:, a] + c * pts[:, a + 1]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(metrics.METRICS))
+def test_builtin_is_t2_invariant(name):
+    # the precondition of the orbit volume rule: the T^2 rotations are
+    # isometries in every chart, so the invariants agree at rotated copies
+    m = parse_metric_spec(T2_SPECS.get(name, name))
+    rng = np.random.default_rng(23)
+    for chart, pts in m.sample_points(rng, 20):
+        th = rng.uniform(0.0, 2 * np.pi, size=(len(pts), 2))
+        want, got = [
+            (np.linalg.det(d["g"]), d["s"], np.linalg.eigvalsh(d["R_op"]),
+             np.linalg.eigvalsh(d["wplus"]))
+            for d in (curvature_batch(m, chart, p)
+                      for p in (pts, _t2_rotated(pts, th)))]
+        # curvature is relative to the largest |eigenvalue| of R_op, since
+        # W+ vanishes on round4
+        scale = np.abs(want[2]).max()
+        for a, b, ref in zip(want, got, (np.abs(want[0]).max(), scale,
+                                         scale, scale)):
+            assert_allclose(b, a, rtol=0, atol=1e-12 * ref)
 
 
 def test_quadspec_minimum():

@@ -87,6 +87,15 @@ def test_slice_and_cp1_stable():
     assert form2.morse_index == 0
 
 
+@pytest.mark.parametrize("L", [2, 3, 4, 6])
+def test_mass_rank_on_cp1_line(L):
+    # the MASS_COND_MAX cut keeps 2(L+1)(L+2) of the 4(L+1)^2 directions
+    Sc = cp1_line()
+    form = assemble_index_form(Sc, MF, SectionBasis(Sc, L), QUAD)
+    assert form.basis.dim == 4 * (L + 1) ** 2
+    assert form.mass_rank == 2 * (L + 1) * (L + 2)
+
+
 def test_assembly_matches_quadratic_form():
     # zeta^T Q zeta = delta^2(zeta) for individual basis elements
     Se = equator_sphere()
