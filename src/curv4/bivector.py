@@ -64,44 +64,11 @@ def plucker_residual(xi):
                   + xi[..., 2] * xi[..., 3])
 
 
-class CurvatureLike:
-    """Symmetric operator on bivectors: a 4-tensor with pair symmetry,
-    stored as a symmetric 6x6 matrix M[(ij),(kl)] = T(e_i,e_j;e_k,e_l).
-    """
-
-    def __init__(self, mat):
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (6, 6):
-            raise ValueError("CurvatureLike expects a 6x6 matrix")
-        if not np.allclose(mat, mat.T, atol=1e-12 * (1 + np.abs(mat).max())):
-            raise ValueError("CurvatureLike matrix must be symmetric")
-        self.mat = 0.5 * (mat + mat.T)
-
-    def bianchi_residual(self):
-        """|R_1234 + R_1342 + R_1423| computed from the matrix slots."""
-        m = self.mat
-        return abs(m[0, 5] - m[1, 4] + m[2, 3])
-
-    def as_tensor4(self):
-        """Expand to the full antisymmetric 4-index array T[i,j,k,l]."""
-        T = np.zeros((4, 4, 4, 4))
-        for a, (i, j) in enumerate(PAIRS):
-            for b, (k, l) in enumerate(PAIRS):
-                v = self.mat[a, b]
-                T[i, j, k, l] = v
-                T[j, i, k, l] = -v
-                T[i, j, l, k] = -v
-                T[j, i, l, k] = v
-        return T
-
-    @staticmethod
-    def from_tensor4(T):
-        T = np.asarray(T, dtype=float)
-        m = np.empty((6, 6))
-        for a, (i, j) in enumerate(PAIRS):
-            for b, (k, l) in enumerate(PAIRS):
-                m[a, b] = T[i, j, k, l]
-        return CurvatureLike(0.5 * (m + m.T))
+def bianchi_residual(M6):
+    """|R_1234 + R_1342 + R_1423| of 6x6 bivector operators, per matrix:
+    the first Bianchi identity is the vanishing of M's Hodge-star part."""
+    M6 = np.asarray(M6, dtype=float)
+    return np.abs(M6[..., 0, 5] - M6[..., 1, 4] + M6[..., 2, 3])
 
 
 def operator6(T):
@@ -114,25 +81,16 @@ def operator6(T):
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def kulkarni_nomizu(B, g):
-    """Kulkarni-Nomizu style product of two symmetric bilinear forms.
+def kn_tensor4(B, g):
+    """Kulkarni-Nomizu style product of two symmetric bilinear forms,
+    batched over leading axes:
 
     (B o g)(X,Y;V,W) = 1/2 { det[[g(X,V), g(X,W)], [B(Y,V), B(Y,W)]]
                            + det[[B(X,V), B(X,W)], [g(Y,V), g(Y,W)]] }
 
-    With B = g = Id this gives sectional value 1 on orthonormal planes.
+    With B = g = Id this gives sectional value 1 on orthonormal planes;
+    operator6 of it is the 6x6 matrix on bivectors.
     """
-    B = np.asarray(B, dtype=float)
-    g = np.asarray(g, dtype=float)
-    for name, M in (("B", B), ("g", g)):
-        if M.shape != (4, 4) or not np.allclose(M, M.T, atol=1e-12 * (1 + np.abs(M).max())):
-            raise ValueError("kulkarni_nomizu: %s must be a symmetric 4x4 matrix" % name)
-    T = kn_tensor4(B, g)
-    return CurvatureLike.from_tensor4(T)
-
-
-def kn_tensor4(B, g):
-    """4-index array of the product above; batched over leading axes."""
     gXV = np.einsum("...ik,...jl->...ijkl", g, B)
     gXW = np.einsum("...il,...jk->...ijkl", g, B)
     BXV = np.einsum("...ik,...jl->...ijkl", B, g)

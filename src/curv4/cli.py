@@ -22,10 +22,10 @@ import time
 import numpy as np
 
 from . import __version__
+from .bivector import bianchi_residual
 from .curvature import (
     block_identity_residual, condition_check, curvature_batch, lemma21_check,
-    positivity_eps_max, riemann_at, weitzenboeck_residual, kaehler_form,
-    TwoFormField,
+    positivity_eps_max, weitzenboeck_residual, kaehler_form, TwoFormField,
 )
 from .errors import Curv4Error, MetricConstructionError, SpecParseError
 from .metrics import (
@@ -207,35 +207,34 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
 
     metrics = [flat_space(), round_sphere4(1.0), product_spheres(1.0, 1.0),
                ht_metric(0.6), fubini_study()]
+    # every pointwise identity reads one curvature batch per chart
     for m in metrics:
-        pts_by_chart = m.sample_points(np.random.default_rng(seed), 6)
-        bian, block, trace, lem21 = 0.0, 0.0, 0.0, 0.0
-        for chart, pts in pts_by_chart:
-            for p in pts:
-                c = riemann_at(m, chart, p)
-                bian = max(bian, c.riemann.bianchi_residual())
-                block = max(block, block_identity_residual(c))
-                trace = max(trace, abs(np.trace(c.wplus)) + abs(np.trace(c.wminus)))
-                rec = lemma21_check(c)
-                for side in rec.values():
-                    if side["violated"]:
-                        lem21 = max(lem21, -side["consequent_margin"])
+        bian, block, trace, lem21, spec_res, cor_res = (0.0,) * 6
+        for chart, pts in m.sample_points(np.random.default_rng(seed), 6):
+            c = curvature_batch(m, chart, pts)
+            bian = max(bian, bianchi_residual(c["M6"]).max())
+            block = max(block, block_identity_residual(c).max())
+            trace = max(trace, (np.abs(np.einsum("...ii->...", c["wplus"]))
+                                + np.abs(np.einsum("...ii->...", c["wminus"]))
+                                ).max())
+            for side in lemma21_check(c).values():
+                lem21 = max(lem21, np.where(side["violated"],
+                                            -side["consequent_margin"],
+                                            0.0).max())
+            if m.is_kaehler:
+                lam = np.sort(np.linalg.eigvalsh(c["wplus"]), axis=-1)
+                s = c["s"]
+                expect = np.stack([-s / 12, -s / 12, s / 6], axis=-1)
+                spec_res = max(spec_res, np.abs(lam - expect).max())
+                lam2 = np.sort(np.linalg.eigvalsh(
+                    s[:, None, None] / 6 * np.eye(3) - c["wplus"]), axis=-1)
+                expect2 = np.stack([0 * s, s / 4, s / 4], axis=-1)
+                cor_res = max(cor_res, np.abs(lam2 - expect2).max())
         add("first-bianchi", m.name, bian, 1e-6)
         add("block-decomposition", m.name, block, 1e-6)
         add("weyl-traces", m.name, trace, 1e-8)
         add("eigenvalue-implication", m.name, lem21, 1e-9)
         if m.is_kaehler:
-            spec_res, cor_res = 0.0, 0.0
-            for chart, pts in pts_by_chart:
-                data = curvature_batch(m, chart, pts)
-                lam = np.sort(np.linalg.eigvalsh(data["wplus"]), axis=-1)
-                s = data["s"]
-                expect = np.stack([-s / 12, -s / 12, s / 6], axis=-1)
-                spec_res = max(spec_res, np.abs(lam - expect).max())
-                lam2 = np.sort(np.linalg.eigvalsh(
-                    s[:, None, None] / 6 * np.eye(3) - data["wplus"]), axis=-1)
-                expect2 = np.stack([0 * s, s / 4, s / 4], axis=-1)
-                cor_res = max(cor_res, np.abs(lam2 - expect2).max())
             add("kaehler-weyl-spectrum", m.name, spec_res, 1e-6)
             add("kaehler-s6-spectrum", m.name, cor_res, 1e-6)
 
@@ -367,11 +366,9 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=True):
-        if grid:
-            p.add_argument("--grid", type=int, default=5,
-                           help="grid resolution per chart axis (>= 3; odd "
-                                "sizes include chart centres)")
+    def common(p, grid_help=None):
+        if grid_help:
+            p.add_argument("--grid", type=int, default=5, help=grid_help)
         p.add_argument("--quad", type=int, default=32,
                        help="Gauss-Legendre nodes per axis of the surface "
                             "quadrature and of the orbit volume rule (>= %d)"
@@ -380,14 +377,18 @@ def build_parser():
         p.add_argument("--out", default=None, help="report path (JSON)")
 
     p = sub.add_parser("analyze", help="pointwise curvature condition scan")
-    common(p)
+    common(p, "grid resolution per chart axis (>= 3; odd sizes include "
+              "chart centres)")
     p.add_argument("--metric", required=True)
     p.add_argument("--csv", default=None, help="per-point margin dump")
     p.add_argument("--no-sectional", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan-family", help="twisted-family parameter sweep")
-    common(p)
+    common(p, "grid size (>= 3); both scans use odd grids, which include "
+              "chart centres: the margins scan grid | 1 points per chart "
+              "axis, the positivity search max(3, (grid // 2) | 1); the "
+              "report echoes --grid as given")
     p.add_argument("--t-values", default="0:1:11")
     p.add_argument("--eps-values", default="auto",
                    help="'auto' (0 and eps_max/2) or list/range")
@@ -395,7 +396,7 @@ def build_parser():
     p.set_defaults(func=cmd_scan_family)
 
     p = sub.add_parser("verify-identities", help="cross-module identity suite")
-    common(p, grid=False)
+    common(p)
     p.add_argument("--sections", type=int, default=5,
                    help="random sections per surface (>= 1)")
     p.add_argument("--tol", type=float, default=1.0,
@@ -403,7 +404,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("surface", help="minimal-surface stability report")
-    common(p, grid=False)
+    common(p)
     p.add_argument("--metric", required=True)
     p.add_argument("--surface", required=True)
     p.add_argument("--L0", type=int, default=2)

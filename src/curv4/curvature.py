@@ -14,12 +14,16 @@ orthonormal (eta, etabar) basis the operator takes the block form
      [    B^t    , s/12 + W- ]]
 
 with B induced by the traceless Ricci part.
+
+There is one curvature record, the dict of ``curvature_from_arrays``, and
+the pointwise checks read it with any number of leading axes: a single
+point is a batch of one (``riemann_at``).
 """
 
 import numpy as np
 
 from . import bivector as bv
-from .bivector import CurvatureLike, PAIRS, kn_tensor4, operator6, to_eta_basis
+from .bivector import PAIRS, kn_tensor4, operator6, to_eta_basis
 from .errors import MetricConstructionError
 from .metrics import J_STANDARD, comps_jets, twisted_parts, twisted_eps_max
 
@@ -47,12 +51,6 @@ def christoffel_arrays(g, dg):
     S = _s_tensor(dg)
     Gamma = 0.5 * (ginv @ S.reshape(S.shape[:-2] + (-1,))).reshape(S.shape)
     return ginv, Gamma
-
-
-def christoffel(m, chart, pts):
-    """Christoffel symbols Gamma[...,k,i,j] = Gamma^k_ij at points."""
-    g, dg, _ = m.jets(chart, pts)
-    return christoffel_arrays(g, dg)[1]
 
 
 def christoffel_derivatives(g, dg, d2g):
@@ -128,32 +126,11 @@ def curvature_batch(m, chart, pts):
     return curvature_from_arrays(g, dg, d2g)
 
 
-class CurvatureFrameData:
-    """Curvature quantities at one point, in a positively oriented
-    orthonormal frame (columns of ``frame``)."""
-
-    def __init__(self, chart, point, data):
-        self.chart = chart
-        self.point = np.asarray(point, dtype=float)
-        self.g = data["g"]
-        self.frame = data["frame"]
-        self.riemann_coord = data["Rm"]
-        self.riemann4 = data["Rm_frame"]
-        self.riemann = CurvatureLike(data["M6"])
-        self.r_op = data["R_op"]
-        self.s = float(data["s"])
-        self.ric = data["ric"]
-        self.ric_traceless = data["ric0"]
-        self.wplus = data["wplus"]
-        self.wminus = data["wminus"]
-        self.ric_block = data["ric_block"]
-
-
 def riemann_at(m, chart, p):
-    """CurvatureFrameData at a single point of the chart."""
+    """The curvature_from_arrays record at a single point of the chart."""
     m.require_inside(chart, p)
     data = curvature_batch(m, chart, np.asarray(p, dtype=float)[None, :])
-    return CurvatureFrameData(chart, p, {k: v[0] for k, v in data.items()})
+    return {k: v[0] for k, v in data.items()}
 
 
 # ---------------------------------------------------------------------
@@ -167,33 +144,30 @@ C_RIC = 1.0
 
 
 class Decomposition:
-    def __init__(self, s, ric_traceless, W4, residual):
-        self.s = s
-        self.ric_traceless = ric_traceless
+    """Weyl part of a curvature record; ``residual`` (reassembly error) and
+    ``trace_norm`` (Ricci contraction of W, ~0 certifies the coefficients)
+    are maxima per point."""
+
+    def __init__(self, W4, residual):
         self.W4 = W4
         self.W6 = operator6(W4)
         op = to_eta_basis(self.W6)
         self.wplus = op[..., :3, :3]
         self.wminus = op[..., 3:, 3:]
         self.residual = residual
-        # Ricci contraction of the Weyl part; ~0 certifies the coefficients
-        self.trace_norm = float(np.abs(np.einsum("...akbk->...ab", W4)).max())
+        self.trace_norm = np.abs(np.einsum("...akbk->...ab", W4)).max(
+            axis=(-2, -1))
 
 
 def decompose(c):
     """Split the frame curvature tensor into scalar + Ricci + Weyl parts."""
-    scal_part = C_SCAL * c.s * kn_tensor4(I4, I4)
-    ric_part = C_RIC * kn_tensor4(c.ric_traceless, I4)
-    W4 = c.riemann4 - scal_part - ric_part
+    s = c["s"][..., None, None, None, None]
+    scal_part = C_SCAL * s * kn_tensor4(I4, I4)
+    ric_part = C_RIC * kn_tensor4(c["ric0"], I4)
+    W4 = c["Rm_frame"] - scal_part - ric_part
     recon = scal_part + ric_part + W4
-    residual = float(np.abs(recon - c.riemann4).max())
-    return Decomposition(c.s, c.ric_traceless, W4, residual)
-
-
-def weyl_blocks(c):
-    """3x3 blocks of the curvature operator in the (eta, etabar) basis."""
-    return {"wplus": c.wplus.copy(), "wminus": c.wminus.copy(),
-            "ric_block": c.ric_block.copy()}
+    residual = np.abs(recon - c["Rm_frame"]).max(axis=(-4, -3, -2, -1))
+    return Decomposition(W4, residual)
 
 
 def ric_block_from_traceless(ric0):
@@ -205,14 +179,14 @@ def ric_block_from_traceless(ric0):
 
 
 def block_identity_residual(c):
-    """Mismatch between R_op and [[s/12+W+, B],[B^t, s/12+W-]]."""
+    """Mismatch between R_op and [[s/12+W+, B],[B^t, s/12+W-]] per point."""
     dec = decompose(c)
-    B = ric_block_from_traceless(c.ric_traceless)
-    top = np.concatenate([c.s / 12.0 * I3 + dec.wplus, B], axis=-1)
-    bot = np.concatenate([np.swapaxes(B, -1, -2),
-                          c.s / 12.0 * I3 + dec.wminus], axis=-1)
+    B = ric_block_from_traceless(c["ric0"])
+    s12 = c["s"][..., None, None] / 12.0 * I3
+    top = np.concatenate([s12 + dec.wplus, B], axis=-1)
+    bot = np.concatenate([np.swapaxes(B, -1, -2), s12 + dec.wminus], axis=-1)
     assembled = np.concatenate([top, bot], axis=-2)
-    return float(np.abs(assembled - c.r_op).max())
+    return np.abs(assembled - c["R_op"]).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------
@@ -288,18 +262,6 @@ def sectional_extremes(M6, return_bound=False):
     if return_bound:
         out += (f.max(axis=1).reshape(batch),)
     return out
-
-
-def min_sectional_curvature(c):
-    """Minimal sectional curvature at a point with an argmin plane."""
-    val, plane = sectional_extremes(c.riemann.mat)
-    return {"value": float(val), "plane": plane,
-            "bivector": bv.wedge(plane[..., 0], plane[..., 1])}
-
-
-def max_sectional_curvature(c):
-    val, plane = sectional_extremes(-c.riemann.mat)
-    return {"value": float(-val), "plane": plane}
 
 
 # ---------------------------------------------------------------------
@@ -444,18 +406,16 @@ def positivity_eps_max(t, grid_n=5):
 # the eigenvalue implication s/12 + W+ >= 0  =>  s/6 - W+ >= 0
 
 def lemma21_check(c, tol=None):
-    """Record the implication antecedent/consequent margins at a point."""
-    tol = psd_tolerance(c.s) if tol is None else tol
+    """The implication's antecedent/consequent margins per point."""
+    s = c["s"]
+    tol = psd_tolerance(s) if tol is None else tol
     out = {}
-    for name, w in (("plus", c.wplus), ("minus", c.wminus)):
-        lam = np.linalg.eigvalsh(w)
-        ante = c.s / 12.0 + lam[0]
-        cons = c.s / 6.0 - lam[-1]
-        out[name] = {
-            "antecedent_margin": float(ante),
-            "consequent_margin": float(cons),
-            "violated": bool(ante >= -tol and cons < -tol),
-        }
+    for name in ("plus", "minus"):
+        lam = np.linalg.eigvalsh(c["w" + name])
+        ante = s / 12.0 + lam[..., 0]
+        cons = s / 6.0 - lam[..., -1]
+        out[name] = {"antecedent_margin": ante, "consequent_margin": cons,
+                     "violated": (ante >= -tol) & (cons < -tol)}
     return out
 
 
@@ -483,14 +443,15 @@ def lemma21_rejection_trials(rng, trials=100_000, batch=200_000):
 # holomorphic bisectional curvature
 
 def holomorphic_bisectional(c, J, X, Y):
-    """K^h(X,Y) = Rm(X, JX, Y, JY) with coordinate vectors X, Y at c."""
+    """K^h(X,Y) = Rm(X, JX, Y, JY) with coordinate vectors X, Y at the
+    single-point record c."""
     if J is None:
         raise MetricConstructionError("holomorphic_bisectional needs J")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     JX = J @ X
     JY = J @ Y
-    return float(np.einsum("ijkl,i,j,k,l->", c.riemann_coord, X, JX, Y, JY))
+    return float(np.einsum("ijkl,i,j,k,l->", c["Rm"], X, JX, Y, JY))
 
 
 # ---------------------------------------------------------------------
@@ -616,9 +577,8 @@ def weitzenboeck_residual(m, alpha, chart, p, return_parts=False):
     hodge = hodge_laplacian_2form(g, dg, d2g, A, dA, d2A)
     rough = rough_laplacian_2form(g, dg, d2g, A, dA, d2A)
     data = curvature_from_arrays(g, dg, d2g)
-    dec = decompose(CurvatureFrameData(chart, p, {k: v[0] for k, v in data.items()}))
     a6 = _coord_form_to_frame6(A, data["frame"])
-    w6 = np.einsum("ij,...j->...i", dec.W6, a6)
+    w6 = np.einsum("...ij,...j->...i", decompose(data).W6, a6)
     Walpha = _frame6_to_coord_form(w6, data["frame"])
     s = data["s"][..., None, None]
     rhs = rough - 2.0 * Walpha + s / 3.0 * A

@@ -94,20 +94,6 @@ class Chart:
         return rng.uniform(lo, hi, size=(n, 4))
 
 
-class KaehlerStructure:
-    """Complex structure + per-chart potential(chart, s) of a Kahler built-in.
-
-    J is the constant J_STANDARD in every chart.
-    """
-
-    def __init__(self, potential):
-        self.potential = potential
-
-    def matrix(self, chart, pts):
-        shape = np.shape(pts)[:-1] + (4, 4)
-        return np.broadcast_to(np.array(J_STANDARD), shape).copy()
-
-
 def _as_batch(pts):
     pts = np.asarray(pts, dtype=float)
     single = pts.ndim == 1
@@ -128,7 +114,9 @@ class MetricField:
     """A smooth metric on an atlas, with exact derivatives to second order.
 
     comps(chart_name, x) returns the 4x4 symmetric matrix of components as
-    a nested list over the scalar ring of x.
+    a nested list over the scalar ring of x.  ``kaehler`` is the Kahler
+    potential(chart, s) of a Kahler built-in, whose complex structure is
+    J_STANDARD in every chart, else None.
     """
 
     def __init__(self, name, charts, comps, params=None, kaehler=None,
@@ -190,6 +178,9 @@ class MetricField:
         for name in self.chart_order:
             pts = self.charts[name].grid(5)
             g = self.eval(name, pts)
+            if not np.isfinite(g).all():
+                raise MetricConstructionError(
+                    "%s: non-finite components on chart %r" % (self.name, name))
             if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12):
                 raise MetricConstructionError(
                     "%s: asymmetric components on chart %r" % (self.name, name))
@@ -464,9 +455,9 @@ def product_spheres(a=1.0, b=1.0):
         g[2][2] = g[3][3] = c2
         return g
 
-    kae = KaehlerStructure(_product_potential(a * a, b * b))
     return MetricField("product", _product_charts(), comps,
-                       params={"a": a, "b": b}, kaehler=kae,
+                       params={"a": a, "b": b},
+                       kaehler=_product_potential(a * a, b * b),
                        volume_nodes=_product_volume_nodes)
 
 
@@ -572,7 +563,7 @@ def twisted_metric(t, eps):
 
     return MetricField("twisted", _product_charts(), toric_metric(potential),
                        params={"t": t, "eps": eps},
-                       kaehler=KaehlerStructure(potential),
+                       kaehler=potential,
                        volume_nodes=_product_volume_nodes)
 
 
@@ -619,9 +610,8 @@ def fubini_study():
     def potential(name, s):
         return FS_SCALE * jlog(1.0 + s[0] + s[1])
 
-    kae = KaehlerStructure(potential)
     return MetricField("fubini-study", _cp2_charts(), toric_metric(potential),
-                       kaehler=kae, volume_nodes=functools.partial(
+                       kaehler=potential, volume_nodes=functools.partial(
                            _polar_volume_nodes, ("u0",), np.pi / 2))
 
 
@@ -638,7 +628,7 @@ def kaehler_residuals(m, grid_n=4):
         pts = m.charts[chart].grid(grid_n)
         g, dg, _ = m.jets(chart, pts)
         _, Gamma = christoffel_arrays(g, dg)
-        J = m.kaehler.matrix(chart, pts)
+        J = np.broadcast_to(J_STANDARD, g.shape)
         out["j_squared"] = max(out["j_squared"], np.abs(
             np.einsum("...ij,...jk->...ik", J, J) + np.eye(4)).max())
         out["compatibility"] = max(out["compatibility"], np.abs(
@@ -666,8 +656,9 @@ def parse_spec(spec, builders):
     the keys; omitted ones take the constructor's defaults.  A value is a
     pair '(a,b)' of numbers where the default is a pair, else a number:
     'twisted(t=0.5,eps=0.05)', 'slice(factor=2,point=(0.5,0))'.  An unknown
-    name, an unknown, repeated or missing key, a malformed value, or a
-    value the constructor rejects with ValueError raises SpecParseError.
+    name, an unknown, repeated or missing key, a malformed or non-finite
+    value (a literal like 1e400 overflows to inf), or a value the
+    constructor rejects with ValueError raises SpecParseError.
     """
     m = _SPEC.fullmatch(spec)
     if m is None or m.group(1) not in builders:
@@ -680,11 +671,13 @@ def parse_spec(spec, builders):
     for item in items:
         km = _ITEM.fullmatch(item)
         key, a, b, num = km.groups() if km else (None,) * 4
+        vals = [float(v) for v in (a, b, num) if v is not None]
         if key not in params or key in kwargs or \
-                (b is None) == isinstance(params[key].default, tuple):
+                (b is None) == isinstance(params[key].default, tuple) or \
+                not np.isfinite(vals).all():
             raise SpecParseError("malformed, unknown or repeated parameter "
                                  "%r in %r" % (item.strip(), spec))
-        kwargs[key] = float(num) if b is None else (float(a), float(b))
+        kwargs[key] = vals[0] if b is None else tuple(vals)
     missing = [k for k, p in params.items()
                if p.default is p.empty and k not in kwargs]
     if missing:

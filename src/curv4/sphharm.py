@@ -76,10 +76,6 @@ def real_harmonics(chart, u, L):
     return out
 
 
-def harmonic_count(L):
-    return (L + 1) ** 2
-
-
 def harmonic_fn(l, m):
     """Single harmonic as a ring-generic closure (chart, u) -> value."""
     idx = l * l + (m + l)

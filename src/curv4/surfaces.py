@@ -12,7 +12,9 @@ curvature.
 ``ChartGeometry`` computes the per-node data of the second variation once:
 the connection form ``omega``, the frame coefficients ``gen_coeffs`` of the
 normal directions (2-jets in u) and the Jacobi block ``jacobi``.  Single
-sections here and the index-form basis of ``stability`` read it.
+sections here and the index-form basis of ``stability`` read it.  A single
+point is a batch of one: ``point_geometry`` is the ChartGeometry of one
+node, and every pointwise quantity is read from its arrays.
 
 There is one section type, ``NormalSection``: a coefficient function per
 normal direction.  The directions are the surface's normal generator
@@ -401,7 +403,9 @@ def surface_geometry(S, m, quad=None):
     return geom
 
 
-def _point_geometry(S, m, chart, u):
+def point_geometry(S, m, chart, u):
+    """The ChartGeometry of surface chart coordinates u, one node each
+    (a single point gives a one-node batch), with unit weights."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     return ChartGeometry(S, m, chart, u, np.ones(len(u)))
 
@@ -501,15 +505,11 @@ def normal_connection(S, m, sigma, X, chart, u):
 
     X is a tangent vector in surface chart coordinates.
     """
-    cg = _point_geometry(S, m, chart, u)
+    cg = point_geometry(S, m, chart, u)
     d = section_data(cg, sigma)
     # X on the orthonormal frame: e_i = c[i,a] d_a, so X^a = c[i,a] x_i
     x = np.linalg.solve(cg.c[0].T, np.asarray(X, dtype=float))
     return (d["D3"][0] @ x) * cg.n[0, :, 0] + (d["D4"][0] @ x) * cg.n[0, :, 1]
-
-
-def dbar_perp_sq_field(cg, sigma, tau=0.0):
-    return dbar_sq(section_data(cg, sigma), tau)
 
 
 def dbar_sq(d, tau=0.0):
@@ -527,15 +527,6 @@ def dbar_sq(d, tau=0.0):
     return 0.5 * (b3 ** 2 + b4 ** 2)
 
 
-def dbar_perp_sq(S, m, sigma, chart, u, tau=0.0):
-    cg = _point_geometry(S, m, chart, u)
-    return float(dbar_perp_sq_field(cg, sigma, tau)[0])
-
-
-def k_perp_intrinsic(S, m, chart, u):
-    return float(_point_geometry(S, m, chart, u).kperp[0])
-
-
 def kperp_extrinsic_field(cg):
     # Ricci equation in the sign conventions of curv4.curvature:
     # Kperp = Rm(e1,e2,e3,e4) + <A3(e1), A4(e2)> - <A4(e1), A3(e2)>
@@ -548,46 +539,17 @@ def kperp_extrinsic_field(cg):
     return amb + corr
 
 
-def k_perp_extrinsic(S, m, chart, u):
-    return float(kperp_extrinsic_field(_point_geometry(S, m, chart, u))[0])
-
-
 def chern_number(S, m, quad=None):
     """(1/2pi) * integral of the normal-bundle curvature."""
     geom = surface_geometry(S, m, quad)
     return geom.integrate([cg.kperp for cg in geom.charts]) / (2 * np.pi)
 
 
-class SecondFundamentalForm:
-    """A(e_i, e_j) components in the adapted frames at one point."""
-
-    def __init__(self, A, H_amb, H_norm):
-        self.A = np.asarray(A, dtype=float)          # (2, 2, 2): i, j, sigma
-        self.H = np.asarray(H_amb, dtype=float)
-        self.H_norm = float(H_norm)
-
-    @property
-    def minimal(self):
-        return self.H_norm < TOL_MIN
-
-    def shape_norms(self):
-        return (float(np.sum(self.A[..., 0] ** 2)),
-                float(np.sum(self.A[..., 1] ** 2)))
-
-
-def second_fundamental(S, m, chart, u):
-    cg = _point_geometry(S, m, chart, u)
-    return SecondFundamentalForm(cg.A[0], cg.H_amb[0], cg.H_norm[0])
-
-
 def a_wedge_a_sq(A):
-    """|A ^ A|^2 from the component arrays of a SecondFundamentalForm.
-
-    Accepts a SecondFundamentalForm or a raw (..., 2, 2, 2) array.
-    """
-    arr = A.A if isinstance(A, SecondFundamentalForm) else np.asarray(A)
-    A3 = arr[..., 0]
-    A4 = arr[..., 1]
+    """|A ^ A|^2 from second fundamental form components (..., 2, 2, 2):
+    A[..., i, j, s] = <A(e_i, e_j), n_s>, as ``ChartGeometry.A``."""
+    A3 = A[..., 0]
+    A4 = A[..., 1]
     v1 = A3[..., 0, :] + A4[..., 1, :]
     v2 = A3[..., 1, :] - A4[..., 0, :]
     return np.sum(v1 ** 2, axis=-1) + np.sum(v2 ** 2, axis=-1)
@@ -595,23 +557,11 @@ def a_wedge_a_sq(A):
 
 def a_wedge_a_sq_expansion(A):
     """The expanded form: |A3|^2 + |A4|^2 + 2<A3 e1, A4 e2> - 2<A4 e1, A3 e2>."""
-    arr = A.A if isinstance(A, SecondFundamentalForm) else np.asarray(A)
-    A3 = arr[..., 0]
-    A4 = arr[..., 1]
+    A3 = A[..., 0]
+    A4 = A[..., 1]
     return (np.sum(A3 ** 2, axis=(-1, -2)) + np.sum(A4 ** 2, axis=(-1, -2))
             + 2 * np.sum(A3[..., 0, :] * A4[..., 1, :], axis=-1)
             - 2 * np.sum(A4[..., 0, :] * A3[..., 1, :], axis=-1))
-
-
-def induced_geometry(S, m, chart, u):
-    """Induced metric, area element and adapted frame at a point."""
-    cg = _point_geometry(S, m, chart, u)
-    return {
-        "induced": cg.h[0],
-        "area_element": float(cg.sqrt_h[0]),
-        "tangent_frame": cg.e[0],
-        "normal_frame": cg.n[0],
-    }
 
 
 def area(S, m, quad=None):
@@ -712,7 +662,7 @@ def log_norm_check(S, m, sigma, quad=None, holo_tol=1e-6, norm_floor=1e-3,
     for cg in geom.charts:
         if chart_filter is not None and not chart_filter(cg):
             continue
-        dbar = dbar_perp_sq_field(cg, sigma)
+        dbar = dbar_sq(section_data(cg, sigma))
         if dbar.max() > holo_tol:
             raise SectionError(
                 "section is not holomorphic at tolerance (max |dbar|^2 = %.3e)"

@@ -1,11 +1,9 @@
 import numpy as np
 from numpy.testing import assert_allclose
-import pytest
 
 from curv4.bivector import (
-    PAIRS, STAR6, ETA_FRAME, ETA_MINUS, ETA_PLUS, CurvatureLike, hodge_star,
-    kulkarni_nomizu, kn_tensor4, operator6, plucker_residual, to_eta_basis,
-    wedge,
+    PAIRS, STAR6, ETA_FRAME, ETA_MINUS, ETA_PLUS, bianchi_residual,
+    hodge_star, kn_tensor4, operator6, plucker_residual, to_eta_basis, wedge,
 )
 
 E = np.eye(4)
@@ -88,38 +86,42 @@ def test_plucker_residual():
 
 
 def test_kulkarni_nomizu_constant_curvature():
-    kn = kulkarni_nomizu(np.eye(4), np.eye(4))
+    T = kn_tensor4(np.eye(4), np.eye(4))
     rng = np.random.default_rng(6)
     # sectional value 1 on any orthonormal pair
     q, _ = np.linalg.qr(rng.normal(size=(4, 2)))
-    T = kn.as_tensor4()
     val = np.einsum("ijkl,i,j,k,l->", T, q[:, 0], q[:, 1], q[:, 0], q[:, 1])
     assert_allclose(val, 1.0, atol=1e-14)
     # operator on bivectors is the identity
-    assert_allclose(kn.mat, np.eye(6), atol=1e-14)
+    assert_allclose(operator6(T), np.eye(6), atol=1e-14)
 
 
 def test_kulkarni_nomizu_zero_and_symmetries():
     g = np.eye(4)
-    assert_allclose(kulkarni_nomizu(np.zeros((4, 4)), g).mat, np.zeros((6, 6)))
+    assert_allclose(operator6(kn_tensor4(np.zeros((4, 4)), g)), np.zeros((6, 6)))
     rng = np.random.default_rng(7)
     for _ in range(20):
         B = rng.normal(size=(4, 4))
         B = 0.5 * (B + B.T)
-        kn = kulkarni_nomizu(B, g)
-        T = kn.as_tensor4()
+        T = kn_tensor4(B, g)
         assert_allclose(T, -np.swapaxes(T, 0, 1), atol=1e-13)
         assert_allclose(T, -np.swapaxes(T, 2, 3), atol=1e-13)
         assert_allclose(T, np.transpose(T, (2, 3, 0, 1)), atol=1e-13)
-        assert kn.bianchi_residual() < 1e-12
+        assert bianchi_residual(operator6(T)) < 1e-12
         # full first Bianchi: cyclic sum over the last three slots vanishes
         b = T + np.transpose(T, (0, 2, 3, 1)) + np.transpose(T, (0, 3, 1, 2))
         assert np.abs(b).max() < 1e-12
 
 
-def test_kulkarni_nomizu_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        kulkarni_nomizu(np.triu(np.ones((4, 4))), np.eye(4))
+def test_bianchi_residual_is_the_star_part_per_matrix():
+    # first Bianchi holds for Kulkarni-Nomizu products; adding t * leaves
+    # the sectional curvatures and adds 3 |t| to the residual, per matrix
+    B = np.random.default_rng(9).normal(size=(4, 4))
+    M = operator6(kn_tensor4(B + B.T, np.eye(4)))
+    t = np.array([[0.0, -0.5], [1e-3, 2.0]])
+    res = bianchi_residual(M + t[..., None, None] * STAR6)
+    assert res.shape == (2, 2)
+    assert_allclose(res, 3 * np.abs(t), rtol=1e-12, atol=1e-14)
 
 
 def test_operator6_round_trip():
@@ -128,8 +130,13 @@ def test_operator6_round_trip():
     B = 0.5 * (B + B.T)
     T = kn_tensor4(B, np.eye(4))
     M = operator6(T)
-    cl = CurvatureLike(M)
-    assert_allclose(cl.as_tensor4(), T, atol=1e-13)
+    # the pair slots of M and the antisymmetry of T fix every entry of T
+    back = np.zeros((4, 4, 4, 4))
+    for a, (i, j) in enumerate(PAIRS):
+        for b, (k, l) in enumerate(PAIRS):
+            back[i, j, k, l] = back[j, i, l, k] = M[a, b]
+            back[j, i, k, l] = back[i, j, l, k] = -M[a, b]
+    assert_allclose(back, T, atol=1e-13)
 
 
 def test_to_eta_basis_blocks_of_star():

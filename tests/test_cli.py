@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from curv4 import cli, curvature
 from curv4.cli import main
 
 RUN = [sys.executable, "-m", "curv4.cli"]
@@ -65,31 +66,39 @@ def test_exit_code_parse_error():
     assert "parse error" in proc.stderr
 
 
-@pytest.mark.parametrize("args", [
-    ["analyze", "--metric", "round4(radius=2)"],
-    ["analyze", "--metric", "twisted(t=0.5,eps=0.05,phi=height-product)"],
-    ["surface", "--metric", "fs", "--surface", "slice(factor=3)"],
-    ["analyze", "--metric", "flat", "--quad", "4"],
-    ["analyze", "--metric", "flat", "--grid", "0"],
-    ["surface", "--metric", "fs", "--surface", "cp1-line",
-     "--L0", "6", "--L-max", "6"],
-    ["surface", "--metric", "fs", "--surface", "cp1-line",
-     "--L0", "-2", "--L-max", "2"],
-    ["scan-family", "--t-values", "0:1"],
-    ["scan-family", "--t-values", "abc"],
-    ["scan-family", "--t-values", "0:1:0"],
-    ["verify-identities", "--sections", "0"],
+@pytest.mark.parametrize("args, names", [
+    (["analyze", "--metric", "round4(radius=2)"], "'radius=2'"),
+    (["analyze", "--metric", "twisted(t=0.5,eps=0.05,phi=height-product)"],
+     "'phi=height-product'"),
+    (["surface", "--metric", "fs", "--surface", "slice(factor=3)"],
+     "factor must be 1 or 2"),
+    (["analyze", "--metric", "flat", "--quad", "4"], "--quad"),
+    (["analyze", "--metric", "flat", "--grid", "0"], "--grid"),
+    (["surface", "--metric", "fs", "--surface", "cp1-line",
+      "--L0", "6", "--L-max", "6"], "--L-max"),
+    (["surface", "--metric", "fs", "--surface", "cp1-line",
+      "--L0", "-2", "--L-max", "2"], "--L0"),
+    (["scan-family", "--t-values", "0:1"], "'0:1'"),
+    (["scan-family", "--t-values", "abc"], "'abc'"),
+    (["scan-family", "--t-values", "0:1:0"], "'0:1:0'"),
+    (["verify-identities", "--sections", "0"], "--sections"),
+    # literals that overflow to inf are malformed, not numbers
+    (["analyze", "--metric", "round4(r=1e400)"], "'r=1e400'"),
+    (["surface", "--metric", "product(a=1,b=1)",
+      "--surface", "slice(factor=1,point=(1e400,0))"], "'point=(1e400,0)'"),
 ], ids=["unknown-key", "removed-phi-key", "surface-rejects-value",
         "quad-below-8", "grid-below-3", "L0-not-below-L-max",
         "negative-L0", "range-without-count", "values-not-numbers",
-        "empty-range", "no-sections"])
-def test_exit_code_invalid_input(args):
-    # typed: a one-line parse error, no traceback
+        "empty-range", "no-sections", "non-finite-number",
+        "non-finite-pair"])
+def test_exit_code_invalid_input(args, names):
+    # typed: a one-line parse error naming the offending input, no traceback
     proc = run_cli(args)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("parse error: ")
+    assert names in proc.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -105,9 +114,12 @@ def test_subcommands_reject_options_they_do_not_read(args, capsys):
 
 
 def test_exit_code_construction_error():
-    proc = run_cli(["analyze", "--metric", "twisted(t=0.2,eps=99)"])
-    assert proc.returncode == 3
-    assert "construction error" in proc.stderr
+    # a finite radius whose metric components overflow is a construction
+    # failure, caught before the eigenvalue check
+    for spec in ("twisted(t=0.2,eps=99)", "product(a=1e200,b=1)"):
+        proc = run_cli(["analyze", "--metric", spec])
+        assert proc.returncode == 3, spec
+        assert "construction error" in proc.stderr
 
 
 def test_verify_identities_deterministic(tmp_path):
@@ -120,6 +132,34 @@ def test_verify_identities_deterministic(tmp_path):
     rep = json.loads(a.read_text())
     assert rep["failures"] == []
     assert all(r["pass"] for r in rep["identities"])
+
+
+def test_identity_suite_reads_one_curvature_batch_per_chart(monkeypatch):
+    # the pointwise block of the five metrics (1 + 2 + 4 + 4 + 3 charts)
+    # runs until the first 2-form Weitzenboeck check, which stops the suite
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    calls = {"curvature_from_arrays": 0, "riemann_at": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(curvature, "curvature_from_arrays", counting(
+        "curvature_from_arrays", curvature.curvature_from_arrays))
+    at = counting("riemann_at", curvature.riemann_at)
+    for mod in (curvature, cli):
+        monkeypatch.setattr(mod, "riemann_at", at, raising=False)
+    monkeypatch.setattr(cli, "weitzenboeck_residual", stop)
+    with pytest.raises(Stop):
+        cli.run_identity_suite(quad_n=8, n_sections=1)
+    assert calls == {"curvature_from_arrays": 14, "riemann_at": 0}
 
 
 def test_verify_identities_tolerance_override(tmp_path):

@@ -3,16 +3,17 @@ from numpy.testing import assert_allclose
 import pytest
 
 from curv4.curvature import (
-    C_RIC, C_SCAL, block_identity_residual, christoffel, condition_check,
-    curvature_batch, curvature_from_arrays, decompose, holomorphic_bisectional,
-    lemma21_check, lemma21_rejection_trials, max_sectional_curvature,
-    min_sectional_curvature, riemann_at, ric_block_from_traceless,
-    sectional_extremes, weyl_blocks,
+    C_RIC, C_SCAL, block_identity_residual, christoffel_arrays,
+    condition_check, curvature_batch, curvature_from_arrays, decompose,
+    holomorphic_bisectional, lemma21_check, lemma21_rejection_trials,
+    riemann_at, ric_block_from_traceless, sectional_extremes,
 )
-from curv4.bivector import kn_tensor4, operator6, to_eta_basis
+from curv4.bivector import (
+    bianchi_residual, kn_tensor4, operator6, to_eta_basis, wedge,
+)
 from curv4.metrics import (
-    flat_space, fubini_study, ht_metric, product_spheres, round_sphere4,
-    twisted_metric,
+    J_STANDARD, flat_space, fubini_study, ht_metric, product_spheres,
+    round_sphere4, twisted_metric,
 )
 
 I3 = np.eye(3)
@@ -28,7 +29,8 @@ def geometric_fields():
 
 def test_christoffel_flat_zero():
     m = flat_space()
-    G = christoffel(m, "e", np.array([[0.3, 0.1, -0.2, 0.5]]))
+    g, dg, _ = m.jets("e", np.array([[0.3, 0.1, -0.2, 0.5]]))
+    G = christoffel_arrays(g, dg)[1]
     assert np.abs(G).max() < 1e-14
 
 
@@ -36,7 +38,8 @@ def test_christoffel_finite_difference_oracle():
     m = round_sphere4(1.0)
     rng = np.random.default_rng(2)
     p = rng.uniform(-0.8, 0.8, 4)
-    G = christoffel(m, "n", p)
+    g, dg, _ = m.jets("n", p)
+    G = christoffel_arrays(g, dg)[1]
     h = 1e-5
     g0inv = np.linalg.inv(m.eval("n", p))
     dg = np.zeros((4, 4, 4))
@@ -54,7 +57,8 @@ def test_christoffel_finite_difference_oracle():
 def test_christoffel_product_no_cross_factor_terms():
     m = product_spheres(1.0, 2.0)
     rng = np.random.default_rng(3)
-    G = christoffel(m, "aa", rng.uniform(-0.9, 0.9, (10, 4)))
+    g, dg, _ = m.jets("aa", rng.uniform(-0.9, 0.9, (10, 4)))
+    G = christoffel_arrays(g, dg)[1]
     f1, f2 = (0, 1), (2, 3)
     for k in f1:
         for i in f2:
@@ -70,19 +74,17 @@ def test_round_sphere_sign_calibration():
     # the one global sign: unit S^4 must come out with K = +1
     m = round_sphere4(1.0)
     c = riemann_at(m, "n", np.array([0.4, -0.3, 0.2, 0.1]))
-    assert_allclose(c.s, 12.0, atol=1e-10)
-    assert np.abs(c.riemann.mat - np.eye(6)).max() < 1e-10
-    assert_allclose(c.riemann4[0, 1, 0, 1], 1.0, atol=1e-10)
+    assert_allclose(c["s"], 12.0, atol=1e-10)
+    assert np.abs(c["M6"] - np.eye(6)).max() < 1e-10
+    assert_allclose(c["Rm_frame"][0, 1, 0, 1], 1.0, atol=1e-10)
 
 
 def test_round_sphere_radius_two():
     m = round_sphere4(2.0)
     c = riemann_at(m, "s", np.array([0.2, 0.5, -0.1, 0.3]))
-    assert_allclose(c.s, 12.0 / 4.0, atol=1e-10)
-    out = min_sectional_curvature(c)
-    assert_allclose(out["value"], 0.25, atol=1e-6)
-    assert_allclose(max_sectional_curvature(c)["value"],
-                    0.25, atol=1e-6)
+    assert_allclose(c["s"], 12.0 / 4.0, atol=1e-10)
+    assert_allclose(sectional_extremes(c["M6"])[0], 0.25, atol=1e-6)
+    assert_allclose(-sectional_extremes(-c["M6"])[0], 0.25, atol=1e-6)
 
 
 # ------------------------------------------------------------- product facts
@@ -90,17 +92,18 @@ def test_round_sphere_radius_two():
 def test_product_kaehler_operator_facts():
     m = product_spheres(1.0, 1.0)
     c = riemann_at(m, "ab", np.array([0.3, 0.2, -0.4, 0.6]))
-    assert_allclose(c.s, 4.0, atol=1e-10)
+    s, wplus = c["s"], c["wplus"]
+    assert_allclose(s, 4.0, atol=1e-10)
     eta1 = np.array([1.0, 0, 0, 0, 0, 1.0])
     eta2 = np.array([0, 1.0, 0, 0, -1.0, 0])
     eta3 = np.array([0, 0, 1.0, 1.0, 0, 0])
-    M = c.riemann.mat
+    M = c["M6"]
     assert np.abs(M @ eta2).max() < 1e-10
     assert np.abs(M @ eta3).max() < 1e-10
-    assert_allclose(eta1 @ M @ eta1, c.s / 2.0, atol=1e-10)
-    assert_allclose(np.sort(np.linalg.eigvalsh(c.wplus)),
+    assert_allclose(eta1 @ M @ eta1, s / 2.0, atol=1e-10)
+    assert_allclose(np.sort(np.linalg.eigvalsh(wplus)),
                     [-1 / 3, -1 / 3, 2 / 3], atol=1e-10)
-    assert_allclose(np.sort(np.linalg.eigvalsh(c.s / 6 * I3 - c.wplus)),
+    assert_allclose(np.sort(np.linalg.eigvalsh(s / 6 * I3 - wplus)),
                     [0.0, 1.0, 1.0], atol=1e-10)
 
 
@@ -110,7 +113,7 @@ def test_decompose_constant_curvature():
     c = riemann_at(round_sphere4(1.0), "n", np.array([0.1, 0.2, 0.3, -0.2]))
     dec = decompose(c)
     assert np.abs(dec.W4).max() < 1e-9
-    assert np.abs(c.ric_traceless).max() < 1e-9
+    assert np.abs(c["ric0"]).max() < 1e-9
     assert dec.residual < 1e-12
 
 
@@ -146,10 +149,10 @@ def test_decompose_weyl_is_trace_free_and_coefficients_forced():
 def test_weyl_two_paths_agree():
     for m in geometric_fields():
         c = riemann_at(m, m.chart_order[0], np.array([0.2, 0.4, -0.3, 0.1]))
+        # Kulkarni-Nomizu subtraction against the blocks of R_op
         dec = decompose(c)
-        blocks = weyl_blocks(c)
-        assert np.abs(dec.wplus - blocks["wplus"]).max() < 1e-9
-        assert np.abs(dec.wminus - blocks["wminus"]).max() < 1e-9
+        assert np.abs(dec.wplus - c["wplus"]).max() < 1e-9
+        assert np.abs(dec.wminus - c["wminus"]).max() < 1e-9
 
 
 def test_block_identity_and_traces():
@@ -159,20 +162,44 @@ def test_block_identity_and_traces():
             data = curvature_batch(m, chart, pts)
             assert np.abs(np.trace(data["wplus"], axis1=-2, axis2=-1)).max() < 1e-8
             assert np.abs(np.trace(data["wminus"], axis1=-2, axis2=-1)).max() < 1e-8
-            for i in range(len(pts)):
-                c = riemann_at(m, chart, pts[i])
-                assert block_identity_residual(c) < 1e-6
-                assert c.riemann.bianchi_residual() < 1e-6
+            assert block_identity_residual(data).max() < 1e-6
+            assert bianchi_residual(data["M6"]).max() < 1e-6
+
+
+@pytest.mark.parametrize("m", geometric_fields() + [flat_space()],
+                         ids=lambda m: m.name)
+def test_batched_checks_equal_single_point_checks(m):
+    # a single point is a batch of one: every pointwise check of a 6-point
+    # batch equals the same check on riemann_at at each of its points
+    chart = m.chart_order[-1]
+    pts = m.charts[chart].sample(np.random.default_rng(18), 6)
+    batch = curvature_batch(m, chart, pts)
+    scale = 1e-13 * max(1.0, np.abs(batch["Rm_frame"]).max())
+    dec, block = decompose(batch), block_identity_residual(batch)
+    lem, bian = lemma21_check(batch), bianchi_residual(batch["M6"])
+    for i, p in enumerate(pts):
+        c = riemann_at(m, chart, p)
+        assert list(c) == list(batch)   # the curvature_from_arrays keys
+        one = decompose(c)
+        for key in ("W4", "W6", "wplus", "wminus", "residual", "trace_norm"):
+            assert np.abs(getattr(dec, key)[i] - getattr(one, key)).max() \
+                <= scale, key
+        assert abs(block[i] - block_identity_residual(c)) <= scale
+        assert abs(bian[i] - bianchi_residual(c["M6"])) <= scale
+        for side, rec in lemma21_check(c).items():
+            for key in ("antecedent_margin", "consequent_margin"):
+                assert abs(lem[side][key][i] - rec[key]) <= scale, key
+            assert lem[side]["violated"][i] == rec["violated"]
 
 
 def test_einstein_ric_block_vanishes():
     c = riemann_at(fubini_study(), "u1", np.array([0.3, 0.1, 0.2, -0.4]))
-    assert np.abs(c.ric_block).max() < 1e-8
+    assert np.abs(c["ric_block"]).max() < 1e-8
     # non-Einstein product: block must match the traceless-Ricci route
     c2 = riemann_at(product_spheres(1.0, 2.0), "aa", np.array([0.5, 0.1, 0.2, 0.3]))
-    assert np.abs(c2.ric_block).max() > 1e-3
-    B = ric_block_from_traceless(c2.ric_traceless)
-    assert np.abs(B - c2.ric_block).max() < 1e-9
+    assert np.abs(c2["ric_block"]).max() > 1e-3
+    B = ric_block_from_traceless(c2["ric0"])
+    assert np.abs(B - c2["ric_block"]).max() < 1e-9
 
 
 # ------------------------------------------------------------- Kahler spectrum
@@ -181,15 +208,16 @@ def test_kaehler_weyl_spectrum_and_form_direction():
     for m in (product_spheres(1.0, 1.0), ht_metric(0.8), fubini_study(),
               twisted_metric(0.5, 0.003)):
         c = riemann_at(m, m.chart_order[0], np.array([0.25, -0.15, 0.35, 0.05]))
-        lam = np.sort(np.linalg.eigvalsh(c.wplus))
-        assert_allclose(lam, [-c.s / 12, -c.s / 12, c.s / 6], atol=1e-6)
-        assert_allclose(np.sort(np.linalg.eigvalsh(c.s / 6 * I3 - c.wplus)),
-                        [0.0, c.s / 4, c.s / 4], atol=1e-6)
+        s, wplus = c["s"], c["wplus"]
+        lam = np.sort(np.linalg.eigvalsh(wplus))
+        assert_allclose(lam, [-s / 12, -s / 12, s / 6], atol=1e-6)
+        assert_allclose(np.sort(np.linalg.eigvalsh(s / 6 * I3 - wplus)),
+                        [0.0, s / 4, s / 4], atol=1e-6)
         # the Kahler direction eta1 realizes the s/6 eigenvalue: with the
         # standard J and frames from Cholesky of a J-compatible metric,
         # e2 = J e1 and e4 = J e3, so eta1 is the Kahler form direction
         eta1 = np.array([1.0, 0, 0]) * np.sqrt(2)
-        assert np.abs(c.wplus @ eta1 - c.s / 6 * eta1).max() < 1e-6
+        assert np.abs(wplus @ eta1 - s / 6 * eta1).max() < 1e-6
 
 
 # ------------------------------------------------------------- Lemma 2.1
@@ -225,30 +253,29 @@ def test_lemma21_rejection_property():
 def test_min_sectional_round_product_fs():
     rng = np.random.default_rng(9)
     c = riemann_at(round_sphere4(1.0), "n", rng.uniform(-0.8, 0.8, 4))
-    assert_allclose(min_sectional_curvature(c)["value"], 1.0, atol=1e-6)
+    assert_allclose(sectional_extremes(c["M6"])[0], 1.0, atol=1e-6)
 
     cp = riemann_at(product_spheres(1.0, 1.0), "aa", rng.uniform(-0.8, 0.8, 4))
-    out = min_sectional_curvature(cp)
-    assert abs(out["value"]) < 1e-6
+    val, plane = sectional_extremes(cp["M6"])
+    assert abs(val) < 1e-6
     # argmin is a mixed plane: its bivector has no pure-factor component
-    xi = out["bivector"]
+    xi = wedge(plane[..., 0], plane[..., 1])
     assert abs(xi[0]) < 1e-3 and abs(xi[5]) < 1e-3
 
     cf = riemann_at(fubini_study(), "u0", rng.uniform(-0.7, 0.7, 4))
-    assert_allclose(min_sectional_curvature(cf)["value"], 1.0, atol=1e-4)
-    assert_allclose(max_sectional_curvature(cf)["value"], 4.0, atol=1e-4)
+    assert_allclose(sectional_extremes(cf["M6"])[0], 1.0, atol=1e-4)
+    assert_allclose(-sectional_extremes(-cf["M6"])[0], 4.0, atol=1e-4)
 
 
 def test_min_sectional_never_above_samples():
     rng = np.random.default_rng(10)
     for m in (product_spheres(1.0, 2.0), fubini_study()):
         c = riemann_at(m, m.chart_order[0], rng.uniform(-0.6, 0.6, 4))
-        val, _ = sectional_extremes(c.riemann.mat)
+        val, _ = sectional_extremes(c["M6"])
         u = rng.normal(size=(10_000, 4))
         v = rng.normal(size=(10_000, 4))
-        from curv4.bivector import wedge
         xi = wedge(u, v)
-        vals = np.einsum("si,ij,sj->s", xi, c.riemann.mat, xi) / np.sum(xi * xi, axis=1)
+        vals = np.einsum("si,ij,sj->s", xi, c["M6"], xi) / np.sum(xi * xi, axis=1)
         assert val <= vals.min() + 1e-12
 
 
@@ -264,13 +291,12 @@ def _solver_cases():
     bianchi = rand[:, 0, 5] - rand[:, 1, 4] + rand[:, 2, 3]
     projected = rand[:4] - bianchi[:4, None, None] / 3.0 * STAR6
     kaehler = riemann_at(product_spheres(1.0, 1.0), "aa",
-                         np.array([0.3, 0.2, -0.4, 0.6])).riemann.mat
+                         np.array([0.3, 0.2, -0.4, 0.6]))["M6"]
     return np.concatenate([rand, projected, np.stack([
         np.eye(6), STAR6, -STAR6, np.diag([1.0, 0, 0, 0, 0, 1.0]), kaehler])])
 
 
 def _sampled_sectional(M, n=100_000):
-    from curv4.bivector import wedge
     rng = np.random.default_rng(22)
     xi = wedge(rng.normal(size=(n, 4)), rng.normal(size=(n, 4)))
     xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
@@ -278,7 +304,6 @@ def _sampled_sectional(M, n=100_000):
 
 
 def test_sectional_extremes_exact_with_certificate():
-    from curv4.bivector import wedge
     M = _solver_cases()
     val, plane, bound = sectional_extremes(M, return_bound=True)
     sampled = _sampled_sectional(M)
@@ -348,8 +373,8 @@ def test_holomorphic_bisectional_product():
     m = product_spheres(1.0, 1.0)
     p = np.array([0.2, -0.1, 0.3, 0.4])
     c = riemann_at(m, "aa", p)
-    J = m.kaehler.matrix("aa", p)
-    g = c.g
+    J = np.array(J_STANDARD)
+    g = c["g"]
     e1 = np.zeros(4)
     e1[0] = 1.0 / np.sqrt(g[0, 0])       # unit vector in factor 1
     e3 = np.zeros(4)
@@ -366,11 +391,11 @@ def test_holomorphic_bisectional_expansion_nonnegative():
         p = rng.uniform(-0.6, 0.6, 4)
         chart = m.chart_order[0]
         c = riemann_at(m, chart, p)
-        J = m.kaehler.matrix(chart, p)
+        J = np.array(J_STANDARD)
         for _ in range(20):
             X, Y = rng.normal(size=(2, 4))
             kh = holomorphic_bisectional(c, J, X, Y)
-            Rm = c.riemann_coord
+            Rm = c["Rm"]
             t1 = np.einsum("ijkl,i,j,k,l->", Rm, X, J @ Y, X, J @ Y)
             t2 = np.einsum("ijkl,i,j,k,l->", Rm, X, Y, X, Y)
             assert_allclose(kh, t1 + t2, atol=1e-8 * max(1, abs(kh)))
@@ -383,9 +408,8 @@ def test_kaehler_j_invariance_of_curvature():
     rng = np.random.default_rng(14)
     m = fubini_study()
     p = rng.uniform(-0.5, 0.5, 4)
-    c = riemann_at(m, "u0", p)
-    J = m.kaehler.matrix("u0", p)
-    Rm = c.riemann_coord
+    Rm = riemann_at(m, "u0", p)["Rm"]
+    J = np.array(J_STANDARD)
     RJ = np.einsum("ijkl,ia,jb->abkl", Rm, J, J)
     assert np.abs(RJ - Rm).max() < 1e-8 * max(1, np.abs(Rm).max())
 

@@ -329,12 +329,12 @@ def test_twisted_is_potential_hessian_of_full_potential(make):
     m = make()
     oracle = MetricField("oracle", list(m.charts.values()),
                          functools.partial(hessian_metric,
-                                           _in_x(m.kaehler.potential)),
+                                           _in_x(m.kaehler)),
                          validate=False)
     rng = np.random.default_rng(13)
     for chart, pts in m.sample_points(rng, 5):
         x = [pts[:, i] for i in range(4)]
-        rows = hessian_metric(_in_x(m.kaehler.potential), chart, x)
+        rows = hessian_metric(_in_x(m.kaehler), chart, x)
         direct = m.eval(chart, pts)
         for i in range(4):
             for j in range(4):

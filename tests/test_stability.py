@@ -5,15 +5,15 @@ import pytest
 from curv4.errors import NonMinimalSurfaceError, RefinementError
 from curv4.jets import array as _arr, partial as _jd
 from curv4.metrics import QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4
-from curv4.sphharm import harmonic_count, real_harmonics
+from curv4.sphharm import real_harmonics
 from curv4.stability import (
     IndexForm, SectionBasis, assemble_index_form,
     index_two_construction, near_holomorphic_section, refine_until_stable,
     theorem_c_harness, _accumulate_forms,
 )
 from curv4.surfaces import (
-    NormalSection, cp1_line, dbar_perp_sq_field, equator_sphere,
-    parallel_section, perturbed_slice, product_slice, second_variation,
+    NormalSection, cp1_line, dbar_sq, equator_sphere, parallel_section,
+    perturbed_slice, point_geometry, product_slice, second_variation,
     section_data, surface_geometry,
 )
 
@@ -46,7 +46,7 @@ class LinearSection:
 def test_harmonics_orthonormal_on_unit_sphere():
     from curv4.metrics import sphere_chart_nodes
     L = 5
-    nb = harmonic_count(L)
+    nb = (L + 1) ** 2
     G = np.zeros((nb, nb))
     for chart, u, w in sphere_chart_nodes(24):
         Y = np.stack(real_harmonics(chart, [u[:, 0], u[:, 1]], L), axis=-1)
@@ -155,7 +155,7 @@ def test_mass_and_dbar_matrices_match_section_integrals(make_surface,
     geom = surface_geometry(S, metric, QUAD)
     mass = geom.integrate([section_data(cg, sigma)["norm2"]
                            for cg in geom.charts])
-    dbar = geom.integrate([dbar_perp_sq_field(cg, sigma)
+    dbar = geom.integrate([dbar_sq(section_data(cg, sigma))
                            for cg in geom.charts])
     assert_allclose(w @ G @ w, mass, rtol=1e-8)
     assert_allclose(w @ D @ w, 2.0 * dbar, rtol=1e-8)
@@ -192,13 +192,13 @@ def test_near_holomorphic_energies():
 
 
 def test_near_holomorphic_section_is_holomorphic_pointwise():
-    from curv4.surfaces import dbar_perp_sq
     S = product_slice()
     out = near_holomorphic_section(S, MP, SectionBasis(S, 4), QUAD)
     sig = out["section"]
-    assert dbar_perp_sq(S, MP, sig, "a", [0.3, -0.4]) < 1e-10
+    cg = point_geometry(S, MP, "a", [0.3, -0.4])
+    assert dbar_sq(section_data(cg, sig))[0] < 1e-10
     # J sigma is then holomorphic as well
-    assert dbar_perp_sq(S, MP, sig.rotated(), "a", [0.3, -0.4]) < 1e-10
+    assert dbar_sq(section_data(cg, sig.rotated()))[0] < 1e-10
 
 
 def test_near_holomorphic_reuses_assembled_form():

@@ -10,15 +10,13 @@ from curv4.metrics import (
     QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4,
 )
 from curv4.surfaces import (
-    NormalSection, SecondFundamentalForm, a_wedge_a_sq,
-    a_wedge_a_sq_expansion, area, chern_number, cp1_line, dbar_perp_sq,
-    dbar_perp_sq_field,
-    equator_sphere, induced_geometry, k_perp_extrinsic, k_perp_intrinsic,
+    NormalSection, a_wedge_a_sq, a_wedge_a_sq_expansion, area,
+    chern_number, cp1_line, dbar_sq, equator_sphere, kperp_extrinsic_field,
     log_norm_check, normal_connection, parallel_section, parse_surface_spec,
-    perturbed_slice, product_slice, ric_perp_identity_residual, second_fundamental,
-    second_variation, section_data, sphere_functions, surface_geometry,
-    variational_identity_lemma310, weitzenboeck_variation, kperp_extrinsic_field,
-    _point_geometry,
+    perturbed_slice, point_geometry, product_slice,
+    ric_perp_identity_residual, second_variation, section_data,
+    sphere_functions, surface_geometry, variational_identity_lemma310,
+    weitzenboeck_variation,
 )
 
 QUAD = QuadSpec(32)
@@ -74,11 +72,12 @@ def test_areas():
 
 
 def test_induced_geometry_slice():
-    out = induced_geometry(product_slice(), MP, "a", [0.3, -0.2])
+    cg = point_geometry(product_slice(), MP, "a", [0.3, -0.2])
     q = 1 + 0.3 ** 2 + 0.2 ** 2
-    assert_allclose(out["induced"], 4.0 / q ** 2 * np.eye(2), atol=1e-12)
-    e = out["tangent_frame"]
-    n = out["normal_frame"]
+    assert_allclose(cg.h[0], 4.0 / q ** 2 * np.eye(2), atol=1e-12)
+    assert_allclose(cg.sqrt_h[0], 4.0 / q ** 2, atol=1e-12)
+    e = cg.e[0]
+    n = cg.n[0]
     g = MP.eval("aa", [0.3, -0.2, 0.0, 0.0])
     frame = np.concatenate([e, n], axis=1)
     assert_allclose(frame.T @ g @ frame, np.eye(4), atol=1e-12)
@@ -102,10 +101,9 @@ def test_rank_deficient_rejected():
 
 def test_totally_geodesic_builtins():
     for name, S, m in SURFACES[:3]:
-        A = second_fundamental(S, m, "a", [0.4, 0.1])
-        assert A.H_norm < 1e-12
-        assert np.abs(A.A).max() < 1e-12
-        assert A.minimal
+        cg = point_geometry(S, m, "a", [0.4, 0.1])
+        assert cg.H_norm[0] < 1e-12
+        assert np.abs(cg.A).max() < 1e-12
 
 
 def test_perturbed_slice_not_minimal():
@@ -132,7 +130,7 @@ def test_normal_connection_fd_oracle():
     h = 1e-6
 
     def ambient_sigma(u):
-        cg = _point_geometry(S, MP, "a", u)
+        cg = point_geometry(S, MP, "a", u)
         d = section_data(cg, sig)
         return (d["c3"][0] * cg.n[0, :, 0] + d["c4"][0] * cg.n[0, :, 1]), cg
 
@@ -152,7 +150,7 @@ def test_connection_commutes_with_j():
     # rotated section's derivative against the rotated derivative
     S = perturbed_slice(0.12)
     sig = smooth_frame_section(4)
-    cg = _point_geometry(S, MP, "a", [0.3, 0.15])
+    cg = point_geometry(S, MP, "a", [0.3, 0.15])
     d = section_data(cg, sig)
     dj = section_data(cg, sig.rotated())
     assert np.abs(dj["D3"] + d["D4"]).max() < 1e-8
@@ -165,10 +163,11 @@ def test_connection_commutes_with_j():
 # ------------------------------------------------------------- K_perp
 
 def test_kperp_values():
-    assert abs(k_perp_intrinsic(product_slice(), MP, "a", [0.3, 0.2])) < 1e-10
-    assert abs(k_perp_intrinsic(equator_sphere(), MR, "b", [0.4, -0.1])) < 1e-10
-    assert_allclose(k_perp_intrinsic(cp1_line(), MF, "a", [0.2, 0.5]), 2.0,
-                    atol=1e-6)
+    def kperp(S, m, chart, u):
+        return point_geometry(S, m, chart, u).kperp[0]
+    assert abs(kperp(product_slice(), MP, "a", [0.3, 0.2])) < 1e-10
+    assert abs(kperp(equator_sphere(), MR, "b", [0.4, -0.1])) < 1e-10
+    assert_allclose(kperp(cp1_line(), MF, "a", [0.2, 0.5]), 2.0, atol=1e-6)
 
 
 def test_kperp_cross_path_all_surfaces():
@@ -176,10 +175,9 @@ def test_kperp_cross_path_all_surfaces():
         geom = surface_geometry(S, m, QUAD)
         for cg in geom.charts:
             assert np.abs(cg.kperp - kperp_extrinsic_field(cg)).max() < 1e-5
-    # single-point wrappers agree too
-    v1 = k_perp_intrinsic(perturbed_slice(0.15), MP, "a", [0.3, -0.2])
-    v2 = k_perp_extrinsic(perturbed_slice(0.15), MP, "a", [0.3, -0.2])
-    assert abs(v1 - v2) < 1e-5
+    # and at a single point, a one-node batch
+    cg = point_geometry(perturbed_slice(0.15), MP, "a", [0.3, -0.2])
+    assert abs(cg.kperp - kperp_extrinsic_field(cg))[0] < 1e-5
 
 
 def test_chern_numbers():
@@ -190,16 +188,20 @@ def test_chern_numbers():
 
 # ------------------------------------------------------------- dbar
 
+def _dbar_at(S, m, sigma, chart, u, tau=0.0):
+    return dbar_sq(section_data(point_geometry(S, m, chart, u), sigma), tau)[0]
+
+
 def test_dbar_zero_for_parallel():
-    assert dbar_perp_sq(product_slice(), MP, parallel_section(1.0, 0.5),
-                        "a", [0.1, 0.7]) < 1e-14
+    assert _dbar_at(product_slice(), MP, parallel_section(1.0, 0.5),
+                    "a", [0.1, 0.7]) < 1e-14
 
 
 def test_dbar_rotation_invariance():
     S = perturbed_slice(0.15)
     sig = smooth_frame_section(5)
     for u in ([0.3, 0.2], [-0.5, 0.6]):
-        vals = [dbar_perp_sq(S, MP, sig, "a", u, tau=t)
+        vals = [_dbar_at(S, MP, sig, "a", u, tau=t)
                 for t in (0.0, np.pi / 4, 1.1, 2.7)]
         assert max(vals) - min(vals) < 1e-8
 
@@ -207,7 +209,7 @@ def test_dbar_rotation_invariance():
 def test_dbar_j_rotation_preserves_holomorphicity():
     # if dbar sigma = 0 then dbar(J sigma) = 0
     sig = parallel_section(0.3, -0.8)
-    assert dbar_perp_sq(product_slice(), MP, sig.rotated(), "a", [0.4, 0.1]) < 1e-14
+    assert _dbar_at(product_slice(), MP, sig.rotated(), "a", [0.4, 0.1]) < 1e-14
 
 
 # ------------------------------------------------------------- A ^ A algebra
@@ -218,13 +220,12 @@ def synthetic_minimal_A(rng):
     for s in range(2):
         a, b = rng.normal(size=2)
         out[..., s] = [[a, b], [b, -a]]
-    return SecondFundamentalForm(out, np.zeros(4), 0.0)
+    return out
 
 
 def test_a_wedge_a():
     rng = np.random.default_rng(6)
-    zero = SecondFundamentalForm(np.zeros((2, 2, 2)), np.zeros(4), 0.0)
-    assert a_wedge_a_sq(zero) == 0.0
+    assert a_wedge_a_sq(np.zeros((2, 2, 2))) == 0.0
     for _ in range(50):
         A = synthetic_minimal_A(rng)
         assert abs(a_wedge_a_sq(A) - a_wedge_a_sq_expansion(A)) < 1e-12
@@ -238,7 +239,7 @@ def test_a_wedge_a_zero_forces_geodesic_for_minimal():
     for _ in range(200):
         A = synthetic_minimal_A(rng)
         if a_wedge_a_sq(A) < 1e-12:
-            arr = A.A
+            arr = A
             assert_allclose(arr[..., 1][0], [arr[0, 1, 0], -arr[0, 0, 0]],
                             atol=1e-10)
             # minimal + |A^A| = 0 and generic data only at A = 0
@@ -251,10 +252,10 @@ def test_a_sigma_norm_identity_323():
     for _ in range(50):
         A = synthetic_minimal_A(rng)
         c3, c4 = rng.normal(size=2)
-        As = A.A[..., 0] * c3 + A.A[..., 1] * c4
-        AJs = A.A[..., 0] * (-c4) + A.A[..., 1] * c3
+        As = A[..., 0] * c3 + A[..., 1] * c4
+        AJs = A[..., 0] * (-c4) + A[..., 1] * c3
         lhs = np.sum(As ** 2) + np.sum(AJs ** 2)
-        n3sq, n4sq = A.shape_norms()
+        n3sq, n4sq = np.sum(A[..., 0] ** 2), np.sum(A[..., 1] ** 2)
         rhs = (n3sq + n4sq) * (c3 ** 2 + c4 ** 2)
         assert abs(lhs - rhs) < 1e-10
 
@@ -416,7 +417,7 @@ def test_weitzenboeck_variation_evaluates_section_once_per_chart(monkeypatch):
     for cg in geom.charts:
         norm2 = section_data(cg, sig)["norm2"]
         base = cg.w * cg.sqrt_h
-        t_dbar += float(np.sum(base * 4.0 * dbar_perp_sq_field(cg, sig)))
+        t_dbar += float(np.sum(base * 4.0 * dbar_sq(section_data(cg, sig))))
         t_weyl -= float(np.sum(base * cg.s6_pairing * norm2))
         t_shear -= float(np.sum(base * a_wedge_a_sq(cg.A) * norm2))
     rhs = t_dbar + t_weyl + t_shear
