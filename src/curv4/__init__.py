@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 from .bivector import bianchi_residual, hodge_star, plucker_residual, wedge
 from .curvature import (
-    ConditionReport, TwoFormField, condition_check, decompose,
-    holomorphic_bisectional, kaehler_form, lemma21_check, riemann_at,
+    ConditionReport, condition_check, decompose, holomorphic_bisectional,
+    kaehler_form, kaehler_residuals, lemma21_check, riemann_at,
     sectional_extremes, weitzenboeck_residual,
 )
 from .errors import (
@@ -14,8 +14,8 @@ from .errors import (
 )
 from .metrics import (
     Chart, J_STANDARD, MetricField, QuadSpec, flat_space, fubini_study,
-    ht_metric, kaehler_residuals, parse_metric_spec, product_spheres,
-    round_sphere4, twisted_eps_max, twisted_metric, volume,
+    ht_metric, parse_metric_spec, product_spheres, round_sphere4,
+    twisted_eps_max, twisted_metric, volume,
 )
 from .stability import (
     IndexForm, SectionBasis, assemble_index_form, near_holomorphic_section,

@@ -7,8 +7,9 @@ timing goes to stderr only.
 Exit codes: 0 success; 1 identity violation or another curv4 error; 2 parse
 error: an unknown flag, a malformed metric or surface spec (the grammar of
 ``metrics.parse_spec``), a value a surface constructor rejects, a malformed
---t-values or --eps-values list, --grid below 3, --quad below 8, --sections
-below 1, --L0 below 0 or not below --L-max; 3 metric construction failure,
+--t-values or --eps-values list or one with a non-finite entry, --grid below
+3, --quad below 8, --sections below 1, --tol not finite and positive, --L0
+below 0 or not below --L-max; 3 metric construction failure,
 e.g. |eps| above the twisted family's eps_max.  Spec, range and
 construction errors print one line on stderr and no traceback.
 """
@@ -24,14 +25,15 @@ import numpy as np
 from . import __version__
 from .bivector import bianchi_residual
 from .curvature import (
-    block_identity_residual, condition_check, curvature_batch, lemma21_check,
-    positivity_eps_max, weitzenboeck_residual, kaehler_form, TwoFormField,
+    block_identity_residual, condition_check, curvature_batch, kaehler_form,
+    kaehler_residuals, lemma21_check, positivity_eps_max,
+    weitzenboeck_residual,
 )
 from .errors import Curv4Error, MetricConstructionError, SpecParseError
 from .metrics import (
-    QuadSpec, flat_space, fubini_study, ht_metric, kaehler_residuals,
-    parse_metric_spec, product_spheres, round_sphere4, twisted_eps_max,
-    twisted_metric, volume_estimate,
+    QuadSpec, flat_space, fubini_study, ht_metric, parse_metric_spec,
+    product_spheres, round_sphere4, twisted_eps_max, twisted_metric,
+    volume_estimate,
 )
 from .stability import SectionBasis, assemble_index_form, near_holomorphic_section, refine_until_stable
 from .surfaces import (
@@ -69,7 +71,7 @@ def _write_report(report, out_path):
 
 def _parse_values(spec):
     """'a:b:n' inclusive range or comma-separated list of floats; an
-    empty list is malformed too."""
+    empty list or a non-finite entry is malformed too."""
     try:
         if ":" in spec:
             lo, hi, n = spec.split(":")
@@ -78,9 +80,10 @@ def _parse_values(spec):
             vals = [float(t) for t in spec.split(",") if t.strip()]
     except ValueError:
         vals = []
-    if not vals:
+    if not vals or not np.all(np.isfinite(vals)):
         raise SpecParseError("malformed value list %r: expected 'a:b:n' with "
-                             "n >= 1 or comma-separated numbers" % spec)
+                             "n >= 1 or comma-separated finite numbers"
+                             % spec)
     return vals
 
 
@@ -176,7 +179,7 @@ def _poly_form(rng):
                 k += 5
         return out
 
-    return TwoFormField("poly", comps)
+    return comps
 
 
 def _random_section(S, rng):
@@ -238,17 +241,15 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
             add("kaehler-weyl-spectrum", m.name, spec_res, 1e-6)
             add("kaehler-s6-spectrum", m.name, cor_res, 1e-6)
 
-    # Weitzenboeck on 2-forms (Einstein test spaces)
+    # Weitzenboeck on 2-forms, one batch of 5 points per form
     for m, chart in ((flat_space(), "e"), (round_sphere4(1.0), "n"),
                      (product_spheres(1.0, 1.0), "aa")):
-        worst = 0.0
         forms = [_poly_form(rng) for _ in range(3)]
         if m.is_kaehler:
             forms.append(kaehler_form(m))
-        for alpha in forms:
-            for _ in range(5):
-                p = rng.uniform(-0.8, 0.8, 4)
-                worst = max(worst, weitzenboeck_residual(m, alpha, chart, p))
+        worst = max(weitzenboeck_residual(
+            m, alpha, chart, rng.uniform(-0.8, 0.8, (5, 4)))[0].max()
+            for alpha in forms)
         add("weitzenboeck-2form", m.name, worst, 1e-6)
 
     # surface identities
@@ -421,6 +422,9 @@ def _check_ranges(args):
              "--quad must be >= %d" % QuadSpec.MIN_N),
             (args.command == "verify-identities" and args.sections < 1,
              "--sections must be >= 1"),
+            (args.command == "verify-identities"
+             and not 0.0 < args.tol < np.inf,
+             "--tol must be finite and > 0"),
             (args.command == "surface" and args.L0 < 0,
              "--L0 must be >= 0"),
             (args.command == "surface" and args.L0 >= args.L_max,

@@ -455,65 +455,67 @@ def holomorphic_bisectional(c, J, X, Y):
 
 
 # ---------------------------------------------------------------------
-# analytic 2-form fields and the Weitzenboeck identity on 2-forms
+# Kaehler structure
 
-class TwoFormField:
-    """A coordinate 2-form with ring-generic components.
+def kaehler_residuals(m, grid_n=4):
+    """Max-norm residuals of J^2 + Id, g(J.,J.) - g and nabla J over a grid."""
+    if not m.is_kaehler:
+        raise MetricConstructionError("%s has no complex structure" % m.name)
+    out = {"j_squared": 0.0, "compatibility": 0.0, "nabla_j": 0.0}
+    for chart in m.chart_order:
+        pts = m.charts[chart].grid(grid_n)
+        g, dg, _ = m.jets(chart, pts)
+        _, Gamma = christoffel_arrays(g, dg)
+        J = np.broadcast_to(J_STANDARD, g.shape)
+        out["j_squared"] = max(out["j_squared"], np.abs(
+            np.einsum("...ij,...jk->...ik", J, J) + np.eye(4)).max())
+        out["compatibility"] = max(out["compatibility"], np.abs(
+            np.einsum("...ij,...ik,...jl->...kl", g, J, J) - g).max())
+        # dJ = 0 for the built-ins (chart-constant J); covariant derivative
+        # reduces to the bracket with the connection
+        nj = (np.einsum("...ikm,...mj->...kij", Gamma, J)
+              - np.einsum("...mkj,...im->...kij", Gamma, J))
+        out["nabla_j"] = max(out["nabla_j"], np.abs(nj).max())
+    return out
 
-    comps(chart, x) -> antisymmetric 4x4 nested list of ring elements.
-    """
 
-    def __init__(self, name, comps):
-        self.name = name
-        self._comps = comps
-
-    def comps_ring(self, chart, x):
-        return self._comps(chart, x)
-
-    def jets(self, chart, pts):
-        """(A, dA, d2A) laid out as ``MetricField.jets``."""
-        return comps_jets(self._comps, chart, pts)
-
+# ---------------------------------------------------------------------
+# the Weitzenboeck identity on 2-forms
+#
+# A 2-form is its ring-generic components comps(chart, x), an antisymmetric
+# 4x4 nested list; ``metrics.comps_jets`` gives its jets.
 
 def kaehler_form(m):
-    """The Kahler 2-form omega(X, Y) = g(JX, Y) of a Kahler built-in."""
+    """Components of the Kahler 2-form omega(X, Y) = g(JX, Y) of a Kahler
+    built-in."""
     if not m.is_kaehler:
         raise MetricConstructionError("%s has no complex structure" % m.name)
 
     def comps(chart, x):
         g = m.comps_ring(chart, x)
-        out = [[0.0] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(4):
-                acc = 0.0
-                for k in range(4):
-                    acc = acc + J_STANDARD[k][i] * g[k][j]
-                out[i][j] = acc
-        return out
+        return [[sum((J_STANDARD[k][i] * g[k][j] for k in range(4)), 0.0)
+                 for j in range(4)] for i in range(4)]
 
-    return TwoFormField("kaehler-form(%s)" % m.name, comps)
+    return comps
 
 
-def _covariant_2form(Gamma, A, dA):
-    """(nabla_j alpha)_{kl} batched."""
-    return (dA
+def _covariant_2form(Gamma, dGamma, A, dA, d2A):
+    """(nabla_j alpha)_{kl} and its coordinate derivative d_p of it."""
+    nabA = (dA
             - np.einsum("...mjk,...ml->...jkl", Gamma, A)
             - np.einsum("...mjl,...km->...jkl", Gamma, A))
-
-
-def hodge_laplacian_2form(g, dg, d2g, A, dA, d2A):
-    """(d delta + delta d) alpha in coordinates, all lower indices."""
-    ginv, Gamma, dGamma = christoffel_derivatives(g, dg, d2g)
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv, optimize=True)
-
-    # delta alpha and its coordinate derivative
-    nabA = _covariant_2form(Gamma, A, dA)
-    delta = -np.einsum("...jk,...jkl->...l", ginv, nabA)
     dnabA = (d2A
              - np.einsum("...pmjk,...ml->...pjkl", dGamma, A)
              - np.einsum("...mjk,...pml->...pjkl", Gamma, dA)
              - np.einsum("...pmjl,...km->...pjkl", dGamma, A)
              - np.einsum("...mjl,...pkm->...pjkl", Gamma, dA))
+    return nabA, dnabA
+
+
+def hodge_laplacian_2form(ginv, dg, Gamma, dA, d2A, nabA, dnabA):
+    """(d delta + delta d) alpha in coordinates, all lower indices."""
+    # d(delta alpha), with delta alpha = -g^{jk} (nabla_j alpha)_{kl}
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv, optimize=True)
     ddelta = -(np.einsum("...pjk,...jkl->...pl", dginv, nabA)
                + np.einsum("...jk,...pjkl->...pl", ginv, dnabA))
     d_delta = ddelta - np.einsum("...pl->...lp", ddelta)
@@ -530,15 +532,8 @@ def hodge_laplacian_2form(g, dg, d2g, A, dA, d2A):
     return d_delta + delta_d
 
 
-def rough_laplacian_2form(g, dg, d2g, A, dA, d2A):
+def rough_laplacian_2form(ginv, Gamma, nabA, dnabA):
     """nabla^* nabla alpha = -g^{ij} (nabla^2 alpha)_{ij;kl}."""
-    ginv, Gamma, dGamma = christoffel_derivatives(g, dg, d2g)
-    nabA = _covariant_2form(Gamma, A, dA)
-    dnabA = (d2A
-             - np.einsum("...pmjk,...ml->...pjkl", dGamma, A)
-             - np.einsum("...mjk,...pml->...pjkl", Gamma, dA)
-             - np.einsum("...pmjl,...km->...pjkl", dGamma, A)
-             - np.einsum("...mjl,...pkm->...pjkl", Gamma, dA))
     nab2 = (dnabA
             - np.einsum("...mij,...mkl->...ijkl", Gamma, nabA)
             - np.einsum("...mik,...jml->...ijkl", Gamma, nabA)
@@ -552,39 +547,31 @@ def _coord_form_to_frame6(A, frame):
     return np.stack([Af[..., i, j] for i, j in PAIRS], axis=-1)
 
 
-def _frame6_to_coord_form(v6, frame):
-    theta = np.linalg.inv(frame)
-    out = np.zeros(v6.shape[:-1] + (4, 4))
-    for p, (a, b) in enumerate(PAIRS):
-        contrib = np.einsum("...,...i,...j->...ij",
-                            v6[..., p], theta[..., a, :], theta[..., b, :])
-        out += contrib - np.swapaxes(contrib, -1, -2)
-    return out
-
-
-def weitzenboeck_residual(m, alpha, chart, p, return_parts=False):
+def weitzenboeck_residual(m, alpha, chart, pts):
     """|| Delta alpha - (nabla^* nabla alpha - 2 W alpha + (s/3) alpha) ||
-    at a point, every term computed along an independent route.
+    at each of the (n, 4) points pts, for the 2-form with components alpha.
 
-    The identity in this exact form holds on Einstein 4-manifolds (all test
-    metrics: flat, round, equal-radius products); on non-Einstein spaces the
-    traceless Ricci couples the self-dual and anti-self-dual parts.
+    In dimension 4 the identity holds on Lambda^2 for every metric: the
+    traceless-Ricci terms of the curvature term cancel.  The Hodge route
+    (d delta + delta d) and the rough route (nabla^* nabla) share nabla
+    alpha and its derivative; one curvature record gives the connection,
+    the frame, s and W.  The residual is taken in the orthonormal bivector
+    basis.  Returns (residuals, parts): "hodge" and "rough" are coordinate
+    2-forms, "weyl" is W alpha in the bivector basis and "s" the scalar
+    curvature, each per point.
     """
-    m.require_inside(chart, p)
-    pts = np.asarray(p, dtype=float)[None, :]
+    m.require_inside(chart, pts)
     g, dg, d2g = m.jets(chart, pts)
-    A, dA, d2A = alpha.jets(chart, pts)
-    hodge = hodge_laplacian_2form(g, dg, d2g, A, dA, d2A)
-    rough = rough_laplacian_2form(g, dg, d2g, A, dA, d2A)
-    data = curvature_from_arrays(g, dg, d2g)
-    a6 = _coord_form_to_frame6(A, data["frame"])
-    w6 = np.einsum("...ij,...j->...i", decompose(data).W6, a6)
-    Walpha = _frame6_to_coord_form(w6, data["frame"])
-    s = data["s"][..., None, None]
-    rhs = rough - 2.0 * Walpha + s / 3.0 * A
-    diff6 = _coord_form_to_frame6(hodge - rhs, data["frame"])
-    res = float(np.linalg.norm(diff6[0]))
-    if return_parts:
-        return res, {"hodge": hodge[0], "rough": rough[0],
-                     "weyl_term": Walpha[0], "s": float(data["s"][0])}
-    return res
+    A, dA, d2A = comps_jets(alpha, chart, pts)
+    c = curvature_from_arrays(g, dg, d2g)
+    nabA, dnabA = _covariant_2form(c["Gamma"], c["dGamma"], A, dA, d2A)
+    hodge = hodge_laplacian_2form(c["ginv"], dg, c["Gamma"], dA, d2A,
+                                  nabA, dnabA)
+    rough = rough_laplacian_2form(c["ginv"], c["Gamma"], nabA, dnabA)
+    weyl = np.einsum("...ij,...j->...i", decompose(c).W6,
+                     _coord_form_to_frame6(A, c["frame"]))
+    s = c["s"]
+    diff6 = _coord_form_to_frame6(hodge - rough - s[..., None, None] / 3.0 * A,
+                                  c["frame"]) + 2.0 * weyl
+    return (np.linalg.norm(diff6, axis=-1),
+            {"hodge": hodge, "rough": rough, "weyl": weyl, "s": s})

@@ -616,32 +616,6 @@ def fubini_study():
 
 
 # ---------------------------------------------------------------------
-# Kahler diagnostics
-
-def kaehler_residuals(m, grid_n=4):
-    """Max-norm residuals of J^2 + Id, g(J.,J.) - g and nabla J over a grid."""
-    from .curvature import christoffel_arrays  # curvature imports metrics
-    if not m.is_kaehler:
-        raise MetricConstructionError("%s has no complex structure" % m.name)
-    out = {"j_squared": 0.0, "compatibility": 0.0, "nabla_j": 0.0}
-    for chart in m.chart_order:
-        pts = m.charts[chart].grid(grid_n)
-        g, dg, _ = m.jets(chart, pts)
-        _, Gamma = christoffel_arrays(g, dg)
-        J = np.broadcast_to(J_STANDARD, g.shape)
-        out["j_squared"] = max(out["j_squared"], np.abs(
-            np.einsum("...ij,...jk->...ik", J, J) + np.eye(4)).max())
-        out["compatibility"] = max(out["compatibility"], np.abs(
-            np.einsum("...ij,...ik,...jl->...kl", g, J, J) - g).max())
-        # dJ = 0 for the built-ins (chart-constant J); covariant derivative
-        # reduces to the bracket with the connection
-        nj = (np.einsum("...ikm,...mj->...kij", Gamma, J)
-              - np.einsum("...mkj,...im->...kij", Gamma, J))
-        out["nabla_j"] = max(out["nabla_j"], np.abs(nj).max())
-    return out
-
-
-# ---------------------------------------------------------------------
 # specification grammar: name or name(key=value,...)
 
 _NUM = r"\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*"

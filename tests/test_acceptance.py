@@ -190,8 +190,6 @@ def test_criterion_7_weitzenboeck():
     rng = np.random.default_rng(107)
 
     def poly_form(coeffs):
-        from curv4.curvature import TwoFormField
-
         def comps(chart, x):
             out = [[0.0] * 4 for _ in range(4)]
             k = 0
@@ -205,7 +203,7 @@ def test_criterion_7_weitzenboeck():
                     k += 5
             return out
 
-        return TwoFormField("poly", comps)
+        return comps
 
     worst = 0.0
     for m, chart in ((flat_space(), "e"), (round_sphere4(1.0), "n"),
@@ -213,8 +211,8 @@ def test_criterion_7_weitzenboeck():
         for _ in range(5):
             alpha = poly_form(rng.normal(size=30))
             pts = rng.uniform(-0.8, 0.8, size=(50, 4))
-            for p in pts:
-                worst = max(worst, weitzenboeck_residual(m, alpha, chart, p))
+            worst = max(worst,
+                        weitzenboeck_residual(m, alpha, chart, pts)[0].max())
     assert worst < 1e-6
     report(7, "Weitzenboeck 2-form identity: worst residual %.1e" % worst)
 

@@ -82,6 +82,12 @@ def test_exit_code_parse_error():
     (["scan-family", "--t-values", "abc"], "'abc'"),
     (["scan-family", "--t-values", "0:1:0"], "'0:1:0'"),
     (["verify-identities", "--sections", "0"], "--sections"),
+    (["scan-family", "--t-values", "0.5", "--eps-values", "nan,inf"],
+     "'nan,inf'"),
+    (["scan-family", "--t-values", "nan"], "'nan'"),
+    (["verify-identities", "--tol", "inf"], "--tol"),
+    (["verify-identities", "--tol", "-1"], "--tol"),
+    (["verify-identities", "--tol", "nan"], "--tol"),
     # literals that overflow to inf are malformed, not numbers
     (["analyze", "--metric", "round4(r=1e400)"], "'r=1e400'"),
     (["surface", "--metric", "product(a=1,b=1)",
@@ -89,8 +95,9 @@ def test_exit_code_parse_error():
 ], ids=["unknown-key", "removed-phi-key", "surface-rejects-value",
         "quad-below-8", "grid-below-3", "L0-not-below-L-max",
         "negative-L0", "range-without-count", "values-not-numbers",
-        "empty-range", "no-sections", "non-finite-number",
-        "non-finite-pair"])
+        "empty-range", "no-sections", "non-finite-eps-values",
+        "non-finite-t-value", "infinite-tol", "negative-tol", "nan-tol",
+        "non-finite-number", "non-finite-pair"])
 def test_exit_code_invalid_input(args, names):
     # typed: a one-line parse error naming the offending input, no traceback
     proc = run_cli(args)
@@ -160,6 +167,46 @@ def test_identity_suite_reads_one_curvature_batch_per_chart(monkeypatch):
     with pytest.raises(Stop):
         cli.run_identity_suite(quad_n=8, n_sections=1)
     assert calls == {"curvature_from_arrays": 14, "riemann_at": 0}
+
+
+def test_identity_suite_checks_weitzenboeck_once_per_form(monkeypatch):
+    # 3 polynomial forms on flat space and on round4, those and the Kaehler
+    # form on the product: 10 batches of 5 points, each with one curvature
+    # record and so one Christoffel evaluation; the surface block that
+    # follows stops the suite
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    counts = {"christoffel_derivatives": 0, "curvature_from_arrays": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(curvature, name,
+                            counting(name, getattr(curvature, name)))
+    calls = []
+    weitzenboeck = cli.weitzenboeck_residual
+
+    def recording(m, alpha, chart, pts):
+        before = dict(counts)
+        out = weitzenboeck(m, alpha, chart, pts)
+        calls.append((np.shape(pts), {k: counts[k] - before[k]
+                                      for k in counts}))
+        return out
+
+    monkeypatch.setattr(cli, "weitzenboeck_residual", recording)
+    monkeypatch.setattr(cli, "surface_geometry", stop)
+    with pytest.raises(Stop):
+        cli.run_identity_suite(quad_n=8, n_sections=1)
+    assert calls == [((5, 4), {"christoffel_derivatives": 1,
+                               "curvature_from_arrays": 1})] * 10
 
 
 def test_verify_identities_tolerance_override(tmp_path):

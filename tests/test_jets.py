@@ -6,9 +6,9 @@ import numpy as np
 from numpy.testing import assert_allclose
 import pytest
 
-from curv4.curvature import TwoFormField, kaehler_form
+from curv4.curvature import kaehler_form
 from curv4.jets import Jet, grad_array, hess_array, jlog, jsqrt, seedn, value
-from curv4.metrics import twisted_metric
+from curv4.metrics import comps_jets, twisted_metric
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "curv4"
 
@@ -159,9 +159,8 @@ def test_no_module_imports_private_names():
     assert private == []
 
 
-def test_no_function_local_imports_but_the_cycle_breaker():
-    # a package import inside a function is kept only where a module-level
-    # one would close an import cycle: curvature imports metrics
+def test_no_function_local_imports():
+    # every package import sits at module level
     local = set()
     for p in sorted(SRC.glob("*.py")):
         for fn in ast.walk(ast.parse(p.read_text())):
@@ -171,29 +170,26 @@ def test_no_function_local_imports_but_the_cycle_breaker():
                              ", ".join(a.name for a in node.names))
                           for node in ast.walk(fn)
                           if isinstance(node, ast.ImportFrom) and node.level}
-    assert sorted(local) == [
-        "metrics:kaehler_residuals: from .curvature import christoffel_arrays"]
+    assert sorted(local) == []
 
 
 # ------------------------------------------------------------- 2-form jets
 
-def _cubic_form():
+def _cubic_form(chart, x):
     """A 2-form with polynomial, constant-jet and plain-constant entries."""
-    def comps(chart, x):
-        out = [[0.0] * 4 for _ in range(4)]
-        vals = {(0, 1): 1.0 + x[0] * x[1] * x[2] - 0.5 * x[3] ** 3,
-                (0, 2): 2.0 + 0.0 * x[0],
-                (1, 3): x[1] * x[1] * x[3] + 0.3 * x[0] * x[2],
-                (2, 3): -0.7 * x[0] ** 3 + x[2] * x[3]}
-        for (i, j), v in vals.items():
-            out[i][j] = v
-            out[j][i] = -1.0 * v
-        return out
-    return TwoFormField("cubic", comps)
+    out = [[0.0] * 4 for _ in range(4)]
+    vals = {(0, 1): 1.0 + x[0] * x[1] * x[2] - 0.5 * x[3] ** 3,
+            (0, 2): 2.0 + 0.0 * x[0],
+            (1, 3): x[1] * x[1] * x[3] + 0.3 * x[0] * x[2],
+            (2, 3): -0.7 * x[0] ** 3 + x[2] * x[3]}
+    for (i, j), v in vals.items():
+        out[i][j] = v
+        out[j][i] = -1.0 * v
+    return out
 
 
 def _form_values(alpha, chart, p):
-    rows = alpha.comps_ring(chart, list(p))
+    rows = alpha(chart, list(p))
     return np.array([[float(v) for v in row] for row in rows])
 
 
@@ -224,17 +220,17 @@ def _form_cases():
     kf = kaehler_form(m)
     cases = [pytest.param(kf, chart, pts, id="kaehler-twisted-" + chart)
              for chart, pts in m.sample_points(rng, 2)]
-    cases.append(pytest.param(_cubic_form(), "e",
+    cases.append(pytest.param(_cubic_form, "e",
                               rng.uniform(-0.8, 0.8, size=(3, 4)), id="cubic"))
     return cases
 
 
 @pytest.mark.parametrize("alpha, chart, pts", _form_cases())
 def test_two_form_jets_match_central_differences(alpha, chart, pts):
-    A, dA, d2A = alpha.jets(chart, pts)
+    A, dA, d2A = comps_jets(alpha, chart, pts)
     assert A.shape == (len(pts), 4, 4)
     for n, p in enumerate(pts):
-        single = alpha.jets(chart, p)
+        single = comps_jets(alpha, chart, p)
         for batched, one in zip((A, dA, d2A), single):
             assert_allclose(batched[n], one, rtol=1e-14, atol=1e-14)
         assert_allclose(A[n], _form_values(alpha, chart, p), atol=1e-14)

@@ -5,13 +5,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 import pytest
 
 from curv4 import metrics
-from curv4.curvature import curvature_batch
+from curv4.curvature import curvature_batch, kaehler_residuals
 from curv4.errors import MetricConstructionError, SpecParseError
 from curv4.jets import partial, seedn, value
 from curv4.metrics import (
     MetricField, QuadSpec, flat_space, fubini_study, ht_metric,
-    kaehler_residuals, parse_metric_spec, parse_spec, product_spheres,
-    round_sphere4, twisted_eps_max, twisted_metric, volume,
+    parse_metric_spec, parse_spec, product_spheres, round_sphere4,
+    twisted_eps_max, twisted_metric, volume,
 )
 
 RNG = np.random.default_rng(42)

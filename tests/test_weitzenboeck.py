@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from curv4.curvature import TwoFormField, kaehler_form, weitzenboeck_residual
-from curv4.metrics import flat_space, product_spheres, round_sphere4
+from curv4.curvature import curvature_batch, kaehler_form, weitzenboeck_residual
+from curv4.metrics import (
+    flat_space, ht_metric, product_spheres, round_sphere4, twisted_metric,
+)
 
 
-def constant_form():
-    def comps(chart, x):
-        out = [[0.0] * 4 for _ in range(4)]
-        out[0][1] = 1.0 + 0.0 * x[0]
-        out[1][0] = -1.0 + 0.0 * x[0]
-        return out
-    return TwoFormField("dx1^dx2", comps)
+def constant_form(chart, x):
+    """dx1^dx2."""
+    out = [[0.0] * 4 for _ in range(4)]
+    out[0][1] = 1.0 + 0.0 * x[0]
+    out[1][0] = -1.0 + 0.0 * x[0]
+    return out
 
 
 def polynomial_form(coeffs):
@@ -28,11 +29,11 @@ def polynomial_form(coeffs):
                 out[j][i] = -1.0 * val
                 k += 5
         return out
-    return TwoFormField("poly", comps)
+    return comps
 
 
 def _make_forms(rng, n=5):
-    forms = [constant_form()]
+    forms = [constant_form]
     for _ in range(n - 1):
         forms.append(polynomial_form(rng.normal(size=30)))
     return forms
@@ -46,20 +47,37 @@ FIELDS = [(flat_space(), "e"), (round_sphere4(1.0), "n"),
 def test_identity_on_random_forms_and_points(m, chart):
     rng = np.random.default_rng(21)
     for alpha in _make_forms(rng):
-        for _ in range(10):
-            p = rng.uniform(-0.8, 0.8, 4)
-            assert weitzenboeck_residual(m, alpha, chart, p) < 1e-6
+        res, _ = weitzenboeck_residual(m, alpha, chart,
+                                       rng.uniform(-0.8, 0.8, (10, 4)))
+        assert res.shape == (10,)
+        assert res.max() < 1e-6
+
+
+@pytest.mark.parametrize("m", [ht_metric(0.6), twisted_metric(0.5, 0.05)],
+                         ids=lambda m: m.name)
+def test_identity_holds_without_einstein(m):
+    # in dimension 4 the traceless-Ricci terms cancel on Lambda^2, so the
+    # identity needs no Einstein metric
+    rng = np.random.default_rng(25)
+    worst, ric0 = 0.0, 0.0
+    for chart, pts in m.sample_points(rng, 5):
+        for alpha in _make_forms(rng, 3):
+            worst = max(worst, weitzenboeck_residual(m, alpha, chart,
+                                                     pts)[0].max())
+        ric0 = max(ric0, np.abs(curvature_batch(m, chart, pts)["ric0"]).max())
+    assert ric0 > 0.01
+    assert worst < 1e-6
 
 
 def test_flat_reduces_to_coordinate_laplacian():
     m = flat_space()
     rng = np.random.default_rng(22)
     alpha = polynomial_form(rng.normal(size=30))
-    p = np.array([0.2, -0.4, 0.1, 0.3])
-    res, parts = weitzenboeck_residual(m, alpha, "e", p, return_parts=True)
-    assert res < 1e-12
-    assert abs(parts["s"]) < 1e-12
-    assert np.abs(parts["weyl_term"]).max() < 1e-12
+    p = np.array([[0.2, -0.4, 0.1, 0.3]])
+    res, parts = weitzenboeck_residual(m, alpha, "e", p)
+    assert res[0] < 1e-12
+    assert abs(parts["s"][0]) < 1e-12
+    assert np.abs(parts["weyl"]).max() < 1e-12
     assert np.abs(parts["hodge"] - parts["rough"]).max() < 1e-12
 
 
@@ -67,20 +85,18 @@ def test_kaehler_form_is_harmonic_on_product():
     m = product_spheres(1.0, 1.0)
     omega = kaehler_form(m)
     rng = np.random.default_rng(23)
-    for _ in range(5):
-        p = rng.uniform(-0.9, 0.9, 4)
-        res, parts = weitzenboeck_residual(m, omega, "aa", p, return_parts=True)
-        assert res < 1e-6
-        # the Kahler form is parallel: both Laplacians vanish on it, and the
-        # curvature terms cancel because W+ has eigenvalue s/6 on it
-        assert np.linalg.norm(parts["hodge"]) < 1e-6
-        assert np.linalg.norm(parts["rough"]) < 1e-6
+    res, parts = weitzenboeck_residual(m, omega, "aa",
+                                       rng.uniform(-0.9, 0.9, (5, 4)))
+    assert res.max() < 1e-6
+    # the Kahler form is parallel: both Laplacians vanish on it, and the
+    # curvature terms cancel because W+ has eigenvalue s/6 on it
+    assert np.linalg.norm(parts["hodge"], axis=(-2, -1)).max() < 1e-6
+    assert np.linalg.norm(parts["rough"], axis=(-2, -1)).max() < 1e-6
 
 
 def test_round_sphere_constant_coefficient_form():
     m = round_sphere4(1.0)
-    alpha = constant_form()
     rng = np.random.default_rng(24)
-    for _ in range(10):
-        p = rng.uniform(-0.9, 0.9, 4)
-        assert weitzenboeck_residual(m, alpha, "n", p) < 1e-6
+    res, _ = weitzenboeck_residual(m, constant_form, "n",
+                                   rng.uniform(-0.9, 0.9, (10, 4)))
+    assert res.max() < 1e-6
