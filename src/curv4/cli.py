@@ -8,9 +8,9 @@ Exit codes: 0 success; 1 identity violation or another curv4 error; 2 parse
 error: an unknown flag, a malformed metric or surface spec (the grammar of
 ``metrics.parse_spec``), a value a surface constructor rejects, a malformed
 --t-values or --eps-values list or one with a non-finite entry, --grid below
-3, --quad below 8, --sections below 1, --tol not finite and positive, --L0
-below 0 or not below --L-max; 3 metric construction failure,
-e.g. |eps| above the twisted family's eps_max.  Spec, range and
+3, --quad below 8, a negative --seed, --sections below 1, --tol not finite
+and positive, --L0 below 0 or not below --L-max; 3 metric construction
+failure, e.g. |eps| above the twisted family's eps_max.  Spec, range and
 construction errors print one line on stderr and no traceback.
 """
 
@@ -420,6 +420,7 @@ def _check_ranges(args):
             ("grid" in args and args.grid < 3, "--grid must be >= 3"),
             (args.quad < QuadSpec.MIN_N,
              "--quad must be >= %d" % QuadSpec.MIN_N),
+            (args.seed < 0, "--seed must be >= 0"),
             (args.command == "verify-identities" and args.sections < 1,
              "--sections must be >= 1"),
             (args.command == "verify-identities"

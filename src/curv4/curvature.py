@@ -274,10 +274,12 @@ def psd_tolerance(s):
 class ConditionReport:
     """Aggregate positivity margins of the pointwise curvature conditions.
 
-    ``sectional_gap`` is the largest primal-dual gap of the sectional
-    search over the points (None when it did not run).  ``worst`` maps each
-    margin to (chart, point, ties): the first point within ``tol_psd`` of
-    the minimum and the number of such points.
+    ``npoints`` counts the grid points the margins cover, not the points
+    evaluated (one per T^2 orbit).  ``sectional_gap`` is the largest
+    primal-dual gap of the sectional search over the points (None when it
+    did not run).  ``worst`` maps each margin to (chart, point, ties): the
+    first grid point within ``tol_psd`` of the minimum and the number of
+    such points.
     """
 
     def __init__(self, margins, worst, tol_psd, npoints, sectional_gap=None):
@@ -304,22 +306,28 @@ class ConditionReport:
 
 
 def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
-    """Scan a grid of every chart and aggregate eigenvalue margins.
+    """Aggregate eigenvalue margins over chart.grid(grid_n) of every chart.
 
     Margins are minima over all points of: min eig(s/6 - W+-),
     min eig(s/12 + W+-), min eig(R_op) and the minimal sectional curvature.
-    The sectional minimum is exact up to the certified gap (Thorpe duality,
-    see ``sectional_extremes``): each point's value is the curvature of an
+    Precondition: the rotations z_a -> e^{i th_a} z_a are isometries in
+    every chart (the test suite checks this for every entry of METRICS), so
+    every margin is constant on each T^2 orbit.  The curvature is evaluated
+    once per orbit that the grid meets (``Chart.orbit_grid``) and each
+    margin is scattered back to the grid points.  The sectional minimum is
+    exact up to the certified gap (Thorpe duality, see
+    ``sectional_extremes``): each point's value is the curvature of an
     actual plane, so it is an upper bound, and it exceeds the dual lower
     bound by at most the report's ``sectional_gap``.  Nothing is random, so
     the result does not depend on a seed.
 
-    With return_points, also returns the per-point margins for CSV dumps.
+    With return_points, also returns [(chart, grid points, margins)] with
+    the per-point margins in grid order, for CSV dumps.
     """
     smax, gap, total = 0.0, -np.inf, 0
     records = []
-    for chart, pts in m.grid_points(grid_n):
-        data = curvature_batch(m, chart, pts)
+    for chart, reps, index in m.orbit_points(grid_n):
+        data = curvature_batch(m, chart, reps)
         s = data["s"][:, None, None]
         out = {
             "s6_minus_wplus": np.linalg.eigvalsh(s / 6 * I3 - data["wplus"])[:, 0],
@@ -333,8 +341,8 @@ def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
             out["min_sectional"] = vals
             gap = max(gap, float((vals - bound).max()))
         smax = max(smax, float(np.abs(data["s"]).max()))
-        total += len(pts)
-        records.append((chart, pts, out))
+        total += len(index)
+        records.append((chart, {k: v[index] for k, v in out.items()}))
 
     # a margin's worst point is the first point, in chart and grid order,
     # within tol_psd of its minimum: where the margin is flat up to rounding
@@ -342,16 +350,19 @@ def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
     # order of the kernel's sums
     tol = psd_tolerance(smax)
     mins, worst = {}, {}
-    for key in records[0][2]:
-        mins[key] = min(float(out[key].min()) for _, _, out in records)
-        near = [(chart, pts[out[key] <= mins[key] + tol])
-                for chart, pts, out in records]
-        chart, pts = next((c, p) for c, p in near if len(p))
-        worst[key] = (chart, pts[0].tolist(), sum(len(p) for _, p in near))
+    for key in records[0][1]:
+        mins[key] = min(float(out[key].min()) for _, out in records)
+        near = [(chart, np.flatnonzero(out[key] <= mins[key] + tol))
+                for chart, out in records]
+        chart, flat = next((c, f) for c, f in near if len(f))
+        point = m.charts[chart].grid_point(grid_n, flat[0])
+        worst[key] = (chart, point.tolist(), sum(len(f) for _, f in near))
     report = ConditionReport(mins, worst, tol, total,
                              gap if include_sectional else None)
     if return_points:
-        return report, records
+        # the dump has a row per grid point; only coordinates are built
+        return report, [(chart, m.charts[chart].grid_point(
+            grid_n, np.arange(grid_n ** 4)), out) for chart, out in records]
     return report
 
 
@@ -365,8 +376,11 @@ def positivity_eps_max(t, grid_n=5):
     chart: 0.95 of ``twisted_eps_max(t)`` if that passes, else the lower
     end after POSITIVITY_STEPS bisections of [0, 0.95 twisted_eps_max(t)].
 
-    Use odd grid sizes: the tightest spot of the built-in perturbation sits
-    at a chart centre, which even grids skip.
+    The twisted family is T^2-invariant (a toric potential), so the margin
+    is constant on each T^2 orbit, and the jets are taken once per orbit
+    that the grid meets (``Chart.orbit_grid``).  Use odd grid sizes: the
+    tightest spot of the built-in perturbation sits at a chart centre,
+    which even grids skip.
     """
     pd_max = twisted_eps_max(t)
 
@@ -374,8 +388,8 @@ def positivity_eps_max(t, grid_n=5):
     # then every bisection step is plain linear algebra
     base, pert = twisted_parts(t)
     parts = []
-    for chart, pts in base.grid_points(grid_n):
-        parts.append((base.jets(chart, pts), pert.jets(chart, pts)))
+    for chart, reps, _ in base.orbit_points(grid_n):
+        parts.append((base.jets(chart, reps), pert.jets(chart, reps)))
 
     def margin(eps):
         worst = np.inf
@@ -458,12 +472,14 @@ def holomorphic_bisectional(c, J, X, Y):
 # Kaehler structure
 
 def kaehler_residuals(m, grid_n=4):
-    """Max-norm residuals of J^2 + Id, g(J.,J.) - g and nabla J over a grid."""
+    """Max-norm residuals of J^2 + Id, g(J.,J.) - g and nabla J over
+    chart.grid(grid_n) of every chart, taken once per T^2 orbit: J_STANDARD
+    commutes with the rotations, which are isometries, so the residual at a
+    rotated point is the rotated residual."""
     if not m.is_kaehler:
         raise MetricConstructionError("%s has no complex structure" % m.name)
     out = {"j_squared": 0.0, "compatibility": 0.0, "nabla_j": 0.0}
-    for chart in m.chart_order:
-        pts = m.charts[chart].grid(grid_n)
+    for chart, pts, _ in m.orbit_points(grid_n):
         g, dg, _ = m.jets(chart, pts)
         _, Gamma = christoffel_arrays(g, dg)
         J = np.broadcast_to(J_STANDARD, g.shape)

@@ -92,12 +92,14 @@ def test_exit_code_parse_error():
     (["analyze", "--metric", "round4(r=1e400)"], "'r=1e400'"),
     (["surface", "--metric", "product(a=1,b=1)",
       "--surface", "slice(factor=1,point=(1e400,0))"], "'point=(1e400,0)'"),
+    (["verify-identities", "--seed", "-1", "--sections", "1", "--quad", "8"],
+     "--seed"),
 ], ids=["unknown-key", "removed-phi-key", "surface-rejects-value",
         "quad-below-8", "grid-below-3", "L0-not-below-L-max",
         "negative-L0", "range-without-count", "values-not-numbers",
         "empty-range", "no-sections", "non-finite-eps-values",
         "non-finite-t-value", "infinite-tol", "negative-tol", "nan-tol",
-        "non-finite-number", "non-finite-pair"])
+        "non-finite-number", "non-finite-pair", "negative-seed"])
 def test_exit_code_invalid_input(args, names):
     # typed: a one-line parse error naming the offending input, no traceback
     proc = run_cli(args)

@@ -360,7 +360,8 @@ def test_worst_point_is_first_of_ties(m):
     # worst point is the first grid point of the first chart, whatever the
     # order of the sums that produced the rounding
     d = condition_check(m, grid_n=3).as_dict()
-    chart, pts = m.grid_points(3)[0]
+    chart = m.chart_order[0]
+    pts = m.charts[chart].grid(3)
     assert set(d["worst_point"]) == set(d["margins"])
     for key, w in d["worst_point"].items():
         assert w == {"chart": chart, "point": pts[0].tolist(),

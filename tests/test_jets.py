@@ -173,6 +173,18 @@ def test_no_function_local_imports():
     assert sorted(local) == []
 
 
+def test_no_module_scans_the_full_grid():
+    # the scans take one point per T^2 orbit (Chart.orbit_grid): no module
+    # calls .grid(, so a full-grid scan cannot creep back in
+    calls = ["%s:%d" % (p.name, node.lineno)
+             for p in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "grid"]
+    assert calls == []
+
+
 # ------------------------------------------------------------- 2-form jets
 
 def _cubic_form(chart, x):

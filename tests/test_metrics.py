@@ -5,7 +5,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 import pytest
 
 from curv4 import metrics
-from curv4.curvature import curvature_batch, kaehler_residuals
+from curv4 import curvature
+from curv4.curvature import (
+    ConditionReport, condition_check, curvature_batch, curvature_from_arrays,
+    kaehler_residuals, positivity_eps_max, psd_tolerance, sectional_extremes,
+)
 from curv4.errors import MetricConstructionError, SpecParseError
 from curv4.jets import partial, seedn, value
 from curv4.metrics import (
@@ -432,6 +436,159 @@ def test_builtin_is_t2_invariant(name):
         for a, b, ref in zip(want, got, (np.abs(want[0]).max(), scale,
                                          scale, scale)):
             assert_allclose(b, a, rtol=0, atol=1e-12 * ref)
+
+
+# ---------------------------------------------------------------- orbit scans
+
+def _radii2(pts):
+    return np.stack([pts[:, 0] ** 2 + pts[:, 1] ** 2,
+                     pts[:, 2] ** 2 + pts[:, 3] ** 2], axis=-1)
+
+
+# representatives per chart by (n, sample-box half-width).  In exact
+# arithmetic a grid meets (k (k + 1) / 2)^2 orbits, k = ceil(n / 2): 9 at
+# n = 3, 4 and 36 at n = 5, 6.  linspace is not symmetric in floats
+# (linspace(-1, 1, 4) has -1/3 and 1/3 with different squares), and the
+# orbits are deduplicated on exact values, so some grids meet more
+ORBIT_COUNTS = {(3, 1.1): 9, (3, 1.0): 9, (4, 1.1): 9, (4, 1.0): 5 ** 2,
+                (5, 1.1): 36, (5, 1.0): 36, (6, 1.1): 14 ** 2,
+                (6, 1.0): 13 ** 2, (16, 1.1): 85 ** 2, (16, 1.0): 57 ** 2}
+
+
+@pytest.mark.parametrize("name", sorted(metrics.METRICS))
+def test_orbit_grid_covers_the_grid(name):
+    m = parse_metric_spec(T2_SPECS.get(name, name))
+    for chart in m.charts.values():
+        for n in (3, 4, 5, 6, 16):
+            reps, index = chart.orbit_grid(n)
+            assert index.shape == (n ** 4,)
+            assert_array_equal(np.unique(index), np.arange(len(reps)))
+            # every grid point lies on the orbit of its representative
+            assert_allclose(_radii2(reps)[index], _radii2(chart.grid(n)),
+                            rtol=1e-15, atol=0)
+            assert chart.contains(reps).all()
+            assert len(reps) == ORBIT_COUNTS[n, chart.sample_box[0, 1]]
+
+
+def _full_grid_condition_check(m, grid_n):
+    """The scan condition_check replaced: every grid point evaluated."""
+    I3 = np.eye(3)
+    smax, gap, total = 0.0, -np.inf, 0
+    records = []
+    for chart in m.chart_order:
+        pts = m.charts[chart].grid(grid_n)
+        data = curvature_batch(m, chart, pts)
+        s = data["s"][:, None, None]
+        out = {
+            "s6_minus_wplus": np.linalg.eigvalsh(s / 6 * I3 - data["wplus"])[:, 0],
+            "s6_minus_wminus": np.linalg.eigvalsh(s / 6 * I3 - data["wminus"])[:, 0],
+            "s12_plus_wplus": np.linalg.eigvalsh(s / 12 * I3 + data["wplus"])[:, 0],
+            "s12_plus_wminus": np.linalg.eigvalsh(s / 12 * I3 + data["wminus"])[:, 0],
+            "curvature_operator": np.linalg.eigvalsh(data["R_op"])[:, 0],
+        }
+        vals, _, bound = sectional_extremes(data["M6"], return_bound=True)
+        out["min_sectional"] = vals
+        gap = max(gap, float((vals - bound).max()))
+        smax = max(smax, float(np.abs(data["s"]).max()))
+        total += len(pts)
+        records.append((chart, pts, out))
+    tol = psd_tolerance(smax)
+    mins, worst = {}, {}
+    for key in records[0][2]:
+        mins[key] = min(float(out[key].min()) for _, _, out in records)
+        near = [(chart, pts[out[key] <= mins[key] + tol])
+                for chart, pts, out in records]
+        chart, pts = next((c, p) for c, p in near if len(p))
+        worst[key] = (chart, pts[0].tolist(), sum(len(p) for _, p in near))
+    return ConditionReport(mins, worst, tol, total, gap)
+
+
+@pytest.mark.parametrize("spec, grid_n", [
+    (name, 3) for name in sorted(metrics.METRICS)] + [
+    ("twisted(t=0.5,eps=0.05)", 5)])
+def test_condition_check_matches_full_grid(spec, grid_n):
+    m = parse_metric_spec(T2_SPECS.get(spec, spec))
+    got = condition_check(m, grid_n=grid_n).as_dict()
+    want = _full_grid_condition_check(m, grid_n).as_dict()
+    for key, v in want["margins"].items():
+        assert abs(got["margins"][key] - v) <= 1e-13, key
+    assert got["worst_point"] == want["worst_point"]
+    assert got["npoints"] == want["npoints"] == len(m.charts) * grid_n ** 4
+
+
+def test_condition_check_evaluates_one_point_per_orbit(monkeypatch):
+    seen = []
+
+    def counting(m, chart, pts):
+        seen.append((chart, len(pts)))
+        return curvature_batch(m, chart, pts)
+
+    monkeypatch.setattr(curvature, "curvature_batch", counting)
+    m = twisted_metric(0.5, 0.05)
+    rep = condition_check(m, grid_n=5)
+    assert seen == [(chart, 36) for chart in m.chart_order]
+    assert rep.npoints == 4 * 5 ** 4
+
+
+def _full_grid_eps_max(t, grid_n=16):
+    """The eps bound on every point of chart.grid(grid_n) + chart.grid(5)."""
+    base, pert = metrics.twisted_parts(t)
+    points = [(name, np.concatenate([chart.grid(grid_n), chart.grid(5)]))
+              for name, chart in base.charts.items()]
+    diag = [base.eval(name, pts)[:, [0, 2], [0, 2]] for name, pts in points]
+    floor = 1e-3 * min(float(d.min()) for d in diag)
+    mu = 0.0
+    for d, (name, pts) in zip(diag, points):
+        a, c = (d - floor).T
+        p, r, qr, qi = pert.eval(name, pts)[:, [0, 2, 0, 0], [0, 2, 2, 3]].T
+        A, B, C = a * c, p * c + r * a, p * r - qr * qr - qi * qi
+        root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
+        mu = max(mu, float(np.max((np.abs(B) + root) / (2.0 * A))))
+    return 1.0 / mu
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_twisted_eps_max_matches_full_grid(t):
+    assert twisted_eps_max(t) == _full_grid_eps_max(t)
+
+
+def _full_grid_positivity_eps_max(t, grid_n=5):
+    """positivity_eps_max with the jets taken at every grid point."""
+    pd_max = _full_grid_eps_max(t)
+    base, pert = metrics.twisted_parts(t)
+    parts = []
+    for chart in base.chart_order:
+        pts = base.charts[chart].grid(grid_n)
+        parts.append((base.jets(chart, pts), pert.jets(chart, pts)))
+
+    def margin(eps):
+        worst = np.inf
+        for (g0, dg0, d2g0), (g1, dg1, d2g1) in parts:
+            g = g0 + eps * g1
+            if np.linalg.eigvalsh(g)[:, 0].min() <= 1e-10:
+                return -np.inf
+            data = curvature_from_arrays(g, dg0 + eps * dg1, d2g0 + eps * d2g1)
+            s = data["s"][:, None, None]
+            w = np.linalg.eigvalsh(s / 6 * np.eye(3) - data["wplus"])[:, 0]
+            worst = min(worst, float(w.min()))
+        return worst
+
+    hi = 0.95 * pd_max
+    if margin(hi) >= -curvature.POSITIVITY_TOL:
+        return hi
+    lo = 0.0
+    for _ in range(curvature.POSITIVITY_STEPS):
+        mid = 0.5 * (lo + hi)
+        if margin(mid) >= -curvature.POSITIVITY_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("t", [0.3, 0.8])
+def test_positivity_eps_max_matches_full_grid(t):
+    assert positivity_eps_max(t) == _full_grid_positivity_eps_max(t)
 
 
 def test_quadspec_minimum():
