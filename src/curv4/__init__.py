@@ -22,7 +22,7 @@ from .stability import (
     refine_until_stable, theorem_c_harness,
 )
 from .surfaces import (
-    NormalSection, SurfaceImmersion, a_wedge_a_sq, area, chern_number,
+    NormalSection, SurfaceImmersion, a_wedge_a_sq, chern_number,
     cp1_line, dbar_sq, equator_sphere, kperp_extrinsic_field, log_norm_check,
     normal_connection, parallel_section, parse_surface_spec, perturbed_slice,
     point_geometry, product_slice, second_variation, section_data,

@@ -4,7 +4,8 @@ Reports are JSON with floats serialized by repr (shortest round-trip), so a
 fixed seed and configuration produce byte-identical output; wall-clock
 timing goes to stderr only.
 
-Exit codes: 0 success; 1 identity violation or another curv4 error; 2 parse
+Exit codes: 0 success; 1 identity violation or another curv4 error, e.g. a
+surface that lies in a chart the metric's atlas does not have; 2 parse
 error: an unknown flag, a malformed metric or surface spec (the grammar of
 ``metrics.parse_spec``), a value a surface constructor rejects, a malformed
 --t-values or --eps-values list or one with a non-finite entry, --grid below
@@ -37,7 +38,7 @@ from .metrics import (
 )
 from .stability import SectionBasis, assemble_index_form, near_holomorphic_section, refine_until_stable
 from .surfaces import (
-    a_wedge_a_sq, a_wedge_a_sq_expansion, area, averaged_second_variation,
+    a_wedge_a_sq, a_wedge_a_sq_expansion, averaged_second_variation,
     chern_number, cp1_line, equator_sphere, lemma310_integrals,
     parse_surface_spec, perturbed_slice, product_slice,
     ric_perp_identity_residual, section_data, sphere_functions,
@@ -196,6 +197,40 @@ def _random_section(S, rng):
     return NormalSection([make(c) for c in b])
 
 
+def _surface_identities(geom, minimal, rng, n_sections, add):
+    """The surface rows of the identity table for one SurfaceGeometry."""
+    S = geom.S
+    ctx = "%s@%s" % (S.name, geom.m.name)
+    kx = max(np.abs(cg.kperp - kperp_extrinsic_field(cg)).max()
+             for cg in geom.charts)
+    add("kperp-cross-path", ctx, kx, 1e-5)
+    add("ric-perp-eta-pairing", ctx,
+        max(ric_perp_identity_residual(cg) for cg in geom.charts), 1e-5)
+    l310, dbar_rot, t318 = 0.0, 0.0, 0.0
+    for _ in range(n_sections):
+        sig = _random_section(S, rng)
+        # sigma is evaluated once per chart for all three checks
+        data = [section_data(cg, sig) for cg in geom.charts]
+        l310 = max(l310, lemma310_integrals(geom, data)["residual"])
+        for cg, d in zip(geom.charts, data):
+            v0, v1 = dbar_sq(d, 0.0), dbar_sq(d, 0.785)
+            dbar_rot = max(dbar_rot, np.abs(v0 - v1).max())
+            # J sigma evaluated on its own: the second path of the check
+            dj = section_data(cg, sig.rotated())
+            dbar_rot = max(dbar_rot,
+                           np.abs(dj["grad2"] - d["grad2"]).max(),
+                           np.abs(dj["norm2"] - d["norm2"]).max())
+        if minimal:
+            t318 = max(t318,
+                       averaged_second_variation(geom, data)["residual"])
+    add("lemma-3-10", ctx, l310, 1e-5)
+    add("dbar-frame-independence", ctx, dbar_rot, 1e-8)
+    if minimal:
+        add("averaged-second-variation", ctx, t318, 1e-4)
+    cn = chern_number(geom)
+    add("chern-integrality", ctx, abs(cn - round(cn)), 1e-3)
+
+
 def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
     """The full cross-module identity table; returns a list of records."""
     rng = np.random.default_rng(seed)
@@ -260,36 +295,10 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
         (perturbed_slice(0.15), product_spheres(1.0, 1.0), False),
     ]
     for S, m, minimal in surfaces:
-        geom = surface_geometry(S, m, quad)
-        ctx = "%s@%s" % (S.name, m.name)
-        kx = max(np.abs(cg.kperp - kperp_extrinsic_field(cg)).max()
-                 for cg in geom.charts)
-        add("kperp-cross-path", ctx, kx, 1e-5)
-        add("ric-perp-eta-pairing", ctx,
-            max(ric_perp_identity_residual(cg) for cg in geom.charts), 1e-5)
-        l310, dbar_rot, t318 = 0.0, 0.0, 0.0
-        for k in range(n_sections):
-            sig = _random_section(S, rng)
-            # sigma is evaluated once per chart for all three checks
-            data = [section_data(cg, sig) for cg in geom.charts]
-            l310 = max(l310, lemma310_integrals(geom, data)["residual"])
-            for cg, d in zip(geom.charts, data):
-                v0, v1 = dbar_sq(d, 0.0), dbar_sq(d, 0.785)
-                dbar_rot = max(dbar_rot, np.abs(v0 - v1).max())
-                # J sigma evaluated on its own: the second path of the check
-                dj = section_data(cg, sig.rotated())
-                dbar_rot = max(dbar_rot,
-                               np.abs(dj["grad2"] - d["grad2"]).max(),
-                               np.abs(dj["norm2"] - d["norm2"]).max())
-            if minimal:
-                t318 = max(t318,
-                           averaged_second_variation(geom, data)["residual"])
-        add("lemma-3-10", ctx, l310, 1e-5)
-        add("dbar-frame-independence", ctx, dbar_rot, 1e-8)
-        if minimal:
-            add("averaged-second-variation", ctx, t318, 1e-4)
-        cn = chern_number(S, m, quad)
-        add("chern-integrality", ctx, abs(cn - round(cn)), 1e-3)
+        # the geometry is released when the call returns, before the next
+        # surface's is built
+        _surface_identities(surface_geometry(S, m, quad), minimal, rng,
+                            n_sections, add)
 
     # synthetic shear algebra
     worst = 0.0
@@ -324,21 +333,20 @@ def cmd_verify_identities(args):
 def cmd_surface(args):
     m = parse_metric_spec(args.metric)
     S = parse_surface_spec(args.surface)
-    quad = QuadSpec(args.quad)
-    geom = surface_geometry(S, m, quad)
+    geom = surface_geometry(S, m, QuadSpec(args.quad))
     report = _base_report(args, "surface")
     report["metric"] = {"name": m.name, "params": m.params}
     report["surface"] = {"name": S.name}
-    report["area"] = area(S, m, quad)
+    report["area"] = geom.area()
     report["minimality_residual"] = geom.min_residual
-    report["c1"] = chern_number(S, m, quad)
+    report["c1"] = chern_number(geom)
     if geom.min_residual > 1e-8:
         report["warning"] = ("surface is not minimal: stability analysis "
                              "skipped")
         _write_report(report, args.out)
         return EXIT_OK
     out = refine_until_stable(
-        lambda L: assemble_index_form(S, m, SectionBasis(S, L), quad),
+        lambda L: assemble_index_form(geom, SectionBasis(S, L)),
         L0=args.L0, L_max=args.L_max)
     form = out["form"]
     report["morse_index"] = out["morse_index"]
@@ -348,9 +356,9 @@ def cmd_surface(args):
     report["mass_rank"] = form.mass_rank
     report["basis_dim"] = form.basis.dim
     report["spectrum_head"] = [float(v) for v in form.spectrum[:8]]
-    holo = near_holomorphic_section(S, m, form.basis, quad, form=form)
+    holo = near_holomorphic_section(geom, form)
     report["holomorphic_energy"] = holo["energy"]
-    wv = weitzenboeck_variation(S, m, holo["section"], quad)
+    wv = weitzenboeck_variation(geom, holo["section"])
     report["averaged_second_variation"] = {
         "lhs": wv["lhs"], "rhs": wv["rhs"], "residual": wv["residual"],
         "terms": wv["terms"]}

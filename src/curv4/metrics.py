@@ -59,8 +59,9 @@ J_STANDARD = [[0.0, -1.0, 0.0, 0.0],
 class Chart:
     """A coordinate chart: open ball |x| < radius (or a box) in R^4.
 
-    ``sample_box`` is the closed sub-box used for random sampling and grid
-    scans; it keeps at least CHART_MARGIN away from the domain boundary.
+    ``sample_box`` is the half-width b of the closed sub-box [-b, b]^4 used
+    for random sampling and grid scans; it keeps at least CHART_MARGIN away
+    from the domain boundary.
     """
 
     def __init__(self, name, radius=None, box=None, factor_radius=None,
@@ -69,9 +70,7 @@ class Chart:
         self.radius = radius
         self.box = None if box is None else float(box)
         self.factor_radius = factor_radius
-        if np.isscalar(sample_box):
-            sample_box = [(-sample_box, sample_box)] * 4
-        self.sample_box = np.asarray(sample_box, dtype=float)
+        self.sample_box = float(sample_box)
         self.transitions = {}  # target chart name -> ring-generic map
 
     def contains(self, pts, margin=CHART_MARGIN):
@@ -86,8 +85,12 @@ class Chart:
             ok &= np.hypot(pts[..., 2], pts[..., 3]) < self.factor_radius - margin
         return ok
 
-    def _axes(self, n):
-        return [np.linspace(lo, hi, n) for lo, hi in self.sample_box]
+    def _axis(self, n):
+        """The n grid values of every axis.  Mirrored so that x -> -x maps
+        them onto themselves in floats too (linspace alone does not), and
+        x^2 takes ceil(n / 2) values, as in exact arithmetic."""
+        a = np.linspace(-self.sample_box, self.sample_box, n)
+        return 0.5 * (a - a[::-1])
 
     def grid(self, n):
         """All n^4 points of the sample-box grid; the scans use orbit_grid."""
@@ -96,8 +99,8 @@ class Chart:
     def grid_point(self, n, flat):
         """The points of grid(n) with the flat indices ``flat``, in grid
         order, read off the axes without building the grid."""
-        idx = np.unravel_index(flat, (n,) * 4)
-        return np.stack([ax[i] for ax, i in zip(self._axes(n), idx)], axis=-1)
+        return self._axis(n)[np.stack(np.unravel_index(flat, (n,) * 4),
+                                      axis=-1)]
 
     def orbit_grid(self, n):
         """(reps, index): one point per T^2 orbit that grid(n) meets, and
@@ -108,20 +111,16 @@ class Chart:
         representative lies on the diagonal x_a = y_a = r_a / sqrt(2), so
         it stays in the sample box and in the chart.
         """
-        ax = self._axes(n)
-        (u1, i1), (u2, i2) = [
-            np.unique(np.add.outer(ax[k] ** 2, ax[k + 1] ** 2).ravel(),
-                      return_inverse=True) for k in (0, 2)]
-        h1, h2 = np.sqrt(u1 / 2.0), np.sqrt(u2 / 2.0)
-        reps = np.stack(np.broadcast_arrays(h1[:, None], h1[:, None],
-                                            h2[None, :], h2[None, :]),
+        a2 = self._axis(n) ** 2
+        u, i = np.unique(np.add.outer(a2, a2).ravel(), return_inverse=True)
+        h = np.sqrt(u / 2.0)
+        reps = np.stack(np.broadcast_arrays(h[:, None], h[:, None],
+                                            h[None, :], h[None, :]),
                         axis=-1).reshape(-1, 4)
-        return reps, (i1[:, None] * len(u2) + i2[None, :]).ravel()
+        return reps, (i[:, None] * len(u) + i[None, :]).ravel()
 
     def sample(self, rng, n):
-        lo = self.sample_box[:, 0]
-        hi = self.sample_box[:, 1]
-        return rng.uniform(lo, hi, size=(n, 4))
+        return rng.uniform(-self.sample_box, self.sample_box, size=(n, 4))
 
 
 def _as_batch(pts):
@@ -543,7 +542,7 @@ def twisted_eps_max(t, grid_n=16):
     grid 16.  Precondition: both forms are T^2-invariant (toric
     potentials), so the pencil is constant on each T^2 orbit and is
     evaluated once per orbit that the grids meet (``Chart.orbit_grid``):
-    grid(16) meets 85^2 orbits per chart, against 16^4 points.
+    grid(16) meets 36^2 orbits per chart, against 16^4 points.
 
     With G = h_t and P = 2 Re ddbar phi, G + eps P stays above the floor
     exactly when 1 + eps mu > 0 for every generalized eigenvalue mu of the

@@ -9,7 +9,9 @@ eigenvalue pencil whose negative count is the Morse index.
 
 The basis and single sections (``index_two_construction``) read the same
 per-node data of ``surfaces.ChartGeometry``: the frame coefficients of the
-normal directions, the connection form and the Jacobi block.
+normal directions, the connection form and the Jacobi block.  Every
+function here takes the ``surfaces.SurfaceGeometry`` its caller built once;
+only ``theorem_c_harness`` builds its own.
 
 The Theorem-C-style harness drives the pieces end to end on slice spheres
 in S^2 x S^2 metrics, and a curvature-override fixture exercises the
@@ -20,7 +22,6 @@ import numpy as np
 
 from .curvature import sectional_extremes
 from .errors import RefinementError
-from .metrics import QuadSpec
 from .sphharm import harmonic_fn, real_harmonics
 from .surfaces import (
     NormalSection, a_wedge_a_sq, chern_number, jacobi_block, product_slice,
@@ -139,7 +140,7 @@ class IndexForm:
         self.nullity = int(np.sum(np.abs(self.spectrum) <= self.tol_idx))
 
 
-def _accumulate_forms(S, m, basis, quad, ambient_override=None):
+def _accumulate_forms(geom, basis, ambient_override=None):
     """The index form Q, mass matrix G and dbar matrix D of the basis.
 
     Each is a quadrature sum over nodes n of w_n sqrt(h_n) F_n^T M_n F_n
@@ -149,7 +150,6 @@ def _accumulate_forms(S, m, basis, quad, ambient_override=None):
     BLAS product over the stacked rows: X^T X, or V^T (M V) for the
     indefinite curvature-plus-shear block.
     """
-    geom = surface_geometry(S, m, quad)
     dim = basis.dim
     Q = np.zeros((dim, dim))
     G = np.zeros((dim, dim))
@@ -183,38 +183,30 @@ def _accumulate_forms(S, m, basis, quad, ambient_override=None):
     return 0.5 * (Q + Q.T), 0.5 * (G + G.T), 0.5 * (D + D.T)
 
 
-def assemble_index_form(S, m, basis, quad=None, ambient_override=None):
+def assemble_index_form(geom, basis, ambient_override=None):
     """Polarized second-variation matrix and mass matrix over the basis."""
-    quad = quad or QuadSpec()
-    geom = surface_geometry(S, m, quad)
     if ambient_override is None:
         geom.require_minimal()
-    Q, G, D = _accumulate_forms(S, m, basis, quad, ambient_override)
+    Q, G, D = _accumulate_forms(geom, basis, ambient_override)
     return IndexForm(Q, G, basis, D)
 
 
-def near_holomorphic_section(S, m, basis, quad=None, form=None):
-    """Minimize the dbar energy over unit-mass sections of the basis.
+def near_holomorphic_section(geom, form):
+    """Minimize the dbar energy over unit-mass sections of ``form.basis``.
 
-    ``form``, an IndexForm already assembled over ``basis``, lends its mass
-    whitening and dbar matrix instead of assembling them again.
+    ``form`` is the IndexForm assembled over geom; its mass whitening and
+    dbar matrix are used as they are.
 
     Returns {section, energy, coefficients}; runs regardless of the sign
     of c1 (a negative Chern number just means the energy cannot reach 0).
     """
-    quad = quad or QuadSpec()
-    if form is None:
-        _, G, D = _accumulate_forms(S, m, basis, quad)
-        Z = _mass_whitening(G)
-    else:
-        Z, D = form.Z, form.D
+    basis, Z, D = form.basis, form.Z, form.D
     Dw = Z.T @ D @ Z
     ev, V = np.linalg.eigh(0.5 * (Dw + Dw.T))
     lo = ev[0]
     ties = np.nonzero(ev <= lo + 1e-10 * max(1.0, abs(lo)))[0]
     if len(ties) > 1:
         # prefer sections that stay away from zero: largest L4 mass
-        geom = surface_geometry(S, m, quad)
         nodes = [(cg.w * cg.sqrt_h,) + basis.node_data(cg)[:2]
                  for cg in geom.charts]
         best, best_l4 = ties[0], -np.inf
@@ -252,7 +244,7 @@ def refine_until_stable(op, L0=2, L_max=12):
                           % (L_max, history))
 
 
-def index_two_construction(S, m, sigma, quad=None, ambient_override=None):
+def index_two_construction(geom, sigma, ambient_override=None):
     """The sigma, sigma +- J sigma pair: both second variations negative
     whenever the averaged one is (polarization decides the sign).
 
@@ -264,7 +256,6 @@ def index_two_construction(S, m, sigma, quad=None, ambient_override=None):
     combinations are never built as sections, so no "pair" of sections is
     returned.
     """
-    geom = surface_geometry(S, m, quad)
     if ambient_override is None:
         geom.require_minimal()
     data = [section_data(cg, sigma) for cg in geom.charts]
@@ -312,18 +303,16 @@ def theorem_c_harness(m, surface=None, L=4, quad=None, min_tol=1e-8):
     minimal sectional curvature over all surface nodes).  Refuses
     non-minimal slices, reporting the residual.
     """
-    quad = quad or QuadSpec()
     S = surface if surface is not None else product_slice()
     geom = surface_geometry(S, m, quad)
     if geom.min_residual > min_tol:
         return TheoremCReport(
             metric=m.name, surface=S.name, minimal=False,
             minimality_residual=geom.min_residual, verdict="refused: not minimal")
-    c1 = chern_number(S, m, quad)
-    basis = SectionBasis(S, L)
-    holo = near_holomorphic_section(S, m, basis, quad)
-    sigma = holo["section"]
-    wv = weitzenboeck_variation(S, m, sigma, quad)
+    c1 = chern_number(geom)
+    holo = near_holomorphic_section(
+        geom, assemble_index_form(geom, SectionBasis(S, L)))
+    wv = weitzenboeck_variation(geom, holo["section"])
     pairing_min = min(float(cg.s6_pairing.min()) for cg in geom.charts)
     shear_max = max(float(a_wedge_a_sq(cg.A).max()) for cg in geom.charts)
     # exact minimal sectional curvature at every ambient surface node

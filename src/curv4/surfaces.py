@@ -16,6 +16,13 @@ sections here and the index-form basis of ``stability`` read it.  A single
 point is a batch of one: ``point_geometry`` is the ChartGeometry of one
 node, and every pointwise quantity is read from its arrays.
 
+``SurfaceGeometry`` holds one ChartGeometry per surface chart at the sphere
+quadrature nodes.  The caller builds it once (``surface_geometry``) and
+passes it to every integral: ``chern_number``, ``second_variation``,
+``variational_identity_lemma310``, ``weitzenboeck_variation``,
+``log_norm_check`` and the index forms of ``stability``.  Nothing caches
+it, so it lives exactly as long as the caller holds it.
+
 There is one section type, ``NormalSection``: a coefficient function per
 normal direction.  The directions are the surface's normal generator
 fields, or on a trivial bundle the adapted frame (n3, n4) with constant
@@ -34,7 +41,7 @@ import numpy as np
 
 from . import bivector as bv
 from .curvature import christoffel_arrays, curvature_from_arrays
-from .errors import NonMinimalSurfaceError, SectionError
+from .errors import ChartDomainError, NonMinimalSurfaceError, SectionError
 from .jets import (Jet, array, drop, grad_array, hess_array, jlog, jsqrt,
                    partial, seedn)
 from .metrics import QuadSpec, parse_spec, sphere_chart_nodes
@@ -100,7 +107,6 @@ class SurfaceImmersion:
         self.normal_generators = normal_generators
         self.n_directions = (2 if normal_generators is None
                              else len(normal_generators))
-        self._geom_cache = {}
 
 
 # ---------------------------------------------------------------------
@@ -211,11 +217,20 @@ def parse_surface_spec(spec):
 # per-node geometry
 
 class ChartGeometry:
-    """All pointwise geometric data of a surface chart at quadrature nodes."""
+    """All pointwise geometric data of a surface chart at quadrature nodes.
+
+    Raises ChartDomainError if the metric's atlas has no chart of the name
+    the immersion maps this surface chart into.
+    """
 
     def __init__(self, S, m, chart, u_nodes, weights):
         self.chart = chart
         self.amb = S.chart_map[chart]
+        if self.amb not in m.charts:
+            raise ChartDomainError(
+                "surface %s lies in chart %r, which %s does not have "
+                "(charts: %s)" % (S.name, self.amb, m.name,
+                                  ", ".join(m.chart_order)))
         self.u = np.asarray(u_nodes, dtype=float)
         self.w = np.asarray(weights, dtype=float)
         n = len(self.u)
@@ -365,16 +380,14 @@ class ChartGeometry:
 
 
 class SurfaceGeometry:
-    """Cached per-chart geometry at sphere quadrature nodes."""
+    """The ChartGeometry of each surface chart at the sphere quadrature
+    nodes of ``quad`` (default QuadSpec()), built once by the caller."""
 
     def __init__(self, S, m, quad=None):
-        quad = quad or QuadSpec()
         self.S = S
         self.m = m
-        self.quad = quad
-        self.charts = []
-        for hemi, u, w in sphere_chart_nodes(quad.n):
-            self.charts.append(ChartGeometry(S, m, hemi, u, w))
+        self.charts = [ChartGeometry(S, m, hemi, u, w) for hemi, u, w
+                       in sphere_chart_nodes((quad or QuadSpec()).n)]
         self.min_residual = max(float(cg.H_norm.max()) for cg in self.charts)
 
     def integrate(self, values_per_chart):
@@ -394,13 +407,9 @@ class SurfaceGeometry:
 
 
 def surface_geometry(S, m, quad=None):
-    quad = quad or QuadSpec()
-    key = (id(m), quad.n)
-    geom = S._geom_cache.get(key)
-    if geom is None or geom.m is not m:
-        geom = SurfaceGeometry(S, m, quad)
-        S._geom_cache[key] = geom
-    return geom
+    """The SurfaceGeometry of immersion S in metric m; each call builds
+    a new one."""
+    return SurfaceGeometry(S, m, quad)
 
 
 def point_geometry(S, m, chart, u):
@@ -539,9 +548,8 @@ def kperp_extrinsic_field(cg):
     return amb + corr
 
 
-def chern_number(S, m, quad=None):
+def chern_number(geom):
     """(1/2pi) * integral of the normal-bundle curvature."""
-    geom = surface_geometry(S, m, quad)
     return geom.integrate([cg.kperp for cg in geom.charts]) / (2 * np.pi)
 
 
@@ -564,10 +572,6 @@ def a_wedge_a_sq_expansion(A):
             - 2 * np.sum(A4[..., 0, :] * A3[..., 1, :], axis=-1))
 
 
-def area(S, m, quad=None):
-    return surface_geometry(S, m, quad).area()
-
-
 # ---------------------------------------------------------------------
 # variational integrals
 
@@ -588,9 +592,8 @@ def second_variation_density(cg, d, ambient_override=None):
                                   jacobi_block(cg, ambient_override), c)
 
 
-def second_variation(S, m, sigma, quad=None):
+def second_variation(geom, sigma):
     """delta^2(sigma) for a minimal surface (unnormalized curvature term)."""
-    geom = surface_geometry(S, m, quad)
     geom.require_minimal()
     vals = [second_variation_density(cg, section_data(cg, sigma))
             for cg in geom.charts]
@@ -608,9 +611,8 @@ def lemma310_integrals(geom, data):
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
-def variational_identity_lemma310(S, m, sigma, quad=None):
+def variational_identity_lemma310(geom, sigma):
     """| int |nabla sigma|^2 - int (2 |dbar sigma|^2 + Kperp |sigma|^2) |."""
-    geom = surface_geometry(S, m, quad)
     return lemma310_integrals(geom, [section_data(cg, sigma)
                                      for cg in geom.charts])
 
@@ -639,16 +641,15 @@ def averaged_second_variation(geom, data):
                       "shear": t_shear}}
 
 
-def weitzenboeck_variation(S, m, sigma, quad=None):
+def weitzenboeck_variation(geom, sigma):
     """averaged_second_variation of sigma on a minimal surface, sigma
     evaluated once per chart."""
-    geom = surface_geometry(S, m, quad)
     geom.require_minimal()
     return averaged_second_variation(
         geom, [section_data(cg, sigma) for cg in geom.charts])
 
 
-def log_norm_check(S, m, sigma, quad=None, holo_tol=1e-6, norm_floor=1e-3,
+def log_norm_check(geom, sigma, holo_tol=1e-6, norm_floor=1e-3,
                    chart_filter=None):
     """max | Kperp + 1/2 Laplacian_S log |sigma|^2 | over the grid.
 
@@ -657,7 +658,6 @@ def log_norm_check(S, m, sigma, quad=None, holo_tol=1e-6, norm_floor=1e-3,
     normal-curvature normalization: on the projective line Kperp = 2 while
     the holomorphic sections give Laplacian_S log |sigma|^2 = -4.
     """
-    geom = surface_geometry(S, m, quad)
     worst = 0.0
     for cg in geom.charts:
         if chart_filter is not None and not chart_filter(cg):

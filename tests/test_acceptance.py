@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 from numpy.testing import assert_allclose
+import pytest
 
 from curv4.cli import main as cli_main
 from curv4.curvature import (
@@ -223,27 +224,33 @@ SURFS = [("slice", product_slice(), product_spheres(1.0, 1.0), True),
          ("perturbed", perturbed_slice(0.15), product_spheres(1.0, 1.0), False)]
 
 
-def test_criterion_8_integral_identities():
+@pytest.fixture(scope="module")
+def geoms():
+    """The QUAD geometry of each of SURFS, built once for the module."""
+    return {name: surface_geometry(S, m, QUAD) for name, S, m, _ in SURFS}
+
+
+def test_criterion_8_integral_identities(geoms):
     rng = np.random.default_rng(108)
     worst310, worst318 = 0.0, 0.0
     for name, S, m, minimal in SURFS:
+        geom = geoms[name]
         for _ in range(20):
             sig = _rand_section(S, rng)
             worst310 = max(worst310,
-                           variational_identity_lemma310(S, m, sig, QUAD)["residual"])
+                           variational_identity_lemma310(geom, sig)["residual"])
             if minimal:
                 worst318 = max(worst318,
-                               weitzenboeck_variation(S, m, sig, QUAD)["residual"])
+                               weitzenboeck_variation(geom, sig)["residual"])
     assert worst310 < 1e-5
     assert worst318 < 1e-4
     report(8, "integral identities: Lemma-3.10 %.1e, averaged-variation %.1e"
            % (worst310, worst318))
 
 
-def test_criterion_9_kperp_cross_path():
+def test_criterion_9_kperp_cross_path(geoms):
     worst = 0.0
-    for name, S, m, _ in SURFS:
-        geom = surface_geometry(S, m, QUAD)
+    for geom in geoms.values():
         for cg in geom.charts:
             worst = max(worst,
                         np.abs(cg.kperp - kperp_extrinsic_field(cg)).max())
@@ -251,12 +258,9 @@ def test_criterion_9_kperp_cross_path():
     report(9, "K_perp intrinsic vs extrinsic: worst %.1e" % worst)
 
 
-def test_criterion_10_chern_numbers():
-    vals = {
-        "slice": chern_number(product_slice(), product_spheres(1.0, 1.0), QUAD),
-        "equator": chern_number(equator_sphere(), round_sphere4(1.0), QUAD),
-        "cp1": chern_number(cp1_line(), fubini_study(), QUAD),
-    }
+def test_criterion_10_chern_numbers(geoms):
+    vals = {name: chern_number(geoms[name])
+            for name in ("slice", "equator", "cp1")}
     assert abs(vals["slice"]) < 1e-3
     assert abs(vals["equator"]) < 1e-3
     assert abs(vals["cp1"] - 1.0) < 1e-3
@@ -264,34 +268,31 @@ def test_criterion_10_chern_numbers():
            % (vals["slice"], vals["equator"], vals["cp1"] - 1.0))
 
 
-def test_criterion_11_stability():
-    mr = round_sphere4(1.0)
-    Se = equator_sphere()
-    d2 = second_variation(Se, mr, parallel_section(1.0, 0.0), QUAD)
+def test_criterion_11_stability(geoms):
+    ge = geoms["equator"]
+    d2 = second_variation(ge, parallel_section(1.0, 0.0))
     assert abs(d2 + 8 * np.pi) < 1e-3
     out = refine_until_stable(
-        lambda L: assemble_index_form(Se, mr, SectionBasis(Se, L), QUAD),
+        lambda L: assemble_index_form(ge, SectionBasis(ge.S, L)),
         L0=2, L_max=10)
     assert out["morse_index"] == 2
 
-    mp = product_spheres(1.0, 1.0)
-    S = product_slice()
+    gs = geoms["slice"]
     out_s = refine_until_stable(
-        lambda L: assemble_index_form(S, mp, SectionBasis(S, L), QUAD),
+        lambda L: assemble_index_form(gs, SectionBasis(gs.S, L)),
         L0=2, L_max=10)
     assert out_s["morse_index"] == 0
-    mf = fubini_study()
-    Sc = cp1_line()
+    gc = geoms["cp1"]
     out_c = refine_until_stable(
-        lambda L: assemble_index_form(Sc, mf, SectionBasis(Sc, L), QUAD),
+        lambda L: assemble_index_form(gc, SectionBasis(gc.S, L)),
         L0=2, L_max=10)
     assert out_c["morse_index"] == 0
 
     kappa = 0.8
-    fix = index_two_construction(S, mp, parallel_section(1.0, 0.0), QUAD,
+    fix = index_two_construction(gs, parallel_section(1.0, 0.0),
                                  ambient_override=kappa)
     assert fix["unstable_pair"]
-    form = assemble_index_form(S, mp, SectionBasis(S, 4), QUAD,
+    form = assemble_index_form(gs, SectionBasis(gs.S, 4),
                                ambient_override=kappa)
     assert form.morse_index >= 2
     report(11, "stability: d2(parallel) = %+0.6f (-8pi %+0.6f), equator "

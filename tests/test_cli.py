@@ -131,6 +131,17 @@ def test_exit_code_construction_error():
         assert "construction error" in proc.stderr
 
 
+def test_exit_code_surface_in_foreign_atlas():
+    # the slice lies in the product charts aa/ba, which CP^2 does not have
+    proc = run_cli(["surface", "--metric", "fs", "--surface", "slice",
+                    "--quad", "8"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: ")
+    assert "'aa'" in proc.stderr
+
+
 def test_verify_identities_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify-identities", "--seed", "42", "--quad", "16",

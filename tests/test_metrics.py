@@ -445,14 +445,15 @@ def _radii2(pts):
                      pts[:, 2] ** 2 + pts[:, 3] ** 2], axis=-1)
 
 
-# representatives per chart by (n, sample-box half-width).  In exact
-# arithmetic a grid meets (k (k + 1) / 2)^2 orbits, k = ceil(n / 2): 9 at
-# n = 3, 4 and 36 at n = 5, 6.  linspace is not symmetric in floats
-# (linspace(-1, 1, 4) has -1/3 and 1/3 with different squares), and the
-# orbits are deduplicated on exact values, so some grids meet more
-ORBIT_COUNTS = {(3, 1.1): 9, (3, 1.0): 9, (4, 1.1): 9, (4, 1.0): 5 ** 2,
-                (5, 1.1): 36, (5, 1.0): 36, (6, 1.1): 14 ** 2,
-                (6, 1.0): 13 ** 2, (16, 1.1): 85 ** 2, (16, 1.0): 57 ** 2}
+# representatives per chart by (n, sample-box half-width).  The grid axis
+# is mirrored, so x^2 takes k = ceil(n / 2) values and a grid meets at most
+# (k (k + 1) / 2)^2 orbits: 9 at n = 3, 4, 36 at n = 5, 6 and 36^2 at
+# n = 16.  Sums of two squares can coincide (1 + 49 = 25 + 25 in units of
+# the grid step), and the orbits are deduplicated on exact float values, so
+# grid(16) on the unit box, where two such pairs stay equal, meets 34^2
+ORBIT_COUNTS = {(3, 1.1): 9, (3, 1.0): 9, (4, 1.1): 9, (4, 1.0): 9,
+                (5, 1.1): 36, (5, 1.0): 36, (6, 1.1): 36, (6, 1.0): 36,
+                (16, 1.1): 36 ** 2, (16, 1.0): 34 ** 2}
 
 
 @pytest.mark.parametrize("name", sorted(metrics.METRICS))
@@ -467,7 +468,7 @@ def test_orbit_grid_covers_the_grid(name):
             assert_allclose(_radii2(reps)[index], _radii2(chart.grid(n)),
                             rtol=1e-15, atol=0)
             assert chart.contains(reps).all()
-            assert len(reps) == ORBIT_COUNTS[n, chart.sample_box[0, 1]]
+            assert len(reps) == ORBIT_COUNTS[n, chart.sample_box]
 
 
 def _full_grid_condition_check(m, grid_n):

@@ -23,6 +23,15 @@ MR = round_sphere4(1.0)
 MF = fubini_study()
 
 
+@pytest.fixture(scope="module")
+def geoms():
+    """QUAD geometries of the test surfaces by surface name, built once for
+    the module."""
+    return {S.name: surface_geometry(S, m, QUAD) for S, m in (
+        (product_slice(), MP), (equator_sphere(), MR), (cp1_line(), MF),
+        (perturbed_slice(0.15), MP))}
+
+
 class LinearSection:
     """Weighted sum of normal sections, summed jet by jet: the oracle for
     combinations the library forms by linearity."""
@@ -57,9 +66,9 @@ def test_harmonics_orthonormal_on_unit_sphere():
 
 # ------------------------------------------------------------- assembly
 
-def test_equator_spectrum_L4():
-    Se = equator_sphere()
-    form = assemble_index_form(Se, MR, SectionBasis(Se, 4), QUAD)
+def test_equator_spectrum_L4(geoms):
+    geom = geoms["equator4"]
+    form = assemble_index_form(geom, SectionBasis(geom.S, 4))
     assert form.morse_index == 2
     assert form.nullity == 6
     # Jacobi operator -Delta - 2 on two flat line bundles
@@ -68,48 +77,48 @@ def test_equator_spectrum_L4():
     assert_allclose(form.spectrum[8:18], 4.0 * np.ones(10), atol=1e-8)
 
 
-def test_equator_spectrum_L8_multiplicities():
-    Se = equator_sphere()
-    form = assemble_index_form(Se, MR, SectionBasis(Se, 8), QUAD)
+def test_equator_spectrum_L8_multiplicities(geoms):
+    geom = geoms["equator4"]
+    form = assemble_index_form(geom, SectionBasis(geom.S, 8))
     lam = form.spectrum
     for expect, mult, lo in (( -2.0, 2, 0), (0.0, 6, 2), (4.0, 10, 8)):
         got = lam[lo:lo + mult]
         assert np.abs(got - expect).max() < 0.01 * max(1.0, abs(expect))
 
 
-def test_slice_and_cp1_stable():
-    S = product_slice()
-    form = assemble_index_form(S, MP, SectionBasis(S, 4), QUAD)
+def test_slice_and_cp1_stable(geoms):
+    geom = geoms["slice"]
+    form = assemble_index_form(geom, SectionBasis(geom.S, 4))
     assert form.morse_index == 0
     assert form.nullity >= 2          # parallel sections are zero modes
-    Sc = cp1_line()
-    form2 = assemble_index_form(Sc, MF, SectionBasis(Sc, 4), QUAD)
+    geom = geoms["cp1-line"]
+    form2 = assemble_index_form(geom, SectionBasis(geom.S, 4))
     assert form2.morse_index == 0
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 6])
-def test_mass_rank_on_cp1_line(L):
+def test_mass_rank_on_cp1_line(L, geoms):
     # the MASS_COND_MAX cut keeps 2(L+1)(L+2) of the 4(L+1)^2 directions
-    Sc = cp1_line()
-    form = assemble_index_form(Sc, MF, SectionBasis(Sc, L), QUAD)
+    geom = geoms["cp1-line"]
+    form = assemble_index_form(geom, SectionBasis(geom.S, L))
     assert form.basis.dim == 4 * (L + 1) ** 2
     assert form.mass_rank == 2 * (L + 1) * (L + 2)
 
 
-def test_assembly_matches_quadratic_form():
+def test_assembly_matches_quadratic_form(geoms):
     # zeta^T Q zeta = delta^2(zeta) for individual basis elements
-    Se = equator_sphere()
-    basis = SectionBasis(Se, 2)
-    form = assemble_index_form(Se, MR, basis, QUAD)
+    geom = geoms["equator4"]
+    basis = SectionBasis(geom.S, 2)
+    form = assemble_index_form(geom, basis)
     secs = basis.sections()
     rng = np.random.default_rng(1)
     for k in rng.choice(basis.dim, size=5, replace=False):
-        direct = second_variation(Se, MR, secs[k], QUAD)
+        direct = second_variation(geom, secs[k])
         assert abs(direct - form.Q[k, k]) < 1e-8
     # and for a random combination
     w = rng.normal(size=basis.dim)
     combo = LinearSection(secs, w)
-    assert abs(second_variation(Se, MR, combo, QUAD) - w @ form.Q @ w) < 1e-6
+    assert abs(second_variation(geom, combo) - w @ form.Q @ w) < 1e-6
 
 
 def _partials(x, shape, order):
@@ -145,14 +154,14 @@ def test_as_section_matches_sum_of_elements(make_surface, metric):
     (cp1_line, MF), (product_slice, MP), (equator_sphere, MR),
 ])
 def test_mass_and_dbar_matrices_match_section_integrals(make_surface,
-                                                        metric):
+                                                        metric, geoms):
     # w^T G w = int |sigma|^2 and w^T D w = 2 int |dbar sigma|^2
-    S = make_surface()
-    basis = SectionBasis(S, 4)
-    _, G, D = _accumulate_forms(S, metric, basis, QUAD)
+    geom = geoms[make_surface().name]
+    assert geom.m is metric
+    basis = SectionBasis(geom.S, 4)
+    _, G, D = _accumulate_forms(geom, basis)
     w = np.random.default_rng(5).normal(size=basis.dim)
     sigma = basis.as_section(w)
-    geom = surface_geometry(S, metric, QUAD)
     mass = geom.integrate([section_data(cg, sigma)["norm2"]
                            for cg in geom.charts])
     dbar = geom.integrate([dbar_sq(section_data(cg, sigma))
@@ -161,54 +170,45 @@ def test_mass_and_dbar_matrices_match_section_integrals(make_surface,
     assert_allclose(w @ D @ w, 2.0 * dbar, rtol=1e-8)
 
 
-def test_index_monotone_in_L():
-    S = product_slice()
+def test_index_monotone_in_L(geoms):
+    geom = geoms["slice"]
     prev = -1
     for L in (2, 4, 6, 8):
-        form = assemble_index_form(S, MP, SectionBasis(S, L), QUAD,
+        form = assemble_index_form(geom, SectionBasis(geom.S, L),
                                    ambient_override=1.3)
         assert form.morse_index >= prev
         prev = form.morse_index
 
 
-def test_assemble_rejects_nonminimal():
-    Sp = perturbed_slice(0.15)
+def test_assemble_rejects_nonminimal(geoms):
+    geom = geoms["perturbed-slice"]
     with pytest.raises(NonMinimalSurfaceError):
-        assemble_index_form(Sp, MP, SectionBasis(Sp, 2), QUAD)
+        assemble_index_form(geom, SectionBasis(geom.S, 2))
 
 
 # ------------------------------------------------------------- holomorphic
 
-def test_near_holomorphic_energies():
-    S = product_slice()
-    out = near_holomorphic_section(S, MP, SectionBasis(S, 4), QUAD)
+def _near_holomorphic(geom, L):
+    return near_holomorphic_section(
+        geom, assemble_index_form(geom, SectionBasis(geom.S, L)))
+
+
+def test_near_holomorphic_energies(geoms):
+    out = _near_holomorphic(geoms["slice"], 4)
     assert abs(out["energy"]) < 1e-8
-    Se = equator_sphere()
-    out = near_holomorphic_section(Se, MR, SectionBasis(Se, 4), QUAD)
+    out = _near_holomorphic(geoms["equator4"], 4)
     assert abs(out["energy"]) < 1e-8
-    Sc = cp1_line()
-    out = near_holomorphic_section(Sc, MF, SectionBasis(Sc, 8), QUAD)
+    out = _near_holomorphic(geoms["cp1-line"], 8)
     assert abs(out["energy"]) < 1e-4
 
 
-def test_near_holomorphic_section_is_holomorphic_pointwise():
-    S = product_slice()
-    out = near_holomorphic_section(S, MP, SectionBasis(S, 4), QUAD)
+def test_near_holomorphic_section_is_holomorphic_pointwise(geoms):
+    out = _near_holomorphic(geoms["slice"], 4)
     sig = out["section"]
-    cg = point_geometry(S, MP, "a", [0.3, -0.4])
+    cg = point_geometry(product_slice(), MP, "a", [0.3, -0.4])
     assert dbar_sq(section_data(cg, sig))[0] < 1e-10
     # J sigma is then holomorphic as well
     assert dbar_sq(section_data(cg, sig.rotated()))[0] < 1e-10
-
-
-def test_near_holomorphic_reuses_assembled_form():
-    Sc = cp1_line()
-    basis = SectionBasis(Sc, 4)
-    form = assemble_index_form(Sc, MF, basis, QUAD)
-    fresh = near_holomorphic_section(Sc, MF, basis, QUAD)
-    reused = near_holomorphic_section(Sc, MF, basis, QUAD, form=form)
-    assert reused["energy"] == fresh["energy"]
-    assert np.array_equal(reused["coefficients"], fresh["coefficients"])
 
 
 def test_surface_command_assembles_each_level_once(tmp_path, monkeypatch):
@@ -218,9 +218,9 @@ def test_surface_command_assembles_each_level_once(tmp_path, monkeypatch):
     levels = []
     real = stability._accumulate_forms
 
-    def counted(S, m, basis, *args, **kw):
+    def counted(geom, basis, *args, **kw):
         levels.append(basis.L)
-        return real(S, m, basis, *args, **kw)
+        return real(geom, basis, *args, **kw)
 
     monkeypatch.setattr(stability, "_accumulate_forms", counted)
     out = tmp_path / "surf.json"
@@ -233,26 +233,26 @@ def test_surface_command_assembles_each_level_once(tmp_path, monkeypatch):
 
 # ------------------------------------------------------------- refinement
 
-def test_refine_until_stable():
-    Se = equator_sphere()
+def test_refine_until_stable(geoms):
+    geom = geoms["equator4"]
 
     def op(L):
-        return assemble_index_form(Se, MR, SectionBasis(Se, L), QUAD)
+        return assemble_index_form(geom, SectionBasis(geom.S, L))
 
     out = refine_until_stable(op, L0=2, L_max=10)
     assert out["morse_index"] == 2
     assert out["nullity"] == 6
     assert out["L_used"] <= 8
 
-    S = product_slice()
+    gs = geoms["slice"]
     out2 = refine_until_stable(
-        lambda L: assemble_index_form(S, MP, SectionBasis(S, L), QUAD),
+        lambda L: assemble_index_form(gs, SectionBasis(gs.S, L)),
         L0=2, L_max=10)
     assert out2["morse_index"] == 0
 
-    Sc = cp1_line()
+    gc = geoms["cp1-line"]
     out3 = refine_until_stable(
-        lambda L: assemble_index_form(Sc, MF, SectionBasis(Sc, L), QUAD),
+        lambda L: assemble_index_form(gc, SectionBasis(gc.S, L)),
         L0=2, L_max=10)
     assert out3["morse_index"] == 0
 
@@ -269,19 +269,19 @@ def test_refine_raises_without_stabilization():
 
 # ------------------------------------------------------------- fixture
 
-def test_synthetic_instability_fixture():
+def test_synthetic_instability_fixture(geoms):
     # constant ambient curvature kappa injected in place of the curvature
     # term, A = 0 and parallel sections on the product slice:
     # delta^2(sigma) = -2 kappa Area exactly
-    S = product_slice()
+    geom = geoms["slice"]
     kappa = 0.8
-    fix = index_two_construction(S, MP, parallel_section(1.0, 0.0), QUAD,
+    fix = index_two_construction(geom, parallel_section(1.0, 0.0),
                                  ambient_override=kappa)
     assert_allclose(fix["d2_sigma"], -2 * kappa * 4 * np.pi, rtol=1e-10)
     assert fix["unstable_pair"]
     assert fix["d2_pair"][0] < 0 and fix["d2_pair"][1] < 0
 
-    form = assemble_index_form(S, MP, SectionBasis(S, 4), QUAD,
+    form = assemble_index_form(geom, SectionBasis(geom.S, 4),
                                ambient_override=kappa)
     assert form.morse_index == 2
     assert_allclose(form.spectrum[:2], [-2 * kappa, -2 * kappa], atol=1e-8)
@@ -295,22 +295,22 @@ def test_index_two_construction_evaluates_section_once_per_chart():
     real = sig.coeff_jets
     sig.coeff_jets = lambda cg, order=1: (calls.append(cg.chart)
                                           or real(cg, order))
-    fix = index_two_construction(S, MP, sig, QuadSpec(16),
+    fix = index_two_construction(surface_geometry(S, MP, QuadSpec(16)), sig,
                                  ambient_override=0.8)
     assert calls == ["a", "b"]
     assert fix["unstable_pair"]
 
 
-def test_index_two_construction_matches_assembled_form_with_shear():
+def test_index_two_construction_matches_assembled_form_with_shear(geoms):
     # on the perturbed slice A != 0: the single-section second variation
     # under the override must keep the shear, like the assembled form
-    S = perturbed_slice(0.15)
+    geom = geoms["perturbed-slice"]
     kappa = 0.8
-    basis = SectionBasis(S, 2)
-    Q = assemble_index_form(S, MP, basis, QUAD, ambient_override=kappa).Q
+    basis = SectionBasis(geom.S, 2)
+    Q = assemble_index_form(geom, basis, ambient_override=kappa).Q
     k = 2                                  # Y_k n3; J turns it into Y_k n4
     j = basis.n_harmonics + k
-    fix = index_two_construction(S, MP, basis.sections()[k], QUAD,
+    fix = index_two_construction(geom, basis.sections()[k],
                                  ambient_override=kappa)
     assert_allclose([fix["d2_sigma"], fix["d2_jsigma"]],
                     sorted([Q[k, k], Q[j, j]]), rtol=1e-10)
@@ -320,7 +320,6 @@ def test_index_two_construction_matches_assembled_form_with_shear():
     w[k], w[j] = 1.0, -np.sign(Q[k, j])
     assert_allclose(fix["d2_pair"][1], w @ Q @ w, rtol=1e-10)
     # both against the override density with the shear written out
-    geom = surface_geometry(S, MP, QUAD)
     vals = []
     for cg in geom.charts:
         d = section_data(cg, basis.sections()[k])

@@ -3,15 +3,17 @@ from numpy.testing import assert_allclose
 import pytest
 
 from curv4 import surfaces
-from curv4.errors import NonMinimalSurfaceError, SectionError, SpecParseError
+from curv4.errors import (
+    ChartDomainError, NonMinimalSurfaceError, SectionError, SpecParseError,
+)
 from curv4.bivector import kn_tensor4, operator6
 from curv4.jets import array as jet_array, drop, jsqrt, partial, seedn
 from curv4.metrics import (
-    QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4,
+    QuadSpec, flat_space, fubini_study, ht_metric, product_spheres,
+    round_sphere4,
 )
 from curv4.surfaces import (
-    NormalSection, a_wedge_a_sq, a_wedge_a_sq_expansion, area,
-    chern_number, cp1_line, dbar_sq, equator_sphere, kperp_extrinsic_field,
+    NormalSection, a_wedge_a_sq, a_wedge_a_sq_expansion, chern_number, cp1_line, dbar_sq, equator_sphere, kperp_extrinsic_field,
     log_norm_check, normal_connection, parallel_section, parse_surface_spec,
     perturbed_slice, point_geometry, product_slice,
     ric_perp_identity_residual, second_variation, section_data,
@@ -30,6 +32,12 @@ SURFACES = [
     ("cp1", cp1_line(), MF),
     ("perturbed", perturbed_slice(0.15), MP),
 ]
+
+
+@pytest.fixture(scope="module")
+def geoms():
+    """The QUAD geometry of each of SURFACES, built once for the module."""
+    return {name: surface_geometry(S, m, QUAD) for name, S, m in SURFACES}
 
 
 def smooth_frame_section(seed):
@@ -63,12 +71,14 @@ def smooth_projected_section(S, seed):
 
 # ------------------------------------------------------------- induced data
 
-def test_areas():
+def test_areas(geoms):
     # an odd node count puts a node on the equator c = 0 of the sphere
-    for quad in (QUAD, QuadSpec(33)):
-        assert_allclose(area(product_slice(), MP, quad), 4 * np.pi, rtol=1e-3)
-        assert_allclose(area(equator_sphere(), MR, quad), 4 * np.pi, rtol=1e-3)
-        assert_allclose(area(cp1_line(), MF, quad), np.pi, rtol=1e-3)
+    odd = {name: surface_geometry(S, m, QuadSpec(33))
+           for name, S, m in SURFACES[:3]}
+    for g in (geoms, odd):
+        assert_allclose(g["slice"].area(), 4 * np.pi, rtol=1e-3)
+        assert_allclose(g["equator"].area(), 4 * np.pi, rtol=1e-3)
+        assert_allclose(g["cp1"].area(), np.pi, rtol=1e-3)
 
 
 def test_induced_geometry_slice():
@@ -97,6 +107,29 @@ def test_rank_deficient_rejected():
         surface_geometry(bad2, MP, QUAD)
 
 
+def test_geometry_dies_with_its_last_reference():
+    # nothing caches a geometry: dropping the caller's reference frees it
+    # at once, with no reference cycle left for the garbage collector
+    import weakref
+    S = product_slice()
+    geom = surface_geometry(S, MP, QuadSpec(8))
+    ref = weakref.ref(geom)
+    del geom
+    assert ref() is None
+
+
+@pytest.mark.parametrize("S, m", [
+    (product_slice(), fubini_study()), (cp1_line(), round_sphere4(1.0)),
+    (equator_sphere(), MP), (product_slice(), flat_space()),
+], ids=["slice-fs", "cp1-line-round4", "equator4-product", "slice-flat"])
+def test_surface_in_a_foreign_atlas_is_rejected(S, m):
+    # the immersion names ambient charts the metric does not have
+    with pytest.raises(ChartDomainError, match="does not have"):
+        surface_geometry(S, m, QuadSpec(8))
+    with pytest.raises(ChartDomainError):
+        point_geometry(S, m, "a", [0.1, 0.2])
+
+
 # ------------------------------------------------------------- second form
 
 def test_totally_geodesic_builtins():
@@ -106,9 +139,8 @@ def test_totally_geodesic_builtins():
         assert np.abs(cg.A).max() < 1e-12
 
 
-def test_perturbed_slice_not_minimal():
-    S = perturbed_slice(0.15)
-    geom = surface_geometry(S, MP, QUAD)
+def test_perturbed_slice_not_minimal(geoms):
+    geom = geoms["perturbed"]
     assert geom.min_residual > 1e-3
     with pytest.raises(NonMinimalSurfaceError):
         geom.require_minimal()
@@ -170,9 +202,8 @@ def test_kperp_values():
     assert_allclose(kperp(cp1_line(), MF, "a", [0.2, 0.5]), 2.0, atol=1e-6)
 
 
-def test_kperp_cross_path_all_surfaces():
-    for name, S, m in SURFACES:
-        geom = surface_geometry(S, m, QUAD)
+def test_kperp_cross_path_all_surfaces(geoms):
+    for geom in geoms.values():
         for cg in geom.charts:
             assert np.abs(cg.kperp - kperp_extrinsic_field(cg)).max() < 1e-5
     # and at a single point, a one-node batch
@@ -180,10 +211,10 @@ def test_kperp_cross_path_all_surfaces():
     assert abs(cg.kperp - kperp_extrinsic_field(cg))[0] < 1e-5
 
 
-def test_chern_numbers():
-    assert abs(chern_number(product_slice(), MP, QUAD)) < 1e-3
-    assert abs(chern_number(equator_sphere(), MR, QUAD)) < 1e-3
-    assert abs(chern_number(cp1_line(), MF, QUAD) - 1.0) < 1e-3
+def test_chern_numbers(geoms):
+    assert abs(chern_number(geoms["slice"])) < 1e-3
+    assert abs(chern_number(geoms["equator"])) < 1e-3
+    assert abs(chern_number(geoms["cp1"]) - 1.0) < 1e-3
 
 
 # ------------------------------------------------------------- dbar
@@ -262,30 +293,28 @@ def test_a_sigma_norm_identity_323():
 
 # ------------------------------------------------------------- integrals
 
-def test_lemma_310_identity():
+def test_lemma_310_identity(geoms):
     for name, S, m in SURFACES:
         for seed in range(3):
             if S.normal_generators is not None:
                 sig = smooth_projected_section(S, seed)
             else:
                 sig = smooth_frame_section(seed)
-            out = variational_identity_lemma310(S, m, sig, QUAD)
+            out = variational_identity_lemma310(geoms[name], sig)
             assert out["residual"] < 1e-5, (name, seed, out)
 
 
-def test_321_322_pointwise_identity():
-    for name, S, m in SURFACES:
-        geom = surface_geometry(S, m, QUAD)
+def test_321_322_pointwise_identity(geoms):
+    for geom in geoms.values():
         for cg in geom.charts:
             assert ric_perp_identity_residual(cg) < 1e-5
 
 
-def test_totally_geodesic_kperp_as_sectional_sum():
+def test_totally_geodesic_kperp_as_sectional_sum(geoms):
     # on Kahler built-ins with totally geodesic surfaces,
     # Kperp = K(e1, e3) + K(e1, e4) (checked numerically, not generalized)
-    for S, m in ((product_slice(), MP), (cp1_line(), MF)):
-        geom = surface_geometry(S, m, QUAD)
-        for cg in geom.charts:
+    for name in ("slice", "cp1"):
+        for cg in geoms[name].charts:
             k13 = np.einsum("...ijkl,...i,...j,...k,...l->...",
                             cg.Rm, cg.e[..., 0], cg.n[..., 0],
                             cg.e[..., 0], cg.n[..., 0])
@@ -295,12 +324,12 @@ def test_totally_geodesic_kperp_as_sectional_sum():
             assert np.abs(cg.kperp - (k13 + k14)).max() < 1e-8
 
 
-def test_second_variation_density_matches_ambient_formula_with_shear():
+def test_second_variation_density_matches_ambient_formula_with_shear(geoms):
     # the perturbed slice is the one test surface with A != 0, so the shear
     # part of the Jacobi block is live there; the oracle is the ambient
     # formula |nabla sigma|^2 - sum_r Rm(e_r, sigma, e_r, sigma) - |A^sigma|^2
     sig = smooth_frame_section(31)
-    for cg in surface_geometry(perturbed_slice(0.15), MP, QUAD).charts:
+    for cg in geoms["perturbed"].charts:
         d = section_data(cg, sig)
         sig_amb = (d["c3"][:, None] * cg.n[..., 0]
                    + d["c4"][:, None] * cg.n[..., 1])
@@ -315,43 +344,41 @@ def test_second_variation_density_matches_ambient_formula_with_shear():
                         rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-def test_second_variation_equator():
-    val = second_variation(equator_sphere(), MR, parallel_section(1.0, 0.0), QUAD)
+def test_second_variation_equator(geoms):
+    val = second_variation(geoms["equator"], parallel_section(1.0, 0.0))
     assert abs(val + 8 * np.pi) < 1e-3
 
 
-def test_second_variation_slice_zero():
-    val = second_variation(product_slice(), MP, parallel_section(0.6, 0.8), QUAD)
+def test_second_variation_slice_zero(geoms):
+    val = second_variation(geoms["slice"], parallel_section(0.6, 0.8))
     assert abs(val) < 1e-8
 
 
-def test_second_variation_cp1_nonnegative():
+def test_second_variation_cp1_nonnegative(geoms):
     sig = smooth_projected_section(cp1_line(), 11)
-    assert second_variation(cp1_line(), MF, sig, QUAD) >= -1e-6
+    assert second_variation(geoms["cp1"], sig) >= -1e-6
 
 
-def test_second_variation_requires_minimal():
+def test_second_variation_requires_minimal(geoms):
     with pytest.raises(NonMinimalSurfaceError):
-        second_variation(perturbed_slice(0.15), MP, parallel_section(), QUAD)
+        second_variation(geoms["perturbed"], parallel_section())
 
 
-def test_weitzenboeck_variation_slice():
-    out = weitzenboeck_variation(product_slice(), MP, parallel_section(1.0, 0.0),
-                                 QUAD)
+def test_weitzenboeck_variation_slice(geoms):
+    geom = geoms["slice"]
+    out = weitzenboeck_variation(geom, parallel_section(1.0, 0.0))
     assert abs(out["lhs"]) < 1e-8
     assert abs(out["rhs"]) < 1e-8
     # eta is the Kahler-form direction: the pairing vanishes pointwise
-    geom = surface_geometry(product_slice(), MP, QUAD)
     for cg in geom.charts:
         assert np.abs(cg.s6_pairing).max() < 1e-8
 
 
-def test_weitzenboeck_variation_equator():
-    out = weitzenboeck_variation(equator_sphere(), MR, parallel_section(1.0, 0.0),
-                                 QUAD)
+def test_weitzenboeck_variation_equator(geoms):
+    geom = geoms["equator"]
+    out = weitzenboeck_variation(geom, parallel_section(1.0, 0.0))
     assert abs(out["lhs"] + 16 * np.pi) < 1e-3
     assert out["residual"] < 1e-4
-    geom = surface_geometry(equator_sphere(), MR, QUAD)
     for cg in geom.charts:
         assert_allclose(cg.s6_pairing, 4.0, atol=1e-10)
 
@@ -381,22 +408,22 @@ def test_s6_pairing_matches_kulkarni_nomizu_weyl(S, m):
                         rtol=0, atol=1e-12)
 
 
-def test_weitzenboeck_variation_random_sections():
+def test_weitzenboeck_variation_random_sections(geoms):
     for name, S, m in SURFACES[:3]:
         for seed in (21, 22):
             if S.normal_generators is not None:
                 sig = smooth_projected_section(S, seed)
             else:
                 sig = smooth_frame_section(seed)
-            out = weitzenboeck_variation(S, m, sig, QUAD)
+            out = weitzenboeck_variation(geoms[name], sig)
             assert out["residual"] < 1e-4, (name, out)
 
 
-def test_j_rotated_data_matches_rotated_section():
+def test_j_rotated_data_matches_rotated_section(geoms):
     for name, S, m in SURFACES:
         sig = (smooth_frame_section(24) if S.normal_generators is None
                else smooth_projected_section(S, 24))
-        for cg in surface_geometry(S, m, QUAD).charts:
+        for cg in geoms[name].charts:
             got = surfaces.j_rotated_data(section_data(cg, sig))
             want = section_data(cg, sig.rotated())
             assert set(got) == set(want)
@@ -405,14 +432,15 @@ def test_j_rotated_data_matches_rotated_section():
                                 atol=1e-13 * np.abs(ref).max(), err_msg=key)
 
 
-def test_weitzenboeck_variation_evaluates_section_once_per_chart(monkeypatch):
+def test_weitzenboeck_variation_evaluates_section_once_per_chart(monkeypatch,
+                                                                geoms):
     S = cp1_line()
     sig = smooth_projected_section(S, 23)
-    geom = surface_geometry(S, MF, QUAD)
+    geom = geoms["cp1"]
     # both sides term by term through the public path, J sigma evaluated
     # on its own
-    lhs = (second_variation(S, MF, sig, QUAD)
-           + second_variation(S, MF, sig.rotated(), QUAD))
+    lhs = (second_variation(geom, sig)
+           + second_variation(geom, sig.rotated()))
     t_dbar, t_weyl, t_shear = 0.0, 0.0, 0.0
     for cg in geom.charts:
         norm2 = section_data(cg, sig)["norm2"]
@@ -425,7 +453,7 @@ def test_weitzenboeck_variation_evaluates_section_once_per_chart(monkeypatch):
     real = surfaces.section_data
     monkeypatch.setattr(surfaces, "section_data",
                         lambda cg, s: calls.append(cg.chart) or real(cg, s))
-    out = weitzenboeck_variation(S, MF, sig, QUAD)
+    out = weitzenboeck_variation(geom, sig)
     assert calls == [cg.chart for cg in geom.charts]
     assert abs(out["lhs"] - lhs) <= 1e-13 * abs(lhs)
     assert abs(out["rhs"] - rhs) <= 1e-13 * abs(rhs)
@@ -502,48 +530,53 @@ def test_normal_section_rejects_wrong_coefficient_count():
 
 # ------------------------------------------------------------- Lemma 3.15
 
-def test_log_norm_parallel():
-    assert log_norm_check(product_slice(), MP, parallel_section(0.8, 0.6),
-                          QUAD) < 1e-6
+def test_log_norm_parallel(geoms):
+    assert log_norm_check(geoms["slice"], parallel_section(0.8, 0.6)) < 1e-6
 
 
-def test_log_norm_local_holomorphic():
+def test_log_norm_local_holomorphic(geoms):
     # (a3 + i a4) = 1 + 0.3 z is holomorphic on chart a; the 2d Laplacian of
     # log|1 + 0.3 z|^2 vanishes in any conformal metric, matching Kperp = 0
     sig = NormalSection([lambda chart, u: 1.0 + 0.3 * u[0],
                          lambda chart, u: 0.3 * u[1]])
-    res = log_norm_check(product_slice(), MP, sig, QUAD,
+    res = log_norm_check(geoms["slice"], sig,
                          chart_filter=lambda cg: cg.chart == "a")
     assert res < 1e-4
 
 
-def test_log_norm_rejects_nonholomorphic():
+def test_log_norm_rejects_nonholomorphic(geoms):
     sig = smooth_frame_section(9)
     with pytest.raises(SectionError):
-        log_norm_check(product_slice(), MP, sig, QUAD)
+        log_norm_check(geoms["slice"], sig)
 
 
-def test_log_norm_with_solver_section_on_perturbed_slice():
+def test_log_norm_with_solver_section_on_perturbed_slice(geoms):
     # feed the dbar-energy minimizer back into the Lemma-3.15 check on the
     # curved (non-geodesic) test immersion
-    from curv4.stability import SectionBasis, near_holomorphic_section
-    S = perturbed_slice(0.15)
-    out = near_holomorphic_section(S, MP, SectionBasis(S, 8), QUAD)
+    from curv4.stability import (IndexForm, SectionBasis, _accumulate_forms,
+                                 near_holomorphic_section)
+    geom = geoms["perturbed"]
+    basis = SectionBasis(geom.S, 8)
+    # not minimal: the form is assembled without assemble_index_form's gate
+    Q, G, D = _accumulate_forms(geom, basis)
+    out = near_holomorphic_section(geom, IndexForm(Q, G, basis, D))
     assert abs(out["energy"]) < 1e-8
-    res = log_norm_check(S, MP, out["section"], QUAD)
+    res = log_norm_check(geom, out["section"])
     assert res < 1e-3
 
 
-def test_log_norm_on_projective_line_sections():
+def test_log_norm_on_projective_line_sections(geoms):
     # holomorphic sections of O(1) vanish somewhere; check the identity on
     # the chart where the distinguished section 1 * d/dz2 is bounded away
     # from zero (Kperp = 2 against Laplacian log = -4)
-    from curv4.stability import SectionBasis, near_holomorphic_section
-    S = cp1_line()
-    out = near_holomorphic_section(S, MF, SectionBasis(S, 6), QUAD)
+    from curv4.stability import (SectionBasis, assemble_index_form,
+                                 near_holomorphic_section)
+    geom = geoms["cp1"]
+    out = near_holomorphic_section(
+        geom, assemble_index_form(geom, SectionBasis(geom.S, 6)))
     assert abs(out["energy"]) < 1e-6
     try:
-        res = log_norm_check(S, MF, out["section"], QUAD)
+        res = log_norm_check(geom, out["section"])
         assert res < 1e-3
     except SectionError:
         # the minimizer may be a section with a zero inside the grid; the
@@ -551,7 +584,7 @@ def test_log_norm_on_projective_line_sections():
         ones = lambda chart, u: 1.0 + 0.0 * u[0]
         zero = lambda chart, u: 0.0 * u[0]
         sig = NormalSection([ones, zero, zero, zero])
-        res = log_norm_check(S, MF, sig, QUAD,
+        res = log_norm_check(geom, sig,
                              chart_filter=lambda cg: cg.chart == "a")
         assert res < 1e-3
 
