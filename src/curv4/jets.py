@@ -25,7 +25,9 @@ and reads results through
   with the partial indices last;
 * ``component_jets(rows, shape)``: a twice-seeded 4x4 field as arrays.
 
-Constructing ``Jet(value, partials)`` directly stays allowed.
+Constructing ``Jet(value, partials)`` directly stays allowed.  A jet times
+the float 0.0 (a seed's or a constant's partial) is 0.0, so the layers of a
+variable a function does not use cost nothing; a zero may lose its sign.
 """
 
 import numpy as np
@@ -70,6 +72,8 @@ class Jet:
             return Jet(self.f * other.f,
                        tuple(a * other.f + self.f * b
                              for a, b in zip(self.d, other.d)))
+        if other.__class__ is float and other == 0.0:
+            return 0.0
         return Jet(self.f * other, tuple(a * other for a in self.d))
 
     __rmul__ = __mul__
@@ -169,20 +173,9 @@ def component_jets(rows, shape):
     """(A, dA, d2A) of a 4x4 nested list of twice-seeded ring elements,
     with dA[..., k, i, j] = d_k A_ij and d2A[..., l, k, i, j] = d_l d_k A_ij.
     Constant entries and partials leave zeros."""
-    A = np.empty(shape + (4, 4))
-    dA = np.zeros(shape + (4, 4, 4))
-    d2A = np.zeros(shape + (4, 4, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            ent = rows[i][j]
-            A[..., i, j] = array(ent, shape)
-            if not isinstance(ent, Jet):
-                continue
-            for k in range(4):
-                dk = ent.d[k]
-                dA[..., k, i, j] = array(dk, shape)
-                if isinstance(dk, Jet):
-                    for l in range(4):
-                        d2A[..., l, k, i, j] = array(dk.d[l], shape)
-    return A, dA, d2A
-
+    def field(read):
+        out = np.array([[read(e) for e in row] for row in rows])
+        return np.moveaxis(out, (0, 1), (-2, -1))
+    return (field(lambda e: array(e, shape)),
+            field(lambda e: grad_array(e, shape, 4)),
+            np.swapaxes(field(lambda e: hess_array(e, shape, 4)), -4, -3))

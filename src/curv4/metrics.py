@@ -4,19 +4,20 @@ Built-ins: flat space, the round 4-sphere, products of round 2-spheres,
 the volume-normalized squashed product family, its potential-twisted
 Kahler deformations, and Fubini-Study CP^2.
 
-Every metric is a closed-form expression over a generic scalar ring, so
-exact first and second derivatives come from nested dual numbers
-(curv4.jets); central finite differences are used only as a cross check
-in the test suite.
+Every built-in is declared once, by coeffs(chart, s) -> (f0, f1, f12) over
+a generic scalar ring, s = (|z1|^2, |z2|^2): g is f0 on the (x1, y1) block,
+f1 on the (x2, y2) block and f12 times R = Re zbar_1 z_2 = x1 x2 + y1 y2 at
+(x1, x2), (y1, y2) and I = Im zbar_1 z_2 = x1 y2 - y1 x2 at (x1, y2),
+(x2, y1) with a minus, symmetric.  ``MetricField.jets`` seeds s with two
+dual layers (curv4.jets) over plain arrays and goes to x by the chain rule
+through s(x), d_k s_a = 2 x_k and d_l d_k s_a = 2 delta_kl on factor a;
+``comps_ring`` forms s in the caller's ring instead.  Central finite
+differences are used only as a cross check in the test suite.
 
 Every Kahler potential here is U(1)^2-invariant: a function
-potential(chart, s) of s_a = |z_a|^2 alone.  ``toric_metric`` turns it into
-components through the closed form H_ab = Phi_a delta_ab + Phi_ab zbar_a z_b
-of ddbar Phi (Guillemin, J. Diff. Geom. 40, 1994), so only the two first
-and three second s-partials of Phi are needed, not its 4x4 Hessian in x.
-Those come from two dual layers seeded on s outside the caller's ring:
-Phi sees only s, never x, so the caller's x-layers and the s-layers stay
-apart even though jets carry no tags.
+potential(chart, s).  ``toric_metric`` turns it into coefficients through
+the closed form H_ab = Phi_a delta_ab + Phi_ab zbar_a z_b of ddbar Phi
+(Guillemin, J. Diff. Geom. 40, 1994), from two more dual layers on s.
 
 Every curved built-in is invariant under the T^2 rotations
 z_a -> e^{i theta_a} z_a in every chart, so ``volume`` integrates over the
@@ -44,7 +45,8 @@ import re
 import numpy as np
 
 from .errors import ChartDomainError, MetricConstructionError, SpecParseError
-from .jets import array, component_jets, drop, jlog, partial, seedn
+from .jets import (array, component_jets, drop, grad_array, hess_array, jlog,
+                   partial, seedn)
 
 CHART_MARGIN = 0.1
 
@@ -139,22 +141,43 @@ def comps_jets(comps, chart, pts):
     return tuple(a[0] for a in out) if single else out
 
 
+def _s(x):
+    """s = (|z1|^2, |z2|^2) in the ring of the coordinates x."""
+    return [x[0] * x[0] + x[1] * x[1], x[2] * x[2] + x[3] * x[3]]
+
+
+# the entries of g in row-major order, as indices into (f0, f1, R, I, -I, 0)
+_PATTERN = [0, 5, 2, 3, 5, 0, 4, 2, 2, 4, 1, 5, 3, 2, 5, 1]
+
+
+def _pattern(f0, f1, re, im):
+    """g's 4x4 pattern in two new last axes; the entries broadcast.  One
+    gather, so every 4x4 block is written in one pass."""
+    v = np.stack(np.broadcast_arrays(f0, f1, re, im, -im, 0.0), axis=-1)
+    return v[..., _PATTERN].reshape(v.shape[:-1] + (4, 4))
+
+
+_FACTOR = np.array([0, 0, 1, 1])    # the factor a of each coordinate x_k
+# d_l d_k R and d_l d_k I, for P = (R, I)
+_D2P = np.stack([_pattern(0.0, 0.0, 1.0, 0.0), _pattern(0.0, 0.0, 0.0, 1.0)])
+
+
 class MetricField:
     """A smooth metric on an atlas, with exact derivatives to second order.
 
-    comps(chart_name, x) returns the 4x4 symmetric matrix of components as
-    a nested list over the scalar ring of x.  ``kaehler`` is the Kahler
+    coeffs(chart_name, s) returns (f0, f1, f12) over the scalar ring of s,
+    the declaration of the module docstring.  ``kaehler`` is the Kahler
     potential(chart, s) of a Kahler built-in, whose complex structure is
     J_STANDARD in every chart, else None.
     """
 
-    def __init__(self, name, charts, comps, params=None, kaehler=None,
+    def __init__(self, name, charts, coeffs, params=None, kaehler=None,
                  volume_nodes=None, validate=True):
         self.name = name
         self.params = dict(params or {})
         self.charts = {c.name: c for c in charts}
         self.chart_order = [c.name for c in charts]
-        self._comps = comps
+        self._coeffs = coeffs
         self.kaehler = kaehler
         self.volume_nodes = volume_nodes  # n -> [(chart, pts, w)]
         if validate:
@@ -164,26 +187,63 @@ class MetricField:
     def is_kaehler(self):
         return self.kaehler is not None
 
+    def get_chart(self, name):
+        """The chart of that name; ChartDomainError if the atlas has none."""
+        try:
+            return self.charts[name]
+        except KeyError:
+            raise ChartDomainError("%s does not have chart %r (charts: %s)" % (
+                self.name, name, ", ".join(self.chart_order))) from None
+
+    def _entries(self, chart, x):
+        """(f0, f1, f12 R, f12 I) over the scalar ring of x."""
+        self.get_chart(chart)
+        f0, f1, f12 = self._coeffs(chart, _s(x))
+        return (f0, f1, f12 * (x[0] * x[2] + x[1] * x[3]),
+                f12 * (x[0] * x[3] - x[1] * x[2]))
+
     def comps_ring(self, chart, x):
         """Metric components over an arbitrary scalar ring (jets allowed)."""
-        return self._comps(chart, x)
+        f0, f1, re, im = self._entries(chart, x)
+        return [[f0, 0.0, re, im], [0.0, f0, -im, re],
+                [re, -im, f1, 0.0], [im, re, 0.0, f1]]
 
     def eval(self, chart, pts):
         pts, single = _as_batch(pts)
-        shape = pts.shape[:-1]
-        rows = self._comps(chart, [pts[:, i] for i in range(4)])
-        g = np.empty(shape + (4, 4))
-        for i in range(4):
-            for j in range(4):
-                g[..., i, j] = array(rows[i][j], shape)
+        g = _pattern(*(array(e, pts.shape[:-1]) for e in
+                       self._entries(chart, [pts[:, i] for i in range(4)])))
         return g[0] if single else g
 
     def jets(self, chart, pts):
-        """(g, dg, d2g) with dg[...,k,i,j] = d_k g_ij, d2g[...,l,k,i,j]."""
-        return comps_jets(self._comps, chart, pts)
+        """(g, dg, d2g) with dg[...,k,i,j] = d_k g_ij, d2g[...,l,k,i,j].
+
+        The coefficients c = (f0, f1, f12) are 2-jets in s, taken to x by
+        the chain rule through s(x) with y_k = d_k s_a = 2 x_k: d_k c =
+        y_k c_a, d_l d_k c = y_l y_k c_ab + 2 delta_lk c_a (a, b the factors
+        of x_k, x_l); f12 times P = (R, I) by the Leibniz rule."""
+        self.get_chart(chart)
+        pts, single = _as_batch(pts)
+        shape = pts.shape[:-1]
+        f = self._coeffs(chart, seedn(_s(pts.T), 2))
+        y = 2.0 * pts
+        cs = np.stack([grad_array(e, shape, 2) for e in f])[..., _FACTOR]
+        d2c = y[:, :, None] * y[:, None, :] * np.stack(
+            [hess_array(e, shape, 2) for e in f])[..., _FACTOR[:, None], _FACTOR]
+        d2c[..., range(4), range(4)] += 2.0 * cs
+        (c0, c1, h), (dc0, dc1, dh) = np.stack([array(e, shape) for e in f]), y * cs
+        x1, y1, x2, y2 = pts.T
+        P = np.stack([x1 * x2 + y1 * y2, x1 * y2 - y1 * x2])
+        dP = np.stack([pts[:, [2, 3, 0, 1]], pts[:, [3, 2, 1, 0]] * [1, -1, -1, 1]])
+        cross = dh[..., None, :] * dP[..., :, None]
+        out = (_pattern(c0, c1, *(h * P)),
+               _pattern(dc0, dc1, *(dh * P[..., None] + h[..., None] * dP)),
+               _pattern(d2c[0], d2c[1], *(
+                   d2c[2] * P[..., None, None] + cross
+                   + np.swapaxes(cross, -1, -2) + h[..., None, None] * _D2P[:, None])))
+        return tuple(a[0] for a in out) if single else out
 
     def require_inside(self, chart, pts, margin=CHART_MARGIN):
-        ok = self.charts[chart].contains(pts, margin)
+        ok = self.get_chart(chart).contains(pts, margin)
         if not np.all(ok):
             raise ChartDomainError(
                 "%s: point outside chart %r domain" % (self.name, chart))
@@ -206,16 +266,13 @@ class MetricField:
         return res[0] if single else res
 
     def _validate(self):
-        # the orbit representatives of grid(5): finiteness, symmetry and
-        # the spectrum of g are T^2-invariant on every built-in
+        # the orbit representatives of grid(5): finiteness and the spectrum
+        # of g are T^2-invariant on every built-in (g is symmetric by form)
         for name, pts, _ in self.orbit_points(5):
             g = self.eval(name, pts)
             if not np.isfinite(g).all():
                 raise MetricConstructionError(
                     "%s: non-finite components on chart %r" % (self.name, name))
-            if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12):
-                raise MetricConstructionError(
-                    "%s: asymmetric components on chart %r" % (self.name, name))
             w = np.linalg.eigvalsh(g)
             if w.min() <= 1e-10:
                 raise MetricConstructionError(
@@ -226,17 +283,6 @@ class MetricField:
 # ---------------------------------------------------------------------
 # ring-generic building blocks
 
-def _zeros4():
-    return [[0.0] * 4 for _ in range(4)]
-
-
-def _sq_norm(x, idx):
-    s = 0.0
-    for i in idx:
-        s = s + x[i] * x[i]
-    return s
-
-
 def _inversion2(x, y):
     """Real form of the holomorphic chart flip z -> 1/z."""
     r2 = x * x + y * y
@@ -244,29 +290,15 @@ def _inversion2(x, y):
 
 
 def toric_metric(potential):
-    """comps(chart, x) of g = 2 Re(ddbar Phi) for Phi = potential(chart, s).
-
-    s = (|z1|^2, |z2|^2) is formed in the ring of x and seeded with two more
-    dual layers, from which H_ab = Phi_a delta_ab + Phi_ab zbar_a z_b; the
-    J-paired entries of g are written from the same numbers.
-    """
-    def comps(chart, x):
-        x1, y1, x2, y2 = x
-        s = [x1 * x1 + y1 * y1, x2 * x2 + y2 * y2]
+    """coeffs(chart, s) of g = 2 Re(ddbar Phi), Phi = potential(chart, s), in
+    the ring of s: by H_ab = Phi_a delta_ab + Phi_ab zbar_a z_b, f_a = 2 (Phi_a
+    + Phi_aa s_a) and f12 = 2 Phi_12, from Phi on s seeded two layers more."""
+    def coeffs(chart, s):
         F = potential(chart, seedn(s, 2))
-        g = _zeros4()
-        for a in range(2):
-            Fa = partial(F, a)
-            g[2 * a][2 * a] = g[2 * a + 1][2 * a + 1] = \
-                2.0 * (drop(Fa) + partial(Fa, a) * s[a])
-        F12 = 2.0 * partial(partial(F, 0), 1)
-        re = F12 * (x1 * x2 + y1 * y2)   # Re zbar_1 z_2
-        im = F12 * (x1 * y2 - y1 * x2)   # Im zbar_1 z_2
-        g[0][2] = g[2][0] = g[1][3] = g[3][1] = re
-        g[0][3] = g[3][0] = im
-        g[1][2] = g[2][1] = -im
-        return g
-    return comps
+        f = [2.0 * (drop(partial(F, a)) + partial(partial(F, a), a) * s[a])
+             for a in range(2)]
+        return f[0], f[1], 2.0 * partial(partial(F, 0), 1)
+    return coeffs
 
 
 # ---------------------------------------------------------------------
@@ -402,7 +434,7 @@ def _stereo_pair_charts_s4():
     cs = Chart("s", radius=2.5, sample_box=1.1)
 
     def flip4(x):
-        r2 = _sq_norm(x, range(4))
+        r2 = sum(_s(x))
         return [x[0] / r2, x[1] / r2, x[2] / r2, -(x[3] / r2)]
 
     cn.transitions["s"] = flip4
@@ -414,13 +446,8 @@ def flat_space():
     """Euclidean R^4 on the box chart |x_i| < 4 (identity test metric)."""
     chart = Chart("e", box=4.0, sample_box=1.0)
 
-    def comps(name, x):
-        g = _zeros4()
-        for i in range(4):
-            g[i][i] = 1.0 + 0.0 * x[0]
-        return g
-
-    return MetricField("flat", [chart], comps, volume_nodes=_flat_box_nodes)
+    return MetricField("flat", [chart], lambda name, s: (1.0, 1.0, 0.0),
+                       volume_nodes=_flat_box_nodes)
 
 
 def round_sphere4(r=1.0):
@@ -429,15 +456,12 @@ def round_sphere4(r=1.0):
         raise MetricConstructionError("round_sphere4: radius must be positive")
     r2 = 4.0 * r * r
 
-    def comps(name, x):
-        q = 1.0 + _sq_norm(x, range(4))
+    def coeffs(name, s):
+        q = 1.0 + (s[0] + s[1])
         c = r2 / (q * q)
-        g = _zeros4()
-        for i in range(4):
-            g[i][i] = c
-        return g
+        return c, c, 0.0
 
-    return MetricField("round4", _stereo_pair_charts_s4(), comps,
+    return MetricField("round4", _stereo_pair_charts_s4(), coeffs,
                        params={"r": r}, volume_nodes=functools.partial(
                            _polar_volume_nodes, ("n", "s"), np.pi / 4))
 
@@ -476,18 +500,12 @@ def product_spheres(a=1.0, b=1.0):
         raise MetricConstructionError("product_spheres: radii must be positive")
     fa, fb = 4.0 * a * a, 4.0 * b * b
 
-    # closed form: a single-point jets call takes 0.8 ms, 3.9 via toric_metric
-    def comps(name, x):
-        q1 = 1.0 + _sq_norm(x, (0, 1))
-        q2 = 1.0 + _sq_norm(x, (2, 3))
-        c1 = fa / (q1 * q1)
-        c2 = fb / (q2 * q2)
-        g = _zeros4()
-        g[0][0] = g[1][1] = c1
-        g[2][2] = g[3][3] = c2
-        return g
+    # c_a(s_a) in closed form: toric_metric would seed two more dual layers
+    def coeffs(name, s):
+        q1, q2 = 1.0 + s[0], 1.0 + s[1]
+        return fa / (q1 * q1), fb / (q2 * q2), 0.0
 
-    return MetricField("product", _product_charts(), comps,
+    return MetricField("product", _product_charts(), coeffs,
                        params={"a": a, "b": b},
                        kaehler=_product_potential(a * a, b * b),
                        volume_nodes=_product_volume_nodes)
@@ -549,11 +567,9 @@ def twisted_eps_max(t, grid_n=16):
     pencil (P, G - floor I) (Golub & Van Loan, Matrix Computations, 8.7),
     so eps_max = 1 / max |mu| for both signs of eps.
 
-    Both forms are invariant under the standard J: G is conformal on each
-    factor, so diagonal, and toric_metric writes the J-paired entries of P
-    from one complex Hessian H.  In the coordinates (x1, y1, x2, y2) such a
-    form S is the complex Hermitian 2x2 matrix [[S00, S02 + i S03],
-    [., S22]], and every real 4x4 generalized eigenvalue is a doubled
+    Both forms have the J-invariant pattern of the module docstring (G with
+    f12 = 0), so each is the complex Hermitian 2x2 matrix [[S00, S02 + i
+    S03], [., S22]], and every real 4x4 generalized eigenvalue is a doubled
     eigenvalue of the 2x2 pencil.  With H_G = diag(a, c) (floor already
     subtracted) and H_P = [[p, q], [conj(q), r]], its eigenvalues are the
     roots of det(H_P - mu H_G) = A mu^2 - B mu + C with A = a c,
@@ -610,14 +626,14 @@ def _cp2_charts():
     # from chart i with coords (z1, z2), chart met by dividing through z1 is
     # (1/z1, z2/z1), by z2 is (z1/z2, 1/z2).
     def div_first(x):
-        r2 = _sq_norm(x, (0, 1))
+        r2 = _s(x)[0]
         w1r, w1i = x[0] / r2, -(x[1] / r2)
         w2r = (x[2] * x[0] + x[3] * x[1]) / r2
         w2i = (x[3] * x[0] - x[2] * x[1]) / r2
         return [w1r, w1i, w2r, w2i]
 
     def div_second(x):
-        r2 = _sq_norm(x, (2, 3))
+        r2 = _s(x)[1]
         w1r = (x[0] * x[2] + x[1] * x[3]) / r2
         w1i = (x[1] * x[2] - x[0] * x[3]) / r2
         return [w1r, w1i, x[2] / r2, -(x[3] / r2)]

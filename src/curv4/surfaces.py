@@ -119,15 +119,13 @@ def product_slice(factor=1, point=(0.0, 0.0)):
         chart_map = {"a": "aa", "b": "ba"}
 
         def fmap(chart, u):
-            one = 1.0 + 0.0 * u[0]
-            return [u[0], u[1], q0 * one, q1 * one]
+            return [u[0], u[1], q0, q1]
         seeds = (2, 3)
     elif factor == 2:
         chart_map = {"a": "aa", "b": "ab"}
 
         def fmap(chart, u):
-            one = 1.0 + 0.0 * u[0]
-            return [q0 * one, q1 * one, u[0], u[1]]
+            return [q0, q1, u[0], u[1]]
         seeds = (0, 1)
     else:
         raise ValueError("factor must be 1 or 2")
@@ -139,10 +137,9 @@ def equator_sphere():
     chart_map = {"a": "n", "b": "s"}
 
     def fmap(chart, u):
-        z = 0.0 * u[0]
         if chart == "a":
-            return [u[0], u[1], z, z]
-        return [u[0], -u[1], z, z]
+            return [u[0], u[1], 0.0, 0.0]
+        return [u[0], -u[1], 0.0, 0.0]
 
     return SurfaceImmersion("equator4", chart_map, fmap, normal_seeds=(2, 3))
 
@@ -157,32 +154,27 @@ def cp1_line():
     chart_map = {"a": "u0", "b": "u1"}
 
     def fmap(chart, u):
-        z = 0.0 * u[0]
-        return [u[0], u[1], z, z]
+        return [u[0], u[1], 0.0, 0.0]
 
     def gen_re_dz2(chart, u, F):
-        one = 1.0 + 0.0 * u[0]
         if chart == "a":
-            return [0.0, 0.0, one, 0.0]
-        return [0.0, 0.0, F[0] * one, F[1] * one]       # w1 d/dw2
+            return [0.0, 0.0, 1.0, 0.0]
+        return [0.0, 0.0, F[0], F[1]]     # w1 d/dw2
 
     def gen_im_dz2(chart, u, F):
-        one = 1.0 + 0.0 * u[0]
         if chart == "a":
-            return [0.0, 0.0, 0.0, one]
-        return [0.0, 0.0, -(F[1] * one), F[0] * one]    # i w1 d/dw2
+            return [0.0, 0.0, 0.0, 1.0]
+        return [0.0, 0.0, -F[1], F[0]]    # i w1 d/dw2
 
     def gen_re_z1dz2(chart, u, F):
-        one = 1.0 + 0.0 * u[0]
         if chart == "a":
-            return [0.0, 0.0, F[0] * one, F[1] * one]   # z1 d/dz2
-        return [0.0, 0.0, one, 0.0]
+            return [0.0, 0.0, F[0], F[1]]     # z1 d/dz2
+        return [0.0, 0.0, 1.0, 0.0]
 
     def gen_im_z1dz2(chart, u, F):
-        one = 1.0 + 0.0 * u[0]
         if chart == "a":
-            return [0.0, 0.0, -(F[1] * one), F[0] * one]
-        return [0.0, 0.0, 0.0, one]
+            return [0.0, 0.0, -F[1], F[0]]
+        return [0.0, 0.0, 0.0, 1.0]
 
     return SurfaceImmersion(
         "cp1-line", chart_map, fmap, normal_seeds=(2, 3),
@@ -226,11 +218,10 @@ class ChartGeometry:
     def __init__(self, S, m, chart, u_nodes, weights):
         self.chart = chart
         self.amb = S.chart_map[chart]
-        if self.amb not in m.charts:
-            raise ChartDomainError(
-                "surface %s lies in chart %r, which %s does not have "
-                "(charts: %s)" % (S.name, self.amb, m.name,
-                                  ", ".join(m.chart_order)))
+        try:
+            m.get_chart(self.amb)
+        except ChartDomainError as exc:
+            raise ChartDomainError("surface %s: %s" % (S.name, exc)) from None
         self.u = np.asarray(u_nodes, dtype=float)
         self.w = np.asarray(weights, dtype=float)
         n = len(self.u)

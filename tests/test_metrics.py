@@ -10,10 +10,12 @@ from curv4.curvature import (
     ConditionReport, condition_check, curvature_batch, curvature_from_arrays,
     kaehler_residuals, positivity_eps_max, psd_tolerance, sectional_extremes,
 )
-from curv4.errors import MetricConstructionError, SpecParseError
+from curv4.errors import (
+    ChartDomainError, MetricConstructionError, SpecParseError,
+)
 from curv4.jets import partial, seedn, value
 from curv4.metrics import (
-    MetricField, QuadSpec, flat_space, fubini_study, ht_metric,
+    QuadSpec, comps_jets, flat_space, fubini_study, ht_metric,
     parse_metric_spec, parse_spec, product_spheres, round_sphere4,
     twisted_eps_max, twisted_metric, volume,
 )
@@ -331,10 +333,7 @@ def test_twisted_is_potential_hessian_of_full_potential(make):
     # the toric rule equals the nested-dual Hessian metric of the same
     # potential, in values and in exact first and second derivatives
     m = make()
-    oracle = MetricField("oracle", list(m.charts.values()),
-                         functools.partial(hessian_metric,
-                                           _in_x(m.kaehler)),
-                         validate=False)
+    oracle = functools.partial(hessian_metric, _in_x(m.kaehler))
     rng = np.random.default_rng(13)
     for chart, pts in m.sample_points(rng, 5):
         x = [pts[:, i] for i in range(4)]
@@ -344,8 +343,54 @@ def test_twisted_is_potential_hessian_of_full_potential(make):
             for j in range(4):
                 assert_allclose(np.asarray(rows[i][j], dtype=float) * np.ones(len(pts)),
                                 direct[:, i, j], atol=1e-11)
-        for got, want in zip(m.jets(chart, pts), oracle.jets(chart, pts)):
+        for got, want in zip(m.jets(chart, pts),
+                             comps_jets(oracle, chart, pts)):
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _oracle_cases():
+    # every chart of the six built-ins and of the twisted family's
+    # perturbation, which is not a metric but goes through the same jets
+    fields = builtin_fields() + [metrics.twisted_parts(0.5)[1]]
+    return [pytest.param(m, chart, id=m.name + "-" + chart)
+            for m in fields for chart in m.chart_order]
+
+
+@pytest.mark.parametrize("m, chart", _oracle_cases())
+def test_jets_equal_nested_duals_over_x(m, chart):
+    # the chain rule through s against nested duals seeded on x, on the
+    # orbit representatives (where x_a = y_a, so Im zbar_1 z_2 = 0) and on
+    # random points, where the Im terms of g are not zero
+    c = m.charts[chart]
+    rng = np.random.default_rng(len(chart) + ord(chart[-1]))
+    batches = [c.orbit_grid(n)[0] for n in (3, 5, 16)] + [c.sample(rng, 40)]
+    for pts in batches:
+        got = m.jets(chart, pts)
+        for a, b in zip(got, comps_jets(m.comps_ring, chart, pts)):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
+    # the random points do carry the Im terms
+    x = batches[-1]
+    assert np.abs(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]).min() > 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, c, p: m.eval(c, p), lambda m, c, p: m.jets(c, p),
+    lambda m, c, p: m.comps_ring(c, list(p)),
+    lambda m, c, p: m.require_inside(c, p),
+    lambda m, c, p: curvature.riemann_at(m, c, p),
+], ids=["eval", "jets", "comps_ring", "require_inside", "riemann_at"])
+@pytest.mark.parametrize("make, name", [
+    (lambda: twisted_metric(0.5, 0.05), "zz"), (fubini_study, "aa"),
+    (flat_space, "n"),
+], ids=["twisted-zz", "fubini-study-aa", "flat-n"])
+def test_foreign_chart_name_is_a_chart_domain_error(make, name, call):
+    # a name the atlas does not have never falls through to another chart
+    # ('zz' is no product chart, though the potentials read only its
+    # letters), nor to a KeyError ('aa' and 'n' belong to other atlases)
+    m = make()
+    with pytest.raises(ChartDomainError, match="does not have chart %r" % name):
+        call(m, name, np.array([0.1, 0.2, 0.3, 0.4]))
 
 
 # ---------------------------------------------------------------- Kahler
