@@ -128,8 +128,8 @@ def cmd_scan_family(args):
     rows = []
     for t in tvals:
         pd_max = twisted_eps_max(t)
-        # the empirical eps_max of the family: first eps violating the
-        # s/6 - W+ positivity, as opposed to the larger eigenvalue-floor bound
+        # the first root of s on the orbit points, where s/6 - W+ stops being
+        # PSD (the family is Kaehler), below the larger eigenvalue-floor bound
         pos_max = positivity_eps_max(t, grid_n=max(3, (args.grid // 2) | 1))
         if auto_eps:
             evals = [0.0, pos_max / 2.0]

@@ -366,54 +366,39 @@ def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
     return report
 
 
-#: the s/6 - W+ margin tolerated by positivity_eps_max, and its bisections
-POSITIVITY_TOL, POSITIVITY_STEPS = 1e-6, 24
-
-
 def positivity_eps_max(t, grid_n=5):
-    """Empirical threshold: largest eps of the twisted family keeping
-    min eig(s/6 - W+) >= -POSITIVITY_TOL on chart.grid(grid_n) of every
-    chart: 0.95 of ``twisted_eps_max(t)`` if that passes, else the lower
-    end after POSITIVITY_STEPS bisections of [0, 0.95 twisted_eps_max(t)].
+    """The first eps in (0, hi] at which s/6 - W+ stops being PSD on
+    chart.grid(grid_n) of some chart, else hi = 0.95 ``twisted_eps_max(t)``.
 
-    The twisted family is T^2-invariant (a toric potential), so the margin
-    is constant on each T^2 orbit, and the jets are taken once per orbit
-    that the grid meets (``Chart.orbit_grid``).  Use odd grid sizes: the
-    tightest spot of the built-in perturbation sits at a chart centre,
-    which even grids skip.
+    The family is Kahler, so W+ has spectrum (s/6, -s/12, -s/12)
+    (Derdzinski, Compositio Math. 49, 1983) and min eig(s/6 - W+) =
+    min(0, s/4).  With det_C = sqrt(det g), a quadratic in eps, s is a
+    constant times -h^{ab} d_a d_b log det_C with h^-1 = adj / det_C, so
+    s det g^{3/2} is a quintic in eps at each point.  One curvature call
+    per chart takes it at the six Chebyshev nodes of [0, hi], which fit it
+    exactly, and the result is its smallest real root in (0, hi].  Roots
+    more than 1e-9 off the real line of [-1, 1] are skipped, and with them
+    tangential double roots, where s does not go negative.
+
+    s is T^2-invariant, so the jets are taken once per orbit that the grid
+    meets (``Chart.orbit_grid``).  Use odd grid sizes: the tightest spot of
+    the built-in perturbation sits at a chart centre, which even grids skip.
     """
-    pd_max = twisted_eps_max(t)
-
-    # the metric is affine in eps: evaluate the jets of both parts once,
-    # then every bisection step is plain linear algebra
+    hi = 0.95 * twisted_eps_max(t)
+    x = np.polynomial.chebyshev.chebpts1(6)
+    eps = 0.5 * hi * (x + 1.0)
     base, pert = twisted_parts(t)
-    parts = []
+    roots = [1.0]
     for chart, reps, _ in base.orbit_points(grid_n):
-        parts.append((base.jets(chart, reps), pert.jets(chart, reps)))
-
-    def margin(eps):
-        worst = np.inf
-        for (g0, dg0, d2g0), (g1, dg1, d2g1) in parts:
-            g = g0 + eps * g1
-            if np.linalg.eigvalsh(g)[:, 0].min() <= 1e-10:
-                return -np.inf   # lost positive definiteness
-            data = curvature_from_arrays(g, dg0 + eps * dg1, d2g0 + eps * d2g1)
-            s = data["s"][:, None, None]
-            w = np.linalg.eigvalsh(s / 6 * I3 - data["wplus"])[:, 0]
-            worst = min(worst, float(w.min()))
-        return worst
-
-    hi = 0.95 * pd_max
-    if margin(hi) >= -POSITIVITY_TOL:
-        return hi
-    lo = 0.0
-    for _ in range(POSITIVITY_STEPS):
-        mid = 0.5 * (lo + hi)
-        if margin(mid) >= -POSITIVITY_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        # the metric is affine in eps: leading axes (node, point)
+        g, dg, d2g = (a0 + np.multiply.outer(eps, a1) for a0, a1 in
+                      zip(base.jets(chart, reps), pert.jets(chart, reps)))
+        p = curvature_from_arrays(g, dg, d2g)["s"] * np.linalg.det(g) ** 1.5
+        for c in np.polynomial.chebyshev.chebfit(x, p, 5).T:
+            r = np.polynomial.chebyshev.chebroots(c)
+            roots.extend(r.real[(abs(r.imag) <= 1e-9) & (r.real > -1.0)
+                                & (r.real <= 1.0)])
+    return float(0.5 * hi * (min(roots) + 1.0))
 
 
 # ---------------------------------------------------------------------

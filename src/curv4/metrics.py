@@ -227,19 +227,23 @@ class MetricField:
         f = self._coeffs(chart, seedn(_s(pts.T), 2))
         y = 2.0 * pts
         cs = np.stack([grad_array(e, shape, 2) for e in f])[..., _FACTOR]
-        d2c = y[:, :, None] * y[:, None, :] * np.stack(
-            [hess_array(e, shape, 2) for e in f])[..., _FACTOR[:, None], _FACTOR]
-        d2c[..., range(4), range(4)] += 2.0 * cs
         (c0, c1, h), (dc0, dc1, dh) = np.stack([array(e, shape) for e in f]), y * cs
         x1, y1, x2, y2 = pts.T
         P = np.stack([x1 * x2 + y1 * y2, x1 * y2 - y1 * x2])
         dP = np.stack([pts[:, [2, 3, 0, 1]], pts[:, [3, 2, 1, 0]] * [1, -1, -1, 1]])
+        # d2g first and in place, its inputs freed before dg (transient memory)
+        d2c = y[:, :, None] * y[:, None, :] * np.stack(
+            [hess_array(e, shape, 2) for e in f])[..., _FACTOR[:, None], _FACTOR]
+        d2c[..., range(4), range(4)] += 2.0 * cs
         cross = dh[..., None, :] * dP[..., :, None]
+        d2p = d2c[2] * P[..., None, None]
+        d2p += cross
+        d2p += np.swapaxes(cross, -1, -2)
+        d2p += h[..., None, None] * _D2P[:, None]
+        d2g = _pattern(d2c[0], d2c[1], *d2p)
+        del d2c, cross, d2p
         out = (_pattern(c0, c1, *(h * P)),
-               _pattern(dc0, dc1, *(dh * P[..., None] + h[..., None] * dP)),
-               _pattern(d2c[0], d2c[1], *(
-                   d2c[2] * P[..., None, None] + cross
-                   + np.swapaxes(cross, -1, -2) + h[..., None, None] * _D2P[:, None])))
+               _pattern(dc0, dc1, *(dh * P[..., None] + h[..., None] * dP)), d2g)
         return tuple(a[0] for a in out) if single else out
 
     def require_inside(self, chart, pts, margin=CHART_MARGIN):
@@ -258,8 +262,13 @@ class MetricField:
                 for name in self.chart_order]
 
     def transition(self, src, dst, pts):
-        """Map points from chart src to chart dst (plain values)."""
-        fmap = self.charts[src].transitions[dst]
+        """Map points from chart src to chart dst (plain values);
+        ChartDomainError if either chart is missing or src is not glued to
+        dst."""
+        fmap = self.get_chart(src).transitions.get(dst)
+        if fmap is None:
+            raise ChartDomainError("%s: chart %r has no transition to %r" % (
+                self.name, src, dst))
         pts, single = _as_batch(pts)
         out = fmap([pts[:, i] for i in range(4)])
         res = np.stack([np.asarray(c, dtype=float) for c in out], axis=-1)

@@ -280,7 +280,7 @@ def test_scan_family_small(tmp_path):
 
 
 def test_scan_family_computes_pd_bound_once(tmp_path):
-    # the positivity bisection must start from the bound the report prints,
+    # the positivity search must be capped by the bound the report prints,
     # not compute a second bound on another grid
     from curv4 import metrics
     metrics._eps_max.cache_clear()

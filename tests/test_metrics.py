@@ -102,6 +102,16 @@ def test_chart_overlap_consistency(m):
             assert np.abs(pulled - g_src).max() < 1e-8
 
 
+@pytest.mark.parametrize("src, dst, what", [
+    ("aa", "bb", "chart 'aa' has no transition to 'bb'"),
+    ("aa", "zz", "chart 'aa' has no transition to 'zz'"),
+    ("zz", "aa", "does not have chart 'zz'"),
+], ids=["not-glued", "foreign-target", "foreign-source"])
+def test_transition_without_a_gluing_is_a_chart_domain_error(src, dst, what):
+    with pytest.raises(ChartDomainError, match=what):
+        product_spheres().transition(src, dst, np.array([0.1, 0.2, 0.3, 0.4]))
+
+
 def test_transition_involution():
     m = product_spheres(1.0, 2.0)
     rng = np.random.default_rng(3)
@@ -599,7 +609,10 @@ def test_twisted_eps_max_matches_full_grid(t):
 
 
 def _full_grid_positivity_eps_max(t, grid_n=5):
-    """positivity_eps_max with the jets taken at every grid point."""
+    """The bisection positivity_eps_max replaced, with the jets taken at
+    every grid point: the lower end after 24 bisections of [0, 0.95 eps_max]
+    on min eig(s/6 - W+) >= -1e-6."""
+    tol, steps = 1e-6, 24
     pd_max = _full_grid_eps_max(t)
     base, pert = metrics.twisted_parts(t)
     parts = []
@@ -620,12 +633,12 @@ def _full_grid_positivity_eps_max(t, grid_n=5):
         return worst
 
     hi = 0.95 * pd_max
-    if margin(hi) >= -curvature.POSITIVITY_TOL:
+    if margin(hi) >= -tol:
         return hi
     lo = 0.0
-    for _ in range(curvature.POSITIVITY_STEPS):
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if margin(mid) >= -curvature.POSITIVITY_TOL:
+        if margin(mid) >= -tol:
             lo = mid
         else:
             hi = mid
@@ -634,7 +647,52 @@ def _full_grid_positivity_eps_max(t, grid_n=5):
 
 @pytest.mark.parametrize("t", [0.3, 0.8])
 def test_positivity_eps_max_matches_full_grid(t):
-    assert positivity_eps_max(t) == _full_grid_positivity_eps_max(t)
+    # the bisection tolerated a margin of -1e-6, so it ends beyond the root,
+    # by less than one step plus that slack
+    gap = _full_grid_positivity_eps_max(t) - positivity_eps_max(t)
+    assert 0.0 < gap <= 5e-7
+
+
+def _full_grid_s6_minus_wplus(t, eps, grid_n=5):
+    """(min eig(s/6 - W+), max |s|) over chart.grid(grid_n) of every chart."""
+    m = twisted_metric(t, eps)
+    margin, smax = np.inf, 0.0
+    for chart in m.chart_order:
+        data = curvature_batch(m, chart, m.charts[chart].grid(grid_n))
+        s = data["s"][:, None, None]
+        w = np.linalg.eigvalsh(s / 6 * np.eye(3) - data["wplus"])[:, 0]
+        margin = min(margin, float(w.min()))
+        smax = max(smax, float(np.abs(data["s"]).max()))
+    return margin, smax
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.8])
+def test_positivity_eps_max_is_the_threshold_on_the_full_grid(t):
+    # on every grid point, not only the orbit representatives: s/6 - W+ is
+    # PSD at the returned eps and fails just above it
+    eps = positivity_eps_max(t)
+    assert _full_grid_s6_minus_wplus(t, eps)[0] >= -1e-12
+    margin, smax = _full_grid_s6_minus_wplus(t, eps * (1.0 + 1e-8))
+    assert margin < -psd_tolerance(smax)
+
+
+def test_positivity_eps_max_at_t0_is_four_fifths():
+    # at t = 0 the scalar curvature at the centre of the 'bb' chart is
+    # 4 (4 - 5 eps) / (2 - eps)^2, which changes sign at eps = 4/5
+    assert abs(positivity_eps_max(0.0) - 0.8) <= 1e-12
+
+
+def test_positivity_eps_max_makes_one_curvature_call_per_chart(monkeypatch):
+    seen = []
+
+    def counting(g, dg, d2g):
+        seen.append(g.shape[:-2])
+        return curvature_from_arrays(g, dg, d2g)
+
+    monkeypatch.setattr(curvature, "curvature_from_arrays", counting)
+    positivity_eps_max(0.5, grid_n=5)
+    # six Chebyshev nodes times the 36 orbit representatives of each chart
+    assert seen == [(6, 36)] * 4
 
 
 def test_quadspec_minimum():
