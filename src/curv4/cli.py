@@ -5,7 +5,8 @@ fixed seed and configuration produce byte-identical output; wall-clock
 timing goes to stderr only.
 
 Exit codes: 0 success; 1 identity violation or another curv4 error, e.g. a
-surface that lies in a chart the metric's atlas does not have; 2 parse
+surface that lies in a chart the metric's atlas does not have, or whose
+immersed nodes leave that chart's domain; 2 parse
 error: an unknown flag, a malformed metric or surface spec (the grammar of
 ``metrics.parse_spec``), a value a surface constructor rejects, a malformed
 --t-values or --eps-values list or one with a non-finite entry, --grid below

@@ -54,7 +54,7 @@ class SectionBasis:
         out = []
         fns = [harmonic_fn(l, m) for l in range(self.L + 1)
                for m in range(-l, l + 1)]
-        zero = lambda chart, u: 0.0 * u[0]
+        zero = lambda chart, u: 0.0
         for c in range(self.n_fields):
             for f in fns:
                 coeffs = [zero] * self.n_fields

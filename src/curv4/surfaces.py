@@ -4,10 +4,9 @@ second-variation integrands.
 
 Surfaces are parametrized by the two-chart stereographic atlas of S^2
 (charts 'a' and 'b', glued by the holomorphic inversion), each surface
-chart landing in a single ambient chart.  All per-node geometry is computed
-with nested dual numbers: the immersion is evaluated three jet layers deep,
-which yields the frame derivatives needed for the intrinsic normal-bundle
-curvature.
+chart landing in a single ambient chart.  The immersion is evaluated three
+jet layers deep, so the adapted frames are 2-jets in u and carry the
+derivatives that the normal connection and the normal-bundle curvature need.
 
 ``ChartGeometry`` computes the per-node data of the second variation once:
 the connection form ``omega``, the frame coefficients ``gen_coeffs`` of the
@@ -30,10 +29,12 @@ coefficients (1, 0) and (0, 1).  ``section_data`` is linear in the
 section, so the data of J sigma and of a sigma + b J sigma follow from one
 evaluation of sigma.
 
-Adapted frames use the deterministic recipe: e1, e2 from Gram-Schmidt of
-the coordinate tangent vectors, n3, n4 from Gram-Schmidt of two fixed
-ambient coordinate directions, with n4 flipped where needed so that
-(e1, e2, n3, n4) is positively oriented in M.  The tangent rotation I and
+Adapted frames are Gram-Schmidt of B = (F_u, F_v, d_s3, d_s4), the
+coordinate tangents and two fixed ambient coordinate directions, read off
+the Gram matrix G_ij = <B_i, B_j> and its Cholesky factor G = L L^T (Golub
+& Van Loan, Matrix Computations, 4.2): frame_i = (B_i - sum_{k<i} L_ik
+frame_k) / L_ii is (e1, e2, n3, n4), with n4 flipped where needed so that
+the frame is positively oriented in M.  The tangent rotation I and
 the normal rotation J are the +90-degree turns in these oriented planes.
 """
 
@@ -63,12 +64,14 @@ def _dot(g, u, v):
     return acc
 
 
-def _axpy(a, x, y):
-    return [y[i] + a * x[i] for i in range(4)]
-
-
 def _scale(a, x):
     return [a * x[i] for i in range(4)]
+
+
+def _values(rows, shape):
+    """out[..., r, k] = value of rows[r][k], a nested list of jets."""
+    return np.stack([np.stack([array(x, shape) for x in row], axis=-1)
+                     for row in rows], axis=-2)
 
 
 # ---------------------------------------------------------------------
@@ -211,17 +214,19 @@ def parse_surface_spec(spec):
 class ChartGeometry:
     """All pointwise geometric data of a surface chart at quadrature nodes.
 
+    The adapted frame comes from the Gram matrix G and its Cholesky factor L
+    (module docstring): h = G[:2, :2], c = L[:2, :2]^-1 with e_i = c_ia F_a,
+    and the second fundamental form is read on the orthonormal normal
+    frame, A_ijs = c_ia c_jb <F_ab + Gamma(F_a, F_b), n_s>.
+
     Raises ChartDomainError if the metric's atlas has no chart of the name
-    the immersion maps this surface chart into.
+    the immersion maps this surface chart into, or if an immersed node lies
+    outside that chart's domain.
     """
 
     def __init__(self, S, m, chart, u_nodes, weights):
         self.chart = chart
         self.amb = S.chart_map[chart]
-        try:
-            m.get_chart(self.amb)
-        except ChartDomainError as exc:
-            raise ChartDomainError("surface %s: %s" % (S.name, exc)) from None
         self.u = np.asarray(u_nodes, dtype=float)
         self.w = np.asarray(weights, dtype=float)
         n = len(self.u)
@@ -231,63 +236,49 @@ class ChartGeometry:
         # immersion three jet layers deep; tangents are then 2-layer jets
         Fj = S.fmap(chart, seedn([self.u[:, 0], self.u[:, 1]], 3))
         F = np.stack([array(f, shape) for f in Fj], axis=-1)
+        try:
+            m.require_inside(self.amb, F)
+        except ChartDomainError as exc:
+            raise ChartDomainError("surface %s: %s" % (S.name, exc)) from None
         self.dF = dF = np.stack([grad_array(f, shape, 2) for f in Fj], axis=-2)
         d2F = np.stack([hess_array(f, shape, 2) for f in Fj], axis=-3)
 
         # ambient metric composed with the immersion, as 2-layer jets
         g2 = m.comps_ring(self.amb, drop(Fj))
 
-        # tangent 2-jets and adapted frames
-        t = [[partial(f, a) for f in Fj] for a in range(2)]
-        h11 = _dot(g2, t[0], t[0])
-        h12 = _dot(g2, t[0], t[1])
-        h22 = _dot(g2, t[1], t[1])
-        self.h_jets = ((h11, h12), (h12, h22))
-        self.h = np.empty(shape + (2, 2))
-        self.h[..., 0, 0] = array(h11, shape)
-        self.h[..., 0, 1] = self.h[..., 1, 0] = array(h12, shape)
-        self.h[..., 1, 1] = array(h22, shape)
+        # Gram matrix of B (lower triangle); its tangent block is h
+        B = [[partial(f, a) for f in Fj] for a in range(2)] + [
+            [float(i == s) for i in range(4)] for s in S.normal_seeds]
+        G = [[_dot(g2, B[j], B[i]) for j in range(i + 1)] for i in range(4)]
+        self.h_jets = ((G[0][0], G[1][0]), (G[1][0], G[1][1]))
+        self.h = _values(self.h_jets, shape)
         det = self.h[..., 0, 0] * self.h[..., 1, 1] - self.h[..., 0, 1] ** 2
         if det.min() <= 1e-20:
             raise NonMinimalSurfaceError(
                 "%s: rank-deficient differential" % S.name)
         self.sqrt_h = np.sqrt(det)
 
-        n1 = jsqrt(h11)
-        e1 = _scale(1.0 / n1, t[0])
-        p = _dot(g2, t[1], e1)
-        e2r = _axpy(-p, e1, t[1])
-        n2 = jsqrt(_dot(g2, e2r, e2r))
-        e2 = _scale(1.0 / n2, e2r)
-        # coefficients of (e1, e2) on the coordinate tangents
-        c = np.zeros(shape + (2, 2))
-        c[..., 0, 0] = 1.0 / array(n1, shape)
-        c[..., 1, 0] = -array(p, shape) / (array(n1, shape) * array(n2, shape))
-        c[..., 1, 1] = 1.0 / array(n2, shape)
-        self.c = c
-
-        # normal frame from the fixed seed directions
-        s3, s4 = S.normal_seeds
-        v3 = [1.0 if i == s3 else 0.0 for i in range(4)]
-        v4 = [1.0 if i == s4 else 0.0 for i in range(4)]
-        n3r = _axpy(-_dot(g2, v3, e2), e2,
-                    _axpy(-_dot(g2, v3, e1), e1, v3))
-        n3 = _scale(1.0 / jsqrt(_dot(g2, n3r, n3r)), n3r)
-        n4r = _axpy(-_dot(g2, v4, n3), n3,
-                    _axpy(-_dot(g2, v4, e2), e2,
-                          _axpy(-_dot(g2, v4, e1), e1, v4)))
-        n4 = _scale(1.0 / jsqrt(_dot(g2, n4r, n4r)), n4r)
+        # Cholesky factor L of G row by row, and with it the frame
+        L, frame = [], []
+        for i in range(4):
+            L.append([])
+            for j in range(i + 1):
+                acc = G[i][j]
+                for k in range(j):
+                    acc = acc - L[i][k] * L[j][k]
+                L[i].append(jsqrt(acc) if j == i else acc / L[j][j])
+            v = B[i]
+            for k in range(i):
+                v = [v[p] - L[i][k] * frame[k][p] for p in range(4)]
+            frame.append(_scale(1.0 / L[i][i], v))
+        self.c = np.linalg.inv(_values([[L[0][0], 0.0], L[1]], shape))
 
         # positive orientation of (e1, e2, n3, n4) in the ambient chart
-        mat = np.stack([
-            np.stack([array(v[i], shape) for i in range(4)], axis=-1)
-            for v in (e1, e2, n3, n4)], axis=-1)
-        sgn = np.sign(np.linalg.det(mat))
-        n4 = _scale(sgn, n4)
-        self.e = np.stack([np.stack([array(v[i], shape) for i in range(4)],
-                                    axis=-1) for v in (e1, e2)], axis=-1)
-        self.n = np.stack([np.stack([array(v[i], shape) for i in range(4)],
-                                    axis=-1) for v in (n3, n4)], axis=-1)
+        E = np.swapaxes(_values(frame, shape), -1, -2)
+        sgn = np.sign(np.linalg.det(E))
+        E[..., 3] *= sgn[..., None]
+        self.e, self.n = E[..., :2], E[..., 2:]
+        n3, n4 = frame[2], _scale(sgn, frame[3])
 
         # (n3, n4) coefficients of each normal generator field as 2-jets in
         # u; with no generators the frame itself spans the normal bundle
@@ -305,35 +296,29 @@ class ChartGeometry:
         self.Rm = self.curv["Rm"]
         self.s = self.curv["s"]
 
-        # Christoffel symbols along the surface as 1-jets in u (chain rule)
-        dGam_u = np.einsum("...mkij,...ma->...akij", self.curv["dGamma"], dF)
-        Gamma_j = [[[Jet(Gamma[..., k, i, j],
-                         (dGam_u[..., 0, k, i, j], dGam_u[..., 1, k, i, j]))
-                     for j in range(4)] for i in range(4)] for k in range(4)]
-
-        # second fundamental form: normal part of F_ab + Gamma(F_a, F_b)
+        # second fundamental form on the orthonormal frames:
+        # A_ijs = c_ia c_jb <F_ab + Gamma(F_a, F_b), n_s>
         dd = d2F + np.einsum("...kij,...ia,...jb->...kab", Gamma, dF, dF)
-        npart = self._project_normal_arr(np.moveaxis(dd, -3, -1))  # (...,2,2,4)
-        Aef = np.einsum("...ia,...jb,...abk->...ijk", c, c, npart)
-        # components <A(e_i, e_j), n_sigma>
-        self.A = np.einsum("...ijk,...kl,...ls->...ijs", Aef, self.g, self.n)
-        self.H_amb = Aef[..., 0, 0, :] + Aef[..., 1, 1, :]
-        self.H_norm = np.sqrt(np.einsum("...i,...ij,...j->...",
-                                        self.H_amb, self.g, self.H_amb))
+        ddn = np.einsum("...kab,...ks->...abs", dd, self.g @ self.n)
+        cdd = np.einsum("...jb,...abs->...ajs", self.c, ddn)
+        self.A = np.einsum("...ia,...ajs->...ijs", self.c, cdd)
+        self.H_norm = np.linalg.norm(self.A[..., 0, 0, :] + self.A[..., 1, 1, :],
+                                     axis=-1)
 
         # normal connection form and intrinsic bundle curvature:
-        # omega_a = <nabla_a n3, n4>, K_perp = (d1 w2 - d2 w1)/sqrt(det h)
+        # omega_a = <nabla_a n3, n4>, K_perp = (d1 w2 - d2 w1)/sqrt(det h);
+        # nabla_a n3 = d_a n3 + Gamma(F_a) n3, Gamma(F_a)^i_q = Gamma^i_pq F^p_a
+        # a 1-jet in u: d_b Gamma(F_a) = dGamma(F_b, F_a) + Gamma(F_ab), b first
+        GF = np.einsum("...ipq,...pa->...aiq", Gamma, dF)
+        dGF = (np.einsum("...mipq,...mb,...pa->b...aiq",
+                         self.curv["dGamma"], dF, dF)
+               + np.einsum("...ipq,...pab->b...aiq", Gamma, d2F))
         omega = []
-        g1, n3_1, n4_1, dF1 = drop([g2, n3, n4, t])
+        g1, n3_1, n4_1 = drop([g2, n3, n4])
         for a in range(2):
-            # d_a n3 as a 1-jet: the derivative slot of the 2-jet frame
-            cov = [partial(n3[i], a) for i in range(4)]
-            for i in range(4):
-                acc = cov[i]
-                for p_ in range(4):
-                    for q_ in range(4):
-                        acc = acc + Gamma_j[i][p_][q_] * dF1[a][p_] * n3_1[q_]
-                cov[i] = acc
+            cov = [sum((Jet(GF[..., a, i, q], dGF[:, ..., a, i, q]) * n3_1[q]
+                        for q in range(4)), partial(n3[i], a))
+                   for i in range(4)]
             omega.append(_dot(g1, cov, n4_1))
         self.omega = np.stack([array(o, shape) for o in omega], axis=-1)
         # K_perp pairs R_perp(e1,e2) n4 against n3; with nabla n4 = -omega n3
@@ -362,12 +347,6 @@ class ChartGeometry:
                                optimize=True)
         self.jacobi = self.Rterm + np.einsum("...ijs,...ijt->...st",
                                              self.A, self.A)
-
-    def _project_normal_arr(self, V):
-        """Normal projection of (n, 2, 2, 4) ambient vector arrays."""
-        gn = np.einsum("nij,njs->nis", self.g, self.n)
-        comp = np.einsum("nabi,nis->nabs", V, gn)
-        return np.einsum("nabs,nis->nabi", comp, self.n)
 
 
 class SurfaceGeometry:
@@ -451,8 +430,8 @@ def parallel_section(c3=1.0, c4=0.0):
     """c3 n3 + c4 n4 with constant coefficients on a trivial normal bundle.
     Surfaces with generator fields (cp1-line) have no such global section:
     evaluating it there raises SectionError."""
-    return NormalSection([lambda chart, u: c3 + 0.0 * u[0],
-                          lambda chart, u: c4 + 0.0 * u[0]])
+    return NormalSection([lambda chart, u: float(c3),
+                          lambda chart, u: float(c4)])
 
 
 class JRotated:

@@ -142,6 +142,19 @@ def test_exit_code_surface_in_foreign_atlas():
     assert "'aa'" in proc.stderr
 
 
+@pytest.mark.parametrize("surface", ["perturbed-slice(c=1e200)",
+                                     "slice(point=(5,0))"])
+def test_exit_code_surface_outside_its_chart_domain(surface):
+    # immersed nodes outside chart aa's factor radius are a typed error
+    proc = run_cli(["surface", "--metric", "product", "--surface", surface,
+                    "--quad", "8"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: surface ")
+    assert "outside chart 'aa'" in proc.stderr
+
+
 def test_verify_identities_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify-identities", "--seed", "42", "--quad", "16",

@@ -7,10 +7,10 @@ from curv4.errors import (
     ChartDomainError, NonMinimalSurfaceError, SectionError, SpecParseError,
 )
 from curv4.bivector import kn_tensor4, operator6
-from curv4.jets import array as jet_array, drop, jsqrt, partial, seedn
+from curv4.jets import array as jet_array, drop, hess_array, jsqrt, partial, seedn
 from curv4.metrics import (
     QuadSpec, flat_space, fubini_study, ht_metric, product_spheres,
-    round_sphere4,
+    round_sphere4, twisted_metric,
 )
 from curv4.surfaces import (
     NormalSection, a_wedge_a_sq, a_wedge_a_sq_expansion, chern_number, cp1_line, dbar_sq, equator_sphere, kperp_extrinsic_field,
@@ -94,6 +94,51 @@ def test_induced_geometry_slice():
     assert np.linalg.det(frame) > 0
 
 
+def _project_normal_arr(g, n, V):
+    """Normal projection of (n, 2, 2, 4) ambient vector arrays."""
+    gn = np.einsum("nij,njs->nis", g, n)
+    comp = np.einsum("nabi,nis->nabs", V, gn)
+    return np.einsum("nabs,nis->nabi", comp, n)
+
+
+FRAME_CASES = SURFACES + [
+    ("twisted-slice2", product_slice(factor=2, point=(0.3, -0.2)),
+     twisted_metric(0.5, 0.05)),
+]
+
+
+@pytest.mark.parametrize("name, S, m", FRAME_CASES,
+                         ids=[name for name, _, _ in FRAME_CASES])
+def test_adapted_frame_on_every_node(name, S, m, geoms):
+    # the Cholesky frame is g-orthonormal and positive at every QUAD node,
+    # e_i = c_ia F_a, and A equals the normal projection of
+    # F_ab + Gamma(F_a, F_b) read on the frames
+    geom = geoms[name] if name in geoms else surface_geometry(S, m, QUAD)
+    tol = 1e-13
+    for cg in geom.charts:
+        g, e, n, dF, c = cg.g, cg.e, cg.n, cg.dF, cg.c
+        eye = np.broadcast_to(np.eye(2), cg.shape + (2, 2))
+        assert_allclose(np.swapaxes(e, -1, -2) @ g @ e, eye, atol=tol)
+        assert_allclose(np.swapaxes(n, -1, -2) @ g @ n, eye, atol=tol)
+        assert_allclose(np.swapaxes(e, -1, -2) @ g @ n, 0.0, atol=tol)
+        assert np.all(np.linalg.det(np.concatenate([e, n], axis=-1)) > 0)
+        assert_allclose(e, np.einsum("...ia,...ka->...ki", c, dF), atol=tol)
+        assert_allclose(cg.h, np.swapaxes(dF, -1, -2) @ g @ dF, atol=tol)
+
+        Fj = S.fmap(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], 2))
+        d2F = np.stack([hess_array(f, cg.shape, 2) for f in Fj], axis=-3)
+        dd = d2F + np.einsum("...kij,...ia,...jb->...kab", cg.Gamma, dF, dF)
+        npart = _project_normal_arr(g, n, np.moveaxis(dd, -3, -1))
+        Aef = np.einsum("...ia,...jb,...abk->...ijk", c, c, npart)
+        A = np.einsum("...ijk,...kl,...ls->...ijs", Aef, g, n)
+        assert_allclose(cg.A, A, atol=tol)
+        H = Aef[..., 0, 0, :] + Aef[..., 1, 1, :]
+        assert_allclose(cg.H_norm,
+                        np.sqrt(np.einsum("...i,...ij,...j->...", H, g, H)),
+                        atol=tol)
+
+
+@pytest.mark.filterwarnings("error")
 def test_rank_deficient_rejected():
     bad = product_slice()
     fmap = bad.fmap
@@ -128,6 +173,18 @@ def test_surface_in_a_foreign_atlas_is_rejected(S, m):
         surface_geometry(S, m, QuadSpec(8))
     with pytest.raises(ChartDomainError):
         point_geometry(S, m, "a", [0.1, 0.2])
+
+
+@pytest.mark.parametrize("S", [perturbed_slice(1e200),
+                               product_slice(point=(5.0, 0.0))],
+                         ids=["huge-perturbation", "slice-off-the-chart"])
+def test_surface_outside_its_chart_domain_is_rejected(S):
+    # the immersed nodes leave chart aa's domain (factor radius 2.5)
+    match = "surface %s: .*outside chart 'aa'" % S.name
+    with pytest.raises(ChartDomainError, match=match):
+        surface_geometry(S, MP, QuadSpec(8))
+    with pytest.raises(ChartDomainError, match=match):
+        point_geometry(S, MP, "a", [0.1, 0.2])
 
 
 # ------------------------------------------------------------- second form
