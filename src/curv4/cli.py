@@ -6,14 +6,15 @@ timing goes to stderr only.
 
 Exit codes: 0 success; 1 identity violation or another curv4 error, e.g. a
 surface that lies in a chart the metric's atlas does not have, or whose
-immersed nodes leave that chart's domain; 2 parse
-error: an unknown flag, a malformed metric or surface spec (the grammar of
-``metrics.parse_spec``), a value a surface constructor rejects, a malformed
---t-values or --eps-values list or one with a non-finite entry, --grid below
-3, --quad below 8, a negative --seed, --sections below 1, --tol not finite
-and positive, --L0 below 0 or not below --L-max; 3 metric construction
-failure, e.g. |eps| above the twisted family's eps_max.  Spec, range and
-construction errors print one line on stderr and no traceback.
+immersed nodes leave that chart's domain, or an index that does not
+stabilize by --L-max; 2 parse error: an unknown flag, a malformed metric or
+surface spec (the grammar of ``metrics.parse_spec``), a value a surface
+constructor rejects, a malformed --t-values or --eps-values list or one with
+a non-finite entry, --grid below 3, --quad below 8, a negative --seed,
+--sections below 1, --tol not finite and positive, --L0 below 0, or --L-max
+below --L0 + 4; 3 metric construction failure, e.g. |eps| above the twisted
+family's eps_max.  Spec, range and construction errors print one line on
+stderr and no traceback.
 """
 
 import argparse
@@ -341,7 +342,7 @@ def cmd_surface(args):
     report["area"] = geom.area()
     report["minimality_residual"] = geom.min_residual
     report["c1"] = chern_number(geom)
-    if geom.min_residual > 1e-8:
+    if not geom.is_minimal():
         report["warning"] = ("surface is not minimal: stability analysis "
                              "skipped")
         _write_report(report, args.out)
@@ -437,8 +438,8 @@ def _check_ranges(args):
              "--tol must be finite and > 0"),
             (args.command == "surface" and args.L0 < 0,
              "--L0 must be >= 0"),
-            (args.command == "surface" and args.L0 >= args.L_max,
-             "--L0 must be below --L-max")):
+            (args.command == "surface" and args.L0 + 4 > args.L_max,
+             "--L-max must be at least --L0 + 4")):
         if bad:
             raise SpecParseError(what)
 

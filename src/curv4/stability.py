@@ -143,10 +143,10 @@ class IndexForm:
 def _accumulate_forms(geom, basis, ambient_override=None):
     """The index form Q, mass matrix G and dbar matrix D of the basis.
 
-    Each is a quadrature sum over nodes n of w_n sqrt(h_n) F_n^T M_n F_n
-    for per-node feature rows F_n (values or frame derivatives of the
-    basis).  The weights w sqrt(h) are positive, so scaling each node's rows
-    by the real factor r = sqrt(w sqrt(h)) turns every sum into a single
+    Each is a quadrature sum over nodes n of dA_n F_n^T M_n F_n for
+    per-node feature rows F_n (values or frame derivatives of the basis).
+    The area weights dA are positive, so scaling each node's rows by the
+    real factor r = sqrt(dA) turns every sum into a single
     BLAS product over the stacked rows: X^T X, or V^T (M V) for the
     indefinite curvature-plus-shear block.
     """
@@ -157,7 +157,7 @@ def _accumulate_forms(geom, basis, ambient_override=None):
     for cg in geom.charts:
         v3, v4, cov3, cov4 = basis.node_data(cg)
         n = len(cg.w)
-        r = np.sqrt(cg.w * cg.sqrt_h)[:, None, None]
+        r = np.sqrt(cg.dA)[:, None, None]
         # rows e1, e2 of the n3 coefficient, then of the n4 coefficient,
         # with the frame derivatives e_i = c[i,a] d_a
         X = np.empty((n, 4, dim))
@@ -207,7 +207,7 @@ def near_holomorphic_section(geom, form):
     ties = np.nonzero(ev <= lo + 1e-10 * max(1.0, abs(lo)))[0]
     if len(ties) > 1:
         # prefer sections that stay away from zero: largest L4 mass
-        nodes = [(cg.w * cg.sqrt_h,) + basis.node_data(cg)[:2]
+        nodes = [(cg.dA,) + basis.node_data(cg)[:2]
                  for cg in geom.charts]
         best, best_l4 = ties[0], -np.inf
         for k in ties:
@@ -227,9 +227,10 @@ def near_holomorphic_section(geom, form):
 
 
 def refine_until_stable(op, L0=2, L_max=12):
-    """Raise the harmonic degree by 2 until (index, nullity) repeats twice."""
-    if L0 >= L_max:
-        raise ValueError("L0 must be below L_max")
+    """Raise the harmonic degree by 2 until (index, nullity) repeats twice,
+    which needs the levels L0, L0 + 2 and L0 + 4 at least."""
+    if L0 + 4 > L_max:
+        raise ValueError("L_max must be at least L0 + 4")
     history = []
     L = L0
     while L <= L_max:
@@ -294,7 +295,7 @@ class TheoremCReport:
         return out
 
 
-def theorem_c_harness(m, surface=None, L=4, quad=None, min_tol=1e-8):
+def theorem_c_harness(m, surface=None, L=4, quad=None):
     """Run the slice-sphere stability diagnostics on an S^2 x S^2 metric.
 
     Reports c1 of the normal bundle, the best near-holomorphic section and
@@ -305,7 +306,7 @@ def theorem_c_harness(m, surface=None, L=4, quad=None, min_tol=1e-8):
     """
     S = surface if surface is not None else product_slice()
     geom = surface_geometry(S, m, quad)
-    if geom.min_residual > min_tol:
+    if not geom.is_minimal():
         return TheoremCReport(
             metric=m.name, surface=S.name, minimal=False,
             minimality_residual=geom.min_residual, verdict="refused: not minimal")

@@ -219,6 +219,10 @@ class ChartGeometry:
     and the second fundamental form is read on the orthonormal normal
     frame, A_ijs = c_ia c_jb <F_ab + Gamma(F_a, F_b), n_s>.
 
+    Rm meets the frame here once, as ``R1234`` = Rm(e1, e2, n3, n4) and
+    ``Rterm``_pq = sum_r Rm(e_r, n_p, e_r, n_q); ``dA`` = w sqrt(det h) is
+    the area weight of each node in every surface integral.
+
     Raises ChartDomainError if the metric's atlas has no chart of the name
     the immersion maps this surface chart into, or if an immersed node lies
     outside that chart's domain.
@@ -257,6 +261,7 @@ class ChartGeometry:
             raise NonMinimalSurfaceError(
                 "%s: rank-deficient differential" % S.name)
         self.sqrt_h = np.sqrt(det)
+        self.dA = self.w * self.sqrt_h
 
         # Cholesky factor L of G row by row, and with it the frame
         L, frame = [], []
@@ -297,8 +302,10 @@ class ChartGeometry:
         self.s = self.curv["s"]
 
         # second fundamental form on the orthonormal frames:
-        # A_ijs = c_ia c_jb <F_ab + Gamma(F_a, F_b), n_s>
-        dd = d2F + np.einsum("...kij,...ia,...jb->...kab", Gamma, dF, dF)
+        # A_ijs = c_ia c_jb <F_ab + Gamma(F_a) F_b, n_s>, where
+        # Gamma(F_a)^i_q = Gamma^i_pq F^p_a is shared with omega
+        GF = np.einsum("...ipq,...pa->...aiq", Gamma, dF)
+        dd = d2F + np.einsum("...aiq,...qb->...iab", GF, dF)
         ddn = np.einsum("...kab,...ks->...abs", dd, self.g @ self.n)
         cdd = np.einsum("...jb,...abs->...ajs", self.c, ddn)
         self.A = np.einsum("...ia,...ajs->...ijs", self.c, cdd)
@@ -307,11 +314,11 @@ class ChartGeometry:
 
         # normal connection form and intrinsic bundle curvature:
         # omega_a = <nabla_a n3, n4>, K_perp = (d1 w2 - d2 w1)/sqrt(det h);
-        # nabla_a n3 = d_a n3 + Gamma(F_a) n3, Gamma(F_a)^i_q = Gamma^i_pq F^p_a
-        # a 1-jet in u: d_b Gamma(F_a) = dGamma(F_b, F_a) + Gamma(F_ab), b first
-        GF = np.einsum("...ipq,...pa->...aiq", Gamma, dF)
-        dGF = (np.einsum("...mipq,...mb,...pa->b...aiq",
-                         self.curv["dGamma"], dF, dF)
+        # nabla_a n3 = d_a n3 + Gamma(F_a) n3 with Gamma(F_a) a 1-jet in u:
+        # d_b Gamma(F_a) = dGamma(F_b, F_a) + Gamma(F_ab), b first
+        dGF = (np.einsum("...maiq,...mb->b...aiq",
+                         np.einsum("...mipq,...pa->...maiq",
+                                   self.curv["dGamma"], dF), dF)
                + np.einsum("...ipq,...pab->b...aiq", Gamma, d2F))
         omega = []
         g1, n3_1, n4_1 = drop([g2, n3, n4])
@@ -340,8 +347,11 @@ class ChartGeometry:
                 + np.einsum("...i,...ij,...j->...", ym, self.curv["wminus"], ym))
         self.s6_pairing = self.s / 6.0 * np.sum(self.eta6 ** 2, axis=-1) - weyl
 
-        # Jacobi block on the normal frame: sum_r Rm(e_r, n_p, e_r, n_q)
+        # Rm(e1, e2, n3, n4); the Jacobi block on the normal frame is Rterm
         # plus the shear sum_ij A_ijp A_ijq
+        self.R1234 = np.einsum("...ijkl,...i,...j,...k,...l->...", self.Rm,
+                               self.e[..., 0], self.e[..., 1],
+                               self.n[..., 0], self.n[..., 1], optimize=True)
         self.Rterm = np.einsum("...ijkl,...im,...jp,...km,...lq->...pq",
                                self.Rm, self.e, self.n, self.e, self.n,
                                optimize=True)
@@ -361,16 +371,17 @@ class SurfaceGeometry:
         self.min_residual = max(float(cg.H_norm.max()) for cg in self.charts)
 
     def integrate(self, values_per_chart):
-        total = 0.0
-        for cg, vals in zip(self.charts, values_per_chart):
-            total += float(np.sum(cg.w * cg.sqrt_h * vals))
-        return total
+        return sum(float(np.sum(cg.dA * vals))
+                   for cg, vals in zip(self.charts, values_per_chart))
 
     def area(self):
         return self.integrate([np.ones(cg.shape) for cg in self.charts])
 
-    def require_minimal(self, tol=TOL_MIN):
-        if self.min_residual > tol:
+    def is_minimal(self):
+        return self.min_residual <= TOL_MIN
+
+    def require_minimal(self):
+        if not self.is_minimal():
             raise NonMinimalSurfaceError(
                 "%s is not minimal under %s (max |H| = %.3e)"
                 % (self.S.name, self.m.name, self.min_residual))
@@ -509,13 +520,10 @@ def dbar_sq(d, tau=0.0):
 def kperp_extrinsic_field(cg):
     # Ricci equation in the sign conventions of curv4.curvature:
     # Kperp = Rm(e1,e2,e3,e4) + <A3(e1), A4(e2)> - <A4(e1), A3(e2)>
-    amb = np.einsum("...ijkl,...i,...j,...k,...l->...",
-                    cg.Rm, cg.e[..., 0], cg.e[..., 1],
-                    cg.n[..., 0], cg.n[..., 1])
     A3, A4 = cg.A[..., 0], cg.A[..., 1]
     corr = (np.einsum("...j,...j->...", A3[..., 0, :], A4[..., 1, :])
             - np.einsum("...j,...j->...", A4[..., 0, :], A3[..., 1, :]))
-    return amb + corr
+    return cg.R1234 + corr
 
 
 def chern_number(geom):
@@ -572,12 +580,9 @@ def second_variation(geom, sigma):
 
 def lemma310_integrals(geom, data):
     """Both sides of Lemma 3.10 from the per-chart section_data of sigma."""
-    lhs, rhs = 0.0, 0.0
-    for cg, d in zip(geom.charts, data):
-        lhs += float(np.sum(cg.w * cg.sqrt_h * d["grad2"]))
-        rhs += float(np.sum(cg.w * cg.sqrt_h *
-                            (2 * dbar_sq(d)
-                             + cg.kperp * d["norm2"])))
+    lhs = geom.integrate([d["grad2"] for d in data])
+    rhs = geom.integrate([2 * dbar_sq(d) + cg.kperp * d["norm2"]
+                          for cg, d in zip(geom.charts, data)])
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
@@ -599,12 +604,12 @@ def averaged_second_variation(geom, data):
                                for cg, d in zip(geom.charts, ds)])
 
     lhs = delta2(data) + delta2([j_rotated_data(d) for d in data])
-    t_dbar, t_weyl, t_shear = 0.0, 0.0, 0.0
-    for cg, d in zip(geom.charts, data):
-        base = cg.w * cg.sqrt_h
-        t_dbar += float(np.sum(base * 4.0 * dbar_sq(d)))
-        t_weyl -= float(np.sum(base * cg.s6_pairing * d["norm2"]))
-        t_shear -= float(np.sum(base * a_wedge_a_sq(cg.A) * d["norm2"]))
+    t_dbar = geom.integrate([4.0 * dbar_sq(d) for d in data])
+    # 0.0 - x, not -x, so that a zero integral is reported as 0.0
+    t_weyl = 0.0 - geom.integrate([cg.s6_pairing * d["norm2"]
+                                   for cg, d in zip(geom.charts, data)])
+    t_shear = 0.0 - geom.integrate([a_wedge_a_sq(cg.A) * d["norm2"]
+                                    for cg, d in zip(geom.charts, data)])
     rhs = t_dbar + t_weyl + t_shear
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
             "terms": {"dbar": t_dbar, "weyl_pairing": t_weyl,
@@ -663,15 +668,7 @@ def _surface_laplacian(cg, f):
 
 def ric_perp_identity_residual(cg):
     """Pointwise residual of the Bianchi/(2.3) identity relating
-    -2<R(e1,e2)e4,e3> + Ric_perp(e3) + Ric_perp(e4) to the eta pairing."""
-    amb = np.einsum("...ijkl,...i,...j,...k,...l->...",
-                    cg.Rm, cg.e[..., 0], cg.e[..., 1],
-                    cg.n[..., 0], cg.n[..., 1])
-    ric3 = sum(np.einsum("...ijkl,...i,...j,...k,...l->...",
-                         cg.Rm, cg.e[..., k], cg.n[..., 0],
-                         cg.e[..., k], cg.n[..., 0]) for k in range(2))
-    ric4 = sum(np.einsum("...ijkl,...i,...j,...k,...l->...",
-                         cg.Rm, cg.e[..., k], cg.n[..., 1],
-                         cg.e[..., k], cg.n[..., 1]) for k in range(2))
-    lhs = -2.0 * amb + ric3 + ric4
+    -2<R(e1,e2)e4,e3> + Ric_perp(e3) + Ric_perp(e4), the last two the
+    diagonal of Rterm, to the eta pairing that s6_pairing reads via W+."""
+    lhs = -2.0 * cg.R1234 + cg.Rterm[..., 0, 0] + cg.Rterm[..., 1, 1]
     return np.abs(lhs - cg.s6_pairing).max()

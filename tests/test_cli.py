@@ -78,6 +78,9 @@ def test_exit_code_parse_error():
       "--L0", "6", "--L-max", "6"], "--L-max"),
     (["surface", "--metric", "fs", "--surface", "cp1-line",
       "--L0", "-2", "--L-max", "2"], "--L0"),
+    # three levels L0, L0 + 2, L0 + 4 are needed before the index can repeat
+    (["surface", "--metric", "fs", "--surface", "cp1-line",
+      "--L0", "8", "--L-max", "10"], "--L-max"),
     (["scan-family", "--t-values", "0:1"], "'0:1'"),
     (["scan-family", "--t-values", "abc"], "'abc'"),
     (["scan-family", "--t-values", "0:1:0"], "'0:1:0'"),
@@ -96,7 +99,8 @@ def test_exit_code_parse_error():
      "--seed"),
 ], ids=["unknown-key", "removed-phi-key", "surface-rejects-value",
         "quad-below-8", "grid-below-3", "L0-not-below-L-max",
-        "negative-L0", "range-without-count", "values-not-numbers",
+        "negative-L0", "L-max-below-L0-plus-4", "range-without-count",
+        "values-not-numbers",
         "empty-range", "no-sections", "non-finite-eps-values",
         "non-finite-t-value", "infinite-tol", "negative-tol", "nan-tol",
         "non-finite-number", "non-finite-pair", "negative-seed"])

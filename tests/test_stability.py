@@ -267,6 +267,14 @@ def test_refine_raises_without_stabilization():
         refine_until_stable(lambda L: Fake(L), L0=2, L_max=8)
 
 
+def test_refine_rejects_fewer_than_three_levels():
+    # L0, L0 + 2 and L0 + 4 must all be at most L_max; else nothing is built
+    built = []
+    with pytest.raises(ValueError, match="L0 \\+ 4"):
+        refine_until_stable(built.append, L0=8, L_max=10)
+    assert built == []
+
+
 # ------------------------------------------------------------- fixture
 
 def test_synthetic_instability_fixture(geoms):
