@@ -19,7 +19,7 @@ from .metrics import (
 )
 from .stability import (
     IndexForm, SectionBasis, assemble_index_form, near_holomorphic_section,
-    refine_until_stable, theorem_c_harness,
+    refine_until_stable, theorem_c_margins,
 )
 from .surfaces import (
     NormalSection, SurfaceImmersion, a_wedge_a_sq, chern_number,

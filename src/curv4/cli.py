@@ -4,6 +4,12 @@ Reports are JSON with floats serialized by repr (shortest round-trip), so a
 fixed seed and configuration produce byte-identical output; wall-clock
 timing goes to stderr only.
 
+The ``surface`` report gives area, minimality residual and c1 of any
+sphere.  A minimal one adds its index, the averaged second variation of
+the near-holomorphic section and a ``theorem_c`` block with the
+hypothesis margins of Theorem C (``stability.theorem_c_margins``); a
+non-minimal one gets a warning in their place.
+
 Exit codes: 0 success; 1 identity violation or another curv4 error, e.g. a
 surface that lies in a chart the metric's atlas does not have, or whose
 immersed nodes leave that chart's domain, or an index that does not
@@ -38,7 +44,10 @@ from .metrics import (
     product_spheres, round_sphere4, twisted_eps_max, twisted_metric,
     volume_estimate,
 )
-from .stability import SectionBasis, assemble_index_form, near_holomorphic_section, refine_until_stable
+from .stability import (
+    SectionBasis, assemble_index_form, near_holomorphic_section,
+    refine_until_stable, theorem_c_margins,
+)
 from .surfaces import (
     a_wedge_a_sq, a_wedge_a_sq_expansion, averaged_second_variation,
     chern_number, cp1_line, equator_sphere, lemma310_integrals,
@@ -364,6 +373,7 @@ def cmd_surface(args):
     report["averaged_second_variation"] = {
         "lhs": wv["lhs"], "rhs": wv["rhs"], "residual": wv["residual"],
         "terms": wv["terms"]}
+    report["theorem_c"] = theorem_c_margins(geom)
     _write_report(report, args.out)
     return EXIT_OK
 
@@ -414,7 +424,9 @@ def build_parser():
                    help="tolerance scale factor for identity checks")
     p.set_defaults(func=cmd_verify_identities)
 
-    p = sub.add_parser("surface", help="minimal-surface stability report")
+    p = sub.add_parser(
+        "surface", help="minimal-surface stability report: index, "
+                        "averaged second variation and the Theorem-C margins")
     common(p)
     p.add_argument("--metric", required=True)
     p.add_argument("--surface", required=True)

@@ -10,11 +10,13 @@ eigenvalue pencil whose negative count is the Morse index.
 The basis and single sections (``index_two_construction``) read the same
 per-node data of ``surfaces.ChartGeometry``: the frame coefficients of the
 normal directions, the connection form and the Jacobi block.  Every
-function here takes the ``surfaces.SurfaceGeometry`` its caller built once;
-only ``theorem_c_harness`` builds its own.
+function here takes the ``surfaces.SurfaceGeometry`` its caller built once.
 
-The Theorem-C-style harness drives the pieces end to end on slice spheres
-in S^2 x S^2 metrics, and a curvature-override fixture exercises the
+``theorem_c_margins`` reads the hypotheses of Theorem C off the same
+geometry: the eta-pairing, the shear and the minimal sectional curvature.
+The ``surface`` command reports them next to c1 and the averaged second
+variation of the near-holomorphic section, which together carry the
+theorem's argument; a curvature-override fixture exercises the
 instability branch that no constructible metric can reach.
 """
 
@@ -24,9 +26,8 @@ from .curvature import sectional_extremes
 from .errors import RefinementError
 from .sphharm import harmonic_fn, real_harmonics
 from .surfaces import (
-    NormalSection, a_wedge_a_sq, chern_number, jacobi_block, product_slice,
-    section_data, surface_geometry, weitzenboeck_variation, covariant_coeffs,
-    j_rotated_data, second_variation_density,
+    NormalSection, a_wedge_a_sq, covariant_coeffs, j_rotated_data,
+    jacobi_block, second_variation_density, section_data,
 )
 from .jets import array, drop, grad_array, seedn
 
@@ -279,59 +280,32 @@ def index_two_construction(geom, sigma, ambient_override=None):
             "d2_pair": (a, b_pair), "unstable_pair": a < 0 and b_pair < 0}
 
 
-class TheoremCReport:
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
+def theorem_c_margins(geom):
+    """The hypothesis margins of Theorem C on a minimal sphere.
 
-    def as_dict(self):
-        out = {}
-        for k, v in self.__dict__.items():
-            if isinstance(v, (int, float, bool, str, type(None))):
-                out[k] = v
-            elif isinstance(v, dict):
-                out[k] = {kk: float(vv) if np.isscalar(vv) else vv
-                          for kk, vv in v.items()
-                          if np.isscalar(vv) or isinstance(vv, (int, float))}
-        return out
+    ``pairing_min`` is the least <(s/6 - W+) eta, eta> and ``shear_max`` the
+    largest |A ^ A|^2 over the nodes; ``min_sectional`` is the exact
+    minimal sectional curvature of the ambient metric at the immersed
+    nodes (Thorpe duality, ``sectional_extremes``), whose primal-dual gap
+    is ``sectional_gap``.  Like ``curvature.condition_check`` it assumes
+    the rotations z_a -> e^{i th_a} z_a are isometries, so the sectional
+    search runs once per distinct pair (|z1|^2, |z2|^2) of each chart
+    (exact float values).  ``hypotheses_hold`` asks for a nonnegative
+    pairing and strictly positive sectional curvature.
 
-
-def theorem_c_harness(m, surface=None, L=4, quad=None):
-    """Run the slice-sphere stability diagnostics on an S^2 x S^2 metric.
-
-    Reports c1 of the normal bundle, the best near-holomorphic section and
-    its averaged second variation with the full term decomposition, plus
-    the hypothesis margins (eta-pairing positivity, shear, and the exact
-    minimal sectional curvature over all surface nodes).  Refuses
-    non-minimal slices, reporting the residual.
+    Raises NonMinimalSurfaceError on a non-minimal surface.
     """
-    S = surface if surface is not None else product_slice()
-    geom = surface_geometry(S, m, quad)
-    if not geom.is_minimal():
-        return TheoremCReport(
-            metric=m.name, surface=S.name, minimal=False,
-            minimality_residual=geom.min_residual, verdict="refused: not minimal")
-    c1 = chern_number(geom)
-    holo = near_holomorphic_section(
-        geom, assemble_index_form(geom, SectionBasis(S, L)))
-    wv = weitzenboeck_variation(geom, holo["section"])
+    geom.require_minimal()
+    M6 = []
+    for cg in geom.charts:
+        radii = np.sum(cg.F.reshape(-1, 2, 2) ** 2, axis=-1)
+        M6.append(cg.M6[np.unique(radii, axis=0, return_index=True)[1]])
+    vals, _, bound = sectional_extremes(np.concatenate(M6), return_bound=True)
     pairing_min = min(float(cg.s6_pairing.min()) for cg in geom.charts)
-    shear_max = max(float(a_wedge_a_sq(cg.A).max()) for cg in geom.charts)
-    # exact minimal sectional curvature at every ambient surface node
-    sec_min = min(float(sectional_extremes(cg.curv["M6"])[0].min())
-                  for cg in geom.charts)
-    hyps = pairing_min >= -1e-9 and sec_min > 1e-9
-    if hyps:
-        verdict = ("hypotheses hold: averaged second variation is negative "
-                   "and K_perp > 0 forces c1 > 0 against the trivial bundle")
-    elif sec_min <= 1e-9:
-        verdict = ("no contradiction: strict sectional positivity fails "
-                   "(min sectional = %.3e)" % sec_min)
-    else:
-        verdict = "no contradiction: the eta-pairing positivity fails"
-    return TheoremCReport(
-        metric=m.name, surface=S.name, minimal=True,
-        minimality_residual=geom.min_residual, c1=c1,
-        holomorphic_energy=holo["energy"],
-        d2_sum=wv["lhs"], d2_terms=wv["terms"], residual_318=wv["residual"],
-        pairing_min=pairing_min, shear_max=shear_max, min_sectional=sec_min,
-        verdict=verdict)
+    min_sectional = float(vals.min())
+    return {"pairing_min": pairing_min,
+            "shear_max": max(float(a_wedge_a_sq(cg.A).max())
+                             for cg in geom.charts),
+            "min_sectional": min_sectional,
+            "sectional_gap": float((vals - bound).max()),
+            "hypotheses_hold": pairing_min >= -1e-9 and min_sectional > 1e-9}

@@ -223,6 +223,12 @@ class ChartGeometry:
     ``Rterm``_pq = sum_r Rm(e_r, n_p, e_r, n_q); ``dA`` = w sqrt(det h) is
     the area weight of each node in every surface integral.
 
+    Of the ambient curvature record (``curvature.curvature_from_arrays``)
+    the chart keeps only the curvature operator ``M6`` on the orthonormal
+    ambient frame, for the sectional search; g, Gamma, Rm and s are spent
+    here.  ``F`` holds the immersed points (n, 4), so a caller that needs
+    the record recomputes it as ``curvature_batch(m, cg.amb, cg.F)``.
+
     Raises ChartDomainError if the metric's atlas has no chart of the name
     the immersion maps this surface chart into, or if an immersed node lies
     outside that chart's domain.
@@ -239,7 +245,7 @@ class ChartGeometry:
 
         # immersion three jet layers deep; tangents are then 2-layer jets
         Fj = S.fmap(chart, seedn([self.u[:, 0], self.u[:, 1]], 3))
-        F = np.stack([array(f, shape) for f in Fj], axis=-1)
+        self.F = F = np.stack([array(f, shape) for f in Fj], axis=-1)
         try:
             m.require_inside(self.amb, F)
         except ChartDomainError as exc:
@@ -293,20 +299,18 @@ class ChartGeometry:
             Vs = [gen(chart, u2, F2) for gen in S.normal_generators]
             self.gen_coeffs = [(_dot(g2, V, n3), _dot(g2, V, n4)) for V in Vs]
 
-        # ambient curvature data at the immersed points
-        gA, dgA, d2gA = m.jets(self.amb, F)
-        self.curv = curvature_from_arrays(gA, dgA, d2gA)
-        self.g = self.curv["g"]
-        self.Gamma = Gamma = self.curv["Gamma"]
-        self.Rm = self.curv["Rm"]
-        self.s = self.curv["s"]
+        # ambient curvature record at the immersed points; of it the chart
+        # keeps only the curvature operator M6
+        curv = curvature_from_arrays(*m.jets(self.amb, F))
+        g, Gamma, Rm = curv["g"], curv["Gamma"], curv["Rm"]
+        self.M6 = curv["M6"]
 
         # second fundamental form on the orthonormal frames:
         # A_ijs = c_ia c_jb <F_ab + Gamma(F_a) F_b, n_s>, where
         # Gamma(F_a)^i_q = Gamma^i_pq F^p_a is shared with omega
         GF = np.einsum("...ipq,...pa->...aiq", Gamma, dF)
         dd = d2F + np.einsum("...aiq,...qb->...iab", GF, dF)
-        ddn = np.einsum("...kab,...ks->...abs", dd, self.g @ self.n)
+        ddn = np.einsum("...kab,...ks->...abs", dd, g @ self.n)
         cdd = np.einsum("...jb,...abs->...ajs", self.c, ddn)
         self.A = np.einsum("...ia,...ajs->...ijs", self.c, cdd)
         self.H_norm = np.linalg.norm(self.A[..., 0, 0, :] + self.A[..., 1, 1, :],
@@ -318,7 +322,7 @@ class ChartGeometry:
         # d_b Gamma(F_a) = dGamma(F_b, F_a) + Gamma(F_ab), b first
         dGF = (np.einsum("...maiq,...mb->b...aiq",
                          np.einsum("...mipq,...pa->...maiq",
-                                   self.curv["dGamma"], dF), dF)
+                                   curv["dGamma"], dF), dF)
                + np.einsum("...ipq,...pab->b...aiq", Gamma, d2F))
         omega = []
         g1, n3_1, n4_1 = drop([g2, n3, n4])
@@ -335,7 +339,7 @@ class ChartGeometry:
         self.kperp = -curl / self.sqrt_h
 
         # frame-basis data for Theorem-3.18-type pairings
-        E = self.curv["frame"]
+        E = curv["frame"]
         Einv = np.linalg.inv(E)
         ef = np.einsum("...ij,...jk->...ik", Einv, self.e)
         nf = np.einsum("...ij,...jk->...ik", Einv, self.n)
@@ -343,17 +347,17 @@ class ChartGeometry:
         # pair eta with W+ and W- in the (eta, etabar) basis
         y = self.eta6 @ bv.ETA_FRAME
         yp, ym = y[..., :3], y[..., 3:]
-        weyl = (np.einsum("...i,...ij,...j->...", yp, self.curv["wplus"], yp)
-                + np.einsum("...i,...ij,...j->...", ym, self.curv["wminus"], ym))
-        self.s6_pairing = self.s / 6.0 * np.sum(self.eta6 ** 2, axis=-1) - weyl
+        weyl = (np.einsum("...i,...ij,...j->...", yp, curv["wplus"], yp)
+                + np.einsum("...i,...ij,...j->...", ym, curv["wminus"], ym))
+        self.s6_pairing = curv["s"] / 6.0 * np.sum(self.eta6 ** 2, axis=-1) - weyl
 
         # Rm(e1, e2, n3, n4); the Jacobi block on the normal frame is Rterm
         # plus the shear sum_ij A_ijp A_ijq
-        self.R1234 = np.einsum("...ijkl,...i,...j,...k,...l->...", self.Rm,
+        self.R1234 = np.einsum("...ijkl,...i,...j,...k,...l->...", Rm,
                                self.e[..., 0], self.e[..., 1],
                                self.n[..., 0], self.n[..., 1], optimize=True)
         self.Rterm = np.einsum("...ijkl,...im,...jp,...km,...lq->...pq",
-                               self.Rm, self.e, self.n, self.e, self.n,
+                               Rm, self.e, self.n, self.e, self.n,
                                optimize=True)
         self.jacobi = self.Rterm + np.einsum("...ijs,...ijt->...st",
                                              self.A, self.A)

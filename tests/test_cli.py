@@ -169,6 +169,11 @@ def test_verify_identities_deterministic(tmp_path):
     rep = json.loads(a.read_text())
     assert rep["failures"] == []
     assert all(r["pass"] for r in rep["identities"])
+    surface = ["surface", "--metric", "fs", "--surface", "cp1-line",
+               "--quad", "8"]
+    assert main(surface + ["--out", str(a)]) == 0
+    assert main(surface + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_identity_suite_reads_one_curvature_batch_per_chart(monkeypatch):
@@ -266,6 +271,21 @@ def test_surface_command(tmp_path):
     assert [h[0] for h in hist] == list(range(2, rep["L_used"] + 1, 2))
     assert rep["basis_dim"] == 2 * (rep["L_used"] + 1) ** 2
     assert rep["mass_rank"] == rep["basis_dim"]
+    # the Theorem-C margins on the homogeneous spheres: the projective line
+    # in Fubini-Study (sectional curvature in [1, 4], a complex curve, so
+    # the eta-pairing vanishes) and the totally geodesic equator of the
+    # unit S^4, where s/6 - W+ = 2 on |eta|^2 = 2
+    for metric, surface in (("fs", "cp1-line"), ("round4", "equator4")):
+        assert main(["surface", "--metric", metric, "--surface", surface,
+                     "--quad", "8", "--out", str(out)]) == 0
+        tc = json.loads(out.read_text())["theorem_c"]
+        assert tc["shear_max"] == 0.0
+        assert abs(tc["min_sectional"] - 1.0) <= 1e-12
+        assert tc["hypotheses_hold"] is True
+        if surface == "cp1-line":
+            assert abs(tc["pairing_min"]) <= 1e-12
+        else:
+            assert abs(tc["pairing_min"] - 4.0) <= 1e-10
 
 
 def test_surface_nonminimal_warning(tmp_path):
@@ -277,6 +297,7 @@ def test_surface_nonminimal_warning(tmp_path):
     rep = json.loads(out.read_text())
     assert "warning" in rep
     assert "morse_index" not in rep
+    assert "theorem_c" not in rep
 
 
 def test_scan_family_small(tmp_path):

@@ -9,12 +9,12 @@ from curv4.sphharm import real_harmonics
 from curv4.stability import (
     IndexForm, SectionBasis, assemble_index_form,
     index_two_construction, near_holomorphic_section, refine_until_stable,
-    theorem_c_harness, _accumulate_forms,
+    theorem_c_margins, _accumulate_forms,
 )
 from curv4.surfaces import (
-    NormalSection, cp1_line, dbar_sq, equator_sphere, parallel_section,
-    perturbed_slice, point_geometry, product_slice, second_variation,
-    section_data, surface_geometry,
+    NormalSection, chern_number, cp1_line, dbar_sq, equator_sphere,
+    parallel_section, perturbed_slice, point_geometry, product_slice,
+    second_variation, section_data, surface_geometry, weitzenboeck_variation,
 )
 
 QUAD = QuadSpec(32)
@@ -66,15 +66,24 @@ def test_harmonics_orthonormal_on_unit_sphere():
 
 # ------------------------------------------------------------- assembly
 
-def test_equator_spectrum_L4(geoms):
-    geom = geoms["equator4"]
+@pytest.mark.parametrize("name, eigenvalue, multiplicity", [
+    ("cp1-line", lambda k: 4 * k * (k + 2), lambda k: 4 * (k + 1)),
+    ("slice", lambda k: k * (k + 1), lambda k: 2 * (2 * k + 1)),
+    ("equator4", lambda k: k * (k + 1) - 2, lambda k: 2 * (2 * k + 1)),
+], ids=["cp1-line-fs", "slice-product", "equator4-round4"])
+def test_equator_spectrum_L4(geoms, name, eigenvalue, multiplicity):
+    # the exact spectra of the homogeneous spheres, one level per harmonic
+    # degree k <= 4 of the basis: on the projective line of area pi the
+    # Jacobi operator acts on the sections of O(1); the slice has the
+    # Laplacian on two flat line bundles, the equator -Delta - 2 on them
+    geom = geoms[name]
     form = assemble_index_form(geom, SectionBasis(geom.S, 4))
-    assert form.morse_index == 2
-    assert form.nullity == 6
-    # Jacobi operator -Delta - 2 on two flat line bundles
-    assert_allclose(form.spectrum[:2], [-2.0, -2.0], atol=1e-8)
-    assert_allclose(form.spectrum[2:8], np.zeros(6), atol=1e-8)
-    assert_allclose(form.spectrum[8:18], 4.0 * np.ones(10), atol=1e-8)
+    want = np.concatenate([np.full(multiplicity(k), float(eigenvalue(k)))
+                           for k in range(5)])
+    assert len(form.spectrum) == form.mass_rank == len(want)
+    assert_allclose(form.spectrum, want, rtol=0, atol=1e-10)
+    assert form.morse_index == np.sum(want < 0)
+    assert form.nullity == np.sum(want == 0)
 
 
 def test_equator_spectrum_L8_multiplicities(geoms):
@@ -340,30 +349,40 @@ def test_index_two_construction_matches_assembled_form_with_shear(geoms):
 
 # ------------------------------------------------------------- harness
 
+def _theorem_c_run(m, L):
+    """The Theorem-C harness on the product slice in m, one geometry: c1,
+    the averaged second variation of the near-holomorphic section and the
+    hypothesis margins."""
+    geom = surface_geometry(product_slice(), m, QUAD)
+    holo = near_holomorphic_section(
+        geom, assemble_index_form(geom, SectionBasis(geom.S, L)))
+    return (geom, chern_number(geom),
+            weitzenboeck_variation(geom, holo["section"]),
+            theorem_c_margins(geom))
+
+
 def test_harness_on_product_family():
     for t in (0.0, 0.5):
-        rep = theorem_c_harness(ht_metric(t), L=4, quad=QUAD)
-        assert rep.minimal
-        assert abs(rep.c1) < 1e-3
-        assert abs(rep.d2_sum) < 1e-8
-        assert rep.residual_318 < 1e-4
-        assert rep.pairing_min > -1e-9
+        geom, c1, wv, margins = _theorem_c_run(ht_metric(t), L=4)
+        assert geom.is_minimal()
+        assert abs(c1) < 1e-3
+        assert abs(wv["lhs"]) < 1e-8
+        assert wv["residual"] < 1e-4
+        assert margins["pairing_min"] > -1e-9
         # mixed planes are flat: strict positivity fails, no contradiction
-        assert abs(rep.min_sectional) < 1e-6
-        assert rep.verdict.startswith("no contradiction")
-        d = rep.as_dict()
-        assert d["metric"] == "ht"
+        assert abs(margins["min_sectional"]) < 1e-6
+        assert margins["hypotheses_hold"] is False
+        assert geom.m.name == "ht"
 
 
 def test_harness_on_twisted_metric_origin_slice():
     # the origin slice is the fixed locus of the factor-2 rotation, hence
-    # still minimal under the twisted metrics; the harness runs fully
+    # still minimal under the twisted metrics; every piece runs
     from curv4.metrics import twisted_metric
-    m = twisted_metric(0.3, 0.02)
-    rep = theorem_c_harness(m, L=2, quad=QUAD)
-    assert rep.minimal
-    assert abs(rep.c1) < 1e-3
-    assert rep.residual_318 < 1e-4
+    geom, c1, wv, _ = _theorem_c_run(twisted_metric(0.3, 0.02), L=2)
+    assert geom.is_minimal()
+    assert abs(c1) < 1e-3
+    assert wv["residual"] < 1e-4
 
 
 def test_slices_of_twisted_metrics_stay_minimal():
@@ -375,8 +394,9 @@ def test_slices_of_twisted_metrics_stay_minimal():
     assert g.min_residual < 1e-12
 
 
-def test_harness_refuses_nonminimal_immersion():
-    rep = theorem_c_harness(MP, surface=perturbed_slice(0.15), L=2, quad=QUAD)
-    assert not rep.minimal
-    assert rep.minimality_residual > 1e-8
-    assert rep.verdict.startswith("refused")
+def test_harness_refuses_nonminimal_immersion(geoms):
+    geom = geoms["perturbed-slice"]
+    assert not geom.is_minimal()
+    assert geom.min_residual > 1e-8
+    with pytest.raises(NonMinimalSurfaceError):
+        theorem_c_margins(geom)

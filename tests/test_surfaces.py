@@ -7,6 +7,7 @@ from curv4.errors import (
     ChartDomainError, NonMinimalSurfaceError, SectionError, SpecParseError,
 )
 from curv4.bivector import kn_tensor4, operator6
+from curv4.curvature import curvature_batch
 from curv4.jets import array as jet_array, drop, hess_array, jsqrt, partial, seedn
 from curv4.metrics import (
     QuadSpec, flat_space, fubini_study, ht_metric, product_spheres,
@@ -122,7 +123,9 @@ def test_adapted_frame_on_every_node(name, S, m, geoms):
     geom = geoms[name] if name in geoms else surface_geometry(S, m, QUAD)
     tol = 1e-13
     for cg in geom.charts:
-        g, e, n, dF, c = cg.g, cg.e, cg.n, cg.dF, cg.c
+        curv = curvature_batch(m, cg.amb, cg.F)
+        g, Rm = curv["g"], curv["Rm"]
+        e, n, dF, c = cg.e, cg.n, cg.dF, cg.c
         eye = np.broadcast_to(np.eye(2), cg.shape + (2, 2))
         assert_allclose(np.swapaxes(e, -1, -2) @ g @ e, eye, atol=tol)
         assert_allclose(np.swapaxes(n, -1, -2) @ g @ n, eye, atol=tol)
@@ -133,7 +136,8 @@ def test_adapted_frame_on_every_node(name, S, m, geoms):
 
         Fj = S.fmap(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], 2))
         d2F = np.stack([hess_array(f, cg.shape, 2) for f in Fj], axis=-3)
-        dd = d2F + np.einsum("...kij,...ia,...jb->...kab", cg.Gamma, dF, dF)
+        dd = d2F + np.einsum("...kij,...ia,...jb->...kab", curv["Gamma"],
+                             dF, dF)
         npart = _project_normal_arr(g, n, np.moveaxis(dd, -3, -1))
         Aef = np.einsum("...ia,...jb,...abk->...ijk", c, c, npart)
         A = np.einsum("...ijk,...kl,...ls->...ijs", Aef, g, n)
@@ -144,8 +148,8 @@ def test_adapted_frame_on_every_node(name, S, m, geoms):
                         atol=tol)
 
         e1, e2, n3, n4 = e[..., 0], e[..., 1], n[..., 0], n[..., 1]
-        assert_allclose(cg.R1234, _rm_on(cg.Rm, e1, e2, n3, n4), atol=tol)
-        Rterm = [[sum(_rm_on(cg.Rm, e[..., r], n[..., p], e[..., r],
+        assert_allclose(cg.R1234, _rm_on(Rm, e1, e2, n3, n4), atol=tol)
+        Rterm = [[sum(_rm_on(Rm, e[..., r], n[..., p], e[..., r],
                              n[..., q]) for r in range(2))
                   for q in range(2)] for p in range(2)]
         assert_allclose(cg.Rterm, np.moveaxis(Rterm, (0, 1), (-2, -1)),
@@ -180,11 +184,11 @@ def test_geometry_dies_with_its_last_reference():
 
 def test_geometry_memory_is_bounded():
     # tracemalloc sees numpy's buffers.  The second of two builds is
-    # measured, so one-time module state is not counted.  Before R1234 and
-    # dA were added this build retained 18.05 MiB and peaked at 26.15 MiB
-    # (numpy 2.4.6); the bounds are about 5% above.  Forming Rm on the adapted
-    # frame through the 16x16 K product, or keeping a view of a frame-sized
-    # tensor on the chart, exceeds them.
+    # measured, so one-time module state is not counted.  Since the charts
+    # keep only M6 of the curvature record this build retains 3.03 MiB and
+    # peaks at 17.08 MiB (numpy 2.4.6; 18.08 and 26.19 MiB when each chart
+    # kept the whole record); the bounds are about 5% above.  Keeping the
+    # record, or a view of a frame-sized tensor, on the chart exceeds them.
     import gc
     import tracemalloc
     S, quad = cp1_line(), QuadSpec(32)
@@ -197,8 +201,8 @@ def test_geometry_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(geom.charts) == 2
-    assert retained <= 18.95 * 2 ** 20
-    assert peak <= 27.46 * 2 ** 20
+    assert retained <= 3.18 * 2 ** 20
+    assert peak <= 17.93 * 2 ** 20
 
 
 @pytest.mark.parametrize("S, m", [
@@ -264,9 +268,10 @@ def test_normal_connection_fd_oracle():
     sp, _ = ambient_sigma(u0 + h * X)
     sm, _ = ambient_sigma(u0 - h * X)
     s0, cg0 = ambient_sigma(u0)
+    curv = curvature_batch(MP, cg0.amb, cg0.F)
     cov = (sp - sm) / (2 * h) + np.einsum(
-        "kij,i,j->k", cg0.Gamma[0], cg0.dF[0] @ X, s0)
-    gmat, nfr = cg0.g[0], cg0.n[0]
+        "kij,i,j->k", curv["Gamma"][0], cg0.dF[0] @ X, s0)
+    gmat, nfr = curv["g"][0], cg0.n[0]
     oracle = sum((cov @ gmat @ nfr[:, s]) * nfr[:, s] for s in range(2))
     got = normal_connection(S, MP, sig, X, "a", u0)
     assert np.abs(got - oracle).max() < 1e-5
@@ -409,12 +414,14 @@ def test_totally_geodesic_kperp_as_sectional_sum(geoms):
     # on Kahler built-ins with totally geodesic surfaces,
     # Kperp = K(e1, e3) + K(e1, e4) (checked numerically, not generalized)
     for name in ("slice", "cp1"):
-        for cg in geoms[name].charts:
+        geom = geoms[name]
+        for cg in geom.charts:
+            Rm = curvature_batch(geom.m, cg.amb, cg.F)["Rm"]
             k13 = np.einsum("...ijkl,...i,...j,...k,...l->...",
-                            cg.Rm, cg.e[..., 0], cg.n[..., 0],
+                            Rm, cg.e[..., 0], cg.n[..., 0],
                             cg.e[..., 0], cg.n[..., 0])
             k14 = np.einsum("...ijkl,...i,...j,...k,...l->...",
-                            cg.Rm, cg.e[..., 0], cg.n[..., 1],
+                            Rm, cg.e[..., 0], cg.n[..., 1],
                             cg.e[..., 0], cg.n[..., 1])
             assert np.abs(cg.kperp - (k13 + k14)).max() < 1e-8
 
@@ -425,11 +432,12 @@ def test_second_variation_density_matches_ambient_formula_with_shear(geoms):
     # formula |nabla sigma|^2 - sum_r Rm(e_r, sigma, e_r, sigma) - |A^sigma|^2
     sig = smooth_frame_section(31)
     for cg in geoms["perturbed"].charts:
+        Rm = curvature_batch(MP, cg.amb, cg.F)["Rm"]
         d = section_data(cg, sig)
         sig_amb = (d["c3"][:, None] * cg.n[..., 0]
                    + d["c4"][:, None] * cg.n[..., 1])
         curv = np.einsum("nijkl,nir,nj,nkr,nl->n",
-                         cg.Rm, cg.e, sig_amb, cg.e, sig_amb)
+                         Rm, cg.e, sig_amb, cg.e, sig_amb)
         Asig = np.einsum("nijs,ns->nij", cg.A,
                          np.stack([d["c3"], d["c4"]], axis=-1))
         shear = np.sum(Asig ** 2, axis=(1, 2))
@@ -478,15 +486,16 @@ def test_weitzenboeck_variation_equator(geoms):
         assert_allclose(cg.s6_pairing, 4.0, atol=1e-10)
 
 
-def _s6_pairing_kulkarni_nomizu(cg):
+def _s6_pairing_kulkarni_nomizu(cg, m):
     """s/6 |eta|^2 - <W eta, eta> with W = Rm - s/12 (g o g) - (ric0 o g)
     built from the frame Riemann tensor by Kulkarni-Nomizu products."""
+    curv = curvature_batch(m, cg.amb, cg.F)
     I4 = np.eye(4)
-    s = cg.s[..., None, None, None, None]
-    W4 = (cg.curv["Rm_frame"] - s / 12.0 * kn_tensor4(I4, I4)
-          - kn_tensor4(cg.curv["ric0"], I4))
+    s = curv["s"][..., None, None, None, None]
+    W4 = (curv["Rm_frame"] - s / 12.0 * kn_tensor4(I4, I4)
+          - kn_tensor4(curv["ric0"], I4))
     W6 = operator6(W4)
-    return (cg.s / 6.0 * np.sum(cg.eta6 ** 2, axis=-1)
+    return (curv["s"] / 6.0 * np.sum(cg.eta6 ** 2, axis=-1)
             - np.einsum("...i,...ij,...j->...", cg.eta6, W6, cg.eta6))
 
 
@@ -499,7 +508,7 @@ def test_s6_pairing_matches_kulkarni_nomizu_weyl(S, m):
     # the pairing vanishes on complex curves of Kaehler surfaces (the first
     # two cases); on the perturbed slice it is of order one
     for cg in surface_geometry(S, m, QUAD).charts:
-        assert_allclose(cg.s6_pairing, _s6_pairing_kulkarni_nomizu(cg),
+        assert_allclose(cg.s6_pairing, _s6_pairing_kulkarni_nomizu(cg, m),
                         rtol=0, atol=1e-12)
 
 
