@@ -75,12 +75,3 @@ def real_harmonics(chart, u, L):
                 out.append(base * (sr[am] if m > 0 else si[am]))
     return out
 
-
-def harmonic_fn(l, m):
-    """Single harmonic as a ring-generic closure (chart, u) -> value."""
-    idx = l * l + (m + l)
-
-    def f(chart, u):
-        return real_harmonics(chart, u, l)[idx]
-
-    return f

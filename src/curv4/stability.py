@@ -3,9 +3,11 @@
 Normal sections are discretized by real spherical harmonics times the
 surface's normal directions: the adapted normal frame on trivial normal
 bundles, or a globally spanning set of projected ambient fields on twisted
-ones (e.g. the projective line).  Both are ``surfaces.NormalSection``s.
-The polarized second variation and the mass matrix define a generalized
-eigenvalue pencil whose negative count is the Morse index.
+ones (e.g. the projective line).  A combination of basis elements is the
+``surfaces.NormalSection`` of the harmonics family with its coefficients
+as the matrix W.  The polarized second variation and the mass matrix
+define a generalized eigenvalue pencil whose negative count is the Morse
+index.
 
 The basis and single sections (``index_two_construction``) read the same
 per-node data of ``surfaces.ChartGeometry``: the frame coefficients of the
@@ -24,12 +26,11 @@ import numpy as np
 
 from .curvature import sectional_extremes
 from .errors import RefinementError
-from .sphharm import harmonic_fn, real_harmonics
+from .sphharm import real_harmonics
 from .surfaces import (
     NormalSection, a_wedge_a_sq, covariant_coeffs, j_rotated_data,
-    jacobi_block, second_variation_density, section_data,
+    jacobi_block, read_family, second_variation_density, section_data,
 )
-from .jets import array, drop, grad_array, seedn
 
 MASS_COND_MAX = 1e6
 
@@ -40,7 +41,9 @@ class SectionBasis:
     The elements are Y_lm V_c for the surface's normal directions V_c: the
     adapted frame n3, n4 on a trivial bundle (dimension 2 (L+1)^2), else
     each of its normal generator fields, whose redundant mass-matrix kernel
-    is projected out when solving.
+    is projected out when solving.  Element j = c (L+1)^2 + k is the
+    NormalSection of ``family`` (the Y_k) whose W is the unit matrix at
+    [c, k].
     """
 
     def __init__(self, S, L):
@@ -50,65 +53,30 @@ class SectionBasis:
         self.n_fields = S.n_directions
         self.dim = self.n_fields * self.n_harmonics
 
-    def sections(self):
-        """The basis as NormalSection objects (jet-capable, slower path)."""
-        out = []
-        fns = [harmonic_fn(l, m) for l in range(self.L + 1)
-               for m in range(-l, l + 1)]
-        zero = lambda chart, u: 0.0
-        for c in range(self.n_fields):
-            for f in fns:
-                coeffs = [zero] * self.n_fields
-                coeffs[c] = f
-                out.append(NormalSection(coeffs))
-        return out
+    def family(self, chart, u):
+        """The harmonics Y_k, k = 0 .. (L+1)^2 - 1, ordered by (l, m)."""
+        return real_harmonics(chart, u, self.L)
 
     def as_section(self, coefs):
-        """sum_j coefs[j] * (element j) as a single section.
-
-        Field c gets the coefficient function sum_k coefs[c, k] Y_k, so each
-        evaluation costs one real_harmonics call per field, at any jet order.
-        """
-        W = np.asarray(coefs, dtype=float).reshape(self.n_fields,
-                                                    self.n_harmonics)
-        L = self.L
-
-        def combination(wc):
-            def f(chart, u):
-                return sum(float(w) * y
-                           for w, y in zip(wc, real_harmonics(chart, u, L)))
-            return f
-
-        return NormalSection([combination(wc) for wc in W])
+        """sum_j coefs[j] * (element j) as one NormalSection; trailing axes
+        of coefs index a batch of sections."""
+        return NormalSection(self.family, np.reshape(coefs, (
+            self.n_fields, self.n_harmonics) + np.shape(coefs)[1:]))
 
     def node_data(self, cg):
-        """Vectorized per-node coefficients and covariant derivatives.
-
-        Returns (v3, v4, cov3, cov4): values (N, dim) and coordinate
-        covariant derivatives (N, dim, 2).
-        """
-        sh = cg.shape
-        uj = seedn([cg.u[:, 0], cg.u[:, 1]], 1)
-        Y = real_harmonics(cg.chart, uj, self.L)
-        Yv = np.stack([array(y, sh) for y in Y], axis=-1)
-        dY = np.stack([grad_array(y, sh, 2) for y in Y], axis=-2)
-        # frame coefficients of the normal directions and their gradients
-        gens = drop(cg.gen_coeffs)
-        p3 = np.stack([array(a3, sh) for a3, _ in gens], axis=-1)
-        p4 = np.stack([array(a4, sh) for _, a4 in gens], axis=-1)
-        dp3 = np.stack([grad_array(a3, sh, 2) for a3, _ in gens], axis=-2)
-        dp4 = np.stack([grad_array(a4, sh, 2) for _, a4 in gens], axis=-2)
-
-        # combine: element (c, k) has coefficients Y_k p3_c, Y_k p4_c
-        v3 = (p3[..., :, None] * Yv[..., None, :]).reshape(sh + (self.dim,))
-        v4 = (p4[..., :, None] * Yv[..., None, :]).reshape(sh + (self.dim,))
-        d3 = (dp3[..., :, None, :] * Yv[..., None, :, None]
-              + p3[..., :, None, None] * dY[..., None, :, :])
-        d4 = (dp4[..., :, None, :] * Yv[..., None, :, None]
-              + p4[..., :, None, None] * dY[..., None, :, :])
-        d3 = d3.reshape(sh + (self.dim, 2))
-        d4 = d4.reshape(sh + (self.dim, 2))
-        return (v3, v4) + covariant_coeffs(cg, v3, v4, d3, d4)
+        """Frame coefficients and coordinate covariant derivatives of every
+        element, the section_data arrays of W = identity formed as outer
+        products, node axis first: values (N, dim) and derivatives
+        (N, dim, 2)."""
+        Y, dY = read_family(cg, self.family)
+        p, dp = cg.p, cg.dp
+        # element (c, k) has frame coefficients Y_k p_c
+        v3, v4 = ((p[..., :, None, s] * Y[..., None, :]).reshape(
+            cg.shape + (self.dim,)) for s in range(2))
+        d3, d4 = ((dp[..., :, None, s, :] * Y[..., None, :, None]
+                   + p[..., :, None, s, None] * dY[..., None, :, :]).reshape(
+            cg.shape + (self.dim, 2)) for s in range(2))
+        return (v3, v4) + covariant_coeffs(cg.omega[:, None], v3, v4, d3, d4)
 
 
 def _mass_whitening(G):
@@ -207,19 +175,11 @@ def near_holomorphic_section(geom, form):
     lo = ev[0]
     ties = np.nonzero(ev <= lo + 1e-10 * max(1.0, abs(lo)))[0]
     if len(ties) > 1:
-        # prefer sections that stay away from zero: largest L4 mass
-        nodes = [(cg.dA,) + basis.node_data(cg)[:2]
-                 for cg in geom.charts]
-        best, best_l4 = ties[0], -np.inf
-        for k in ties:
-            coefs = Z @ V[:, k]
-            l4 = 0.0
-            for wA, v3, v4 in nodes:
-                n2 = (v3 @ coefs) ** 2 + (v4 @ coefs) ** 2
-                l4 += float(np.sum(wA * n2 ** 2))
-            if l4 > best_l4:
-                best, best_l4 = k, l4
-        k0 = best
+        # prefer sections that stay away from zero: largest L4 mass, with
+        # all tied candidates read in one batch
+        tied = basis.as_section(Z @ V[:, ties])
+        k0 = ties[np.argmax(geom.integrate(
+            [section_data(cg, tied)["norm2"] ** 2 for cg in geom.charts]))]
     else:
         k0 = ties[0]
     coefs = Z @ V[:, k0]
@@ -290,7 +250,8 @@ def theorem_c_margins(geom):
     is ``sectional_gap``.  Like ``curvature.condition_check`` it assumes
     the rotations z_a -> e^{i th_a} z_a are isometries, so the sectional
     search runs once per distinct pair (|z1|^2, |z2|^2) of each chart
-    (exact float values).  ``hypotheses_hold`` asks for a nonnegative
+    (rounded to 12 decimals, since x^2 + y^2 of the nodes on one ray
+    differ in the last bit).  ``hypotheses_hold`` asks for a nonnegative
     pairing and strictly positive sectional curvature.
 
     Raises NonMinimalSurfaceError on a non-minimal surface.
@@ -298,7 +259,7 @@ def theorem_c_margins(geom):
     geom.require_minimal()
     M6 = []
     for cg in geom.charts:
-        radii = np.sum(cg.F.reshape(-1, 2, 2) ** 2, axis=-1)
+        radii = np.round(np.sum(cg.F.reshape(-1, 2, 2) ** 2, axis=-1), 12)
         M6.append(cg.M6[np.unique(radii, axis=0, return_index=True)[1]])
     vals, _, bound = sectional_extremes(np.concatenate(M6), return_bound=True)
     pairing_min = min(float(cg.s6_pairing.min()) for cg in geom.charts)

@@ -9,9 +9,10 @@ jet layers deep, so the adapted frames are 2-jets in u and carry the
 derivatives that the normal connection and the normal-bundle curvature need.
 
 ``ChartGeometry`` computes the per-node data of the second variation once:
-the connection form ``omega``, the frame coefficients ``gen_coeffs`` of the
-normal directions (2-jets in u) and the Jacobi block ``jacobi``.  Single
-sections here and the index-form basis of ``stability`` read it.  A single
+the connection form ``omega``, the frame coefficients ``p`` of the normal
+directions with their u-gradients ``dp`` and Hessians ``d2p``, and the
+Jacobi block ``jacobi``.  Sections here and the index-form basis of
+``stability`` read it.  A single
 point is a batch of one: ``point_geometry`` is the ChartGeometry of one
 node, and every pointwise quantity is read from its arrays.
 
@@ -22,12 +23,14 @@ passes it to every integral: ``chern_number``, ``second_variation``,
 ``log_norm_check`` and the index forms of ``stability``.  Nothing caches
 it, so it lives exactly as long as the caller holds it.
 
-There is one section type, ``NormalSection``: a coefficient function per
-normal direction.  The directions are the surface's normal generator
+There is one section type, ``NormalSection``: a coefficient matrix W on
+one scalar family Y (K functions, e.g. harmonics), sigma = sum_{c,k}
+W[c, k] Y_k V_c.  The directions V_c are the surface's normal generator
 fields, or on a trivial bundle the adapted frame (n3, n4) with constant
-coefficients (1, 0) and (0, 1).  ``section_data`` is linear in the
-section, so the data of J sigma and of a sigma + b J sigma follow from one
-evaluation of sigma.
+coefficients (1, 0) and (0, 1).  ``section_data`` reads the family once
+per chart and does the rest on arrays; trailing axes of W give a batch of
+sections in one read.  It is linear in the section, so the data of J sigma
+and of a sigma + b J sigma follow from one evaluation of sigma.
 
 Adapted frames are Gram-Schmidt of B = (F_u, F_v, d_s3, d_s4), the
 coordinate tangents and two fixed ambient coordinate directions, read off
@@ -43,8 +46,8 @@ import numpy as np
 from . import bivector as bv
 from .curvature import christoffel_arrays, curvature_from_arrays
 from .errors import ChartDomainError, NonMinimalSurfaceError, SectionError
-from .jets import (Jet, array, drop, grad_array, hess_array, jlog, jsqrt,
-                   partial, seedn)
+from .jets import (Jet, array, drop, from_arrays, grad_array, hess_array,
+                   jlog, jsqrt, partial, seedn)
 from .metrics import QuadSpec, parse_spec, sphere_chart_nodes
 
 TOL_MIN = 1e-8  # minimality threshold on the mean curvature vector
@@ -68,10 +71,12 @@ def _scale(a, x):
     return [a * x[i] for i in range(4)]
 
 
-def _values(rows, shape):
-    """out[..., r, k] = value of rows[r][k], a nested list of jets."""
-    return np.stack([np.stack([array(x, shape) for x in row], axis=-1)
-                     for row in rows], axis=-2)
+def _values(rows, shape, read=array):
+    """out[n, r, k, ...] = read(rows[r][k], shape)[n, ...] for a nested list
+    of jets; the reader's trailing axes (gradients, Hessians) come last."""
+    ax = len(shape)
+    return np.stack([np.stack([read(x, shape) for x in row], axis=ax)
+                     for row in rows], axis=ax)
 
 
 # ---------------------------------------------------------------------
@@ -291,13 +296,19 @@ class ChartGeometry:
         self.e, self.n = E[..., :2], E[..., 2:]
         n3, n4 = frame[2], _scale(sgn, frame[3])
 
-        # (n3, n4) coefficients of each normal generator field as 2-jets in
-        # u; with no generators the frame itself spans the normal bundle
-        self.gen_coeffs = [(1.0, 0.0), (0.0, 1.0)]
+        # frame coefficients p[n, c, s] = <V_c, n_s> of the normal
+        # directions V_c, with their u-gradients dp[n, c, s, a] and Hessians
+        # d2p[n, c, s, a, b]; with no generator fields the frame itself
+        # spans the normal bundle and p is the identity
+        P = [(1.0, 0.0), (0.0, 1.0)]
         if S.normal_generators is not None:
             u2, F2 = seedn([self.u[:, 0], self.u[:, 1]], 2), drop(Fj)
-            Vs = [gen(chart, u2, F2) for gen in S.normal_generators]
-            self.gen_coeffs = [(_dot(g2, V, n3), _dot(g2, V, n4)) for V in Vs]
+            P = [(_dot(g2, V, n3), _dot(g2, V, n4))
+                 for V in (gen(chart, u2, F2) for gen in S.normal_generators)]
+        self.p = _values(P, shape)
+        self.dp = _values(drop(P), shape, lambda x, sh: grad_array(x, sh, 2))
+        self.d2p = _values(P, shape, lambda x, sh: hess_array(x, sh, 2))
+        del P   # the jets are dead weight at the curvature peak below
 
         # ambient curvature record at the immersed points; of it the chart
         # keeps only the curvature operator M6
@@ -375,8 +386,11 @@ class SurfaceGeometry:
         self.min_residual = max(float(cg.H_norm.max()) for cg in self.charts)
 
     def integrate(self, values_per_chart):
-        return sum(float(np.sum(cg.dA * vals))
-                   for cg, vals in zip(self.charts, values_per_chart))
+        """sum over the nodes of dA * values; leading section axes of the
+        values are kept, a single section gives a float."""
+        total = sum(np.sum(cg.dA * vals, axis=-1)
+                    for cg, vals in zip(self.charts, values_per_chart))
+        return float(total) if np.ndim(total) == 0 else total
 
     def area(self):
         return self.integrate([np.ones(cg.shape) for cg in self.charts])
@@ -408,79 +422,112 @@ def point_geometry(S, m, chart, u):
 # normal sections
 
 class NormalSection:
-    """sigma = P_N(sum_k f_k V_k) over the surface's normal directions V_k,
-    one coefficient function f_k(chart, u) each.
+    """sigma = sum_{c,k} W[c, k] Y_k V_c: a coefficient matrix W on the
+    scalar family Y = family(chart, u) and the surface's normal directions
+    V_c.
 
-    The directions are the normal generator fields where the surface has
-    them (twisted bundles, e.g. the projective line), else the adapted
-    frame (n3, n4), which counts as the two directions of a trivial bundle.
-    The frame coefficients are sum_k f_k p_k with p_k from the chart's
-    ``gen_coeffs``, so the section is globally smooth whenever the f_k are.
+    ``family(chart, u)`` returns K ring-generic scalars, so it evaluates
+    over jets; W is a real array of shape (n_directions, K) whose trailing
+    axes, if any, index a batch of sections read together.  The directions
+    are the normal generator fields where the surface has them (twisted
+    bundles, e.g. the projective line), else the adapted frame (n3, n4),
+    which counts as the two directions of a trivial bundle.  The frame
+    coefficients are sum_c f_c p_c with f_c = sum_k W[c, k] Y_k and p_c the
+    chart's ``p``, so the section is globally smooth whenever the family
+    is.  ``turns`` counts the quarter turns J applied to sigma.
     """
 
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-
-    def coeff_jets(self, cg, order=1):
-        if len(self.coeffs) != len(cg.gen_coeffs):
-            raise SectionError("a normal section takes one coefficient per "
-                               "normal direction of the surface (%d), not %d"
-                               % (len(cg.gen_coeffs), len(self.coeffs)))
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        gens = cg.gen_coeffs if order == 2 else drop(cg.gen_coeffs)
-        uj = seedn([cg.u[:, 0], cg.u[:, 1]], order)
-        c3, c4 = 0.0, 0.0
-        for (p3, p4), cf in zip(gens, self.coeffs):
-            a = cf(cg.chart, uj)
-            c3 = c3 + a * p3
-            c4 = c4 + a * p4
-        return c3, c4
+    def __init__(self, family, W, turns=0):
+        self.family = family
+        self.W = np.asarray(W, dtype=float)
+        self.turns = turns
 
     def rotated(self):
-        return JRotated(self)
+        return NormalSection(self.family, self.W, self.turns + 1)
+
+    def frame(self, x):
+        """Frame-coefficient arrays x[n, c, s, ...] of the directions, J
+        applied ``turns`` times, (x3, x4) -> (-x4, x3).  Raises SectionError
+        unless W has one row per normal direction of the surface."""
+        if len(self.W) != x.shape[1]:
+            raise SectionError("W takes one row per normal direction (%d), "
+                               "not %d" % (x.shape[1], len(self.W)))
+        for _ in range(self.turns % 4):
+            x = np.stack([-x[:, :, 1], x[:, :, 0]], axis=2)
+        return x
+
+    def coeff_jets(self, cg, order=1):
+        """The frame coefficients (c3, c4) as u-jets of ``order`` (1 or 2),
+        summed jet by jet; W may not carry section axes here."""
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+        p = [self.frame(x) for x in (cg.p, cg.dp, cg.d2p)[:order + 1]]
+        Y = self.family(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], order))
+        f = [sum(float(w) * y for w, y in zip(wc, Y)) for wc in self.W]
+        return tuple(sum(fc * from_arrays(*(x[:, c, s] for x in p))
+                         for c, fc in enumerate(f)) for s in range(2))
+
+
+def embedding_family(chart, u):
+    """[1, N1, N2, N3]: the constant and the R^3 embedding functions, whose
+    combinations are the affine functions on S^2."""
+    return [1.0] + list(sphere_functions(chart, u))
 
 
 def parallel_section(c3=1.0, c4=0.0):
     """c3 n3 + c4 n4 with constant coefficients on a trivial normal bundle.
     Surfaces with generator fields (cp1-line) have no such global section:
     evaluating it there raises SectionError."""
-    return NormalSection([lambda chart, u: float(c3),
-                          lambda chart, u: float(c4)])
-
-
-class JRotated:
-    """J sigma: rotate the frame coefficients by +90 degrees."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def coeff_jets(self, cg, order=1):
-        c3, c4 = self.base.coeff_jets(cg, order)
-        return -1.0 * c4, c3
+    return NormalSection(lambda chart, u: [1.0], [[c3], [c4]])
 
 
 # ---------------------------------------------------------------------
 # pointwise operators on sections
 
-def covariant_coeffs(cg, v3, v4, d3, d4):
+def covariant_coeffs(omega, v3, v4, d3, d4):
     """(nabla^perp_{d_a} sigma) frame coefficients, a = 1, 2, from the frame
     coefficients (v3, v4) and their coordinate gradients (d3, d4).  The
-    arrays may carry a section axis between the node and derivative axes."""
-    om = cg.omega.reshape(cg.shape + (1,) * (v3.ndim - 1) + (2,))
-    return d3 - om * v4[..., None], d4 + om * v3[..., None]
+    connection form ``omega`` (a chart's ``omega``, with unit axes for any
+    section axes after the node axis) broadcasts against d3."""
+    return d3 - omega * v4[..., None], d4 + omega * v3[..., None]
+
+
+def read_family(cg, family):
+    """Values Y[n, k] and coordinate gradients dY[n, k, a] of a scalar
+    family at the chart's nodes, from one evaluation over 1-jets."""
+    Y = family(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], 1))
+    return (np.stack([array(y, cg.shape) for y in Y], axis=-1),
+            np.stack([grad_array(y, cg.shape, 2) for y in Y], axis=-2))
+
+
+def _contract(spec, *ops):
+    # unoptimized, einsum is 4x slower on section batches: its inner loops
+    # run over the short direction and frame axes
+    return np.einsum(spec, *ops, optimize=True)
 
 
 def section_data(cg, sigma):
-    """Values, frame covariant derivatives along e1/e2, and norms."""
-    c3, c4 = sigma.coeff_jets(cg, order=1)
-    sh = cg.shape
-    v3, v4 = array(c3, sh), array(c4, sh)
-    cov3, cov4 = covariant_coeffs(cg, v3, v4, grad_array(c3, sh, 2),
-                                  grad_array(c4, sh, 2))
+    """Values, frame covariant derivatives along e1/e2, and norms.
+
+    The family is read once; W is contracted with it first, and the
+    product rule against the directions' frame coefficients runs on the
+    arrays.  W's section axes lead every returned array: (..., n) for
+    c3, c4, norm2 and grad2, (..., n, 2) for D3 and D4.
+    """
+    p, dp = sigma.frame(cg.p), sigma.frame(cg.dp)
+    Y, dY = read_family(cg, sigma.family)
+    W = sigma.W.reshape(sigma.W.shape[:2] + (-1,))
+    f = _contract("nk,ckt->tnc", Y, W)
+    df = _contract("nka,ckt->tnca", dY, W)
+    v = _contract("tnc,ncs->stn", f, p)
+    dv = (_contract("tnca,ncs->stna", df, p)
+          + _contract("tnc,ncsa->stna", f, dp))
+    cov3, cov4 = covariant_coeffs(cg.omega, v[0], v[1], dv[0], dv[1])
     # along the orthonormal tangent frame: e_i = c[i,a] d_a
-    e3 = np.einsum("...ia,...a->...i", cg.c, cov3)
-    e4 = np.einsum("...ia,...a->...i", cg.c, cov4)
+    sh = sigma.W.shape[2:] + cg.shape
+    v3, v4 = v[0].reshape(sh), v[1].reshape(sh)
+    e3 = _contract("nia,tna->tni", cg.c, cov3).reshape(sh + (2,))
+    e4 = _contract("nia,tna->tni", cg.c, cov4).reshape(sh + (2,))
     return {"c3": v3, "c4": v4, "D3": e3, "D4": e4,
             "norm2": v3 ** 2 + v4 ** 2,
             "grad2": e3[..., 0] ** 2 + e3[..., 1] ** 2

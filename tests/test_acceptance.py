@@ -27,7 +27,7 @@ from curv4.stability import (
 )
 from curv4.surfaces import (
     chern_number, cp1_line, equator_sphere, parallel_section, perturbed_slice,
-    product_slice, second_variation, surface_geometry, sphere_functions,
+    embedding_family, product_slice, second_variation, surface_geometry,
     variational_identity_lemma310, weitzenboeck_variation,
     NormalSection, kperp_extrinsic_field,
 )
@@ -47,14 +47,7 @@ def sample_everywhere(m, rng, total=200):
 
 def _rand_section(S, rng):
     b = rng.uniform(-0.6, 0.6, size=(4, 4))
-
-    def make(c):
-        def f(chart, u):
-            n1, n2, n3 = sphere_functions(chart, u)
-            return c[0] + c[1] * n1 + c[2] * n2 + c[3] * n3
-        return f
-
-    return NormalSection([make(c) for c in b[:S.n_directions]])
+    return NormalSection(embedding_family, b[:S.n_directions])
 
 
 def test_criterion_1_round_sphere():

@@ -7,6 +7,14 @@ import pytest
 
 from curv4 import cli, curvature
 from curv4.cli import main
+from curv4.metrics import (
+    QuadSpec, fubini_study, product_spheres, round_sphere4,
+)
+from curv4.surfaces import (
+    NormalSection, averaged_second_variation, cp1_line, dbar_sq,
+    embedding_family, equator_sphere, lemma310_integrals, perturbed_slice,
+    surface_geometry,
+)
 
 RUN = [sys.executable, "-m", "curv4.cli"]
 
@@ -242,6 +250,53 @@ def test_identity_suite_checks_weitzenboeck_once_per_form(monkeypatch):
         cli.run_identity_suite(quad_n=8, n_sections=1)
     assert calls == [((5, 4), {"christoffel_derivatives": 1,
                                "curvature_from_arrays": 1})] * 10
+
+
+@pytest.mark.parametrize("S, m, minimal", [
+    (cp1_line(), fubini_study(), True),
+    (equator_sphere(), round_sphere4(1.0), True),
+    (perturbed_slice(0.15), product_spheres(1.0, 1.0), False),
+], ids=["cp1-line-fs", "equator4-round4", "perturbed-slice-product"])
+def test_identity_rows_in_one_batch_match_section_loop(S, m, minimal,
+                                                       monkeypatch):
+    # the batched surface rows against one section at a time, with the
+    # random coefficients drawn one section at a time as well
+    geom = surface_geometry(S, m, QuadSpec(16))
+    calls = []
+    real = cli.section_data
+    monkeypatch.setattr(cli, "section_data",
+                        lambda cg, sig: calls.append(cg.chart)
+                        or real(cg, sig))
+    rows = {}
+    rng = np.random.default_rng(3)
+    cli._surface_identities(geom, minimal, rng, 4,
+                            lambda name, ctx, res, tol: rows.update(
+                                {name: res}))
+    assert len(calls) == 2 * len(geom.charts)
+
+    ref = np.random.default_rng(3)
+    l310, dbar_rot, t318 = 0.0, 0.0, 0.0
+    for _ in range(4):
+        sig = NormalSection(embedding_family,
+                            ref.uniform(-0.6, 0.6, (S.n_directions, 4)))
+        data = [real(cg, sig) for cg in geom.charts]
+        l310 = max(l310, lemma310_integrals(geom, data)["residual"])
+        for cg, d in zip(geom.charts, data):
+            dj = real(cg, sig.rotated())
+            dbar_rot = max(dbar_rot,
+                           np.abs(dbar_sq(d, 0.0) - dbar_sq(d, 0.785)).max(),
+                           np.abs(dj["grad2"] - d["grad2"]).max(),
+                           np.abs(dj["norm2"] - d["norm2"]).max())
+        if minimal:
+            t318 = max(t318,
+                       averaged_second_variation(geom, data)["residual"])
+    assert rng.uniform() == ref.uniform()
+    assert abs(rows["lemma-3-10"] - l310) <= 1e-12
+    assert abs(rows["dbar-frame-independence"] - dbar_rot) <= 1e-12
+    if minimal:
+        assert abs(rows["averaged-second-variation"] - t318) <= 1e-12
+    else:
+        assert "averaged-second-variation" not in rows
 
 
 def test_verify_identities_tolerance_override(tmp_path):

@@ -7,7 +7,10 @@ from numpy.testing import assert_allclose
 import pytest
 
 from curv4.curvature import kaehler_form
-from curv4.jets import Jet, grad_array, hess_array, jlog, jsqrt, seedn, value
+from curv4.jets import (
+    Jet, array, drop, from_arrays, grad_array, hess_array, jlog, jsqrt, seedn,
+    value,
+)
 from curv4.metrics import comps_jets, twisted_metric
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "curv4"
@@ -92,6 +95,27 @@ def test_division_and_rops():
 
 
 # ------------------------------------------------------------- jet layout
+
+def test_from_arrays_inverts_the_array_readers():
+    # a batched 2-jet, re-formed from its value, gradient and Hessian, and
+    # its 1-jet from value and gradient, give the same arrays back
+    rng = np.random.default_rng(3)
+    x = seedn(list(rng.uniform(-0.5, 0.5, (3, 5))), 2)
+    y = f_scalar(x)
+    sh = (5,)
+    for jet, order in ((y, 2), (drop(y), 1)):
+        parts = [array(jet, sh), grad_array(drop(jet) if order == 2 else jet,
+                                            sh, 3)]
+        if order == 2:
+            parts.append(hess_array(jet, sh, 3))
+        back = from_arrays(*parts)
+        assert_allclose(array(back, sh), parts[0], rtol=0, atol=0)
+        assert_allclose(grad_array(back, sh, 3), parts[1], rtol=0, atol=0)
+        if order == 2:
+            assert_allclose(hess_array(back, sh, 3), parts[2], rtol=0, atol=0)
+            assert_allclose(grad_array(drop(back), sh, 3), parts[1],
+                            rtol=0, atol=0)
+
 
 def test_only_jets_module_reads_jet_layout():
     layout = re.compile(r"\.d\[|\.f\b|isinstance\([^)]*Jet")

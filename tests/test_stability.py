@@ -52,6 +52,11 @@ class LinearSection:
         return c3, c4
 
 
+def element(basis, j):
+    """Basis element j as a section: the basis family with a unit W."""
+    return basis.as_section(np.eye(basis.dim)[j])
+
+
 def test_harmonics_orthonormal_on_unit_sphere():
     from curv4.metrics import sphere_chart_nodes
     L = 5
@@ -119,14 +124,13 @@ def test_assembly_matches_quadratic_form(geoms):
     geom = geoms["equator4"]
     basis = SectionBasis(geom.S, 2)
     form = assemble_index_form(geom, basis)
-    secs = basis.sections()
     rng = np.random.default_rng(1)
     for k in rng.choice(basis.dim, size=5, replace=False):
-        direct = second_variation(geom, secs[k])
+        direct = second_variation(geom, element(basis, k))
         assert abs(direct - form.Q[k, k]) < 1e-8
     # and for a random combination
     w = rng.normal(size=basis.dim)
-    combo = LinearSection(secs, w)
+    combo = basis.as_section(w)
     assert abs(second_variation(geom, combo) - w @ form.Q @ w) < 1e-6
 
 
@@ -149,8 +153,13 @@ def test_as_section_matches_sum_of_elements(make_surface, metric):
     basis = SectionBasis(S, 3)
     w = np.random.default_rng(2).normal(size=basis.dim)
     fast = basis.as_section(w)
-    ref = LinearSection(basis.sections(), w)
+    ref = LinearSection([element(basis, j) for j in range(basis.dim)], w)
     for cg in surface_geometry(S, metric, QuadSpec(12)).charts:
+        # section_data of the combination against the basis' node data
+        v3, v4, _, _ = basis.node_data(cg)
+        d = section_data(cg, fast)
+        assert_allclose(d["c3"], v3 @ w, rtol=0, atol=1e-12)
+        assert_allclose(d["c4"], v4 @ w, rtol=0, atol=1e-12)
         for order in (1, 2):
             for a, b in zip(fast.coeff_jets(cg, order),
                             ref.coeff_jets(cg, order)):
@@ -307,11 +316,9 @@ def test_synthetic_instability_fixture(geoms):
 def test_index_two_construction_evaluates_section_once_per_chart():
     # J sigma and sigma +- J sigma come from sigma's data by linearity
     S = product_slice()
-    sig = parallel_section(1.0, 0.0)
     calls = []
-    real = sig.coeff_jets
-    sig.coeff_jets = lambda cg, order=1: (calls.append(cg.chart)
-                                          or real(cg, order))
+    sig = NormalSection(lambda chart, u: calls.append(chart) or [1.0],
+                        [[1.0], [0.0]])
     fix = index_two_construction(surface_geometry(S, MP, QuadSpec(16)), sig,
                                  ambient_override=0.8)
     assert calls == ["a", "b"]
@@ -327,7 +334,7 @@ def test_index_two_construction_matches_assembled_form_with_shear(geoms):
     Q = assemble_index_form(geom, basis, ambient_override=kappa).Q
     k = 2                                  # Y_k n3; J turns it into Y_k n4
     j = basis.n_harmonics + k
-    fix = index_two_construction(geom, basis.sections()[k],
+    fix = index_two_construction(geom, element(basis, k),
                                  ambient_override=kappa)
     assert_allclose([fix["d2_sigma"], fix["d2_jsigma"]],
                     sorted([Q[k, k], Q[j, j]]), rtol=1e-10)
@@ -339,7 +346,7 @@ def test_index_two_construction_matches_assembled_form_with_shear(geoms):
     # both against the override density with the shear written out
     vals = []
     for cg in geom.charts:
-        d = section_data(cg, basis.sections()[k])
+        d = section_data(cg, element(basis, k))
         shear = np.sum((cg.A[..., 0] * d["c3"][:, None, None]
                         + cg.A[..., 1] * d["c4"][:, None, None]) ** 2,
                        axis=(1, 2))
@@ -392,6 +399,22 @@ def test_slices_of_twisted_metrics_stay_minimal():
     m = twisted_metric(0.3, 0.02)
     g = surface_geometry(product_slice(point=(0.4, 0.3)), m, QUAD)
     assert g.min_residual < 1e-12
+
+
+def test_theorem_c_searches_one_node_per_orbit(monkeypatch, geoms):
+    # x^2 + y^2 of the nodes on one ray of the sphere rule differ in the
+    # last bit; rounded radii give the 16 orbits of each chart
+    from curv4 import stability
+    sizes = []
+    real = stability.sectional_extremes
+
+    def counted(M6, **kw):
+        sizes.append(len(M6))
+        return real(M6, **kw)
+
+    monkeypatch.setattr(stability, "sectional_extremes", counted)
+    theorem_c_margins(geoms["cp1-line"])
+    assert sizes == [32]
 
 
 def test_harness_refuses_nonminimal_immersion(geoms):

@@ -8,17 +8,21 @@ from curv4.errors import (
 )
 from curv4.bivector import kn_tensor4, operator6
 from curv4.curvature import curvature_batch
-from curv4.jets import array as jet_array, drop, hess_array, jsqrt, partial, seedn
+from curv4.jets import (
+    array as jet_array, drop, grad_array, hess_array, jsqrt, partial, seedn,
+)
 from curv4.metrics import (
     QuadSpec, flat_space, fubini_study, ht_metric, product_spheres,
     round_sphere4, twisted_metric,
 )
 from curv4.surfaces import (
-    NormalSection, a_wedge_a_sq, a_wedge_a_sq_expansion, chern_number, cp1_line, dbar_sq, equator_sphere, kperp_extrinsic_field,
+    NormalSection, a_wedge_a_sq, a_wedge_a_sq_expansion, chern_number,
+    covariant_coeffs, cp1_line, dbar_sq, embedding_family, equator_sphere,
+    kperp_extrinsic_field,
     log_norm_check, normal_connection, parallel_section, parse_surface_spec,
     perturbed_slice, point_geometry, product_slice,
     ric_perp_identity_residual, second_variation, section_data,
-    sphere_functions, surface_geometry, variational_identity_lemma310,
+    surface_geometry, variational_identity_lemma310,
     weitzenboeck_variation,
 )
 
@@ -45,29 +49,13 @@ def smooth_frame_section(seed):
     """Random-ish global smooth section via the R^3 embedding functions."""
     rng = np.random.default_rng(seed)
     b = rng.uniform(-0.6, 0.6, size=8)
-
-    def a3(chart, u):
-        n1, n2, n3 = sphere_functions(chart, u)
-        return b[0] + b[1] * n1 + b[2] * n2 + b[3] * n3
-
-    def a4(chart, u):
-        n1, n2, n3 = sphere_functions(chart, u)
-        return b[4] + b[5] * n1 + b[6] * n2 + b[7] * n3
-
-    return NormalSection([a3, a4])
+    return NormalSection(embedding_family, b.reshape(2, 4))
 
 
 def smooth_projected_section(S, seed):
     rng = np.random.default_rng(seed)
-    b = rng.uniform(-0.6, 0.6, size=(4, 4))
-
-    def make(c):
-        def f(chart, u):
-            n1, n2, n3 = sphere_functions(chart, u)
-            return c[0] + c[1] * n1 + c[2] * n2 + c[3] * n3
-        return f
-
-    return NormalSection([make(c) for c in b])
+    return NormalSection(embedding_family,
+                         rng.uniform(-0.6, 0.6, size=(4, 4)))
 
 
 # ------------------------------------------------------------- induced data
@@ -185,9 +173,11 @@ def test_geometry_dies_with_its_last_reference():
 def test_geometry_memory_is_bounded():
     # tracemalloc sees numpy's buffers.  The second of two builds is
     # measured, so one-time module state is not counted.  Since the charts
-    # keep only M6 of the curvature record this build retains 3.03 MiB and
-    # peaks at 17.08 MiB (numpy 2.4.6; 18.08 and 26.19 MiB when each chart
-    # kept the whole record); the bounds are about 5% above.  Keeping the
+    # keep only M6 of the curvature record and the directions' frame
+    # coefficients as arrays this build retains 2.90 MiB and peaks at
+    # 16.95 MiB (numpy 2.4.6; 3.03 and 17.08 MiB with those coefficients
+    # kept as jets, 18.08 and 26.19 MiB when each chart kept the whole
+    # record); the bounds are about 5% above the jets build.  Keeping the
     # record, or a view of a frame-sized tensor, on the chart exceeds them.
     import gc
     import tracemalloc
@@ -589,9 +579,10 @@ def _direct_projection(S, m, cg, sig, order):
                       for i in range(4)))
     n4 = [sgn * x for x in n4]
     uj = seedn(u, order)
+    Y = sig.family(cg.chart, uj)
     V = [0.0] * 4
-    for gen, cf in zip(S.normal_generators, sig.coeffs):
-        a = cf(cg.chart, uj)
+    for gen, wc in zip(S.normal_generators, sig.W):
+        a = sum(w * y for w, y in zip(wc, Y))
         V = [V[i] + a * x for i, x in enumerate(gen(cg.chart, uj, F))]
     return dot(V, n3), dot(V, n4)
 
@@ -621,15 +612,50 @@ def test_projected_coeff_jets_match_direct_projection():
 
 
 def test_normal_section_rejects_wrong_coefficient_count():
-    one = lambda chart, u: 1.0 + 0.0 * u[0]
+    one = lambda chart, u: [1.0]
     # the projective line has four generator fields, not one direction
     cg = surface_geometry(cp1_line(), MF, QuadSpec(12)).charts[0]
-    with pytest.raises(SectionError):
-        NormalSection([one]).coeff_jets(cg)
+    for W in ([[1.0]], np.ones((1, 1, 3))):
+        with pytest.raises(SectionError):
+            NormalSection(one, W).coeff_jets(cg)
+        with pytest.raises(SectionError):
+            section_data(cg, NormalSection(one, W))
     # a trivial bundle has the two frame directions, not four
     cg = surface_geometry(product_slice(), MP, QuadSpec(12)).charts[0]
     with pytest.raises(SectionError):
-        NormalSection([one] * 4).coeff_jets(cg)
+        NormalSection(one, np.ones((4, 1))).coeff_jets(cg)
+    with pytest.raises(SectionError):
+        section_data(cg, NormalSection(one, np.ones((4, 1))).rotated())
+
+
+@pytest.mark.parametrize("name", ["cp1", "slice", "perturbed"])
+def test_section_data_matches_jets_oracle(name, geoms):
+    # the contract-first arrays of a batch of sections (W with two
+    # trailing axes, and its J rotation) against each section's frame
+    # coefficients summed jet by jet, then covariant_coeffs
+    geom = geoms[name]
+    C = geom.S.n_directions
+    W = np.random.default_rng(41).normal(size=(C, 4, 2, 3))
+    for sig in (NormalSection(embedding_family, W),
+                NormalSection(embedding_family, W).rotated()):
+        for cg in geom.charts:
+            got = section_data(cg, sig)
+            assert got["c3"].shape == (2, 3) + cg.shape
+            assert got["D3"].shape == (2, 3) + cg.shape + (2,)
+            for t in np.ndindex(2, 3):
+                one = NormalSection(sig.family, W[..., t[0], t[1]], sig.turns)
+                c3, c4 = one.coeff_jets(cg, 1)
+                v3, v4 = jet_array(c3, cg.shape), jet_array(c4, cg.shape)
+                cov = covariant_coeffs(cg.omega, v3, v4,
+                                       grad_array(c3, cg.shape, 2),
+                                       grad_array(c4, cg.shape, 2))
+                want = {"c3": v3, "c4": v4,
+                        "D3": np.einsum("nia,na->ni", cg.c, cov[0]),
+                        "D4": np.einsum("nia,na->ni", cg.c, cov[1])}
+                for key, ref in want.items():
+                    assert_allclose(got[key][t], ref, rtol=0,
+                                    atol=1e-12 * np.abs(ref).max(),
+                                    err_msg=key)
 
 
 # ------------------------------------------------------------- Lemma 3.15
@@ -641,8 +667,8 @@ def test_log_norm_parallel(geoms):
 def test_log_norm_local_holomorphic(geoms):
     # (a3 + i a4) = 1 + 0.3 z is holomorphic on chart a; the 2d Laplacian of
     # log|1 + 0.3 z|^2 vanishes in any conformal metric, matching Kperp = 0
-    sig = NormalSection([lambda chart, u: 1.0 + 0.3 * u[0],
-                         lambda chart, u: 0.3 * u[1]])
+    sig = NormalSection(lambda chart, u: [1.0, u[0], u[1]],
+                        [[1.0, 0.3, 0.0], [0.0, 0.0, 0.3]])
     res = log_norm_check(geoms["slice"], sig,
                          chart_filter=lambda cg: cg.chart == "a")
     assert res < 1e-4
@@ -685,9 +711,8 @@ def test_log_norm_on_projective_line_sections(geoms):
     except SectionError:
         # the minimizer may be a section with a zero inside the grid; the
         # canonical nonvanishing-on-chart-a section certifies the identity
-        ones = lambda chart, u: 1.0 + 0.0 * u[0]
-        zero = lambda chart, u: 0.0 * u[0]
-        sig = NormalSection([ones, zero, zero, zero])
+        sig = NormalSection(lambda chart, u: [1.0], [[1.0], [0.0], [0.0],
+                                                     [0.0]])
         res = log_norm_check(geom, sig,
                              chart_filter=lambda cg: cg.chart == "a")
         assert res < 1e-3
