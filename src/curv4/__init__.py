@@ -4,9 +4,9 @@ __version__ = "0.1.0"
 
 from .bivector import bianchi_residual, hodge_star, plucker_residual, wedge
 from .curvature import (
-    ConditionReport, condition_check, decompose, holomorphic_bisectional,
-    kaehler_form, kaehler_residuals, lemma21_check, riemann_at,
-    sectional_extremes, weitzenboeck_residual,
+    ConditionReport, condition_check, decompose, kaehler_form,
+    kaehler_residuals, lemma21_check, riemann_at, sectional_extremes,
+    weitzenboeck_residual,
 )
 from .errors import (
     ChartDomainError, Curv4Error, MetricConstructionError,

@@ -418,41 +418,6 @@ def lemma21_check(c, tol=None):
     return out
 
 
-def lemma21_rejection_trials(rng, trials=100_000, batch=200_000):
-    """Rejection-sample traceless spectra with s/12 + W >= 0 and return the
-    worst consequent margin of s/6 - W over ``trials`` accepted draws."""
-    kept = 0
-    worst = np.inf
-    while kept < trials:
-        A = rng.normal(size=(batch, 3, 3))
-        W = 0.5 * (A + np.swapaxes(A, 1, 2))
-        W -= np.trace(W, axis1=1, axis2=2)[:, None, None] / 3.0 * I3
-        s = np.abs(rng.normal(size=batch)) * 24.0
-        lam = np.linalg.eigvalsh(W)
-        acc = s / 12.0 + lam[:, 0] >= 0.0
-        if not np.any(acc):
-            continue
-        cons = (s / 6.0 - lam[:, 2])[acc]
-        worst = min(worst, float(cons.min()))
-        kept += int(acc.sum())
-    return {"trials": kept, "worst_consequent_margin": worst}
-
-
-# ---------------------------------------------------------------------
-# holomorphic bisectional curvature
-
-def holomorphic_bisectional(c, J, X, Y):
-    """K^h(X,Y) = Rm(X, JX, Y, JY) with coordinate vectors X, Y at the
-    single-point record c."""
-    if J is None:
-        raise MetricConstructionError("holomorphic_bisectional needs J")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    JX = J @ X
-    JY = J @ Y
-    return float(np.einsum("ijkl,i,j,k,l->", c["Rm"], X, JX, Y, JY))
-
-
 # ---------------------------------------------------------------------
 # Kaehler structure
 

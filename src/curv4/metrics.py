@@ -26,7 +26,9 @@ orbit space (|z1|, |z2|) with a 2-D Gauss rule.  ``QuadSpec.n`` (the CLI's
 quadrature.  For the same reason every grid scan (the condition margins,
 both eps searches, the Kahler residuals and the constructor's validation)
 evaluates one representative per T^2 orbit that the grid meets
-(``Chart.orbit_grid``) and not every grid point.
+(``Chart.orbit_grid``) and not every grid point, and the surface geometry
+(``surfaces.ChartGeometry``) evaluates the ambient curvature once per orbit
+of the immersed nodes, at the same representatives.
 
 Conventions
 -----------

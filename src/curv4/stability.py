@@ -249,18 +249,16 @@ def theorem_c_margins(geom):
     nodes (Thorpe duality, ``sectional_extremes``), whose primal-dual gap
     is ``sectional_gap``.  Like ``curvature.condition_check`` it assumes
     the rotations z_a -> e^{i th_a} z_a are isometries, so the sectional
-    search runs once per distinct pair (|z1|^2, |z2|^2) of each chart
-    (rounded to 12 decimals, since x^2 + y^2 of the nodes on one ray
-    differ in the last bit).  ``hypotheses_hold`` asks for a nonnegative
+    search reads the chart's per-orbit M6 once per orbit key (|z1|^2,
+    |z2|^2) rounded to 12 decimals, since x^2 + y^2 of the nodes on one ray
+    differ in the last bit.  ``hypotheses_hold`` asks for a nonnegative
     pairing and strictly positive sectional curvature.
 
     Raises NonMinimalSurfaceError on a non-minimal surface.
     """
     geom.require_minimal()
-    M6 = []
-    for cg in geom.charts:
-        radii = np.round(np.sum(cg.F.reshape(-1, 2, 2) ** 2, axis=-1), 12)
-        M6.append(cg.M6[np.unique(radii, axis=0, return_index=True)[1]])
+    M6 = [cg.M6[np.unique(np.round(cg.orbit_keys, 12), axis=0,
+                          return_index=True)[1]] for cg in geom.charts]
     vals, _, bound = sectional_extremes(np.concatenate(M6), return_bound=True)
     pairing_min = min(float(cg.s6_pairing.min()) for cg in geom.charts)
     min_sectional = float(vals.min())

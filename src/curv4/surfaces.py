@@ -12,7 +12,10 @@ derivatives that the normal connection and the normal-bundle curvature need.
 the connection form ``omega``, the frame coefficients ``p`` of the normal
 directions with their u-gradients ``dp`` and Hessians ``d2p``, and the
 Jacobi block ``jacobi``.  Sections here and the index-form basis of
-``stability`` read it.  A single
+``stability`` read it.  The ambient curvature is T^2-invariant (see
+``metrics``), so it is evaluated once per T^2 orbit of the nodes and read
+at each node on vectors pulled back by the rotation that carries the
+orbit's representative to the node.  A single
 point is a batch of one: ``point_geometry`` is the ChartGeometry of one
 node, and every pointwise quantity is read from its arrays.
 
@@ -228,11 +231,19 @@ class ChartGeometry:
     ``Rterm``_pq = sum_r Rm(e_r, n_p, e_r, n_q); ``dA`` = w sqrt(det h) is
     the area weight of each node in every surface integral.
 
-    Of the ambient curvature record (``curvature.curvature_from_arrays``)
-    the chart keeps only the curvature operator ``M6`` on the orthonormal
-    ambient frame, for the sectional search; g, Gamma, Rm and s are spent
-    here.  ``F`` holds the immersed points (n, 4), so a caller that needs
-    the record recomputes it as ``curvature_batch(m, cg.amb, cg.F)``.
+    The ambient curvature record (``curvature.curvature_from_arrays``) is
+    evaluated once per T^2 orbit of the immersed points: ``orbit_keys``
+    (k, 2) holds the exact pairs (|z1|^2, |z2|^2), ``orbit`` (n,) the orbit
+    of each node, and the record is taken at Chart.orbit_grid's
+    representative x_a = y_a = |z_a| / sqrt 2.  Each node is Q times its
+    representative, Q a rotation of each factor plane and an isometry, so
+    the record reads Q^T dF, Q^T d2F, Q^T e and Q^T n; omega's Gamma(F_a)
+    and its u-derivative go back to the chart as Q (...) Q^T.  Of the record
+    the chart keeps only the curvature operator ``M6``, once per orbit, on
+    the representative's orthonormal frame, for the sectional search; g,
+    Gamma, Rm and s are spent here.  ``F`` holds the immersed points (n,
+    4), so a caller that needs the record at the nodes recomputes it as
+    ``curvature_batch(m, cg.amb, cg.F)``.
 
     Raises ChartDomainError if the metric's atlas has no chart of the name
     the immersion maps this surface chart into, or if an immersed node lies
@@ -310,18 +321,48 @@ class ChartGeometry:
         self.d2p = _values(P, shape, lambda x, sh: hess_array(x, sh, 2))
         del P   # the jets are dead weight at the curvature peak below
 
-        # ambient curvature record at the immersed points; of it the chart
-        # keeps only the curvature operator M6
-        curv = curvature_from_arrays(*m.jets(self.amb, F))
-        g, Gamma, Rm = curv["g"], curv["Gamma"], curv["Rm"]
+        # ambient curvature record once per T^2 orbit, at the representative
+        # x_a = y_a = |z_a| / sqrt 2; of it the chart keeps only M6
+        r = np.sum(F.reshape(n, 2, 2) ** 2, axis=-1)
+        self.orbit_keys, o = np.unique(r, axis=0, return_inverse=True)
+        self.orbit = o = o.reshape(n)
+        curv = curvature_from_arrays(*m.jets(
+            self.amb, np.repeat(np.sqrt(self.orbit_keys / 2.0), 2, axis=-1)))
         self.M6 = curv["M6"]
+        k = len(self.M6)
+
+        # F = Q rep with Q the rotation of each factor plane that takes the
+        # diagonal to z_a, of cosine and sine (x_a + y_a, y_a - x_a) /
+        # (sqrt 2 |z_a|), and the identity where z_a = 0.  Q is an isometry,
+        # so the representative's tensors read vectors pulled back by Q^T
+        rad = np.sqrt(2.0 * r)
+        d = np.where(rad > 0, rad, 1.0)
+        cos = np.where(rad > 0, (F[:, 0::2] + F[:, 1::2]) / d, 1.0)
+        sin = (F[:, 1::2] - F[:, 0::2]) / d
+        Qt = np.zeros((n, 4, 4))
+        Qt[:, [0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 2, 3, 2, 3]] = np.stack(
+            [cos[:, 0], sin[:, 0], -sin[:, 0], cos[:, 0],
+             cos[:, 1], sin[:, 1], -sin[:, 1], cos[:, 1]], axis=-1)
+        Q = np.swapaxes(Qt, -1, -2)
+        dF0, E0 = Qt @ dF, Qt @ E
+        e0, n0 = E0[..., :2], E0[..., 2:]
+        d2F0 = (Qt @ d2F.reshape(n, 4, 4)).reshape(n, 4, 2, 2)
+
+        # Gamma(F_a)^i_q = Gamma^i_pq F^p_a, shared by A and omega, and its
+        # u-derivative d_b Gamma(F_a) = dGamma(F_b, F_a) + Gamma(F_ab), as
+        # products with Gamma^i_pq read as a (p, iq) and d_m Gamma^i_pq as
+        # an (mp, iq) matrix of each orbit
+        Ft = np.swapaxes(dF0, -1, -2)
+        Gam = np.swapaxes(curv["Gamma"], 1, 2).reshape(k, 4, 16)[o]
+        GF = (Ft @ Gam).reshape(n, 2, 4, 4)
+        FF = (Ft[:, :, None, None, :] * Ft[:, None, :, :, None]).reshape(n, 4, 16)
+        dGF = (FF @ curv["dGamma"].transpose(0, 1, 3, 2, 4).reshape(k, 16, 16)[o]
+               + np.swapaxes(d2F0.reshape(n, 4, 4), -1, -2) @ Gam)
 
         # second fundamental form on the orthonormal frames:
-        # A_ijs = c_ia c_jb <F_ab + Gamma(F_a) F_b, n_s>, where
-        # Gamma(F_a)^i_q = Gamma^i_pq F^p_a is shared with omega
-        GF = np.einsum("...ipq,...pa->...aiq", Gamma, dF)
-        dd = d2F + np.einsum("...aiq,...qb->...iab", GF, dF)
-        ddn = np.einsum("...kab,...ks->...abs", dd, g @ self.n)
+        # A_ijs = c_ia c_jb <F_ab + Gamma(F_a) F_b, n_s>
+        dd = d2F0 + np.swapaxes(GF @ dF0[:, None], 1, 2)
+        ddn = np.einsum("...kab,...ks->...abs", dd, curv["g"][o] @ n0)
         cdd = np.einsum("...jb,...abs->...ajs", self.c, ddn)
         self.A = np.einsum("...ia,...ajs->...ijs", self.c, cdd)
         self.H_norm = np.linalg.norm(self.A[..., 0, 0, :] + self.A[..., 1, 1, :],
@@ -329,12 +370,11 @@ class ChartGeometry:
 
         # normal connection form and intrinsic bundle curvature:
         # omega_a = <nabla_a n3, n4>, K_perp = (d1 w2 - d2 w1)/sqrt(det h);
-        # nabla_a n3 = d_a n3 + Gamma(F_a) n3 with Gamma(F_a) a 1-jet in u:
-        # d_b Gamma(F_a) = dGamma(F_b, F_a) + Gamma(F_ab), b first
-        dGF = (np.einsum("...maiq,...mb->b...aiq",
-                         np.einsum("...mipq,...pa->...maiq",
-                                   curv["dGamma"], dF), dF)
-               + np.einsum("...ipq,...pab->b...aiq", Gamma, d2F))
+        # nabla_a n3 = d_a n3 + Gamma(F_a) n3 with Gamma(F_a) a 1-jet in u,
+        # back in the chart as Q (...) Q^T, b first in its derivative
+        GF = Q[:, None] @ GF @ Qt[:, None]
+        dGF = np.moveaxis((Q[:, None, None] @ dGF.reshape(n, 2, 2, 4, 4)
+                           @ Qt[:, None, None]), 2, 0)
         omega = []
         g1, n3_1, n4_1 = drop([g2, n3, n4])
         for a in range(2):
@@ -342,34 +382,34 @@ class ChartGeometry:
                         for q in range(4)), partial(n3[i], a))
                    for i in range(4)]
             omega.append(_dot(g1, cov, n4_1))
-        self.omega = np.stack([array(o, shape) for o in omega], axis=-1)
+        self.omega = np.stack([array(w, shape) for w in omega], axis=-1)
         # K_perp pairs R_perp(e1,e2) n4 against n3; with nabla n4 = -omega n3
         # this is the negative curl of the connection form
         curl = (array(partial(omega[1], 0), shape)
                 - array(partial(omega[0], 1), shape))
         self.kperp = -curl / self.sqrt_h
 
-        # frame-basis data for Theorem-3.18-type pairings
-        E = curv["frame"]
-        Einv = np.linalg.inv(E)
-        ef = np.einsum("...ij,...jk->...ik", Einv, self.e)
-        nf = np.einsum("...ij,...jk->...ik", Einv, self.n)
-        self.eta6 = bv.wedge(ef[..., 0], ef[..., 1]) + bv.wedge(nf[..., 0], nf[..., 1])
-        # pair eta with W+ and W- in the (eta, etabar) basis
-        y = self.eta6 @ bv.ETA_FRAME
+        # eta = e1 ^ e2 + n3 ^ n4 on the representative's orthonormal frame,
+        # paired with W+ and W- in the (eta, etabar) basis
+        Einv = np.linalg.inv(curv["frame"])[o]
+        ef, nf = Einv @ e0, Einv @ n0
+        eta6 = bv.wedge(ef[..., 0], ef[..., 1]) + bv.wedge(nf[..., 0], nf[..., 1])
+        y = eta6 @ bv.ETA_FRAME
         yp, ym = y[..., :3], y[..., 3:]
-        weyl = (np.einsum("...i,...ij,...j->...", yp, curv["wplus"], yp)
-                + np.einsum("...i,...ij,...j->...", ym, curv["wminus"], ym))
-        self.s6_pairing = curv["s"] / 6.0 * np.sum(self.eta6 ** 2, axis=-1) - weyl
+        weyl = (np.einsum("...i,...ij,...j->...", yp, curv["wplus"][o], yp)
+                + np.einsum("...i,...ij,...j->...", ym, curv["wminus"][o], ym))
+        self.s6_pairing = curv["s"][o] / 6.0 * np.sum(eta6 ** 2, axis=-1) - weyl
 
-        # Rm(e1, e2, n3, n4); the Jacobi block on the normal frame is Rterm
-        # plus the shear sum_ij A_ijp A_ijq
-        self.R1234 = np.einsum("...ijkl,...i,...j,...k,...l->...", Rm,
-                               self.e[..., 0], self.e[..., 1],
-                               self.n[..., 0], self.n[..., 1], optimize=True)
-        self.Rterm = np.einsum("...ijkl,...im,...jp,...km,...lq->...pq",
-                               Rm, self.e, self.n, self.e, self.n,
-                               optimize=True)
+        # Rm(e1, e2, n3, n4), and Rterm from Rf = Rm(e_r, n_p, e_s, n_q), the
+        # (ij, kl) matrix of Rm between pair vectors; the Jacobi block on the
+        # normal frame is Rterm plus the shear sum_ij A_ijp A_ijq
+        Rm = curv["Rm"].reshape(k, 16, 16)[o]
+        self.R1234 = ((e0[:, :, None, 0] * e0[:, None, :, 1]).reshape(n, 1, 16)
+                      @ Rm @ (n0[:, :, None, 0] * n0[:, None, :, 1]).reshape(
+                          n, 16, 1))[:, 0, 0]
+        K = (e0[:, :, None, :, None] * n0[:, None, :, None, :]).reshape(n, 16, 4)
+        Rf = (np.swapaxes(K, -1, -2) @ Rm @ K).reshape(n, 2, 2, 2, 2)
+        self.Rterm = Rf[:, 0, :, 0, :] + Rf[:, 1, :, 1, :]
         self.jacobi = self.Rterm + np.einsum("...ijs,...ijt->...st",
                                              self.A, self.A)
 

@@ -14,8 +14,7 @@ import pytest
 from curv4.cli import main as cli_main
 from curv4.curvature import (
     block_identity_residual, curvature_batch, lemma21_check,
-    lemma21_rejection_trials, positivity_eps_max, riemann_at,
-    sectional_extremes, weitzenboeck_residual,
+    positivity_eps_max, riemann_at, sectional_extremes, weitzenboeck_residual,
 )
 from curv4.metrics import (
     QuadSpec, flat_space, fubini_study, ht_metric, product_spheres,
@@ -31,6 +30,7 @@ from curv4.surfaces import (
     variational_identity_lemma310, weitzenboeck_variation,
     NormalSection, kperp_extrinsic_field,
 )
+from test_curvature import lemma21_rejection_trials
 
 QUAD = QuadSpec(48)
 I3 = np.eye(3)

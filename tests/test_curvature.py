@@ -5,8 +5,7 @@ import pytest
 from curv4.curvature import (
     C_RIC, C_SCAL, block_identity_residual, christoffel_arrays,
     condition_check, curvature_batch, curvature_from_arrays, decompose,
-    holomorphic_bisectional, lemma21_check, lemma21_rejection_trials,
-    riemann_at, ric_block_from_traceless, sectional_extremes,
+    lemma21_check, riemann_at, ric_block_from_traceless, sectional_extremes,
 )
 from curv4.bivector import (
     bianchi_residual, kn_tensor4, operator6, to_eta_basis, wedge,
@@ -242,6 +241,26 @@ def test_lemma21_synthetic_boundary():
     assert_allclose(s / 6 - lam[-1], 0.0, atol=1e-14)
 
 
+def lemma21_rejection_trials(rng, trials=100_000, batch=200_000):
+    """Rejection-sample traceless spectra with s/12 + W >= 0 and return the
+    worst consequent margin of s/6 - W over ``trials`` accepted draws."""
+    kept = 0
+    worst = np.inf
+    while kept < trials:
+        A = rng.normal(size=(batch, 3, 3))
+        W = 0.5 * (A + np.swapaxes(A, 1, 2))
+        W -= np.trace(W, axis1=1, axis2=2)[:, None, None] / 3.0 * I3
+        s = np.abs(rng.normal(size=batch)) * 24.0
+        lam = np.linalg.eigvalsh(W)
+        acc = s / 12.0 + lam[:, 0] >= 0.0
+        if not np.any(acc):
+            continue
+        cons = (s / 6.0 - lam[:, 2])[acc]
+        worst = min(worst, float(cons.min()))
+        kept += int(acc.sum())
+    return {"trials": kept, "worst_consequent_margin": worst}
+
+
 def test_lemma21_rejection_property():
     out = lemma21_rejection_trials(np.random.default_rng(8), trials=100_000)
     assert out["trials"] >= 100_000
@@ -369,6 +388,12 @@ def test_worst_point_is_first_of_ties(m):
 
 
 # ------------------------------------------------------------- bisectional
+
+def holomorphic_bisectional(c, J, X, Y):
+    """K^h(X,Y) = Rm(X, JX, Y, JY) with coordinate vectors X, Y at the
+    single-point record c."""
+    return float(np.einsum("ijkl,i,j,k,l->", c["Rm"], X, J @ X, Y, J @ Y))
+
 
 def test_holomorphic_bisectional_product():
     m = product_spheres(1.0, 1.0)

@@ -6,10 +6,11 @@ from curv4 import surfaces
 from curv4.errors import (
     ChartDomainError, NonMinimalSurfaceError, SectionError, SpecParseError,
 )
-from curv4.bivector import kn_tensor4, operator6
+from curv4.bivector import ETA_FRAME, kn_tensor4, operator6, wedge
 from curv4.curvature import curvature_batch
 from curv4.jets import (
-    array as jet_array, drop, grad_array, hess_array, jsqrt, partial, seedn,
+    Jet, array as jet_array, drop, grad_array, hess_array, jsqrt, partial,
+    seedn,
 )
 from curv4.metrics import (
     QuadSpec, flat_space, fubini_study, ht_metric, product_spheres,
@@ -145,6 +146,108 @@ def test_adapted_frame_on_every_node(name, S, m, geoms):
         assert np.array_equal(cg.dA, cg.w * cg.sqrt_h)
 
 
+def _eta6(curv, cg):
+    """eta = e1 ^ e2 + n3 ^ n4 on the orthonormal frame of the record."""
+    ef, nf = (np.linalg.inv(curv["frame"]) @ v for v in (cg.e, cg.n))
+    return wedge(ef[..., 0], ef[..., 1]) + wedge(nf[..., 0], nf[..., 1])
+
+
+def _per_node_fields(S, m, cg):
+    """The curvature-dependent fields of cg from the curvature record at
+    every node itself, by the direct formulas: the per-node oracle of the
+    per-orbit evaluation."""
+    curv = curvature_batch(m, cg.amb, cg.F)
+    g, Gamma, Rm = curv["g"], curv["Gamma"], curv["Rm"]
+    e, n, c, dF, sh = cg.e, cg.n, cg.c, cg.dF, cg.shape
+    F, g2, n3, n4 = _frame_jets(S, m, cg, 2)
+    d2F = np.stack([hess_array(f, sh, 2) for f in F], axis=-3)
+    GF = np.einsum("...ipq,...pa->...aiq", Gamma, dF)
+    dd = d2F + np.einsum("...aiq,...qb->...iab", GF, dF)
+    A = np.einsum("...ia,...jb,...kab,...ks->...ijs", c, c, dd, g @ n)
+    # omega_a = <d_a n3 + Gamma(F_a) n3, n4> as a 1-jet in u
+    dGF = (np.einsum("...mipq,...pa,...mb->b...aiq", curv["dGamma"], dF, dF)
+           + np.einsum("...ipq,...pab->b...aiq", Gamma, d2F))
+    g1, n3_1, n4_1 = drop([g2, n3, n4])
+    omega = [_jet_dot(g1, [sum(Jet(GF[..., a, i, q], dGF[:, ..., a, i, q])
+                               * n3_1[q] for q in range(4))
+                           + partial(n3[i], a) for i in range(4)], n4_1)
+             for a in range(2)]
+    curl = (jet_array(partial(omega[1], 0), sh)
+            - jet_array(partial(omega[0], 1), sh))
+    eta6 = _eta6(curv, cg)
+    y = eta6 @ ETA_FRAME
+    weyl = (np.einsum("...i,...ij,...j->...", y[..., :3], curv["wplus"],
+                      y[..., :3])
+            + np.einsum("...i,...ij,...j->...", y[..., 3:], curv["wminus"],
+                        y[..., 3:]))
+    Rterm = np.einsum("...ijkl,...im,...jp,...km,...lq->...pq",
+                      Rm, e, n, e, n)
+    return {"A": A, "H_norm": np.linalg.norm(A[..., 0, 0, :] + A[..., 1, 1, :],
+                                             axis=-1),
+            "omega": np.stack([jet_array(w, sh) for w in omega], axis=-1),
+            "kperp": -curl / cg.sqrt_h,
+            "s6_pairing": curv["s"] / 6.0 * np.sum(eta6 ** 2, axis=-1) - weyl,
+            "R1234": _rm_on(Rm, e[..., 0], e[..., 1], n[..., 0], n[..., 1]),
+            "Rterm": Rterm,
+            "jacobi": Rterm + np.einsum("...ijs,...ijt->...st", A, A),
+            "M6 spectrum": np.linalg.eigvalsh(curv["M6"])}
+
+
+MT = twisted_metric(0.5, 0.05)
+ORBIT_CASES = [(name, S, m, QUAD) for name, S, m in FRAME_CASES] + [
+    ("twisted-perturbed", perturbed_slice(0.15), MT, QUAD),
+    ("twisted-slice-origin", product_slice(point=(0.0, 0.0)), MT, QUAD),
+    ("twisted-perturbed-point", perturbed_slice(0.15), MT, None),
+]
+
+
+@pytest.mark.parametrize("name, S, m, quad", ORBIT_CASES,
+                         ids=[case[0] for case in ORBIT_CASES])
+def test_orbit_curvature_matches_per_node_oracle(name, S, m, quad, geoms):
+    # the chart evaluates the ambient curvature once per T^2 orbit and
+    # reads it on vectors pulled back by the factor rotations; every field
+    # that depends on it agrees with the record at the node itself
+    if quad is None:
+        charts = [point_geometry(S, m, "a", [0.3, -0.2])]
+    elif name in geoms:
+        charts = geoms[name].charts
+    else:
+        charts = surface_geometry(S, m, quad).charts
+    for cg in charts:
+        radii = np.sum(cg.F.reshape(-1, 2, 2) ** 2, axis=-1)
+        assert np.array_equal(cg.orbit_keys[cg.orbit], radii)
+        assert len(np.unique(cg.orbit_keys, axis=0)) == len(cg.orbit_keys)
+        if name == "twisted-slice-origin":
+            assert np.all(radii[:, 1] == 0.0)
+        got = {key: getattr(cg, key) for key in
+               ("A", "H_norm", "omega", "kperp", "s6_pairing", "R1234",
+                "Rterm", "jacobi")}
+        got["M6 spectrum"] = np.linalg.eigvalsh(cg.M6[cg.orbit])
+        for key, want in _per_node_fields(S, m, cg).items():
+            err = np.abs(got[key] - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() <= 1e-13, (key, err.max())
+
+
+@pytest.mark.parametrize("S, m, orbits", [(cp1_line(), MF, 59),
+                                          (perturbed_slice(0.15), MP, 208)],
+                         ids=["cp1-line-fs", "perturbed-slice"])
+def test_curvature_is_evaluated_once_per_orbit(monkeypatch, S, m, orbits):
+    # 1,024 QUAD nodes per chart; the exact (|z1|^2, |z2|^2) of the nodes
+    # on one ray of the sphere rule differ in the last bit, hence 59
+    # orbits and not the 16 rays on the projective line
+    sizes = []
+    real = surfaces.curvature_from_arrays
+
+    def counted(g, dg, d2g):
+        sizes.append(len(g))
+        return real(g, dg, d2g)
+
+    monkeypatch.setattr(surfaces, "curvature_from_arrays", counted)
+    geom = surface_geometry(S, m, QUAD)
+    assert sizes == [orbits, orbits]
+    assert [len(cg.M6) for cg in geom.charts] == sizes
+
+
 @pytest.mark.filterwarnings("error")
 def test_rank_deficient_rejected():
     bad = product_slice()
@@ -173,12 +276,11 @@ def test_geometry_dies_with_its_last_reference():
 def test_geometry_memory_is_bounded():
     # tracemalloc sees numpy's buffers.  The second of two builds is
     # measured, so one-time module state is not counted.  Since the charts
-    # keep only M6 of the curvature record and the directions' frame
-    # coefficients as arrays this build retains 2.90 MiB and peaks at
-    # 16.95 MiB (numpy 2.4.6; 3.03 and 17.08 MiB with those coefficients
-    # kept as jets, 18.08 and 26.19 MiB when each chart kept the whole
-    # record); the bounds are about 5% above the jets build.  Keeping the
-    # record, or a view of a frame-sized tensor, on the chart exceeds them.
+    # evaluate the curvature once per T^2 orbit and keep M6 per orbit this
+    # build retains 2.29 MiB and peaks at 9.99 MiB (numpy 2.4.6; 2.90 and
+    # 16.95 MiB with the record at every node, 18.08 and 26.19 MiB when each
+    # chart kept the whole record); the bounds are about 5% above.  Keeping
+    # a node-sized curvature tensor on the chart exceeds them.
     import gc
     import tracemalloc
     S, quad = cp1_line(), QuadSpec(32)
@@ -191,8 +293,8 @@ def test_geometry_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(geom.charts) == 2
-    assert retained <= 3.18 * 2 ** 20
-    assert peak <= 17.93 * 2 ** 20
+    assert retained <= 2.41 * 2 ** 20
+    assert peak <= 10.49 * 2 ** 20
 
 
 @pytest.mark.parametrize("S, m", [
@@ -478,25 +580,32 @@ def test_weitzenboeck_variation_equator(geoms):
 
 def _s6_pairing_kulkarni_nomizu(cg, m):
     """s/6 |eta|^2 - <W eta, eta> with W = Rm - s/12 (g o g) - (ric0 o g)
-    built from the frame Riemann tensor by Kulkarni-Nomizu products."""
+    built from the frame Riemann tensor by Kulkarni-Nomizu products, and
+    eta read on the frame of the same record."""
     curv = curvature_batch(m, cg.amb, cg.F)
     I4 = np.eye(4)
     s = curv["s"][..., None, None, None, None]
     W4 = (curv["Rm_frame"] - s / 12.0 * kn_tensor4(I4, I4)
           - kn_tensor4(curv["ric0"], I4))
     W6 = operator6(W4)
-    return (curv["s"] / 6.0 * np.sum(cg.eta6 ** 2, axis=-1)
-            - np.einsum("...i,...ij,...j->...", cg.eta6, W6, cg.eta6))
+    eta6 = _eta6(curv, cg)
+    return (curv["s"] / 6.0 * np.sum(eta6 ** 2, axis=-1)
+            - np.einsum("...i,...ij,...j->...", eta6, W6, eta6))
 
 
 @pytest.mark.parametrize("S, m", [(cp1_line(), MF),
                                   (product_slice(), ht_metric(0.6)),
-                                  (perturbed_slice(0.15), ht_metric(0.6))],
+                                  (perturbed_slice(0.15), ht_metric(0.6)),
+                                  (perturbed_slice(0.15), MT)],
                          ids=["cp1-line-fs", "slice-ht0.6",
-                              "perturbed-slice-ht0.6"])
+                              "perturbed-slice-ht0.6",
+                              "perturbed-slice-twisted"])
 def test_s6_pairing_matches_kulkarni_nomizu_weyl(S, m):
     # the pairing vanishes on complex curves of Kaehler surfaces (the first
-    # two cases); on the perturbed slice it is of order one
+    # two cases); on the perturbed slice it is of order one.  On the
+    # product metrics W+ and W- do not change under the factor rotations,
+    # so only the twisted metric tells the node's frame from the orbit
+    # representative's
     for cg in surface_geometry(S, m, QUAD).charts:
         assert_allclose(cg.s6_pairing, _s6_pairing_kulkarni_nomizu(cg, m),
                         rtol=0, atol=1e-12)
@@ -553,38 +662,42 @@ def test_weitzenboeck_variation_evaluates_section_once_per_chart(monkeypatch,
     assert abs(out["rhs"] - rhs) <= 1e-13 * abs(rhs)
 
 
-def _direct_projection(S, m, cg, sig, order):
-    """(<g V, n3>, <g V, n4>) for V = sum_c f_c V_c, as u-jets of ``order``,
-    with the adapted frame rebuilt here by Gram-Schmidt."""
-    u = [cg.u[:, 0], cg.u[:, 1]]
-    Fj = S.fmap(cg.chart, seedn(u, order + 1))
-    F = drop(Fj)
-    g = m.comps_ring(S.chart_map[cg.chart], F)
-
-    def dot(x, y):
-        return sum(g[i][j] * x[i] * y[j] for i in range(4) for j in range(4))
-
+def _frame_jets(S, m, cg, order):
+    """(F, g, n3, n4) as u-jets of ``order``: the immersion, the metric
+    along it and the normal frame rebuilt here by Gram-Schmidt, n4
+    oriented like the chart geometry's frame."""
+    Fj = S.fmap(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], order + 1))
+    g = m.comps_ring(S.chart_map[cg.chart], drop(Fj))
     frame = []
     seeds = [[1.0 if i == s else 0.0 for i in range(4)]
              for s in S.normal_seeds]
     for v in [[partial(f, a) for f in Fj] for a in range(2)] + seeds:
         for b in frame:
-            c = dot(v, b)
+            c = _jet_dot(g, v, b)
             v = [v[i] - c * b[i] for i in range(4)]
-        r = jsqrt(dot(v, v))
+        r = jsqrt(_jet_dot(g, v, v))
         frame.append([x / r for x in v])
     n3, n4 = frame[2], frame[3]
-    # orient n4 like the chart geometry's frame
     sgn = np.sign(sum(jet_array(n4[i], cg.shape) * cg.n[:, i, 1]
                       for i in range(4)))
-    n4 = [sgn * x for x in n4]
-    uj = seedn(u, order)
+    return drop(Fj), g, n3, [sgn * x for x in n4]
+
+
+def _jet_dot(g, x, y):
+    return sum(g[i][j] * x[i] * y[j] for i in range(4) for j in range(4))
+
+
+def _direct_projection(S, m, cg, sig, order):
+    """(<g V, n3>, <g V, n4>) for V = sum_c f_c V_c, as u-jets of ``order``,
+    with the adapted frame rebuilt here by Gram-Schmidt."""
+    F, g, n3, n4 = _frame_jets(S, m, cg, order)
+    uj = seedn([cg.u[:, 0], cg.u[:, 1]], order)
     Y = sig.family(cg.chart, uj)
     V = [0.0] * 4
     for gen, wc in zip(S.normal_generators, sig.W):
         a = sum(w * y for w, y in zip(wc, Y))
         V = [V[i] + a * x for i, x in enumerate(gen(cg.chart, uj, F))]
-    return dot(V, n3), dot(V, n4)
+    return _jet_dot(g, V, n3), _jet_dot(g, V, n4)
 
 
 def _jet_partials(x, shape, order):
