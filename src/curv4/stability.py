@@ -9,10 +9,11 @@ as the matrix W.  The polarized second variation and the mass matrix
 define a generalized eigenvalue pencil whose negative count is the Morse
 index.
 
-The basis and single sections (``index_two_construction``) read the same
-per-node data of ``surfaces.ChartGeometry``: the frame coefficients of the
-normal directions, the connection form and the Jacobi block.  Every
-function here takes the ``surfaces.SurfaceGeometry`` its caller built once.
+An element is a direction V_c times a harmonic Y_k, so its rows at a node
+are outer products of the chart's ``surfaces.direction_factor`` with Y_k
+and its frame gradient: the product rule of ``section_data``, factored
+once per node.  Every function here takes the ``surfaces.SurfaceGeometry``
+its caller built once.
 
 ``theorem_c_margins`` reads the hypotheses of Theorem C off the same
 geometry: the eta-pairing, the shear and the minimal sectional curvature.
@@ -28,7 +29,7 @@ from .curvature import sectional_extremes
 from .errors import RefinementError
 from .sphharm import real_harmonics
 from .surfaces import (
-    NormalSection, a_wedge_a_sq, covariant_coeffs, j_rotated_data,
+    NormalSection, a_wedge_a_sq, direction_factor, j_rotated_data,
     jacobi_block, read_family, second_variation_density, section_data,
 )
 
@@ -64,19 +65,20 @@ class SectionBasis:
             self.n_fields, self.n_harmonics) + np.shape(coefs)[1:]))
 
     def node_data(self, cg):
-        """Frame coefficients and coordinate covariant derivatives of every
-        element, the section_data arrays of W = identity formed as outer
-        products, node axis first: values (N, dim) and derivatives
-        (N, dim, 2)."""
-        Y, dY = read_family(cg, self.family)
-        p, dp = cg.p, cg.dp
-        # element (c, k) has frame coefficients Y_k p_c
-        v3, v4 = ((p[..., :, None, s] * Y[..., None, :]).reshape(
-            cg.shape + (self.dim,)) for s in range(2))
-        d3, d4 = ((dp[..., :, None, s, :] * Y[..., None, :, None]
-                   + p[..., :, None, s, None] * dY[..., None, :, :]).reshape(
-            cg.shape + (self.dim, 2)) for s in range(2))
-        return (v3, v4) + covariant_coeffs(cg.omega[:, None], v3, v4, d3, d4)
+        """Rows X (n, 4, dim) of the covariant derivatives 3e1, 3e2, 4e1,
+        4e2 and V (n, 2, dim) of the coefficients c3, c4 of every element
+        Y_k V_c.  With the chart's ``direction_factor`` (P, B), row (s, i)
+        of X is B_{s,i} Y + P_s e_i Y: at each node one (4 C, 3) by (3, K)
+        product against (Y, e1 Y, e2 Y), written into X; V_s = P_s Y."""
+        Y, eY = read_family(cg, self.family)
+        P, B = direction_factor(cg, cg.p, cg.dp)
+        n = len(Y)
+        A = np.zeros((n, 2, 2, self.n_fields, 3))
+        A[..., 0] = B.reshape(n, 2, 2, -1)
+        A[:, :, 0, :, 1] = A[:, :, 1, :, 2] = P
+        X = A.reshape(n, -1, 3) @ np.concatenate([Y[:, None], eY], axis=1)
+        V = P.reshape(n, -1, 1) @ Y[:, None]
+        return X.reshape(n, 4, self.dim), V.reshape(n, 2, self.dim)
 
 
 def _mass_whitening(G):
@@ -112,30 +114,21 @@ class IndexForm:
 def _accumulate_forms(geom, basis, ambient_override=None):
     """The index form Q, mass matrix G and dbar matrix D of the basis.
 
-    Each is a quadrature sum over nodes n of dA_n F_n^T M_n F_n for
-    per-node feature rows F_n (values or frame derivatives of the basis).
-    The area weights dA are positive, so scaling each node's rows by the
-    real factor r = sqrt(dA) turns every sum into a single
-    BLAS product over the stacked rows: X^T X, or V^T (M V) for the
-    indefinite curvature-plus-shear block.
+    Each is a quadrature sum over nodes n of dA_n F_n^T M_n F_n for the
+    per-node feature rows of ``SectionBasis.node_data``: the frame
+    covariant derivatives X and the frame coefficients V of every element.
+    The area weights dA are positive, so scaling each node's rows in place
+    by the real factor r = sqrt(dA) turns every sum into a single BLAS
+    product over the stacked rows: X^T X, or V^T (M V) for the indefinite
+    curvature-plus-shear block.
     """
     dim = basis.dim
-    Q = np.zeros((dim, dim))
-    G = np.zeros((dim, dim))
-    D = np.zeros((dim, dim))
+    Q, G, D = (np.zeros((dim, dim)) for _ in range(3))
     for cg in geom.charts:
-        v3, v4, cov3, cov4 = basis.node_data(cg)
+        X, V = basis.node_data(cg)
         n = len(cg.w)
         r = np.sqrt(cg.dA)[:, None, None]
-        # rows e1, e2 of the n3 coefficient, then of the n4 coefficient,
-        # with the frame derivatives e_i = c[i,a] d_a
-        X = np.empty((n, 4, dim))
-        np.einsum("nia,nba->nib", cg.c, cov3, out=X[:, :2])
-        np.einsum("nia,nba->nib", cg.c, cov4, out=X[:, 2:])
-        del cov3, cov4
         X *= r
-        V = np.stack([v3, v4], axis=1)               # (n, 2, dim)
-        del v3, v4
         V *= r
         M = jacobi_block(cg, ambient_override)
         Xf = X.reshape(4 * n, dim)
@@ -149,6 +142,7 @@ def _accumulate_forms(geom, basis, ambient_override=None):
         X[:, 2] += X[:, 1]
         B = X[:, ::2].reshape(2 * n, dim)
         D += B.T @ B
+        del X, V, Xf, Vf, B   # free this chart's rows before the next's
     return 0.5 * (Q + Q.T), 0.5 * (G + G.T), 0.5 * (D + D.T)
 
 

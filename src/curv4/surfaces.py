@@ -31,8 +31,8 @@ one scalar family Y (K functions, e.g. harmonics), sigma = sum_{c,k}
 W[c, k] Y_k V_c.  The directions V_c are the surface's normal generator
 fields, or on a trivial bundle the adapted frame (n3, n4) with constant
 coefficients (1, 0) and (0, 1).  ``section_data`` reads the family once
-per chart and does the rest on arrays; trailing axes of W give a batch of
-sections in one read.  It is linear in the section, so the data of J sigma
+per chart, contracts W with it and applies the chart's ``direction_factor``
+to the result; trailing axes of W give a batch of sections in one read.  It is linear in the section, so the data of J sigma
 and of a sigma + b J sigma follow from one evaluation of sigma.
 
 Adapted frames are Gram-Schmidt of B = (F_u, F_v, d_s3, d_s4), the
@@ -496,6 +496,14 @@ class NormalSection:
             x = np.stack([-x[:, :, 1], x[:, :, 0]], axis=2)
         return x
 
+    def require_columns(self, K, batch=True):
+        """Raise SectionError unless W has one column per member of a family
+        of K functions, and no section axes unless ``batch``."""
+        if self.W.shape[1:2] != (K,) or not (batch or self.W.ndim == 2):
+            raise SectionError("W of shape %r: one column per family member "
+                               "(%d)%s" % (self.W.shape, K, "" if batch else
+                                           ", one section only"))
+
     def coeff_jets(self, cg, order=1):
         """The frame coefficients (c3, c4) as u-jets of ``order`` (1 or 2),
         summed jet by jet; W may not carry section axes here."""
@@ -503,6 +511,7 @@ class NormalSection:
             raise ValueError("order must be 1 or 2")
         p = [self.frame(x) for x in (cg.p, cg.dp, cg.d2p)[:order + 1]]
         Y = self.family(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], order))
+        self.require_columns(len(Y), batch=False)
         f = [sum(float(w) * y for w, y in zip(wc, Y)) for wc in self.W]
         return tuple(sum(fc * from_arrays(*(x[:, c, s] for x in p))
                          for c, fc in enumerate(f)) for s in range(2))
@@ -524,50 +533,47 @@ def parallel_section(c3=1.0, c4=0.0):
 # ---------------------------------------------------------------------
 # pointwise operators on sections
 
-def covariant_coeffs(omega, v3, v4, d3, d4):
-    """(nabla^perp_{d_a} sigma) frame coefficients, a = 1, 2, from the frame
-    coefficients (v3, v4) and their coordinate gradients (d3, d4).  The
-    connection form ``omega`` (a chart's ``omega``, with unit axes for any
-    section axes after the node axis) broadcasts against d3."""
-    return d3 - omega * v4[..., None], d4 + omega * v3[..., None]
+def direction_factor(cg, p, dp):
+    """P[n, s, c] = p[n, c, s] and B[n, 2 s + i, c] = sum_a c[n, i, a]
+    (dp[n, c, s, a] + omega[n, a] (J p)[n, c, s]), J (x3, x4) -> (-x4, x3),
+    from the frame coefficients p of the normal directions V_c and their
+    u-gradients dp: sum_c f_c V_c has frame coefficients P f and covariant
+    derivatives D_{s,i} = B f + P e_i f along e_i = c[i, a] d_a."""
+    P = np.swapaxes(p, 1, 2)
+    Jp = np.stack([-P[:, 1], P[:, 0]], axis=1)
+    dP = np.moveaxis(dp, 1, -1) + cg.omega[:, None, :, None] * Jp[:, :, None]
+    return P, (cg.c[:, None] @ dP).reshape(len(P), 4, -1)
 
 
 def read_family(cg, family):
-    """Values Y[n, k] and coordinate gradients dY[n, k, a] of a scalar
-    family at the chart's nodes, from one evaluation over 1-jets."""
+    """Values Y[n, k] and frame gradients eY[n, i, k] = c[n, i, a] dY[n, k, a]
+    of a scalar family at the chart's nodes, read once over 1-jets."""
     Y = family(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], 1))
-    return (np.stack([array(y, cg.shape) for y in Y], axis=-1),
-            np.stack([grad_array(y, cg.shape, 2) for y in Y], axis=-2))
-
-
-def _contract(spec, *ops):
-    # unoptimized, einsum is 4x slower on section batches: its inner loops
-    # run over the short direction and frame axes
-    return np.einsum(spec, *ops, optimize=True)
+    dY = np.stack([grad_array(y, cg.shape, 2) for y in Y], axis=-1)
+    return np.stack([array(y, cg.shape) for y in Y], axis=-1), cg.c @ dY
 
 
 def section_data(cg, sigma):
     """Values, frame covariant derivatives along e1/e2, and norms.
 
-    The family is read once; W is contracted with it first, and the
-    product rule against the directions' frame coefficients runs on the
-    arrays.  W's section axes lead every returned array: (..., n) for
-    c3, c4, norm2 and grad2, (..., n, 2) for D3 and D4.
+    The family is read once and W contracted with it first, f = Y W and
+    e_i f = eY W; then c_s = P f and D_{s,i} = B f + P e_i f with the
+    chart's ``direction_factor``.  W's section axes lead every returned
+    array: (..., n) for c3, c4, norm2 and grad2, (..., n, 2) for D3 and D4.
+    Raises SectionError unless W has one row per normal direction and one
+    column per family member.
     """
-    p, dp = sigma.frame(cg.p), sigma.frame(cg.dp)
-    Y, dY = read_family(cg, sigma.family)
-    W = sigma.W.reshape(sigma.W.shape[:2] + (-1,))
-    f = _contract("nk,ckt->tnc", Y, W)
-    df = _contract("nka,ckt->tnca", dY, W)
-    v = _contract("tnc,ncs->stn", f, p)
-    dv = (_contract("tnca,ncs->stna", df, p)
-          + _contract("tnc,ncsa->stna", f, dp))
-    cov3, cov4 = covariant_coeffs(cg.omega, v[0], v[1], dv[0], dv[1])
-    # along the orthonormal tangent frame: e_i = c[i,a] d_a
-    sh = sigma.W.shape[2:] + cg.shape
-    v3, v4 = v[0].reshape(sh), v[1].reshape(sh)
-    e3 = _contract("nia,tna->tni", cg.c, cov3).reshape(sh + (2,))
-    e4 = _contract("nia,tna->tni", cg.c, cov4).reshape(sh + (2,))
+    P, B = direction_factor(cg, sigma.frame(cg.p), sigma.frame(cg.dp))
+    Y, eY = read_family(cg, sigma.family)
+    sigma.require_columns(Y.shape[-1])
+    (C, K), n, sh = sigma.W.shape[:2], len(Y), sigma.W.shape[2:] + cg.shape
+    # W as a (k, c t) matrix, t the flattened section axes
+    W = np.swapaxes(sigma.W.reshape(C, K, -1), 0, 1).reshape(K, -1)
+    f, ef = (Y @ W).reshape(n, C, -1), (eY @ W).reshape(n, 2, C, -1)
+    v = np.moveaxis(P @ f, -1, 0).reshape(sh + (2,))              # s last
+    D = (B @ f).reshape(n, 2, 2, -1) + np.swapaxes(P[:, None] @ ef, 1, 2)
+    D = np.moveaxis(D, -1, 0).reshape(sh + (2, 2))                # s, i last
+    v3, v4, e3, e4 = v[..., 0], v[..., 1], D[..., 0, :], D[..., 1, :]
     return {"c3": v3, "c4": v4, "D3": e3, "D4": e4,
             "norm2": v3 ** 2 + v4 ** 2,
             "grad2": e3[..., 0] ** 2 + e3[..., 1] ** 2

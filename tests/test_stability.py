@@ -156,16 +156,37 @@ def test_as_section_matches_sum_of_elements(make_surface, metric):
     ref = LinearSection([element(basis, j) for j in range(basis.dim)], w)
     for cg in surface_geometry(S, metric, QuadSpec(12)).charts:
         # section_data of the combination against the basis' node data
-        v3, v4, _, _ = basis.node_data(cg)
+        _, V = basis.node_data(cg)
         d = section_data(cg, fast)
-        assert_allclose(d["c3"], v3 @ w, rtol=0, atol=1e-12)
-        assert_allclose(d["c4"], v4 @ w, rtol=0, atol=1e-12)
+        assert_allclose(d["c3"], V[:, 0] @ w, rtol=0, atol=1e-12)
+        assert_allclose(d["c4"], V[:, 1] @ w, rtol=0, atol=1e-12)
         for order in (1, 2):
             for a, b in zip(fast.coeff_jets(cg, order),
                             ref.coeff_jets(cg, order)):
                 for x, y in zip(_partials(a, cg.shape, order),
                                 _partials(b, cg.shape, order)):
                     assert_allclose(x, y, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["cp1-line", "slice", "equator4",
+                                  "perturbed-slice"])
+def test_node_rows_are_section_data_of_unit_sections(name, geoms):
+    # node_data's rows of element j = c K + k against the batched
+    # section_data of the unit sections, W = identity as (C, K, dim):
+    # V[n, s, j] = c3, c4 and X[n, 2 s + i, j] = D3_i, D4_i of section j
+    geom = geoms[name]
+    basis = SectionBasis(geom.S, 4)
+    units = basis.as_section(np.eye(basis.dim))
+    for cg in geom.charts:
+        X, V = basis.node_data(cg)
+        assert X.shape == cg.shape + (4, basis.dim)
+        assert V.shape == cg.shape + (2, basis.dim)
+        d = section_data(cg, units)
+        for got, rows in ((V, [d["c3"][..., None], d["c4"][..., None]]),
+                          (X, [d["D3"], d["D4"]])):
+            want = np.moveaxis(np.concatenate(rows, axis=-1), 0, -1)
+            assert np.all(np.abs(got - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("make_surface, metric", [
@@ -227,6 +248,30 @@ def test_near_holomorphic_section_is_holomorphic_pointwise(geoms):
     assert dbar_sq(section_data(cg, sig))[0] < 1e-10
     # J sigma is then holomorphic as well
     assert dbar_sq(section_data(cg, sig.rotated()))[0] < 1e-10
+
+
+def test_assembly_memory_is_bounded(geoms):
+    # tracemalloc sees numpy's buffers; the second of two assemblies at
+    # L = 6 (dim 196) on the quad-32 cp1-line is measured.  With the rows
+    # built by one product per node from the direction factor, and each
+    # chart's rows freed before the next chart's, it peaks at 13.46 MiB
+    # (numpy 2.4.6; 26.69 MiB with the element-by-element product rule and
+    # its five full-size temporaries); the bound is about 5% above.  One
+    # more full-size temporary exceeds it.
+    import gc
+    import tracemalloc
+    geom = geoms["cp1-line"]
+    basis = SectionBasis(geom.S, 6)
+    assemble_index_form(geom, basis)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        form = assemble_index_form(geom, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert form.Q.shape == (196, 196)
+    assert peak <= 14.13 * 2 ** 20
 
 
 def test_surface_command_assembles_each_level_once(tmp_path, monkeypatch):

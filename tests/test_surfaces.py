@@ -18,7 +18,7 @@ from curv4.metrics import (
 )
 from curv4.surfaces import (
     NormalSection, a_wedge_a_sq, a_wedge_a_sq_expansion, chern_number,
-    covariant_coeffs, cp1_line, dbar_sq, embedding_family, equator_sphere,
+    cp1_line, dbar_sq, embedding_family, equator_sphere,
     kperp_extrinsic_field,
     log_norm_check, normal_connection, parallel_section, parse_surface_spec,
     perturbed_slice, point_geometry, product_slice,
@@ -739,6 +739,38 @@ def test_normal_section_rejects_wrong_coefficient_count():
         NormalSection(one, np.ones((4, 1))).coeff_jets(cg)
     with pytest.raises(SectionError):
         section_data(cg, NormalSection(one, np.ones((4, 1))).rotated())
+
+
+def test_section_data_rejects_wrong_family_length(geoms):
+    # W has 3 columns, the embedding family 4 members
+    cg = geoms["slice"].charts[0]
+    with pytest.raises(SectionError, match="column"):
+        section_data(cg, NormalSection(embedding_family, np.ones((2, 3))))
+
+
+def test_coeff_jets_rejects_wrong_family_length(geoms):
+    # summing W's columns against the family member by member would drop
+    # the fourth member without a word
+    cg = geoms["slice"].charts[0]
+    with pytest.raises(SectionError, match="column"):
+        NormalSection(embedding_family, np.ones((2, 3))).coeff_jets(cg)
+
+
+def test_coeff_jets_rejects_a_batch_of_sections(geoms):
+    # coeff_jets reads one section; section_data reads the batch
+    cg = geoms["slice"].charts[0]
+    sig = NormalSection(embedding_family, np.ones((2, 4, 3)))
+    with pytest.raises(SectionError, match="one section"):
+        sig.coeff_jets(cg)
+    assert section_data(cg, sig)["c3"].shape == (3,) + cg.shape
+
+
+def covariant_coeffs(omega, v3, v4, d3, d4):
+    """(nabla^perp_{d_a} sigma) frame coefficients, a = 1, 2, from the frame
+    coefficients (v3, v4) and their coordinate gradients (d3, d4): the
+    element-by-element product rule, independent of the factored rows of
+    ``section_data``."""
+    return d3 - omega * v4[..., None], d4 + omega * v3[..., None]
 
 
 @pytest.mark.parametrize("name", ["cp1", "slice", "perturbed"])
