@@ -23,9 +23,7 @@ and reads results through
 * ``array(x, shape)``, ``grad_array(x, shape, m)``,
   ``hess_array(x, shape, m)``: value, gradient and Hessian as float arrays
   with the partial indices last;
-* ``component_jets(rows, shape)``: a twice-seeded 4x4 field as arrays;
-
-and turns arrays back into jets with ``from_arrays(v, d, d2)``.
+* ``component_jets(rows, shape)``: a twice-seeded 4x4 field as arrays.
 
 Constructing ``Jet(value, partials)`` directly stays allowed.  A jet times
 the float 0.0 (a seed's or a constant's partial) is 0.0, so the layers of a
@@ -169,17 +167,6 @@ def hess_array(x, shape, m):
     """Second partials of x as an array of shape ``shape + (m, m)``."""
     return np.stack([grad_array(partial(x, a), shape, m) for a in range(m)],
                     axis=-2)
-
-
-def from_arrays(v, d, d2=None):
-    """The jet of value v, gradient d[..., a] and, if given, Hessian
-    d2[..., a, b]: a 1-jet, or a 2-jet whose first partials are d at both
-    layers.  The inverse of ``array``, ``grad_array`` and ``hess_array``."""
-    grads = [d[..., a] for a in range(d.shape[-1])]
-    if d2 is None:
-        return Jet(v, grads)
-    return Jet(Jet(v, grads), [from_arrays(g, d2[..., a, :])
-                               for a, g in enumerate(grads)])
 
 
 def component_jets(rows, shape):

@@ -27,8 +27,9 @@ quadrature.  For the same reason every grid scan (the condition margins,
 both eps searches, the Kahler residuals and the constructor's validation)
 evaluates one representative per T^2 orbit that the grid meets
 (``Chart.orbit_grid``) and not every grid point, and the surface geometry
-(``surfaces.ChartGeometry``) evaluates the ambient curvature once per orbit
-of the immersed nodes, at the same representatives.
+(``surfaces.ChartGeometry``) is built at one node per S^1 orbit of the
+surface, whose rotation moves the immersed point by a T^2 rotation, and
+carried to the other nodes of that orbit.
 
 Conventions
 -----------

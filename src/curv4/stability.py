@@ -208,7 +208,8 @@ def index_two_construction(geom, sigma, ambient_override=None):
     section, so the data of a sigma + b J sigma is a (c3, c4, D3, D4) of
     sigma plus b of J sigma's rotated data, and grad2 follows from D3, D4.
     Returns the two second variations ordered low to high, their cross term
-    and (d2_sigma, d2 of the partner sigma -+ J sigma that lowers it).  The
+    and (d2_sigma, d2 of the partner sigma -+ J sigma that lowers it), an
+    unstable pair if both are below -1e-9 max(1, int |nabla sigma|^2).  The
     combinations are never built as sections, so no "pair" of sections is
     returned.
     """
@@ -230,8 +231,9 @@ def index_two_construction(geom, sigma, ambient_override=None):
     a, b = sorted((d2(1.0, 0.0), d2(0.0, 1.0)))
     cross = 0.5 * (d2(1.0, 1.0) - a - b)
     b_pair = d2(1.0, -1.0 if cross > 0 else 1.0)
+    tol = 1e-9 * max(1.0, geom.integrate([d["grad2"] for d in data]))
     return {"d2_sigma": a, "d2_jsigma": b, "cross": cross,
-            "d2_pair": (a, b_pair), "unstable_pair": a < 0 and b_pair < 0}
+            "d2_pair": (a, b_pair), "unstable_pair": max(a, b_pair) < -tol}
 
 
 def theorem_c_margins(geom):
@@ -242,18 +244,16 @@ def theorem_c_margins(geom):
     minimal sectional curvature of the ambient metric at the immersed
     nodes (Thorpe duality, ``sectional_extremes``), whose primal-dual gap
     is ``sectional_gap``.  Like ``curvature.condition_check`` it assumes
-    the rotations z_a -> e^{i th_a} z_a are isometries, so the sectional
-    search reads the chart's per-orbit M6 once per orbit key (|z1|^2,
-    |z2|^2) rounded to 12 decimals, since x^2 + y^2 of the nodes on one ray
-    differ in the last bit.  ``hypotheses_hold`` asks for a nonnegative
-    pairing and strictly positive sectional curvature.
+    the rotations z_a -> e^{i th_a} z_a are isometries, so the search
+    reads each chart's M6 as it is, one per S^1 orbit of the nodes.
+    ``hypotheses_hold`` asks for a nonnegative pairing and strictly
+    positive sectional curvature.
 
     Raises NonMinimalSurfaceError on a non-minimal surface.
     """
     geom.require_minimal()
-    M6 = [cg.M6[np.unique(np.round(cg.orbit_keys, 12), axis=0,
-                          return_index=True)[1]] for cg in geom.charts]
-    vals, _, bound = sectional_extremes(np.concatenate(M6), return_bound=True)
+    vals, _, bound = sectional_extremes(
+        np.concatenate([cg.M6 for cg in geom.charts]), return_bound=True)
     pairing_min = min(float(cg.s6_pairing.min()) for cg in geom.charts)
     min_sectional = float(vals.min())
     return {"pairing_min": pairing_min,

@@ -10,21 +10,23 @@ derivatives that the normal connection and the normal-bundle curvature need.
 
 ``ChartGeometry`` computes the per-node data of the second variation once:
 the connection form ``omega``, the frame coefficients ``p`` of the normal
-directions with their u-gradients ``dp`` and Hessians ``d2p``, and the
-Jacobi block ``jacobi``.  Sections here and the index-form basis of
-``stability`` read it.  The ambient curvature is T^2-invariant (see
-``metrics``), so it is evaluated once per T^2 orbit of the nodes and read
-at each node on vectors pulled back by the rotation that carries the
-orbit's representative to the node.  A single
+directions with their u-gradients ``dp``, and the Jacobi block ``jacobi``.
+Sections here and the index-form basis of ``stability`` read it.  Every
+built-in surface is S^1-equivariant: turning a chart's u-plane moves the
+immersed point by a rotation of the ambient factor planes (the declared
+weights of ``SurfaceImmersion``), an isometry of every T^2-invariant metric
+(see ``metrics``).  So the geometry is built over jets at one node per
+radius of the sphere rule and carried to the other nodes of that radius
+by the rotation, in the Gram-Schmidt gauge of each node.  A single
 point is a batch of one: ``point_geometry`` is the ChartGeometry of one
 node, and every pointwise quantity is read from its arrays.
 
 ``SurfaceGeometry`` holds one ChartGeometry per surface chart at the sphere
 quadrature nodes.  The caller builds it once (``surface_geometry``) and
 passes it to every integral: ``chern_number``, ``second_variation``,
-``variational_identity_lemma310``, ``weitzenboeck_variation``,
-``log_norm_check`` and the index forms of ``stability``.  Nothing caches
-it, so it lives exactly as long as the caller holds it.
+``variational_identity_lemma310``, ``weitzenboeck_variation`` and the index
+forms of ``stability``.  Nothing caches it, so it lives exactly as long as
+the caller holds it.
 
 There is one section type, ``NormalSection``: a coefficient matrix W on
 one scalar family Y (K functions, e.g. harmonics), sigma = sum_{c,k}
@@ -47,10 +49,11 @@ the normal rotation J are the +90-degree turns in these oriented planes.
 import numpy as np
 
 from . import bivector as bv
-from .curvature import christoffel_arrays, curvature_from_arrays
-from .errors import ChartDomainError, NonMinimalSurfaceError, SectionError
-from .jets import (Jet, array, drop, from_arrays, grad_array, hess_array,
-                   jlog, jsqrt, partial, seedn)
+from .curvature import curvature_from_arrays
+from .errors import (ChartDomainError, NonMinimalSurfaceError, SectionError,
+                     SpecParseError)
+from .jets import (Jet, array, drop, grad_array, hess_array, jsqrt, partial,
+                   seedn)
 from .metrics import QuadSpec, parse_spec, sphere_chart_nodes
 
 TOL_MIN = 1e-8  # minimality threshold on the mean curvature vector
@@ -100,22 +103,30 @@ class SurfaceImmersion:
 
     chart_map: dict chart -> ambient chart name;
     fmap(chart, u) -> list of 4 ambient coordinates over the ring of u;
-    normal_seeds: ambient coordinate indices Gram-Schmidted into the
-    normal frame;
-    normal_generators: optional list of ambient vector fields
-    gen(chart, u, F) -> 4 ring components, spanning the normal bundle
-    globally (used where no global normal frame exists, e.g. c1 != 0).
+    normal_seeds: the ambient coordinate indices of one factor plane,
+    Gram-Schmidted into the normal frame (else ValueError);
+    normal_generators: optional ambient vector fields gen(chart, u, F) -> 4
+    ring components in (re, im) pairs, spanning the normal bundle globally
+    (where no global normal frame exists, e.g. c1 != 0);
+    weights: chart -> (k1, k2) with F(R u) = Phi F(u) for R the turn of u
+    by th and Phi that of factor plane a by k_a th (default (0, 0));
+    charges: chart -> q per generator pair: the pair at R u is Phi (c V_re
+    + s V_im, -s V_re + c V_im) of the pair at u, (c, s) at the angle q th.
     n_directions counts the normal directions a NormalSection takes
     coefficients on: the generators, else the two frame vectors n3, n4.
     """
 
     def __init__(self, name, chart_map, fmap, normal_seeds=(2, 3),
-                 normal_generators=None):
+                 normal_generators=None, weights=None, charges=None):
         self.name = name
         self.chart_map = dict(chart_map)
         self.fmap = fmap
         self.normal_seeds = tuple(normal_seeds)
+        if sorted(self.normal_seeds) not in ([0, 1], [2, 3]):
+            raise ValueError("normal_seeds must span one factor plane")
         self.normal_generators = normal_generators
+        self.weights = weights or dict.fromkeys(self.chart_map, (0, 0))
+        self.charges = charges
         self.n_directions = (2 if normal_generators is None
                              else len(normal_generators))
 
@@ -131,16 +142,17 @@ def product_slice(factor=1, point=(0.0, 0.0)):
 
         def fmap(chart, u):
             return [u[0], u[1], q0, q1]
-        seeds = (2, 3)
+        seeds, k = (2, 3), (1, 0)
     elif factor == 2:
         chart_map = {"a": "aa", "b": "ab"}
 
         def fmap(chart, u):
             return [q0, q1, u[0], u[1]]
-        seeds = (0, 1)
+        seeds, k = (0, 1), (0, 1)
     else:
         raise ValueError("factor must be 1 or 2")
-    return SurfaceImmersion("slice", chart_map, fmap, normal_seeds=seeds)
+    return SurfaceImmersion("slice", chart_map, fmap, normal_seeds=seeds,
+                            weights={"a": k, "b": k})
 
 
 def equator_sphere():
@@ -152,7 +164,8 @@ def equator_sphere():
             return [u[0], u[1], 0.0, 0.0]
         return [u[0], -u[1], 0.0, 0.0]
 
-    return SurfaceImmersion("equator4", chart_map, fmap, normal_seeds=(2, 3))
+    return SurfaceImmersion("equator4", chart_map, fmap, normal_seeds=(2, 3),
+                            weights={"a": (1, 0), "b": (-1, 0)})
 
 
 def cp1_line():
@@ -189,7 +202,8 @@ def cp1_line():
 
     return SurfaceImmersion(
         "cp1-line", chart_map, fmap, normal_seeds=(2, 3),
-        normal_generators=[gen_re_dz2, gen_im_dz2, gen_re_z1dz2, gen_im_z1dz2])
+        normal_generators=[gen_re_dz2, gen_im_dz2, gen_re_z1dz2, gen_im_z1dz2],
+        weights={"a": (1, 0), "b": (1, 0)}, charges={"a": (0, 1), "b": (1, 0)})
 
 
 def perturbed_slice(c=0.1):
@@ -204,7 +218,8 @@ def perturbed_slice(c=0.1):
         return [u[0], u[1], c * n1, c * n2]
 
     return SurfaceImmersion("perturbed-slice", chart_map, fmap,
-                            normal_seeds=(2, 3))
+                            normal_seeds=(2, 3),
+                            weights={"a": (1, 1), "b": (1, -1)})
 
 
 SURFACES = {"slice": product_slice, "equator4": equator_sphere,
@@ -219,6 +234,13 @@ def parse_surface_spec(spec):
 # ---------------------------------------------------------------------
 # per-node geometry
 
+def _rot(t):
+    """Rotations of the plane by the angles t, shape t.shape + (2, 2)."""
+    c, s = np.cos(t), np.sin(t)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)],
+                    axis=-2)
+
+
 class ChartGeometry:
     """All pointwise geometric data of a surface chart at quadrature nodes.
 
@@ -231,59 +253,67 @@ class ChartGeometry:
     ``Rterm``_pq = sum_r Rm(e_r, n_p, e_r, n_q); ``dA`` = w sqrt(det h) is
     the area weight of each node in every surface integral.
 
-    The ambient curvature record (``curvature.curvature_from_arrays``) is
-    evaluated once per T^2 orbit of the immersed points: ``orbit_keys``
-    (k, 2) holds the exact pairs (|z1|^2, |z2|^2), ``orbit`` (n,) the orbit
-    of each node, and the record is taken at Chart.orbit_grid's
-    representative x_a = y_a = |z_a| / sqrt 2.  Each node is Q times its
-    representative, Q a rotation of each factor plane and an isometry, so
-    the record reads Q^T dF, Q^T d2F, Q^T e and Q^T n; omega's Gamma(F_a)
-    and its u-derivative go back to the chart as Q (...) Q^T.  Of the record
-    the chart keeps only the curvature operator ``M6``, once per orbit, on
-    the representative's orthonormal frame, for the sectional search; g,
-    Gamma, Rm and s are spent here.  ``F`` holds the immersed points (n,
-    4), so a caller that needs the record at the nodes recomputes it as
-    ``curvature_batch(m, cg.amb, cg.F)``.
+    The nodes come in runs of ``n_angles`` on one radius, ``orbit`` (n,)
+    giving the run of each.  All of the above is computed over jets, with
+    the curvature record, at the first node of each run only and carried
+    to the others by the turn R of the u-plane onto the node and its
+    ambient rotation Phi (the surface's weights), in each node's
+    Gram-Schmidt gauge: dF = Phi dF0 R^T, h = R h0 R^T, c from the
+    Cholesky factor of h; the tangent frame turns by V = c R L0 and the
+    normal one by U, the Q factor of L_nn^T S^T with n4's sign (L0, L_nn
+    the tangent and normal Cholesky blocks, S Phi on the seed plane).  A
+    turns by V and U, Rterm and jacobi by U, omega = R (omega0 + d psi)
+    with psi U's angle, p = T p0 U (T turns each generator pair by its
+    charge) and dp likewise, its u-index turned by R; scalars are copied.
+    Raises SpecParseError unless F and the generators at the nodes are the
+    carried ones to 1e-12.
+
+    Of the record the chart keeps only the curvature operator ``M6`` on the
+    orthonormal frame, once per orbit with its ``orbit_keys`` (|z1|^2,
+    |z2|^2), for the sectional search; g, Gamma, Rm and s are spent here.
+    ``F`` holds the immersed points (n, 4), so a caller that needs the
+    record at the nodes recomputes it as ``curvature_batch(m, cg.amb,
+    cg.F)``.
 
     Raises ChartDomainError if the metric's atlas has no chart of the name
     the immersion maps this surface chart into, or if an immersed node lies
     outside that chart's domain.
     """
 
-    def __init__(self, S, m, chart, u_nodes, weights):
+    def __init__(self, S, m, chart, u_nodes, weights, n_angles=1):
         self.chart = chart
         self.amb = S.chart_map[chart]
-        self.u = np.asarray(u_nodes, dtype=float)
+        self.u = u = np.asarray(u_nodes, dtype=float)
         self.w = np.asarray(weights, dtype=float)
-        n = len(self.u)
-        shape = (n,)
-        self.shape = shape
+        n = len(u)
+        self.shape = shape = (n,)
+        self.orbit = o = np.repeat(np.arange(n // n_angles), n_angles)
+        ur = u[::n_angles]
+        sh = (len(ur),)
 
-        # immersion three jet layers deep; tangents are then 2-layer jets
-        Fj = S.fmap(chart, seedn([self.u[:, 0], self.u[:, 1]], 3))
-        self.F = F = np.stack([array(f, shape) for f in Fj], axis=-1)
+        self.F = F = np.stack(
+            [array(f, shape) for f in S.fmap(chart, list(u.T))], axis=-1)
         try:
             m.require_inside(self.amb, F)
         except ChartDomainError as exc:
             raise ChartDomainError("surface %s: %s" % (S.name, exc)) from None
-        self.dF = dF = np.stack([grad_array(f, shape, 2) for f in Fj], axis=-2)
-        d2F = np.stack([hess_array(f, shape, 2) for f in Fj], axis=-3)
 
-        # ambient metric composed with the immersion, as 2-layer jets
+        # at the representatives: the immersion three jet layers deep, so
+        # tangents are 2-layer jets, and the ambient metric along it
+        Fj = S.fmap(chart, seedn([ur[:, 0], ur[:, 1]], 3))
+        dF0 = np.stack([grad_array(f, sh, 2) for f in Fj], axis=-2)
+        d2F0 = np.stack([hess_array(f, sh, 2) for f in Fj], axis=-3)
         g2 = m.comps_ring(self.amb, drop(Fj))
 
         # Gram matrix of B (lower triangle); its tangent block is h
         B = [[partial(f, a) for f in Fj] for a in range(2)] + [
             [float(i == s) for i in range(4)] for s in S.normal_seeds]
         G = [[_dot(g2, B[j], B[i]) for j in range(i + 1)] for i in range(4)]
-        self.h_jets = ((G[0][0], G[1][0]), (G[1][0], G[1][1]))
-        self.h = _values(self.h_jets, shape)
-        det = self.h[..., 0, 0] * self.h[..., 1, 1] - self.h[..., 0, 1] ** 2
+        h0 = _values(((G[0][0], G[1][0]), (G[1][0], G[1][1])), sh)
+        det = h0[..., 0, 0] * h0[..., 1, 1] - h0[..., 0, 1] ** 2
         if det.min() <= 1e-20:
             raise NonMinimalSurfaceError(
                 "%s: rank-deficient differential" % S.name)
-        self.sqrt_h = np.sqrt(det)
-        self.dA = self.w * self.sqrt_h
 
         # Cholesky factor L of G row by row, and with it the frame
         L, frame = [], []
@@ -298,120 +328,155 @@ class ChartGeometry:
             for k in range(i):
                 v = [v[p] - L[i][k] * frame[k][p] for p in range(4)]
             frame.append(_scale(1.0 / L[i][i], v))
-        self.c = np.linalg.inv(_values([[L[0][0], 0.0], L[1]], shape))
+        L0 = _values([[L[0][0], 0.0], L[1]], sh)
+        c0 = np.linalg.inv(L0)
 
         # positive orientation of (e1, e2, n3, n4) in the ambient chart
-        E = np.swapaxes(_values(frame, shape), -1, -2)
+        E = np.swapaxes(_values(frame, sh), -1, -2)
         sgn = np.sign(np.linalg.det(E))
         E[..., 3] *= sgn[..., None]
-        self.e, self.n = E[..., :2], E[..., 2:]
+        e0, n0 = E[..., :2], E[..., 2:]
         n3, n4 = frame[2], _scale(sgn, frame[3])
+        g1, n3_1, n4_1 = drop([g2, n3, n4])
 
-        # frame coefficients p[n, c, s] = <V_c, n_s> of the normal
-        # directions V_c, with their u-gradients dp[n, c, s, a] and Hessians
-        # d2p[n, c, s, a, b]; with no generator fields the frame itself
-        # spans the normal bundle and p is the identity
-        P = [(1.0, 0.0), (0.0, 1.0)]
-        if S.normal_generators is not None:
-            u2, F2 = seedn([self.u[:, 0], self.u[:, 1]], 2), drop(Fj)
-            P = [(_dot(g2, V, n3), _dot(g2, V, n4))
-                 for V in (gen(chart, u2, F2) for gen in S.normal_generators)]
-        self.p = _values(P, shape)
-        self.dp = _values(drop(P), shape, lambda x, sh: grad_array(x, sh, 2))
-        self.d2p = _values(P, shape, lambda x, sh: hess_array(x, sh, 2))
-        del P   # the jets are dead weight at the curvature peak below
-
-        # ambient curvature record once per T^2 orbit, at the representative
-        # x_a = y_a = |z_a| / sqrt 2; of it the chart keeps only M6
-        r = np.sum(F.reshape(n, 2, 2) ** 2, axis=-1)
-        self.orbit_keys, o = np.unique(r, axis=0, return_inverse=True)
-        self.orbit = o = o.reshape(n)
-        curv = curvature_from_arrays(*m.jets(
-            self.amb, np.repeat(np.sqrt(self.orbit_keys / 2.0), 2, axis=-1)))
+        # ambient curvature record at the immersed representatives; of it
+        # the chart keeps only M6
+        F0 = F[::n_angles]
+        self.orbit_keys = np.sum(F0.reshape(-1, 2, 2) ** 2, axis=-1)
+        curv = curvature_from_arrays(*m.jets(self.amb, F0))
         self.M6 = curv["M6"]
         k = len(self.M6)
-
-        # F = Q rep with Q the rotation of each factor plane that takes the
-        # diagonal to z_a, of cosine and sine (x_a + y_a, y_a - x_a) /
-        # (sqrt 2 |z_a|), and the identity where z_a = 0.  Q is an isometry,
-        # so the representative's tensors read vectors pulled back by Q^T
-        rad = np.sqrt(2.0 * r)
-        d = np.where(rad > 0, rad, 1.0)
-        cos = np.where(rad > 0, (F[:, 0::2] + F[:, 1::2]) / d, 1.0)
-        sin = (F[:, 1::2] - F[:, 0::2]) / d
-        Qt = np.zeros((n, 4, 4))
-        Qt[:, [0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 1, 2, 3, 2, 3]] = np.stack(
-            [cos[:, 0], sin[:, 0], -sin[:, 0], cos[:, 0],
-             cos[:, 1], sin[:, 1], -sin[:, 1], cos[:, 1]], axis=-1)
-        Q = np.swapaxes(Qt, -1, -2)
-        dF0, E0 = Qt @ dF, Qt @ E
-        e0, n0 = E0[..., :2], E0[..., 2:]
-        d2F0 = (Qt @ d2F.reshape(n, 4, 4)).reshape(n, 4, 2, 2)
 
         # Gamma(F_a)^i_q = Gamma^i_pq F^p_a, shared by A and omega, and its
         # u-derivative d_b Gamma(F_a) = dGamma(F_b, F_a) + Gamma(F_ab), as
         # products with Gamma^i_pq read as a (p, iq) and d_m Gamma^i_pq as
-        # an (mp, iq) matrix of each orbit
+        # an (mp, iq) matrix
         Ft = np.swapaxes(dF0, -1, -2)
-        Gam = np.swapaxes(curv["Gamma"], 1, 2).reshape(k, 4, 16)[o]
-        GF = (Ft @ Gam).reshape(n, 2, 4, 4)
-        FF = (Ft[:, :, None, None, :] * Ft[:, None, :, :, None]).reshape(n, 4, 16)
-        dGF = (FF @ curv["dGamma"].transpose(0, 1, 3, 2, 4).reshape(k, 16, 16)[o]
-               + np.swapaxes(d2F0.reshape(n, 4, 4), -1, -2) @ Gam)
+        Gam = np.swapaxes(curv["Gamma"], 1, 2).reshape(k, 4, 16)
+        GF = (Ft @ Gam).reshape(k, 2, 4, 4)
+        FF = (Ft[:, :, None, None, :] * Ft[:, None, :, :, None]).reshape(k, 4, 16)
+        dGF = (FF @ curv["dGamma"].transpose(0, 1, 3, 2, 4).reshape(k, 16, 16)
+               + np.swapaxes(d2F0.reshape(k, 4, 4), -1, -2) @ Gam)
 
         # second fundamental form on the orthonormal frames:
         # A_ijs = c_ia c_jb <F_ab + Gamma(F_a) F_b, n_s>
         dd = d2F0 + np.swapaxes(GF @ dF0[:, None], 1, 2)
-        ddn = np.einsum("...kab,...ks->...abs", dd, curv["g"][o] @ n0)
-        cdd = np.einsum("...jb,...abs->...ajs", self.c, ddn)
-        self.A = np.einsum("...ia,...ajs->...ijs", self.c, cdd)
-        self.H_norm = np.linalg.norm(self.A[..., 0, 0, :] + self.A[..., 1, 1, :],
-                                     axis=-1)
+        ddn = np.einsum("...kab,...ks->...abs", dd, curv["g"] @ n0)
+        A0 = np.einsum("...ia,...jb,...abs->...ijs", c0, c0, ddn)
+        H0 = np.linalg.norm(A0[..., 0, 0, :] + A0[..., 1, 1, :], axis=-1)
 
         # normal connection form and intrinsic bundle curvature:
         # omega_a = <nabla_a n3, n4>, K_perp = (d1 w2 - d2 w1)/sqrt(det h);
         # nabla_a n3 = d_a n3 + Gamma(F_a) n3 with Gamma(F_a) a 1-jet in u,
-        # back in the chart as Q (...) Q^T, b first in its derivative
-        GF = Q[:, None] @ GF @ Qt[:, None]
-        dGF = np.moveaxis((Q[:, None, None] @ dGF.reshape(n, 2, 2, 4, 4)
-                           @ Qt[:, None, None]), 2, 0)
+        # b first in its derivative
+        dGF = np.moveaxis(dGF.reshape(k, 2, 2, 4, 4), 2, 0)
         omega = []
-        g1, n3_1, n4_1 = drop([g2, n3, n4])
         for a in range(2):
             cov = [sum((Jet(GF[..., a, i, q], dGF[:, ..., a, i, q]) * n3_1[q]
                         for q in range(4)), partial(n3[i], a))
                    for i in range(4)]
             omega.append(_dot(g1, cov, n4_1))
-        self.omega = np.stack([array(w, shape) for w in omega], axis=-1)
+        omega0 = np.stack([array(w, sh) for w in omega], axis=-1)
         # K_perp pairs R_perp(e1,e2) n4 against n3; with nabla n4 = -omega n3
         # this is the negative curl of the connection form
-        curl = (array(partial(omega[1], 0), shape)
-                - array(partial(omega[0], 1), shape))
-        self.kperp = -curl / self.sqrt_h
+        curl = array(partial(omega[1], 0), sh) - array(partial(omega[0], 1), sh)
 
-        # eta = e1 ^ e2 + n3 ^ n4 on the representative's orthonormal frame,
-        # paired with W+ and W- in the (eta, etabar) basis
-        Einv = np.linalg.inv(curv["frame"])[o]
+        # eta = e1 ^ e2 + n3 ^ n4 on the record's orthonormal frame, paired
+        # with W+ and W- in the (eta, etabar) basis
+        Einv = np.linalg.inv(curv["frame"])
         ef, nf = Einv @ e0, Einv @ n0
         eta6 = bv.wedge(ef[..., 0], ef[..., 1]) + bv.wedge(nf[..., 0], nf[..., 1])
         y = eta6 @ bv.ETA_FRAME
         yp, ym = y[..., :3], y[..., 3:]
-        weyl = (np.einsum("...i,...ij,...j->...", yp, curv["wplus"][o], yp)
-                + np.einsum("...i,...ij,...j->...", ym, curv["wminus"][o], ym))
-        self.s6_pairing = curv["s"][o] / 6.0 * np.sum(eta6 ** 2, axis=-1) - weyl
+        weyl = (np.einsum("...i,...ij,...j->...", yp, curv["wplus"], yp)
+                + np.einsum("...i,...ij,...j->...", ym, curv["wminus"], ym))
+        s6 = curv["s"] / 6.0 * np.sum(eta6 ** 2, axis=-1) - weyl
 
         # Rm(e1, e2, n3, n4), and Rterm from Rf = Rm(e_r, n_p, e_s, n_q), the
         # (ij, kl) matrix of Rm between pair vectors; the Jacobi block on the
         # normal frame is Rterm plus the shear sum_ij A_ijp A_ijq
-        Rm = curv["Rm"].reshape(k, 16, 16)[o]
-        self.R1234 = ((e0[:, :, None, 0] * e0[:, None, :, 1]).reshape(n, 1, 16)
-                      @ Rm @ (n0[:, :, None, 0] * n0[:, None, :, 1]).reshape(
-                          n, 16, 1))[:, 0, 0]
-        K = (e0[:, :, None, :, None] * n0[:, None, :, None, :]).reshape(n, 16, 4)
-        Rf = (np.swapaxes(K, -1, -2) @ Rm @ K).reshape(n, 2, 2, 2, 2)
-        self.Rterm = Rf[:, 0, :, 0, :] + Rf[:, 1, :, 1, :]
-        self.jacobi = self.Rterm + np.einsum("...ijs,...ijt->...st",
-                                             self.A, self.A)
+        Rm = curv["Rm"].reshape(k, 16, 16)
+        R1234 = ((e0[:, :, None, 0] * e0[:, None, :, 1]).reshape(k, 1, 16)
+                 @ Rm @ (n0[:, :, None, 0] * n0[:, None, :, 1]).reshape(
+                     k, 16, 1))[:, 0, 0]
+        K = (e0[:, :, None, :, None] * n0[:, None, :, None, :]).reshape(k, 16, 4)
+        Rf = (np.swapaxes(K, -1, -2) @ Rm @ K).reshape(k, 2, 2, 2, 2)
+        Rterm0 = Rf[:, 0, :, 0, :] + Rf[:, 1, :, 1, :]
+        jacobi0 = Rterm0 + np.einsum("...ijs,...ijt->...st", A0, A0)
+
+        # the turn R of the u-plane from each node's representative to the
+        # node, its ambient rotation Phi, and T, which turns each (re, im)
+        # generator pair by its charge; F and the generators must agree
+        z = u @ [1.0, 1.0j]
+        th = np.angle(z * np.conj(z[::n_angles][o]))
+        R, (k1, k2) = _rot(th), S.weights[chart]
+        Phi = np.zeros((n, 4, 4))
+        Phi[:, :2, :2], Phi[:, 2:, 2:] = _rot(k1 * th), _rot(k2 * th)
+        Pt = np.swapaxes(Phi, -1, -2)
+        pairs = [(F, (F0[o, None] @ Pt)[:, 0])]
+        if S.normal_generators is not None:
+            T = np.zeros((n, S.n_directions, S.n_directions))
+            for j, q in enumerate(S.charges[chart]):
+                T[:, 2 * j:2 * j + 2, 2 * j:2 * j + 2] = _rot(-q * th)
+            V = _values([gen(chart, list(u.T), list(F.T))
+                         for gen in S.normal_generators], shape)
+            pairs.append((V, T @ V[::n_angles][o] @ Pt))
+        if not all(np.allclose(*ab, rtol=1e-12, atol=1e-12) for ab in pairs):
+            raise SpecParseError("surface %s: chart %s does not turn by its "
+                                 "weights and charges" % (S.name, chart))
+
+        # the tangent side; c = L^-1 for h = L L^T, L_11 = sqrt(det h) / L_00
+        self.dF = dF = Phi @ dF0[o] @ np.swapaxes(R, -1, -2)
+        self.h = h = R @ h0[o] @ np.swapaxes(R, -1, -2)
+        self.sqrt_h = r = np.sqrt(det)[o]
+        self.dA = self.w * r
+        l00 = np.sqrt(h[:, 0, 0])
+        self.c = c = np.zeros((n, 2, 2))
+        c[:, 0, 0], c[:, 1, 1] = 1.0 / l00, l00 / r
+        c[:, 1, 0] = -h[:, 1, 0] / (l00 * r)
+        self.e = dF @ np.swapaxes(c, -1, -2)
+        Vt = c @ R @ L0[o]
+
+        # the normal side: row 0 of x and y is the first column of L_nn^T
+        # S^T with n4's sign, rows 1 and 2 its u-gradient at the
+        # representative, from the values and gradients of L_nn
+        si, sj = S.normal_seeds
+        Ln = np.array([[array(lj, sh), *grad_array(lj, sh, 2).T]
+                       for lj in (L[2][2], L[3][2], L[3][3])])[..., o]
+        x = Ln[0] * Phi[:, si, si] + Ln[1] * Phi[:, si, sj]
+        y = Ln[2] * sgn[o] * Phi[:, si, sj]
+        U = _rot(np.arctan2(y[0], x[0]))
+        dpsi = ((x[0] * y[1:] - y[0] * x[1:]) / (x[0] ** 2 + y[0] ** 2)).T
+        self.n = Phi @ n0[o] @ U
+        self.omega = (R @ (omega0[o] + dpsi)[..., None])[..., 0]
+        AU = Vt[:, None] @ (A0[o] @ U[:, None])
+        self.A = (Vt @ AU.reshape(n, 2, 4)).reshape(n, 2, 2, 2)
+        self.Rterm, self.jacobi = (np.swapaxes(U, -1, -2) @ f[o] @ U
+                                   for f in (Rterm0, jacobi0))
+        self.kperp, self.H_norm, self.s6_pairing, self.R1234 = (
+            f[o] for f in (-curl / np.sqrt(det), H0, s6, R1234))
+
+        # frame coefficients p[n, c, s] = <V_c, n_s> of the directions V_c
+        # and their u-gradients dp[n, c, s, a]; with no generator fields the
+        # frame itself spans the normal bundle and p is the identity
+        if S.normal_generators is None:
+            self.p = np.tile(np.eye(2), (n, 1, 1))
+            self.dp = np.zeros((n, 2, 2, 2))
+            return
+        u1, F1 = seedn([ur[:, 0], ur[:, 1]], 1), drop(drop(Fj))
+        P = [(_dot(g1, V, n3_1), _dot(g1, V, n4_1))
+             for V in (gen(chart, u1, F1) for gen in S.normal_generators)]
+        p0 = _values(P, sh)[o]
+        dp0 = np.moveaxis(_values(P, sh, lambda x, s: grad_array(x, s, 2)),
+                          -1, 1)[o]
+        self.p = T @ p0 @ U
+        # d_b U = d_b psi U J, J the quarter turn; the u-index b of dp turns
+        # by R and goes last
+        UJ = U @ [[0.0, -1.0], [1.0, 0.0]]
+        dq = T[:, None] @ (dp0 @ U[:, None]
+                           + (p0 @ UJ)[:, None] * dpsi[..., None, None])
+        self.dp = np.moveaxis((R @ dq.reshape(n, 2, -1)).reshape(
+            n, 2, S.n_directions, 2), 1, -1)
 
 
 class SurfaceGeometry:
@@ -421,8 +486,10 @@ class SurfaceGeometry:
     def __init__(self, S, m, quad=None):
         self.S = S
         self.m = m
-        self.charts = [ChartGeometry(S, m, hemi, u, w) for hemi, u, w
-                       in sphere_chart_nodes((quad or QuadSpec()).n)]
+        # sphere_chart_nodes puts 2 n uniform angles on each of its radii
+        n = (quad or QuadSpec()).n
+        self.charts = [ChartGeometry(S, m, hemi, u, w, 2 * n) for hemi, u, w
+                       in sphere_chart_nodes(n)]
         self.min_residual = max(float(cg.H_norm.max()) for cg in self.charts)
 
     def integrate(self, values_per_chart):
@@ -496,25 +563,12 @@ class NormalSection:
             x = np.stack([-x[:, :, 1], x[:, :, 0]], axis=2)
         return x
 
-    def require_columns(self, K, batch=True):
+    def require_columns(self, K):
         """Raise SectionError unless W has one column per member of a family
-        of K functions, and no section axes unless ``batch``."""
-        if self.W.shape[1:2] != (K,) or not (batch or self.W.ndim == 2):
+        of K functions."""
+        if self.W.shape[1:2] != (K,):
             raise SectionError("W of shape %r: one column per family member "
-                               "(%d)%s" % (self.W.shape, K, "" if batch else
-                                           ", one section only"))
-
-    def coeff_jets(self, cg, order=1):
-        """The frame coefficients (c3, c4) as u-jets of ``order`` (1 or 2),
-        summed jet by jet; W may not carry section axes here."""
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        p = [self.frame(x) for x in (cg.p, cg.dp, cg.d2p)[:order + 1]]
-        Y = self.family(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], order))
-        self.require_columns(len(Y), batch=False)
-        f = [sum(float(w) * y for w, y in zip(wc, Y)) for wc in self.W]
-        return tuple(sum(fc * from_arrays(*(x[:, c, s] for x in p))
-                         for c, fc in enumerate(f)) for s in range(2))
+                               "(%d)" % (self.W.shape, K))
 
 
 def embedding_family(chart, u):
@@ -719,48 +773,6 @@ def weitzenboeck_variation(geom, sigma):
     geom.require_minimal()
     return averaged_second_variation(
         geom, [section_data(cg, sigma) for cg in geom.charts])
-
-
-def log_norm_check(geom, sigma, holo_tol=1e-6, norm_floor=1e-3,
-                   chart_filter=None):
-    """max | Kperp + 1/2 Laplacian_S log |sigma|^2 | over the grid.
-
-    Requires sigma holomorphic (max pointwise dbar norm below holo_tol) and
-    bounded away from zero.  The 1/2 is forced by this package's
-    normal-curvature normalization: on the projective line Kperp = 2 while
-    the holomorphic sections give Laplacian_S log |sigma|^2 = -4.
-    """
-    worst = 0.0
-    for cg in geom.charts:
-        if chart_filter is not None and not chart_filter(cg):
-            continue
-        dbar = dbar_sq(section_data(cg, sigma))
-        if dbar.max() > holo_tol:
-            raise SectionError(
-                "section is not holomorphic at tolerance (max |dbar|^2 = %.3e)"
-                % float(dbar.max()))
-        c3, c4 = sigma.coeff_jets(cg, order=2)
-        norm2 = c3 * c3 + c4 * c4
-        if np.sqrt(array(norm2, cg.shape)).min() < norm_floor:
-            raise SectionError("section norm falls below the floor")
-        lap = _surface_laplacian(cg, jlog(norm2))
-        worst = max(worst, float(np.abs(cg.kperp + 0.5 * lap).max()))
-    return worst
-
-
-def _surface_laplacian(cg, f):
-    """Laplace-Beltrami of a 2-jet scalar on the induced metric
-    (div grad convention: <= 0 at interior maxima)."""
-    sh = cg.shape
-    df = grad_array(f, sh, 2)
-    d2f = hess_array(f, sh, 2)
-    dh = np.empty(sh + (2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            dh[..., :, a, b] = grad_array(cg.h_jets[a][b], sh, 2)
-    hinv, Gamma = christoffel_arrays(cg.h, dh)
-    hess = d2f - np.einsum("...cab,...c->...ab", Gamma, df)
-    return np.einsum("...ab,...ab->...", hinv, hess)
 
 
 def ric_perp_identity_residual(cg):

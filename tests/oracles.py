@@ -1,0 +1,119 @@
+"""Second-order readers of the surface geometry, kept as test oracles.
+
+The chart geometry stores values and first u-derivatives only.  The
+Laplacian check of Lemma 3.15 and the order-2 frame coefficients of a
+section need second derivatives, which these oracles rebuild over jets at
+every node: the induced metric and the frame coefficients p of the normal
+directions, with the frame taken by Cholesky of the Gram matrix as the
+chart geometry takes it.
+"""
+
+import numpy as np
+
+from curv4.curvature import christoffel_arrays
+from curv4.errors import SectionError
+from curv4.jets import (Jet, array, drop, grad_array, hess_array, jlog, jsqrt,
+                        partial, seedn)
+from curv4.surfaces import dbar_sq, section_data
+
+
+def from_arrays(v, d, d2=None):
+    """The jet of value v, gradient d[..., a] and, if given, Hessian
+    d2[..., a, b]: a 1-jet, or a 2-jet whose first partials are d at both
+    layers.  The inverse of ``array``, ``grad_array`` and ``hess_array``."""
+    grads = [d[..., a] for a in range(d.shape[-1])]
+    if d2 is None:
+        return Jet(v, grads)
+    return Jet(Jet(v, grads), [from_arrays(g, d2[..., a, :])
+                               for a, g in enumerate(grads)])
+
+
+def _dot(g, u, v):
+    return sum(g[i][j] * u[i] * v[j] for i in range(4) for j in range(4))
+
+
+def second_order_jets(S, m, cg):
+    """(dh, d2p) at the nodes of cg: dh[n, k, a, b] = d_k h_ab of the
+    induced metric, and d2p[n, c, s, a, b] the u-Hessians of the frame
+    coefficients p = <V_c, n_s> (zero on a trivial bundle, where p = I)."""
+    sh = cg.shape
+    Fj = S.fmap(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], 3))
+    g2 = m.comps_ring(cg.amb, drop(Fj))
+    B = [[partial(f, a) for f in Fj] for a in range(2)] + [
+        [float(i == s) for i in range(4)] for s in S.normal_seeds]
+    G = [[_dot(g2, B[j], B[i]) for j in range(i + 1)] for i in range(4)]
+    dh = np.stack([np.stack([grad_array(G[max(a, b)][min(a, b)], sh, 2)
+                             for b in range(2)], axis=-1)
+                   for a in range(2)], axis=-2)
+    C = S.n_directions
+    if S.normal_generators is None:
+        return dh, np.zeros(sh + (C, 2, 2, 2))
+    L, frame = [], []
+    for i in range(4):
+        L.append([])
+        for j in range(i + 1):
+            acc = G[i][j] - sum(L[i][k] * L[j][k] for k in range(j))
+            L[i].append(jsqrt(acc) if j == i else acc / L[j][j])
+        v = B[i]
+        for k in range(i):
+            v = [v[p] - L[i][k] * frame[k][p] for p in range(4)]
+        frame.append([x / L[i][i] for x in v])
+    # n4 oriented like the chart geometry's frame
+    sgn = np.sign(sum(array(frame[3][i], sh) * cg.n[:, i, 1]
+                      for i in range(4)))
+    n3, n4 = frame[2], [sgn * x for x in frame[3]]
+    u2, F2 = seedn([cg.u[:, 0], cg.u[:, 1]], 2), drop(Fj)
+    P = [(_dot(g2, V, n3), _dot(g2, V, n4))
+         for V in (gen(cg.chart, u2, F2) for gen in S.normal_generators)]
+    return dh, np.stack([np.stack([hess_array(x, sh, 2) for x in row],
+                                  axis=1) for row in P], axis=1)
+
+
+def coeff_jets(sigma, cg, order=1, d2p=None):
+    """The frame coefficients (c3, c4) of one section as u-jets of
+    ``order`` (1, or 2 with the Hessians d2p of cg.p), summed jet by
+    jet from the chart's p and dp."""
+    p = [sigma.frame(x) for x in (cg.p, cg.dp, d2p)[:order + 1]]
+    Y = sigma.family(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], order))
+    sigma.require_columns(len(Y))
+    f = [sum(float(w) * y for w, y in zip(wc, Y)) for wc in sigma.W]
+    return tuple(sum(fc * from_arrays(*(x[:, c, s] for x in p))
+                     for c, fc in enumerate(f)) for s in range(2))
+
+
+def log_norm_check(geom, sigma, holo_tol=1e-6, norm_floor=1e-3,
+                   chart_filter=None):
+    """max | Kperp + 1/2 Laplacian_S log |sigma|^2 | over the grid.
+
+    Requires sigma holomorphic (max pointwise dbar norm below holo_tol) and
+    bounded away from zero.  The 1/2 is forced by this package's
+    normal-curvature normalization: on the projective line Kperp = 2 while
+    the holomorphic sections give Laplacian_S log |sigma|^2 = -4.
+    """
+    worst = 0.0
+    for cg in geom.charts:
+        if chart_filter is not None and not chart_filter(cg):
+            continue
+        dbar = dbar_sq(section_data(cg, sigma))
+        if dbar.max() > holo_tol:
+            raise SectionError(
+                "section is not holomorphic at tolerance (max |dbar|^2 = %.3e)"
+                % float(dbar.max()))
+        dh, d2p = second_order_jets(geom.S, geom.m, cg)
+        c3, c4 = coeff_jets(sigma, cg, 2, d2p)
+        norm2 = c3 * c3 + c4 * c4
+        if np.sqrt(array(norm2, cg.shape)).min() < norm_floor:
+            raise SectionError("section norm falls below the floor")
+        lap = surface_laplacian(cg, dh, jlog(norm2))
+        worst = max(worst, float(np.abs(cg.kperp + 0.5 * lap).max()))
+    return worst
+
+
+def surface_laplacian(cg, dh, f):
+    """Laplace-Beltrami of a 2-jet scalar on the induced metric h with
+    gradient dh (div grad convention: <= 0 at interior maxima)."""
+    df = grad_array(f, cg.shape, 2)
+    d2f = hess_array(f, cg.shape, 2)
+    hinv, Gamma = christoffel_arrays(cg.h, dh)
+    hess = d2f - np.einsum("...cab,...c->...ab", Gamma, df)
+    return np.einsum("...ab,...ab->...", hinv, hess)

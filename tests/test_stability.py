@@ -16,6 +16,7 @@ from curv4.surfaces import (
     parallel_section, perturbed_slice, point_geometry, product_slice,
     second_variation, section_data, surface_geometry, weitzenboeck_variation,
 )
+from oracles import coeff_jets, second_order_jets
 
 QUAD = QuadSpec(32)
 MP = product_spheres(1.0, 1.0)
@@ -40,13 +41,13 @@ class LinearSection:
         self.parts = list(parts)
         self.weights = np.asarray(weights, dtype=float)
 
-    def coeff_jets(self, cg, order=1):
+    def coeff_jets(self, cg, order=1, d2p=None):
         c3 = 0.0
         c4 = 0.0
         for w, p in zip(self.weights, self.parts):
             if w == 0.0:
                 continue
-            a3, a4 = p.coeff_jets(cg, order)
+            a3, a4 = coeff_jets(p, cg, order, d2p)
             c3 = c3 + w * a3
             c4 = c4 + w * a4
         return c3, c4
@@ -155,14 +156,15 @@ def test_as_section_matches_sum_of_elements(make_surface, metric):
     fast = basis.as_section(w)
     ref = LinearSection([element(basis, j) for j in range(basis.dim)], w)
     for cg in surface_geometry(S, metric, QuadSpec(12)).charts:
+        d2p = second_order_jets(S, metric, cg)[1]
         # section_data of the combination against the basis' node data
         _, V = basis.node_data(cg)
         d = section_data(cg, fast)
         assert_allclose(d["c3"], V[:, 0] @ w, rtol=0, atol=1e-12)
         assert_allclose(d["c4"], V[:, 1] @ w, rtol=0, atol=1e-12)
         for order in (1, 2):
-            for a, b in zip(fast.coeff_jets(cg, order),
-                            ref.coeff_jets(cg, order)):
+            for a, b in zip(coeff_jets(fast, cg, order, d2p),
+                            ref.coeff_jets(cg, order, d2p)):
                 for x, y in zip(_partials(a, cg.shape, order),
                                 _partials(b, cg.shape, order)):
                     assert_allclose(x, y, rtol=0, atol=1e-12)
@@ -356,6 +358,30 @@ def test_synthetic_instability_fixture(geoms):
                                ambient_override=kappa)
     assert form.morse_index == 2
     assert_allclose(form.spectrum[:2], [-2 * kappa, -2 * kappa], atol=1e-8)
+
+
+@pytest.mark.parametrize("name, pair, unstable", [
+    ("cp1-line", (0.0, 0.0), False), ("equator4", (-2.0, -4.0), True)],
+    ids=["cp1-line-fs", "equator4-round4"])
+def test_index_two_construction_verdict_has_a_tolerance(geoms, name, pair,
+                                                         unstable):
+    # the near-holomorphic section at L = 6: on the projective line both
+    # second variations are zero in exact arithmetic, and a rounding-level
+    # negative value does not make the pair unstable; on the equator they
+    # are -2 and -4
+    geom = geoms[name]
+    form = assemble_index_form(geom, SectionBasis(geom.S, 6))
+    sig = near_holomorphic_section(geom, form)["section"]
+    fix = index_two_construction(geom, sig)
+    assert_allclose(fix["d2_pair"], pair, rtol=1e-12, atol=1e-12)
+    assert fix["unstable_pair"] is unstable
+    # a constant curvature of 1e-12 in place of the ambient one gives
+    # d2 = -2e-12 Area on the parallel section of the slice: negative, but
+    # below the tolerance 1e-9 max(1, int |nabla sigma|^2) = 1e-9
+    fix = index_two_construction(geoms["slice"], parallel_section(1.0, 0.0),
+                                 ambient_override=1e-12)
+    assert -1e-9 < fix["d2_pair"][1] <= fix["d2_pair"][0] < 0
+    assert not fix["unstable_pair"]
 
 
 def test_index_two_construction_evaluates_section_once_per_chart():

@@ -20,12 +20,13 @@ from curv4.surfaces import (
     NormalSection, a_wedge_a_sq, a_wedge_a_sq_expansion, chern_number,
     cp1_line, dbar_sq, embedding_family, equator_sphere,
     kperp_extrinsic_field,
-    log_norm_check, normal_connection, parallel_section, parse_surface_spec,
+    normal_connection, parallel_section, parse_surface_spec,
     perturbed_slice, point_geometry, product_slice,
     ric_perp_identity_residual, second_variation, section_data,
     surface_geometry, variational_identity_lemma310,
     weitzenboeck_variation,
 )
+from oracles import coeff_jets, log_norm_check, second_order_jets
 
 QUAD = QuadSpec(32)
 MP = product_spheres(1.0, 1.0)
@@ -204,18 +205,20 @@ ORBIT_CASES = [(name, S, m, QUAD) for name, S, m in FRAME_CASES] + [
 @pytest.mark.parametrize("name, S, m, quad", ORBIT_CASES,
                          ids=[case[0] for case in ORBIT_CASES])
 def test_orbit_curvature_matches_per_node_oracle(name, S, m, quad, geoms):
-    # the chart evaluates the ambient curvature once per T^2 orbit and
-    # reads it on vectors pulled back by the factor rotations; every field
-    # that depends on it agrees with the record at the node itself
+    # the chart evaluates the ambient curvature once per S^1 orbit, at the
+    # first node of each radius, and carries it to the other nodes; every
+    # field that depends on it agrees with the record at the node itself
     if quad is None:
         charts = [point_geometry(S, m, "a", [0.3, -0.2])]
     elif name in geoms:
         charts = geoms[name].charts
     else:
         charts = surface_geometry(S, m, quad).charts
+    n_angles = 1 if quad is None else 2 * quad.n
     for cg in charts:
         radii = np.sum(cg.F.reshape(-1, 2, 2) ** 2, axis=-1)
-        assert np.array_equal(cg.orbit_keys[cg.orbit], radii)
+        assert np.array_equal(cg.orbit, np.arange(len(cg.u)) // n_angles)
+        assert_allclose(cg.orbit_keys[cg.orbit], radii, rtol=1e-14, atol=0)
         assert len(np.unique(cg.orbit_keys, axis=0)) == len(cg.orbit_keys)
         if name == "twisted-slice-origin":
             assert np.all(radii[:, 1] == 0.0)
@@ -228,13 +231,12 @@ def test_orbit_curvature_matches_per_node_oracle(name, S, m, quad, geoms):
             assert err.max() <= 1e-13, (key, err.max())
 
 
-@pytest.mark.parametrize("S, m, orbits", [(cp1_line(), MF, 59),
-                                          (perturbed_slice(0.15), MP, 208)],
+@pytest.mark.parametrize("S, m, orbits", [(cp1_line(), MF, 16),
+                                          (perturbed_slice(0.15), MP, 16)],
                          ids=["cp1-line-fs", "perturbed-slice"])
 def test_curvature_is_evaluated_once_per_orbit(monkeypatch, S, m, orbits):
-    # 1,024 QUAD nodes per chart; the exact (|z1|^2, |z2|^2) of the nodes
-    # on one ray of the sphere rule differ in the last bit, hence 59
-    # orbits and not the 16 rays on the projective line
+    # 1,024 QUAD nodes per chart: 64 angles on each of 16 radii, and one
+    # curvature point per radius
     sizes = []
     real = surfaces.curvature_from_arrays
 
@@ -246,6 +248,58 @@ def test_curvature_is_evaluated_once_per_orbit(monkeypatch, S, m, orbits):
     geom = surface_geometry(S, m, QUAD)
     assert sizes == [orbits, orbits]
     assert [len(cg.M6) for cg in geom.charts] == sizes
+
+
+CARRY_CASES = FRAME_CASES + [
+    ("twisted-perturbed", perturbed_slice(0.15), MT),
+    ("twisted-slice-off", product_slice(point=(0.2, 0.4)), MT),
+]
+CARRIED_FIELDS = ("F", "dF", "h", "sqrt_h", "dA", "c", "e", "n", "p", "dp",
+                  "A", "H_norm", "omega", "kperp", "s6_pairing", "R1234",
+                  "Rterm", "jacobi")
+
+
+@pytest.mark.parametrize("quad", [32, 33])
+@pytest.mark.parametrize("name, S, m", CARRY_CASES,
+                         ids=[name for name, _, _ in CARRY_CASES])
+def test_carried_geometry_matches_per_node_path(name, S, m, quad):
+    # the geometry built at one node per radius and carried by the rotation
+    # against the same class with one angle per radius, i.e. every node
+    # computed over its own jets; an odd quad puts a radius on the equator
+    for cg in surface_geometry(S, m, QuadSpec(quad)).charts:
+        ref = surfaces.ChartGeometry(S, m, cg.chart, cg.u, cg.w)
+        assert len(cg.M6) == quad // 2 + (quad % 2) * (cg.chart == "a")
+        for key in CARRIED_FIELDS:
+            got, want = getattr(cg, key), getattr(ref, key)
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() <= 1e-13, (key, err.max())
+
+
+def test_wrong_rotation_weight_is_rejected():
+    # the carry checks the declared weights and generator charges on every
+    # build; a wrong one raises the typed error instead of a wrong geometry.
+    # (The slice through the origin of the second factor would turn with
+    # any k2, so the wrong k2 is tried off the origin.)
+    for S, m, wrong in [
+            (product_slice(point=(0.3, -0.2)), MP,
+             {"weights": {"a": (1, 1), "b": (1, 0)}}),
+            (equator_sphere(), MR, {"weights": {"a": (1, 0), "b": (1, 0)}}),
+            (cp1_line(), MF, {"charges": {"a": (1, 0), "b": (1, 0)}})]:
+        args = dict(normal_seeds=S.normal_seeds,
+                    normal_generators=S.normal_generators,
+                    weights=S.weights, charges=S.charges)
+        bad = surfaces.SurfaceImmersion(S.name, S.chart_map, S.fmap,
+                                        **dict(args, **wrong))
+        with pytest.raises(SpecParseError, match="weights and charges"):
+            surface_geometry(bad, m, QuadSpec(8))
+        # one angle per radius carries by the identity
+        assert point_geometry(bad, m, "a", [0.3, -0.2]).shape == (1,)
+    # the seeds turn with Phi only when they span one factor plane; seeds
+    # (1, 3) of the perturbed slice would carry a wrong normal frame
+    S = perturbed_slice(0.15)
+    with pytest.raises(ValueError, match="one factor plane"):
+        surfaces.SurfaceImmersion(S.name, S.chart_map, S.fmap,
+                                  normal_seeds=(1, 3), weights=S.weights)
 
 
 @pytest.mark.filterwarnings("error")
@@ -276,11 +330,14 @@ def test_geometry_dies_with_its_last_reference():
 def test_geometry_memory_is_bounded():
     # tracemalloc sees numpy's buffers.  The second of two builds is
     # measured, so one-time module state is not counted.  Since the charts
-    # evaluate the curvature once per T^2 orbit and keep M6 per orbit this
-    # build retains 2.29 MiB and peaks at 9.99 MiB (numpy 2.4.6; 2.90 and
-    # 16.95 MiB with the record at every node, 18.08 and 26.19 MiB when each
-    # chart kept the whole record); the bounds are about 5% above.  Keeping
-    # a node-sized curvature tensor on the chart exceeds them.
+    # build their jets and the curvature at one node per radius and carry
+    # them to the others, and keep no second derivatives, this build
+    # retains 1.47 MiB and peaks at 3.08 MiB (numpy 2.4.6; 2.29 and 9.99
+    # MiB with jets at every node and the curvature once per T^2 orbit,
+    # 2.90 and 16.95 MiB with the record at every node, 18.08 and 26.19 MiB
+    # when each chart kept the whole record); the bounds are about 5%
+    # above.  Keeping a node-sized curvature tensor on the chart exceeds
+    # them.
     import gc
     import tracemalloc
     S, quad = cp1_line(), QuadSpec(32)
@@ -293,8 +350,8 @@ def test_geometry_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(geom.charts) == 2
-    assert retained <= 2.41 * 2 ** 20
-    assert peak <= 10.49 * 2 ** 20
+    assert retained <= 1.54 * 2 ** 20
+    assert peak <= 3.24 * 2 ** 20
 
 
 @pytest.mark.parametrize("S, m", [
@@ -715,8 +772,9 @@ def test_projected_coeff_jets_match_direct_projection():
     S = cp1_line()
     sig = smooth_projected_section(S, 32)
     for cg in surface_geometry(S, MF, QuadSpec(12)).charts:
+        d2p = second_order_jets(S, MF, cg)[1]
         for order in (1, 2):
-            for got, want in zip(sig.coeff_jets(cg, order),
+            for got, want in zip(coeff_jets(sig, cg, order, d2p),
                                  _direct_projection(S, MF, cg, sig, order)):
                 for x, y in zip(_jet_partials(got, cg.shape, order),
                                 _jet_partials(want, cg.shape, order)):
@@ -730,13 +788,13 @@ def test_normal_section_rejects_wrong_coefficient_count():
     cg = surface_geometry(cp1_line(), MF, QuadSpec(12)).charts[0]
     for W in ([[1.0]], np.ones((1, 1, 3))):
         with pytest.raises(SectionError):
-            NormalSection(one, W).coeff_jets(cg)
+            coeff_jets(NormalSection(one, W), cg)
         with pytest.raises(SectionError):
             section_data(cg, NormalSection(one, W))
     # a trivial bundle has the two frame directions, not four
     cg = surface_geometry(product_slice(), MP, QuadSpec(12)).charts[0]
     with pytest.raises(SectionError):
-        NormalSection(one, np.ones((4, 1))).coeff_jets(cg)
+        coeff_jets(NormalSection(one, np.ones((4, 1))), cg)
     with pytest.raises(SectionError):
         section_data(cg, NormalSection(one, np.ones((4, 1))).rotated())
 
@@ -746,23 +804,6 @@ def test_section_data_rejects_wrong_family_length(geoms):
     cg = geoms["slice"].charts[0]
     with pytest.raises(SectionError, match="column"):
         section_data(cg, NormalSection(embedding_family, np.ones((2, 3))))
-
-
-def test_coeff_jets_rejects_wrong_family_length(geoms):
-    # summing W's columns against the family member by member would drop
-    # the fourth member without a word
-    cg = geoms["slice"].charts[0]
-    with pytest.raises(SectionError, match="column"):
-        NormalSection(embedding_family, np.ones((2, 3))).coeff_jets(cg)
-
-
-def test_coeff_jets_rejects_a_batch_of_sections(geoms):
-    # coeff_jets reads one section; section_data reads the batch
-    cg = geoms["slice"].charts[0]
-    sig = NormalSection(embedding_family, np.ones((2, 4, 3)))
-    with pytest.raises(SectionError, match="one section"):
-        sig.coeff_jets(cg)
-    assert section_data(cg, sig)["c3"].shape == (3,) + cg.shape
 
 
 def covariant_coeffs(omega, v3, v4, d3, d4):
@@ -789,7 +830,7 @@ def test_section_data_matches_jets_oracle(name, geoms):
             assert got["D3"].shape == (2, 3) + cg.shape + (2,)
             for t in np.ndindex(2, 3):
                 one = NormalSection(sig.family, W[..., t[0], t[1]], sig.turns)
-                c3, c4 = one.coeff_jets(cg, 1)
+                c3, c4 = coeff_jets(one, cg, 1)
                 v3, v4 = jet_array(c3, cg.shape), jet_array(c4, cg.shape)
                 cov = covariant_coeffs(cg.omega, v3, v4,
                                        grad_array(c3, cg.shape, 2),
