@@ -24,7 +24,6 @@ from .stability import (
 from .surfaces import (
     NormalSection, SurfaceImmersion, a_wedge_a_sq, chern_number,
     cp1_line, dbar_sq, equator_sphere, kperp_extrinsic_field,
-    normal_connection, parallel_section, parse_surface_spec, perturbed_slice,
-    point_geometry, product_slice, second_variation, section_data,
+    parse_surface_spec, perturbed_slice, product_slice, section_data,
     surface_geometry, variational_identity_lemma310, weitzenboeck_variation,
 )

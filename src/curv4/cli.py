@@ -5,22 +5,25 @@ fixed seed and configuration produce byte-identical output; wall-clock
 timing goes to stderr only.
 
 The ``surface`` report gives area, minimality residual and c1 of any
-sphere.  A minimal one adds its index, the averaged second variation of
-the near-holomorphic section and a ``theorem_c`` block with the
-hypothesis margins of Theorem C (``stability.theorem_c_margins``); a
-non-minimal one gets a warning in their place.
+sphere.  A minimal one adds its index, the averaged second variation of the
+near-holomorphic section sigma with its ``index_two`` pair sigma, sigma
+-+ J sigma (unstable when the average is negative) and a ``theorem_c``
+block with the hypothesis margins of Theorem C
+(``stability.theorem_c_margins``); a non-minimal one gets a warning in
+their place.  The index is refined up to degree min(--L-max, --quad - 1):
+at L = quad the sphere rule no longer resolves the index form.
 
 Exit codes: 0 success; 1 identity violation or another curv4 error, e.g. a
 surface that lies in a chart the metric's atlas does not have, or whose
 immersed nodes leave that chart's domain, or an index that does not
-stabilize by --L-max; 2 parse error: an unknown flag, a malformed metric or
-surface spec (the grammar of ``metrics.parse_spec``), a value a surface
-constructor rejects, a malformed --t-values or --eps-values list or one with
-a non-finite entry, --grid below 3, --quad below 8, a negative --seed,
---sections below 1, --tol not finite and positive, --L0 below 0, or --L-max
-below --L0 + 4; 3 metric construction failure, e.g. |eps| above the twisted
-family's eps_max.  Spec, range and construction errors print one line on
-stderr and no traceback.
+stabilize by min(--L-max, --quad - 1); 2 parse error: an unknown flag, a
+malformed metric or surface spec (the grammar of ``metrics.parse_spec``), a
+value a surface constructor rejects, a malformed --t-values or --eps-values
+list or one with a non-finite entry, --grid below 3, --quad below 8, a
+negative --seed, --sections below 1, --tol not finite and positive, --L0
+below 0, --L-max below --L0 + 4, or --L0 + 4 above --quad - 1; 3 metric
+construction failure, e.g. |eps| above the twisted family's eps_max.  Spec,
+range and construction errors print one line on stderr and no traceback.
 """
 
 import argparse
@@ -343,7 +346,7 @@ def cmd_surface(args):
         return EXIT_OK
     out = refine_until_stable(
         lambda L: assemble_index_form(geom, SectionBasis(S, L)),
-        L0=args.L0, L_max=args.L_max)
+        L0=args.L0, L_max=min(args.L_max, args.quad - 1))
     form = out["form"]
     report["morse_index"] = out["morse_index"]
     report["nullity"] = out["nullity"]
@@ -358,6 +361,11 @@ def cmd_surface(args):
     report["averaged_second_variation"] = {
         "lhs": wv["lhs"], "rhs": wv["rhs"], "residual": wv["residual"],
         "terms": wv["terms"]}
+    pair = wv["index_two"]
+    report["index_two"] = dict(
+        {k: float(pair[k]) for k in ("d2_sigma", "d2_jsigma", "cross")},
+        d2_pair=[float(v) for v in pair["d2_pair"]],
+        unstable_pair=bool(pair["unstable_pair"]))
     report["theorem_c"] = theorem_c_margins(geom)
     _write_report(report, args.out)
     return EXIT_OK
@@ -416,7 +424,9 @@ def build_parser():
     p.add_argument("--metric", required=True)
     p.add_argument("--surface", required=True)
     p.add_argument("--L0", type=int, default=2)
-    p.add_argument("--L-max", type=int, default=12)
+    p.add_argument("--L-max", type=int, default=12,
+                   help="highest harmonic degree (>= --L0 + 4); the "
+                        "refinement stops at --quad - 1 if that is lower")
     p.set_defaults(func=cmd_surface)
     return ap
 
@@ -436,7 +446,9 @@ def _check_ranges(args):
             (args.command == "surface" and args.L0 < 0,
              "--L0 must be >= 0"),
             (args.command == "surface" and args.L0 + 4 > args.L_max,
-             "--L-max must be at least --L0 + 4")):
+             "--L-max must be at least --L0 + 4"),
+            (args.command == "surface" and args.L0 + 4 > args.quad - 1,
+             "--quad must be at least --L0 + 5 to resolve degree L0 + 4")):
         if bad:
             raise SpecParseError(what)
 

@@ -197,7 +197,7 @@ def block_identity_residual(c):
 SECTIONAL_STEPS = 40
 
 
-def sectional_extremes(M6, return_bound=False):
+def sectional_extremes(M6):
     """Exact minimum of the sectional curvature <M xi, xi> over unit
     decomposable bivectors xi = x ^ y, by Thorpe duality.
 
@@ -213,11 +213,11 @@ def sectional_extremes(M6, return_bound=False):
     plane is the column space of its rank-2 antisymmetric matrix.
 
     M6 may be batched (..., 6, 6); the computation is deterministic.
-    Returns (value, plane): value = <M xi, xi> is the curvature of the
-    returned plane, an upper bound on the minimum, and plane is an
-    orthonormal (..., 4, 2) pair spanning it.  With return_bound, a third
-    item is the certified lower bound lambda_min(M + t* *) at the better
-    bracket end; value minus bound is the primal-dual gap.
+    Returns (value, plane, bound): value = <M xi, xi> is the curvature of
+    the returned plane, an upper bound on the minimum, plane is an
+    orthonormal (..., 4, 2) pair spanning it, and bound is the certified
+    lower bound lambda_min(M + t* *) at the better bracket end; value minus
+    bound is the primal-dual gap.
     """
     M = np.asarray(M6, dtype=float)
     batch = M.shape[:-2]
@@ -258,10 +258,8 @@ def sectional_extremes(M6, return_bound=False):
         A[:, i, j] = xi[:, p]
         A[:, j, i] = -xi[:, p]
     plane = np.linalg.eigh(A @ np.swapaxes(A, -1, -2))[1][..., 2:]
-    out = (value.reshape(batch), plane.reshape(batch + (4, 2)))
-    if return_bound:
-        out += (f.max(axis=1).reshape(batch),)
-    return out
+    return (value.reshape(batch), plane.reshape(batch + (4, 2)),
+            f.max(axis=1).reshape(batch))
 
 
 # ---------------------------------------------------------------------
@@ -337,7 +335,7 @@ def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
             "curvature_operator": np.linalg.eigvalsh(data["R_op"])[:, 0],
         }
         if include_sectional:
-            vals, _, bound = sectional_extremes(data["M6"], return_bound=True)
+            vals, _, bound = sectional_extremes(data["M6"])
             out["min_sectional"] = vals
             gap = max(gap, float((vals - bound).max()))
         smax = max(smax, float(np.abs(data["s"]).max()))
@@ -404,10 +402,10 @@ def positivity_eps_max(t, grid_n=5):
 # ---------------------------------------------------------------------
 # the eigenvalue implication s/12 + W+ >= 0  =>  s/6 - W+ >= 0
 
-def lemma21_check(c, tol=None):
-    """The implication's antecedent/consequent margins per point."""
+def lemma21_check(c):
+    """The implication's margins per point, read at ``psd_tolerance``."""
     s = c["s"]
-    tol = psd_tolerance(s) if tol is None else tol
+    tol = psd_tolerance(s)
     out = {}
     for name in ("plus", "minus"):
         lam = np.linalg.eigvalsh(c["w" + name])
@@ -421,15 +419,15 @@ def lemma21_check(c, tol=None):
 # ---------------------------------------------------------------------
 # Kaehler structure
 
-def kaehler_residuals(m, grid_n=4):
+def kaehler_residuals(m):
     """Max-norm residuals of J^2 + Id, g(J.,J.) - g and nabla J over
-    chart.grid(grid_n) of every chart, taken once per T^2 orbit: J_STANDARD
+    chart.grid(4) of every chart, taken once per T^2 orbit: J_STANDARD
     commutes with the rotations, which are isometries, so the residual at a
     rotated point is the rotated residual."""
     if not m.is_kaehler:
         raise MetricConstructionError("%s has no complex structure" % m.name)
     out = {"j_squared": 0.0, "compatibility": 0.0, "nabla_j": 0.0}
-    for chart, pts, _ in m.orbit_points(grid_n):
+    for chart, pts, _ in m.orbit_points(4):
         g, dg, _ = m.jets(chart, pts)
         _, Gamma = christoffel_arrays(g, dg)
         J = np.broadcast_to(J_STANDARD, g.shape)

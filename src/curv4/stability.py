@@ -18,9 +18,9 @@ its caller built once.
 ``theorem_c_margins`` reads the hypotheses of Theorem C off the same
 geometry: the eta-pairing, the shear and the minimal sectional curvature.
 The ``surface`` command reports them next to c1 and the averaged second
-variation of the near-holomorphic section, which together carry the
-theorem's argument; a curvature-override fixture exercises the
-instability branch that no constructible metric can reach.
+variation of the near-holomorphic section with its index-two pair
+(``surfaces.averaged_second_variation``), which together carry the
+theorem's argument.
 """
 
 import numpy as np
@@ -29,8 +29,7 @@ from .curvature import sectional_extremes
 from .errors import RefinementError
 from .sphharm import real_harmonics
 from .surfaces import (
-    NormalSection, a_wedge_a_sq, direction_factor, j_rotated_data,
-    jacobi_block, read_family, second_variation_density, section_data,
+    NormalSection, a_wedge_a_sq, direction_factor, read_family, section_data,
 )
 
 MASS_COND_MAX = 1e6
@@ -111,7 +110,7 @@ class IndexForm:
         self.nullity = int(np.sum(np.abs(self.spectrum) <= self.tol_idx))
 
 
-def _accumulate_forms(geom, basis, ambient_override=None):
+def _accumulate_forms(geom, basis):
     """The index form Q, mass matrix G and dbar matrix D of the basis.
 
     Each is a quadrature sum over nodes n of dA_n F_n^T M_n F_n for the
@@ -120,7 +119,7 @@ def _accumulate_forms(geom, basis, ambient_override=None):
     The area weights dA are positive, so scaling each node's rows in place
     by the real factor r = sqrt(dA) turns every sum into a single BLAS
     product over the stacked rows: X^T X, or V^T (M V) for the indefinite
-    curvature-plus-shear block.
+    curvature-plus-shear block M, the chart's ``jacobi``.
     """
     dim = basis.dim
     Q, G, D = (np.zeros((dim, dim)) for _ in range(3))
@@ -130,11 +129,10 @@ def _accumulate_forms(geom, basis, ambient_override=None):
         r = np.sqrt(cg.dA)[:, None, None]
         X *= r
         V *= r
-        M = jacobi_block(cg, ambient_override)
         Xf = X.reshape(4 * n, dim)
         Vf = V.reshape(2 * n, dim)
         Q += Xf.T @ Xf
-        Q -= Vf.T @ np.matmul(M, V).reshape(2 * n, dim)
+        Q -= Vf.T @ np.matmul(cg.jacobi, V).reshape(2 * n, dim)
         G += Vf.T @ Vf
         # dbar rows in place: b3 = D3_1 - D4_2 in row 0, b4 = D4_1 + D3_2
         # in row 2; rows 0 and 2 of every node are then one strided view
@@ -146,11 +144,11 @@ def _accumulate_forms(geom, basis, ambient_override=None):
     return 0.5 * (Q + Q.T), 0.5 * (G + G.T), 0.5 * (D + D.T)
 
 
-def assemble_index_form(geom, basis, ambient_override=None):
-    """Polarized second-variation matrix and mass matrix over the basis."""
-    if ambient_override is None:
-        geom.require_minimal()
-    Q, G, D = _accumulate_forms(geom, basis, ambient_override)
+def assemble_index_form(geom, basis):
+    """Polarized second-variation matrix and mass matrix over the basis;
+    NonMinimalSurfaceError on a non-minimal surface."""
+    geom.require_minimal()
+    Q, G, D = _accumulate_forms(geom, basis)
     return IndexForm(Q, G, basis, D)
 
 
@@ -200,42 +198,6 @@ def refine_until_stable(op, L0=2, L_max=12):
                           % (L_max, history))
 
 
-def index_two_construction(geom, sigma, ambient_override=None):
-    """The sigma, sigma +- J sigma pair: both second variations negative
-    whenever the averaged one is (polarization decides the sign).
-
-    sigma is evaluated once per chart.  section_data is linear in the
-    section, so the data of a sigma + b J sigma is a (c3, c4, D3, D4) of
-    sigma plus b of J sigma's rotated data, and grad2 follows from D3, D4.
-    Returns the two second variations ordered low to high, their cross term
-    and (d2_sigma, d2 of the partner sigma -+ J sigma that lowers it), an
-    unstable pair if both are below -1e-9 max(1, int |nabla sigma|^2).  The
-    combinations are never built as sections, so no "pair" of sections is
-    returned.
-    """
-    if ambient_override is None:
-        geom.require_minimal()
-    data = [section_data(cg, sigma) for cg in geom.charts]
-
-    def d2(a, b):
-        vals = []
-        for cg, d in zip(geom.charts, data):
-            dj = j_rotated_data(d)
-            dab = {k: a * d[k] + b * dj[k] for k in ("c3", "c4", "D3", "D4")}
-            D3, D4 = dab["D3"], dab["D4"]
-            dab["grad2"] = (D3[..., 0] ** 2 + D3[..., 1] ** 2
-                            + D4[..., 0] ** 2 + D4[..., 1] ** 2)
-            vals.append(second_variation_density(cg, dab, ambient_override))
-        return geom.integrate(vals)
-
-    a, b = sorted((d2(1.0, 0.0), d2(0.0, 1.0)))
-    cross = 0.5 * (d2(1.0, 1.0) - a - b)
-    b_pair = d2(1.0, -1.0 if cross > 0 else 1.0)
-    tol = 1e-9 * max(1.0, geom.integrate([d["grad2"] for d in data]))
-    return {"d2_sigma": a, "d2_jsigma": b, "cross": cross,
-            "d2_pair": (a, b_pair), "unstable_pair": max(a, b_pair) < -tol}
-
-
 def theorem_c_margins(geom):
     """The hypothesis margins of Theorem C on a minimal sphere.
 
@@ -253,7 +215,7 @@ def theorem_c_margins(geom):
     """
     geom.require_minimal()
     vals, _, bound = sectional_extremes(
-        np.concatenate([cg.M6 for cg in geom.charts]), return_bound=True)
+        np.concatenate([cg.M6 for cg in geom.charts]))
     pairing_min = min(float(cg.s6_pairing.min()) for cg in geom.charts)
     min_sectional = float(vals.min())
     return {"pairing_min": pairing_min,

@@ -17,16 +17,13 @@ immersed point by a rotation of the ambient factor planes (the declared
 weights of ``SurfaceImmersion``), an isometry of every T^2-invariant metric
 (see ``metrics``).  So the geometry is built over jets at one node per
 radius of the sphere rule and carried to the other nodes of that radius
-by the rotation, in the Gram-Schmidt gauge of each node.  A single
-point is a batch of one: ``point_geometry`` is the ChartGeometry of one
-node, and every pointwise quantity is read from its arrays.
+by the rotation, in the Gram-Schmidt gauge of each node.
 
 ``SurfaceGeometry`` holds one ChartGeometry per surface chart at the sphere
 quadrature nodes.  The caller builds it once (``surface_geometry``) and
-passes it to every integral: ``chern_number``, ``second_variation``,
-``variational_identity_lemma310``, ``weitzenboeck_variation`` and the index
-forms of ``stability``.  Nothing caches it, so it lives exactly as long as
-the caller holds it.
+passes it to every integral: ``chern_number``, ``lemma310_integrals``,
+``averaged_second_variation`` and the index forms of ``stability``.
+Nothing caches it, so it lives exactly as long as the caller holds it.
 
 There is one section type, ``NormalSection``: a coefficient matrix W on
 one scalar family Y (K functions, e.g. harmonics), sigma = sum_{c,k}
@@ -34,8 +31,9 @@ W[c, k] Y_k V_c.  The directions V_c are the surface's normal generator
 fields, or on a trivial bundle the adapted frame (n3, n4) with constant
 coefficients (1, 0) and (0, 1).  ``section_data`` reads the family once
 per chart, contracts W with it and applies the chart's ``direction_factor``
-to the result; trailing axes of W give a batch of sections in one read.  It is linear in the section, so the data of J sigma
-and of a sigma + b J sigma follow from one evaluation of sigma.
+to the result; trailing axes of W give a batch of sections in one read.
+It is linear in the section, so the data of J sigma and of a sigma + b J
+sigma follow from one evaluation of sigma.
 
 Adapted frames are Gram-Schmidt of B = (F_u, F_v, d_s3, d_s4), the
 coordinate tangents and two fixed ambient coordinate directions, read off
@@ -518,13 +516,6 @@ def surface_geometry(S, m, quad=None):
     return SurfaceGeometry(S, m, quad)
 
 
-def point_geometry(S, m, chart, u):
-    """The ChartGeometry of surface chart coordinates u, one node each
-    (a single point gives a one-node batch), with unit weights."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    return ChartGeometry(S, m, chart, u, np.ones(len(u)))
-
-
 # ---------------------------------------------------------------------
 # normal sections
 
@@ -575,13 +566,6 @@ def embedding_family(chart, u):
     """[1, N1, N2, N3]: the constant and the R^3 embedding functions, whose
     combinations are the affine functions on S^2."""
     return [1.0] + list(sphere_functions(chart, u))
-
-
-def parallel_section(c3=1.0, c4=0.0):
-    """c3 n3 + c4 n4 with constant coefficients on a trivial normal bundle.
-    Surfaces with generator fields (cp1-line) have no such global section:
-    evaluating it there raises SectionError."""
-    return NormalSection(lambda chart, u: [1.0], [[c3], [c4]])
 
 
 # ---------------------------------------------------------------------
@@ -641,18 +625,6 @@ def j_rotated_data(d):
     return dict(d, c3=-d["c4"], c4=d["c3"], D3=-d["D4"], D4=d["D3"])
 
 
-def normal_connection(S, m, sigma, X, chart, u):
-    """Ambient components of nabla^perp_X sigma at a single point.
-
-    X is a tangent vector in surface chart coordinates.
-    """
-    cg = point_geometry(S, m, chart, u)
-    d = section_data(cg, sigma)
-    # X on the orthonormal frame: e_i = c[i,a] d_a, so X^a = c[i,a] x_i
-    x = np.linalg.solve(cg.c[0].T, np.asarray(X, dtype=float))
-    return (d["D3"][0] @ x) * cg.n[0, :, 0] + (d["D4"][0] @ x) * cg.n[0, :, 1]
-
-
 def dbar_sq(d, tau=0.0):
     """|dbar(sigma; e)|^2 / 2 from the section_data dict of sigma, where
     dbar(sigma; e) = nabla^perp_e sigma + nabla^perp_{Ie}(J sigma) and
@@ -704,29 +676,16 @@ def a_wedge_a_sq_expansion(A):
 # ---------------------------------------------------------------------
 # variational integrals
 
-def jacobi_block(cg, ambient_override=None):
-    """The 2x2 block M of the second-variation density |nabla sigma|^2 -
-    c^T M c on the frame coefficients c of sigma.  ambient_override = kappa
-    puts the curvature term of constant curvature kappa, 2 kappa I, in place
-    of the ambient one and keeps the shear."""
-    if ambient_override is None:
-        return cg.jacobi
-    return cg.jacobi - cg.Rterm + 2.0 * float(ambient_override) * np.eye(2)
+def _jacobi_pairing(cg, d, e):
+    """c_d^T M c_e, c the frame coefficients of section_data d and e and M
+    the chart's Jacobi block ``jacobi``."""
+    c, ce = (np.stack([x["c3"], x["c4"]], axis=-1) for x in (d, e))
+    return np.einsum("...s,...st,...t->...", c, cg.jacobi, ce)
 
 
-def second_variation_density(cg, d, ambient_override=None):
+def second_variation_density(cg, d):
     """Integrand of delta^2 from the section_data dict of sigma."""
-    c = np.stack([d["c3"], d["c4"]], axis=-1)
-    return d["grad2"] - np.einsum("...s,...st,...t->...", c,
-                                  jacobi_block(cg, ambient_override), c)
-
-
-def second_variation(geom, sigma):
-    """delta^2(sigma) for a minimal surface (unnormalized curvature term)."""
-    geom.require_minimal()
-    vals = [second_variation_density(cg, section_data(cg, sigma))
-            for cg in geom.charts]
-    return geom.integrate(vals)
+    return d["grad2"] - _jacobi_pairing(cg, d, d)
 
 
 def lemma310_integrals(geom, data):
@@ -749,12 +708,20 @@ def averaged_second_variation(geom, data):
 
     lhs = delta^2(sigma) + delta^2(J sigma); rhs integrates
     4 |dbar sigma|^2 - [ <(s/6 - W+) eta, eta> + |A ^ A|^2 ] |sigma|^2.
+
+    ``index_two`` polarizes: J is parallel, so delta^2(sigma + b J sigma) =
+    low + b^2 high + 2 b cross, cross = -int c^T M (J c), for the two
+    variations ordered low, high.  d2_pair = (low, low + high - 2 |cross|)
+    is unstable if both are below -1e-9 max(1, int |nabla sigma|^2); a
+    single section gives floats and a bool, a batch arrays.
     """
     def delta2(ds):
         return geom.integrate([second_variation_density(cg, d)
                                for cg, d in zip(geom.charts, ds)])
 
-    lhs = delta2(data) + delta2([j_rotated_data(d) for d in data])
+    jdata = [j_rotated_data(d) for d in data]
+    d2s, d2j = delta2(data), delta2(jdata)
+    lhs = d2s + d2j
     t_dbar = geom.integrate([4.0 * dbar_sq(d) for d in data])
     # 0.0 - x, not -x, so that a zero integral is reported as 0.0
     t_weyl = 0.0 - geom.integrate([cg.s6_pairing * d["norm2"]
@@ -762,9 +729,19 @@ def averaged_second_variation(geom, data):
     t_shear = 0.0 - geom.integrate([a_wedge_a_sq(cg.A) * d["norm2"]
                                     for cg, d in zip(geom.charts, data)])
     rhs = t_dbar + t_weyl + t_shear
+    cross = 0.0 - geom.integrate([_jacobi_pairing(cg, d, dj) for cg, d, dj
+                                  in zip(geom.charts, data, jdata)])
+    low, high = np.minimum(d2s, d2j), np.maximum(d2s, d2j)
+    pair = low + high - 2.0 * np.abs(cross)
+    tol = 1e-9 * np.maximum(1.0, geom.integrate([d["grad2"] for d in data]))
+    unstable = np.maximum(low, pair) < -tol
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
             "terms": {"dbar": t_dbar, "weyl_pairing": t_weyl,
-                      "shear": t_shear}}
+                      "shear": t_shear},
+            "index_two": {"d2_sigma": low, "d2_jsigma": high, "cross": cross,
+                          "d2_pair": (low, pair),
+                          "unstable_pair": unstable if np.ndim(unstable)
+                          else bool(unstable)}}
 
 
 def weitzenboeck_variation(geom, sigma):

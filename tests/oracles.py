@@ -1,4 +1,4 @@
-"""Second-order readers of the surface geometry, kept as test oracles.
+"""Test oracles and fixtures over the surface geometry.
 
 The chart geometry stores values and first u-derivatives only.  The
 Laplacian check of Lemma 3.15 and the order-2 frame coefficients of a
@@ -6,7 +6,15 @@ section need second derivatives, which these oracles rebuild over jets at
 every node: the induced metric and the frame coefficients p of the normal
 directions, with the frame taken by Cholesky of the Gram matrix as the
 chart geometry takes it.
+
+The pointwise readers (``point_geometry``, ``normal_connection``), the
+parallel section of a trivial normal bundle and the single-section
+``second_variation`` are references for the batched paths that the
+commands take.  ``curvature_override`` is the fixture of the instability
+branch that no constructible metric reaches.
 """
+
+import copy
 
 import numpy as np
 
@@ -14,7 +22,8 @@ from curv4.curvature import christoffel_arrays
 from curv4.errors import SectionError
 from curv4.jets import (Jet, array, drop, grad_array, hess_array, jlog, jsqrt,
                         partial, seedn)
-from curv4.surfaces import dbar_sq, section_data
+from curv4.surfaces import (ChartGeometry, NormalSection, dbar_sq,
+                            second_variation_density, section_data)
 
 
 def from_arrays(v, d, d2=None):
@@ -117,3 +126,51 @@ def surface_laplacian(cg, dh, f):
     hinv, Gamma = christoffel_arrays(cg.h, dh)
     hess = d2f - np.einsum("...cab,...c->...ab", Gamma, df)
     return np.einsum("...ab,...ab->...", hinv, hess)
+
+
+def point_geometry(S, m, chart, u):
+    """The ChartGeometry of surface chart coordinates u, one node each
+    (a single point gives a one-node batch), with unit weights."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    return ChartGeometry(S, m, chart, u, np.ones(len(u)))
+
+
+def parallel_section(c3=1.0, c4=0.0):
+    """c3 n3 + c4 n4 with constant coefficients on a trivial normal bundle.
+    Surfaces with generator fields (cp1-line) have no such global section:
+    evaluating it there raises SectionError."""
+    return NormalSection(lambda chart, u: [1.0], [[c3], [c4]])
+
+
+def normal_connection(S, m, sigma, X, chart, u):
+    """Ambient components of nabla^perp_X sigma at a single point.
+
+    X is a tangent vector in surface chart coordinates.
+    """
+    cg = point_geometry(S, m, chart, u)
+    d = section_data(cg, sigma)
+    # X on the orthonormal frame: e_i = c[i,a] d_a, so X^a = c[i,a] x_i
+    x = np.linalg.solve(cg.c[0].T, np.asarray(X, dtype=float))
+    return (d["D3"][0] @ x) * cg.n[0, :, 0] + (d["D4"][0] @ x) * cg.n[0, :, 1]
+
+
+def second_variation(geom, sigma):
+    """delta^2(sigma) for a minimal surface (unnormalized curvature term)."""
+    geom.require_minimal()
+    vals = [second_variation_density(cg, section_data(cg, sigma))
+            for cg in geom.charts]
+    return geom.integrate(vals)
+
+
+def curvature_override(geom, kappa):
+    """A copy of geom whose charts put the curvature term of constant
+    curvature kappa, 2 kappa I, in place of the ambient one in the Jacobi
+    block and keep the shear: jacobi - Rterm + 2 kappa I.  Everything else,
+    minimality included, is geom's."""
+    out = copy.copy(geom)
+    out.charts = []
+    for cg in geom.charts:
+        cg = copy.copy(cg)
+        cg.jacobi = cg.jacobi - cg.Rterm + 2.0 * float(kappa) * np.eye(2)
+        out.charts.append(cg)
+    return out

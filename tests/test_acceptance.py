@@ -21,15 +21,16 @@ from curv4.metrics import (
     round_sphere4, twisted_metric, volume,
 )
 from curv4.stability import (
-    SectionBasis, assemble_index_form, index_two_construction,
-    near_holomorphic_section, refine_until_stable,
+    SectionBasis, assemble_index_form, near_holomorphic_section,
+    refine_until_stable,
 )
 from curv4.surfaces import (
-    chern_number, cp1_line, equator_sphere, parallel_section, perturbed_slice,
-    embedding_family, product_slice, second_variation, surface_geometry,
+    chern_number, cp1_line, equator_sphere, perturbed_slice,
+    embedding_family, product_slice, surface_geometry,
     variational_identity_lemma310, weitzenboeck_variation,
     NormalSection, kperp_extrinsic_field,
 )
+from oracles import curvature_override, parallel_section, second_variation
 from test_curvature import lemma21_rejection_trials
 
 QUAD = QuadSpec(48)
@@ -60,8 +61,8 @@ def test_criterion_1_round_sphere():
         smax = max(smax, np.abs(data["s"] - 12.0).max())
         wmax = max(wmax, np.abs(data["wplus"]).max(),
                    np.abs(data["wminus"]).max())
-        lo, _ = sectional_extremes(data["M6"])
-        hi, _ = sectional_extremes(-data["M6"])
+        lo, _, _ = sectional_extremes(data["M6"])
+        hi, _, _ = sectional_extremes(-data["M6"])
         kmin = min(kmin, lo.min())
         kmax = max(kmax, (-hi).max())
     elapsed = time.time() - t0
@@ -88,7 +89,7 @@ def test_criterion_2_product_spheres():
             data["s"][:, None, None] / 6 * I3 - data["wplus"]), axis=-1)
         worst_c211 = max(worst_c211, np.abs(lam2 - [0.0, 1.0, 1.0]).max())
         rop_min = min(rop_min, np.linalg.eigvalsh(data["R_op"])[:, 0].min())
-        lo, _ = sectional_extremes(data["M6"])
+        lo, _, _ = sectional_extremes(data["M6"])
         ksec = min(ksec, lo.min())
     assert worst_s < 1e-6
     assert worst_wp < 1e-6
@@ -282,11 +283,11 @@ def test_criterion_11_stability(geoms):
     assert out_c["morse_index"] == 0
 
     kappa = 0.8
-    fix = index_two_construction(gs, parallel_section(1.0, 0.0),
-                                 ambient_override=kappa)
+    fixture = curvature_override(gs, kappa)
+    fix = weitzenboeck_variation(fixture, parallel_section(1.0, 0.0))[
+        "index_two"]
     assert fix["unstable_pair"]
-    form = assemble_index_form(gs, SectionBasis(gs.S, 4),
-                               ambient_override=kappa)
+    form = assemble_index_form(fixture, SectionBasis(gs.S, 4))
     assert form.morse_index >= 2
     report(11, "stability: d2(parallel) = %+0.6f (-8pi %+0.6f), equator "
                "index %d @ L=%d, slice %d, cp1 %d, fixture index %d"

@@ -105,13 +105,17 @@ def test_exit_code_parse_error():
       "--surface", "slice(factor=1,point=(1e400,0))"], "'point=(1e400,0)'"),
     (["verify-identities", "--seed", "-1", "--sections", "1", "--quad", "8"],
      "--seed"),
+    # the sphere rule of 8 nodes resolves degrees up to 7, not L0 + 4 = 8
+    (["surface", "--metric", "round4", "--surface", "equator4",
+      "--quad", "8", "--L0", "4"], "--quad"),
 ], ids=["unknown-key", "removed-phi-key", "surface-rejects-value",
         "quad-below-8", "grid-below-3", "L0-not-below-L-max",
         "negative-L0", "L-max-below-L0-plus-4", "range-without-count",
         "values-not-numbers",
         "empty-range", "no-sections", "non-finite-eps-values",
         "non-finite-t-value", "infinite-tol", "negative-tol", "nan-tol",
-        "non-finite-number", "non-finite-pair", "negative-seed"])
+        "non-finite-number", "non-finite-pair", "negative-seed",
+        "L0-plus-4-above-quad-minus-1"])
 def test_exit_code_invalid_input(args, names):
     # typed: a one-line parse error naming the offending input, no traceback
     proc = run_cli(args)
@@ -329,11 +333,19 @@ def test_surface_command(tmp_path):
     # the Theorem-C margins on the homogeneous spheres: the projective line
     # in Fubini-Study (sectional curvature in [1, 4], a complex curve, so
     # the eta-pairing vanishes) and the totally geodesic equator of the
-    # unit S^4, where s/6 - W+ = 2 on |eta|^2 = 2
-    for metric, surface in (("fs", "cp1-line"), ("round4", "equator4")):
+    # unit S^4, where s/6 - W+ = 2 on |eta|^2 = 2; and the index-two pair
+    # sigma, sigma -+ J sigma of the near-holomorphic section, whose second
+    # variations vanish on the projective line and are -2 and -4 on the
+    # equator
+    for metric, surface, pair in (("fs", "cp1-line", (0.0, 0.0)),
+                                  ("round4", "equator4", (-2.0, -4.0))):
         assert main(["surface", "--metric", metric, "--surface", surface,
                      "--quad", "8", "--out", str(out)]) == 0
-        tc = json.loads(out.read_text())["theorem_c"]
+        rep = json.loads(out.read_text())
+        np.testing.assert_allclose(rep["index_two"]["d2_pair"], pair,
+                                   rtol=0, atol=1e-12)
+        assert rep["index_two"]["unstable_pair"] is (pair[1] < 0)
+        tc = rep["theorem_c"]
         assert tc["shear_max"] == 0.0
         assert abs(tc["min_sectional"] - 1.0) <= 1e-12
         assert tc["hypotheses_hold"] is True
@@ -341,6 +353,28 @@ def test_surface_command(tmp_path):
             assert abs(tc["pairing_min"]) <= 1e-12
         else:
             assert abs(tc["pairing_min"] - 4.0) <= 1e-10
+
+
+def test_surface_refines_only_resolved_levels(monkeypatch, capsys):
+    # a sphere rule of quad nodes per axis resolves degrees up to quad - 1:
+    # at --quad 8 the refinement stops at 7, below --L-max 12, and an index
+    # that has not repeated by then exits 1 naming that degree
+    real = cli.refine_until_stable
+    levels = []
+
+    def unsettled(op, L0, L_max):
+        def moving(L):
+            levels.append(L)
+            form = op(L)
+            form.morse_index = L
+            return form
+        return real(moving, L0=L0, L_max=L_max)
+
+    monkeypatch.setattr(cli, "refine_until_stable", unsettled)
+    assert main(["surface", "--metric", "fs", "--surface", "cp1-line",
+                 "--quad", "8", "--L-max", "12"]) == 1
+    assert levels == [2, 4, 6]
+    assert "did not stabilize by L = 7" in capsys.readouterr().err
 
 
 def test_surface_nonminimal_warning(tmp_path):

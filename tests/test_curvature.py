@@ -275,7 +275,7 @@ def test_min_sectional_round_product_fs():
     assert_allclose(sectional_extremes(c["M6"])[0], 1.0, atol=1e-6)
 
     cp = riemann_at(product_spheres(1.0, 1.0), "aa", rng.uniform(-0.8, 0.8, 4))
-    val, plane = sectional_extremes(cp["M6"])
+    val, plane, _ = sectional_extremes(cp["M6"])
     assert abs(val) < 1e-6
     # argmin is a mixed plane: its bivector has no pure-factor component
     xi = wedge(plane[..., 0], plane[..., 1])
@@ -290,7 +290,7 @@ def test_min_sectional_never_above_samples():
     rng = np.random.default_rng(10)
     for m in (product_spheres(1.0, 2.0), fubini_study()):
         c = riemann_at(m, m.chart_order[0], rng.uniform(-0.6, 0.6, 4))
-        val, _ = sectional_extremes(c["M6"])
+        val, _, _ = sectional_extremes(c["M6"])
         u = rng.normal(size=(10_000, 4))
         v = rng.normal(size=(10_000, 4))
         xi = wedge(u, v)
@@ -324,7 +324,7 @@ def _sampled_sectional(M, n=100_000):
 
 def test_sectional_extremes_exact_with_certificate():
     M = _solver_cases()
-    val, plane, bound = sectional_extremes(M, return_bound=True)
+    val, plane, bound = sectional_extremes(M)
     sampled = _sampled_sectional(M)
     norm = np.linalg.norm(M, ord=2, axis=(1, 2))
     # primal: never above any sampled plane; dual: never above the primal
@@ -348,9 +348,9 @@ def test_sectional_extremes_ignore_star_and_batch_shape():
     shifted = M + np.array([-1.5, 0.3, 2.0, 7.0])[:, None, None] * STAR6
     assert_allclose(sectional_extremes(shifted)[0], sectional_extremes(M)[0],
                     rtol=0, atol=1e-10)
-    val, plane = sectional_extremes(M.reshape(2, 2, 6, 6))
+    val, plane, _ = sectional_extremes(M.reshape(2, 2, 6, 6))
     assert val.shape == (2, 2) and plane.shape == (2, 2, 4, 2)
-    single, _ = sectional_extremes(M[3])
+    single, _, _ = sectional_extremes(M[3])
     assert single.shape == () and single == val[1, 1]
 
 

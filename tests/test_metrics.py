@@ -542,7 +542,7 @@ def _full_grid_condition_check(m, grid_n):
             "s12_plus_wminus": np.linalg.eigvalsh(s / 12 * I3 + data["wminus"])[:, 0],
             "curvature_operator": np.linalg.eigvalsh(data["R_op"])[:, 0],
         }
-        vals, _, bound = sectional_extremes(data["M6"], return_bound=True)
+        vals, _, bound = sectional_extremes(data["M6"])
         out["min_sectional"] = vals
         gap = max(gap, float((vals - bound).max()))
         smax = max(smax, float(np.abs(data["s"]).max()))

@@ -7,16 +7,18 @@ from curv4.jets import array as _arr, partial as _jd
 from curv4.metrics import QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4
 from curv4.sphharm import real_harmonics
 from curv4.stability import (
-    IndexForm, SectionBasis, assemble_index_form,
-    index_two_construction, near_holomorphic_section, refine_until_stable,
-    theorem_c_margins, _accumulate_forms,
+    IndexForm, SectionBasis, assemble_index_form, near_holomorphic_section,
+    refine_until_stable, theorem_c_margins, _accumulate_forms,
 )
 from curv4.surfaces import (
-    NormalSection, chern_number, cp1_line, dbar_sq, equator_sphere,
-    parallel_section, perturbed_slice, point_geometry, product_slice,
-    second_variation, section_data, surface_geometry, weitzenboeck_variation,
+    NormalSection, averaged_second_variation, chern_number, cp1_line, dbar_sq,
+    equator_sphere, perturbed_slice, product_slice, section_data,
+    surface_geometry, weitzenboeck_variation,
 )
-from oracles import coeff_jets, second_order_jets
+from oracles import (
+    coeff_jets, curvature_override, parallel_section, point_geometry,
+    second_order_jets, second_variation,
+)
 
 QUAD = QuadSpec(32)
 MP = product_spheres(1.0, 1.0)
@@ -215,8 +217,8 @@ def test_index_monotone_in_L(geoms):
     geom = geoms["slice"]
     prev = -1
     for L in (2, 4, 6, 8):
-        form = assemble_index_form(geom, SectionBasis(geom.S, L),
-                                   ambient_override=1.3)
+        form = assemble_index_form(curvature_override(geom, 1.3),
+                                   SectionBasis(geom.S, L))
         assert form.morse_index >= prev
         prev = form.morse_index
 
@@ -348,14 +350,14 @@ def test_synthetic_instability_fixture(geoms):
     # delta^2(sigma) = -2 kappa Area exactly
     geom = geoms["slice"]
     kappa = 0.8
-    fix = index_two_construction(geom, parallel_section(1.0, 0.0),
-                                 ambient_override=kappa)
+    fixture = curvature_override(geom, kappa)
+    fix = weitzenboeck_variation(fixture, parallel_section(1.0, 0.0))[
+        "index_two"]
     assert_allclose(fix["d2_sigma"], -2 * kappa * 4 * np.pi, rtol=1e-10)
     assert fix["unstable_pair"]
     assert fix["d2_pair"][0] < 0 and fix["d2_pair"][1] < 0
 
-    form = assemble_index_form(geom, SectionBasis(geom.S, 4),
-                               ambient_override=kappa)
+    form = assemble_index_form(fixture, SectionBasis(geom.S, 4))
     assert form.morse_index == 2
     assert_allclose(form.spectrum[:2], [-2 * kappa, -2 * kappa], atol=1e-8)
 
@@ -372,14 +374,14 @@ def test_index_two_construction_verdict_has_a_tolerance(geoms, name, pair,
     geom = geoms[name]
     form = assemble_index_form(geom, SectionBasis(geom.S, 6))
     sig = near_holomorphic_section(geom, form)["section"]
-    fix = index_two_construction(geom, sig)
+    fix = weitzenboeck_variation(geom, sig)["index_two"]
     assert_allclose(fix["d2_pair"], pair, rtol=1e-12, atol=1e-12)
     assert fix["unstable_pair"] is unstable
     # a constant curvature of 1e-12 in place of the ambient one gives
     # d2 = -2e-12 Area on the parallel section of the slice: negative, but
     # below the tolerance 1e-9 max(1, int |nabla sigma|^2) = 1e-9
-    fix = index_two_construction(geoms["slice"], parallel_section(1.0, 0.0),
-                                 ambient_override=1e-12)
+    fix = weitzenboeck_variation(curvature_override(geoms["slice"], 1e-12),
+                                 parallel_section(1.0, 0.0))["index_two"]
     assert -1e-9 < fix["d2_pair"][1] <= fix["d2_pair"][0] < 0
     assert not fix["unstable_pair"]
 
@@ -390,8 +392,8 @@ def test_index_two_construction_evaluates_section_once_per_chart():
     calls = []
     sig = NormalSection(lambda chart, u: calls.append(chart) or [1.0],
                         [[1.0], [0.0]])
-    fix = index_two_construction(surface_geometry(S, MP, QuadSpec(16)), sig,
-                                 ambient_override=0.8)
+    geom = curvature_override(surface_geometry(S, MP, QuadSpec(16)), 0.8)
+    fix = weitzenboeck_variation(geom, sig)["index_two"]
     assert calls == ["a", "b"]
     assert fix["unstable_pair"]
 
@@ -402,11 +404,13 @@ def test_index_two_construction_matches_assembled_form_with_shear(geoms):
     geom = geoms["perturbed-slice"]
     kappa = 0.8
     basis = SectionBasis(geom.S, 2)
-    Q = assemble_index_form(geom, basis, ambient_override=kappa).Q
+    fixture = curvature_override(geom, kappa)
+    Q = _accumulate_forms(fixture, basis)[0]
     k = 2                                  # Y_k n3; J turns it into Y_k n4
     j = basis.n_harmonics + k
-    fix = index_two_construction(geom, element(basis, k),
-                                 ambient_override=kappa)
+    fix = averaged_second_variation(fixture, [
+        section_data(cg, element(basis, k)) for cg in fixture.charts])[
+            "index_two"]
     assert_allclose([fix["d2_sigma"], fix["d2_jsigma"]],
                     sorted([Q[k, k], Q[j, j]]), rtol=1e-10)
     assert_allclose(fix["cross"], Q[k, j], atol=1e-10 * abs(Q[k, k]))

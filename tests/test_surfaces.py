@@ -19,14 +19,15 @@ from curv4.metrics import (
 from curv4.surfaces import (
     NormalSection, a_wedge_a_sq, a_wedge_a_sq_expansion, chern_number,
     cp1_line, dbar_sq, embedding_family, equator_sphere,
-    kperp_extrinsic_field,
-    normal_connection, parallel_section, parse_surface_spec,
-    perturbed_slice, point_geometry, product_slice,
-    ric_perp_identity_residual, second_variation, section_data,
+    kperp_extrinsic_field, parse_surface_spec, perturbed_slice,
+    product_slice, ric_perp_identity_residual, section_data,
     surface_geometry, variational_identity_lemma310,
     weitzenboeck_variation,
 )
-from oracles import coeff_jets, log_norm_check, second_order_jets
+from oracles import (
+    coeff_jets, log_norm_check, normal_connection, parallel_section,
+    point_geometry, second_order_jets, second_variation,
+)
 
 QUAD = QuadSpec(32)
 MP = product_spheres(1.0, 1.0)
