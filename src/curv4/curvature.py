@@ -25,7 +25,9 @@ import numpy as np
 from . import bivector as bv
 from .bivector import PAIRS, kn_tensor4, operator6, to_eta_basis
 from .errors import MetricConstructionError
-from .metrics import J_STANDARD, comps_jets, twisted_parts, twisted_eps_max
+from .jets import jlog, value
+from .metrics import (J_STANDARD, comps_jets, toric_metric, twisted_parts,
+                      twisted_eps_max)
 
 I3 = np.eye(3)
 I4 = np.eye(4)
@@ -364,35 +366,65 @@ def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
     return report
 
 
+def kaehler_scalar_curvature(coeffs, chart, pts):
+    """(s, det_C) at points of the chart of the Kahler metric with the
+    coefficients coeffs(chart, s) of ``metrics``; their leading axes pass
+    through.  With det_C = f0 f1 - f12^2 s1 s2 = sqrt(det g), the Ricci
+    form is -i ddbar log det_C (Kobayashi & Nomizu, Foundations II, ch. IX),
+    with coefficients (r0, r1, r12) = ``toric_metric(-log det_C)``, and s =
+    2 (r0 f1 + r1 f0 - 2 r12 f12 s1 s2) / det_C.  The coefficients are read
+    once, on s seeded with two dual layers."""
+    s = [pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1],
+         pts[:, 2] * pts[:, 2] + pts[:, 3] * pts[:, 3]]
+    f = []
+
+    def ricci_potential(chart, s):
+        f.extend(coeffs(chart, s))
+        return -jlog(f[0] * f[1] - f[2] * f[2] * s[0] * s[1])
+
+    r0, r1, r12 = toric_metric(ricci_potential)(chart, s)
+    f0, f1, f12 = (value(c) for c in f)
+    s12 = s[0] * s[1]
+    det = f0 * f1 - f12 * f12 * s12
+    return 2.0 * (r0 * f1 + r1 * f0 - 2.0 * r12 * f12 * s12) / det, det
+
+
 def positivity_eps_max(t, grid_n=5):
     """The first eps in (0, hi] at which s/6 - W+ stops being PSD on
     chart.grid(grid_n) of some chart, else hi = 0.95 ``twisted_eps_max(t)``.
 
     The family is Kahler, so W+ has spectrum (s/6, -s/12, -s/12)
     (Derdzinski, Compositio Math. 49, 1983) and min eig(s/6 - W+) =
-    min(0, s/4).  With det_C = sqrt(det g), a quadratic in eps, s is a
-    constant times -h^{ab} d_a d_b log det_C with h^-1 = adj / det_C, so
-    s det g^{3/2} is a quintic in eps at each point.  One curvature call
-    per chart takes it at the six Chebyshev nodes of [0, hi], which fit it
-    exactly, and the result is its smallest real root in (0, hi].  Roots
-    more than 1e-9 off the real line of [-1, 1] are skipped, and with them
-    tangential double roots, where s does not go negative.
+    min(0, s/4).  s comes from the Ricci potential
+    (``kaehler_scalar_curvature``): det_C = sqrt(det g) is a quadratic in
+    eps and the Ricci coefficients have the denominator det_C^2, so
+    s det g^{3/2} = s det_C^3 is a quintic in eps at each point.  It is
+    taken at the six Chebyshev nodes of [0, hi], which fit it exactly, and
+    the result is its smallest real root in (0, hi].  Roots more than 1e-9
+    off the real line of [-1, 1] are skipped, and with them tangential
+    double roots, where s does not go negative.
 
-    s is T^2-invariant, so the jets are taken once per orbit that the grid
-    meets (``Chart.orbit_grid``).  Use odd grid sizes: the tightest spot of
-    the built-in perturbation sits at a chart centre, which even grids skip.
+    s is T^2-invariant, so it is taken once per orbit that the grid meets
+    (``Chart.orbit_grid``).  Per chart, the coefficients of h_t and of the
+    perturbation are read once each, with the six nodes in a leading axis;
+    no metric jet or curvature tensor is formed.  Use odd grid sizes: the
+    tightest spot of the perturbation sits at a chart centre, which even
+    grids skip.
     """
     hi = 0.95 * twisted_eps_max(t)
     x = np.polynomial.chebyshev.chebpts1(6)
-    eps = 0.5 * hi * (x + 1.0)
+    eps = 0.5 * hi * (x + 1.0)[:, None]
     base, pert = twisted_parts(t)
+
+    def coeffs(chart, s):
+        # leading axes (node, point)
+        return [h + eps * p for h, p in zip(base.coeffs(chart, s),
+                                            pert.coeffs(chart, s))]
+
     roots = [1.0]
     for chart, reps, _ in base.orbit_points(grid_n):
-        # the metric is affine in eps: leading axes (node, point)
-        g, dg, d2g = (a0 + np.multiply.outer(eps, a1) for a0, a1 in
-                      zip(base.jets(chart, reps), pert.jets(chart, reps)))
-        p = curvature_from_arrays(g, dg, d2g)["s"] * np.linalg.det(g) ** 1.5
-        for c in np.polynomial.chebyshev.chebfit(x, p, 5).T:
+        s, det = kaehler_scalar_curvature(coeffs, chart, reps)
+        for c in np.polynomial.chebyshev.chebfit(x, s * det ** 3, 5).T:
             r = np.polynomial.chebyshev.chebroots(c)
             roots.extend(r.real[(abs(r.imag) <= 1e-9) & (r.real > -1.0)
                                 & (r.real <= 1.0)])

@@ -15,9 +15,11 @@ through s(x), d_k s_a = 2 x_k and d_l d_k s_a = 2 delta_kl on factor a;
 differences are used only as a cross check in the test suite.
 
 Every Kahler potential here is U(1)^2-invariant: a function
-potential(chart, s).  ``toric_metric`` turns it into coefficients through
-the closed form H_ab = Phi_a delta_ab + Phi_ab zbar_a z_b of ddbar Phi
-(Guillemin, J. Diff. Geom. 40, 1994), from two more dual layers on s.
+potential(chart, s), whose coefficients are f_a = 2 (Phi_a + Phi_aa s_a)
+and f12 = 2 Phi_12 by H_ab = Phi_a delta_ab + Phi_ab zbar_a z_b (Guillemin,
+J. Diff. Geom. 40, 1994).  The Kahler built-ins declare them in closed
+form and keep the potential as ``kaehler``, the tests' oracle;
+``toric_metric`` applies the rule to a potential, on two more dual layers.
 
 Every curved built-in is invariant under the T^2 rotations
 z_a -> e^{i theta_a} z_a in every chart, so ``volume`` integrates over the
@@ -198,10 +200,15 @@ class MetricField:
             raise ChartDomainError("%s does not have chart %r (charts: %s)" % (
                 self.name, name, ", ".join(self.chart_order))) from None
 
+    def coeffs(self, chart, s):
+        """(f0, f1, f12) on the chart at s = (|z1|^2, |z2|^2), over the
+        scalar ring of s: the declaration of the module docstring."""
+        self.get_chart(chart)
+        return self._coeffs(chart, s)
+
     def _entries(self, chart, x):
         """(f0, f1, f12 R, f12 I) over the scalar ring of x."""
-        self.get_chart(chart)
-        f0, f1, f12 = self._coeffs(chart, _s(x))
+        f0, f1, f12 = self.coeffs(chart, _s(x))
         return (f0, f1, f12 * (x[0] * x[2] + x[1] * x[3]),
                 f12 * (x[0] * x[3] - x[1] * x[2]))
 
@@ -224,10 +231,9 @@ class MetricField:
         the chain rule through s(x) with y_k = d_k s_a = 2 x_k: d_k c =
         y_k c_a, d_l d_k c = y_l y_k c_ab + 2 delta_lk c_a (a, b the factors
         of x_k, x_l); f12 times P = (R, I) by the Leibniz rule."""
-        self.get_chart(chart)
         pts, single = _as_batch(pts)
         shape = pts.shape[:-1]
-        f = self._coeffs(chart, seedn(_s(pts.T), 2))
+        f = self.coeffs(chart, seedn(_s(pts.T), 2))
         y = 2.0 * pts
         cs = np.stack([grad_array(e, shape, 2) for e in f])[..., _FACTOR]
         (c0, c1, h), (dc0, dc1, dh) = np.stack([array(e, shape) for e in f]), y * cs
@@ -302,9 +308,11 @@ def _inversion2(x, y):
 
 
 def toric_metric(potential):
-    """coeffs(chart, s) of g = 2 Re(ddbar Phi), Phi = potential(chart, s), in
-    the ring of s: by H_ab = Phi_a delta_ab + Phi_ab zbar_a z_b, f_a = 2 (Phi_a
-    + Phi_aa s_a) and f12 = 2 Phi_12, from Phi on s seeded two layers more."""
+    """coeffs(chart, s) of the form 2 Re(ddbar Phi), Phi = potential(chart,
+    s), in the ring of s: f_a = 2 (Phi_a + Phi_aa s_a) and f12 = 2 Phi_12,
+    from Phi on s seeded two layers more.  It gives the Ricci form of
+    ``curvature.kaehler_scalar_curvature``, and the test suite's oracle of
+    the closed-form coefficients of the Kahler built-ins."""
     def coeffs(chart, s):
         F = potential(chart, seedn(s, 2))
         f = [2.0 * (drop(partial(F, a)) + partial(partial(F, a), a) * s[a])
@@ -512,7 +520,6 @@ def product_spheres(a=1.0, b=1.0):
         raise MetricConstructionError("product_spheres: radii must be positive")
     fa, fb = 4.0 * a * a, 4.0 * b * b
 
-    # c_a(s_a) in closed form: toric_metric would seed two more dual layers
     def coeffs(name, s):
         q1, q2 = 1.0 + s[0], 1.0 + s[1]
         return fa / (q1 * q1), fb / (q2 * q2), 0.0
@@ -551,11 +558,29 @@ def _phi_height_product(name, s):
     return parts[0] * parts[1]
 
 
+def _phi_factor(h, s):
+    """(u, u', u' + u'' s) of one factor u(s) of ``_phi_height_product`` on
+    a factor chart h: u = 1 - 1/q on 'a' and 1/q on 'b', with q = 1 + s."""
+    w = 1.0 / (1.0 + s)
+    w2 = w * w
+    if h == "a":
+        return 1.0 - w, w2, (1.0 - s) * w2 * w
+    return w, -w2, (s - 1.0) * w2 * w
+
+
+def _phi_coeffs(name, s):
+    """The coefficients of 2 Re ddbar phi, phi = u(s1) v(s2): f0 = 2 (u' +
+    u'' s1) v, f1 = 2 u (v' + v'' s2) and f12 = 2 u' v'."""
+    u, du, Du = _phi_factor(name[0], s[0])
+    v, dv, Dv = _phi_factor(name[1], s[1])
+    return 2.0 * Du * v, 2.0 * u * Dv, 2.0 * du * dv
+
+
 def twisted_parts(t):
     """(h_t, 2 Re ddbar phi) as fields; the second is not a metric."""
     base = ht_metric(t)
     pert = MetricField("twisted-part", list(base.charts.values()),
-                       toric_metric(_phi_height_product), validate=False)
+                       _phi_coeffs, validate=False)
     return base, pert
 
 
@@ -613,18 +638,27 @@ def _eps_max(t, grid_n):
 
 def twisted_metric(t, eps):
     """Kahler deformation g = h_t + eps * (2 Re ddbar phi) on S^2 x S^2."""
+    if not 0.0 <= t <= 1.0:
+        raise MetricConstructionError(
+            "twisted_metric: t=%.4g does not lie in [0, 1]" % t)
     emax = twisted_eps_max(t)
     if abs(eps) > emax:
         raise MetricConstructionError(
             "twisted_metric: |eps|=%.4g exceeds eps_max(t=%.3g)=%.4g "
             "(metric loses positive definiteness)" % (abs(eps), t, emax))
+    base, pert = twisted_parts(t)
     lam = 1.0 - t * t / 4.0
     base_pot = _product_potential(lam, 1.0 / lam)
+
+    def coeffs(name, s):
+        h0, h1, _ = base.coeffs(name, s)
+        p0, p1, p12 = pert.coeffs(name, s)
+        return h0 + eps * p0, h1 + eps * p1, eps * p12
 
     def potential(name, s):
         return base_pot(name, s) + eps * _phi_height_product(name, s)
 
-    return MetricField("twisted", _product_charts(), toric_metric(potential),
+    return MetricField("twisted", _product_charts(), coeffs,
                        params={"t": t, "eps": eps},
                        kaehler=potential,
                        volume_nodes=_product_volume_nodes)
@@ -670,10 +704,17 @@ def fubini_study():
     Three affine charts with potential FS_SCALE * log(1 + |z1|^2 + |z2|^2);
     at this normalization s = 24, Ric = 6 g and lines have area pi.
     """
+    # f_a = 2 FS_SCALE (1 + s_b) / q^2, b the other factor, and
+    # f12 = -2 FS_SCALE / q^2
+    def coeffs(name, s):
+        q = 1.0 + s[0] + s[1]
+        w = 2.0 * FS_SCALE / (q * q)
+        return (1.0 + s[1]) * w, (1.0 + s[0]) * w, -w
+
     def potential(name, s):
         return FS_SCALE * jlog(1.0 + s[0] + s[1])
 
-    return MetricField("fubini-study", _cp2_charts(), toric_metric(potential),
+    return MetricField("fubini-study", _cp2_charts(), coeffs,
                        kaehler=potential, volume_nodes=functools.partial(
                            _polar_volume_nodes, ("u0",), np.pi / 2))
 

@@ -140,11 +140,15 @@ def test_subcommands_reject_options_they_do_not_read(args, capsys):
 
 def test_exit_code_construction_error():
     # a finite radius whose metric components overflow is a construction
-    # failure, caught before the eigenvalue check
-    for spec in ("twisted(t=0.2,eps=99)", "product(a=1e200,b=1)"):
+    # failure, caught before the eigenvalue check; a t outside [0, 1] is
+    # reported by the builder of the spec given, not by one it calls
+    for spec in ("twisted(t=0.2,eps=99)", "product(a=1e200,b=1)",
+                 "twisted(t=1.5,eps=0)"):
         proc = run_cli(["analyze", "--metric", spec])
         assert proc.returncode == 3, spec
         assert "construction error" in proc.stderr
+        assert "ht_metric" not in proc.stderr
+    assert "twisted_metric: t=1.5" in proc.stderr
 
 
 def test_exit_code_surface_in_foreign_atlas():

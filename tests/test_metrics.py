@@ -8,12 +8,14 @@ from curv4 import metrics
 from curv4 import curvature
 from curv4.curvature import (
     ConditionReport, condition_check, curvature_batch, curvature_from_arrays,
-    kaehler_residuals, positivity_eps_max, psd_tolerance, sectional_extremes,
+    kaehler_residuals, kaehler_scalar_curvature, positivity_eps_max,
+    psd_tolerance, sectional_extremes,
 )
 from curv4.errors import (
     ChartDomainError, MetricConstructionError, SpecParseError,
 )
-from curv4.jets import partial, seedn, value
+from curv4.jets import (Jet, array, grad_array, hess_array, partial, seedn,
+                        value)
 from curv4.metrics import (
     QuadSpec, comps_jets, flat_space, fubini_study, ht_metric,
     parse_metric_spec, parse_spec, product_spheres, round_sphere4,
@@ -289,6 +291,8 @@ def perturbation(request, monkeypatch):
     request.addfinalizer(metrics._eps_max.cache_clear)
     if request.param == "cross":
         monkeypatch.setattr(metrics, "_phi_height_product", _cross_potential)
+        monkeypatch.setattr(metrics, "_phi_coeffs",
+                            metrics.toric_metric(_cross_potential))
     return request.param
 
 
@@ -338,10 +342,15 @@ def test_twisted_parts_are_j_invariant(t):
     fubini_study,
     lambda: twisted_metric(0.0, -0.9 * twisted_eps_max(0.0)),
     lambda: twisted_metric(1.0, 0.9 * twisted_eps_max(1.0)),
-], ids=["twisted-0.3", "fubini-study", "twisted-0-neg", "twisted-1-pos"])
+    lambda: product_spheres(1.0, 1.0),
+    lambda: product_spheres(0.7, 1.3),
+    lambda: ht_metric(0.5),
+], ids=["twisted-0.3", "fubini-study", "twisted-0-neg", "twisted-1-pos",
+        "product-1-1", "product-0.7-1.3", "ht-0.5"])
 def test_twisted_is_potential_hessian_of_full_potential(make):
-    # the toric rule equals the nested-dual Hessian metric of the same
-    # potential, in values and in exact first and second derivatives
+    # every Kahler built-in's closed-form coefficients equal the
+    # nested-dual Hessian metric of its declared potential, in values and
+    # in exact first and second derivatives
     m = make()
     oracle = functools.partial(hessian_metric, _in_x(m.kaehler))
     rng = np.random.default_rng(13)
@@ -356,6 +365,49 @@ def test_twisted_is_potential_hessian_of_full_potential(make):
         for got, want in zip(m.jets(chart, pts),
                              comps_jets(oracle, chart, pts)):
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_perturbation_closed_form_is_toric_metric_of_phi():
+    # the perturbation's coefficients equal the toric rule on phi, in values
+    # and in the first and second derivatives in s, on all four charts
+    pert = metrics.twisted_parts(0.5)[1]
+    oracle = metrics.toric_metric(metrics._phi_height_product)
+    rng = np.random.default_rng(3)
+    s = list(rng.uniform(0.0, 1.3, size=(2, 50)))
+    for chart in pert.chart_order:
+        got = pert.coeffs(chart, seedn(s, 2))
+        want = oracle(chart, seedn(s, 2))
+        for g, w in zip(got, want):
+            for read in (lambda e: array(e, (50,)),
+                         lambda e: grad_array(e, (50,), 2),
+                         lambda e: hess_array(e, (50,), 2)):
+                a, b = read(g), read(w)
+                assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
+
+
+def _kaehler_cases():
+    fields = [product_spheres(1.0, 1.0), ht_metric(0.5),
+              twisted_metric(0.5, 0.05),
+              twisted_metric(0.0, 0.9 * twisted_eps_max(0.0)),
+              twisted_metric(0.0, -0.9 * twisted_eps_max(0.0)), fubini_study()]
+    return [pytest.param(m, chart, id="%s-%s-%s" % (
+                m.name, m.params.get("eps", ""), chart))
+            for m in fields for chart in m.chart_order]
+
+
+@pytest.mark.parametrize("m, chart", _kaehler_cases())
+def test_ricci_potential_scalar_curvature_matches_curvature_record(m, chart):
+    # s from -log det_C through the toric rule equals the trace of the
+    # Riemann tensor of the metric jets, on the orbit points of grid(5)
+    # and at random points
+    c = m.charts[chart]
+    pts = np.concatenate([c.orbit_grid(5)[0],
+                          c.sample(np.random.default_rng(29), 40)])
+    got, det = kaehler_scalar_curvature(m.coeffs, chart, pts)
+    data = curvature_batch(m, chart, pts)
+    want = data["s"]
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert_allclose(det * det, np.linalg.det(data["g"]), rtol=1e-13)
 
 
 def _oracle_cases():
@@ -682,17 +734,29 @@ def test_positivity_eps_max_at_t0_is_four_fifths():
     assert abs(positivity_eps_max(0.0) - 0.8) <= 1e-12
 
 
-def test_positivity_eps_max_makes_one_curvature_call_per_chart(monkeypatch):
+def test_positivity_eps_max_reads_the_coefficients_twice_per_chart(
+        monkeypatch):
+    # no metric jet and no curvature record: per chart, one read of h_t's
+    # and one of the perturbation's coefficients on seeded s, each at the
+    # 36 orbit representatives of grid(5)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("positivity_eps_max formed a jet or a record")
+
     seen = []
+    read = metrics.MetricField.coeffs
 
-    def counting(g, dg, d2g):
-        seen.append(g.shape[:-2])
-        return curvature_from_arrays(g, dg, d2g)
+    def counting(self, chart, s):
+        if isinstance(s[0], Jet):
+            seen.append((self.name, chart, np.shape(value(s[0]))))
+        return read(self, chart, s)
 
-    monkeypatch.setattr(curvature, "curvature_from_arrays", counting)
+    twisted_eps_max(0.5)
+    monkeypatch.setattr(curvature, "curvature_from_arrays", forbidden)
+    monkeypatch.setattr(metrics.MetricField, "jets", forbidden)
+    monkeypatch.setattr(metrics.MetricField, "coeffs", counting)
     positivity_eps_max(0.5, grid_n=5)
-    # six Chebyshev nodes times the 36 orbit representatives of each chart
-    assert seen == [(6, 36)] * 4
+    assert seen == [(name, chart, (36,)) for chart in ("aa", "ab", "ba", "bb")
+                    for name in ("ht", "twisted-part")]
 
 
 def test_quadspec_minimum():
