@@ -35,11 +35,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .bivector import bianchi_residual
+from .bivector import PAIRS, bianchi_residual
 from .curvature import (
     block_identity_residual, condition_check, curvature_batch, kaehler_form,
-    kaehler_residuals, lemma21_check, positivity_eps_max,
-    weitzenboeck_residual,
+    kaehler_residuals, kaehler_scalar_curvature, lemma21_check,
+    positivity_eps_max, weitzenboeck_residual,
 )
 from .errors import Curv4Error, MetricConstructionError, SpecParseError
 from .metrics import (
@@ -178,23 +178,29 @@ def cmd_scan_family(args):
 
 # ---------------------------------------------------------------- identities
 
+# the Hessians _MONO_H[l, k, q] = d_l d_k of the monomials q of the test
+# 2-forms, (1, x0, x1 x3, x2^2, x0 x1)
+_MONO_H = np.zeros((4, 4, 5))
+_MONO_H[[1, 3, 2, 0, 1], [3, 1, 2, 1, 0], [2, 2, 3, 4, 4]] = [1, 1, 2, 1, 1]
+
+
 def _poly_form(rng):
-    coeffs = rng.normal(size=30)
+    """A random 2-form(chart, pts) -> (A, dA, d2A): each component alpha_ij,
+    i < j in the order of PAIRS, combines the monomials with five normal
+    draws."""
+    a, (i, j) = rng.normal(size=30).reshape(6, 5).T, np.transpose(PAIRS)
+    C = np.zeros((5, 4, 4))
+    C[:, i, j], C[:, j, i] = a, -a
 
-    def comps(chart, x):
-        out = [[0.0] * 4 for _ in range(4)]
-        k = 0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                a = coeffs[k:k + 5]
-                val = (a[0] + a[1] * x[0] + a[2] * x[1] * x[3]
-                       + a[3] * x[2] * x[2] + a[4] * x[0] * x[1])
-                out[i][j] = val
-                out[j][i] = -1.0 * val
-                k += 5
-        return out
+    def form(chart, pts):
+        x0, x1, x2, x3 = pts.T
+        mono = np.stack([np.ones(len(pts)), x0, x1 * x3, x2 * x2, x0 * x1], -1)
+        dmono = np.tensordot(pts, _MONO_H, axes=1)
+        dmono[:, 0, 1] = 1.0        # x.H misses the constant gradient of x0
+        d2mono = np.broadcast_to(_MONO_H, (len(pts),) + _MONO_H.shape)
+        return tuple(np.tensordot(c, C, axes=1) for c in (mono, dmono, d2mono))
 
-    return comps
+    return form
 
 
 def _surface_identities(geom, minimal, rng, n_sections, add):
@@ -246,7 +252,7 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
                ht_metric(0.6), fubini_study()]
     # every pointwise identity reads one curvature batch per chart
     for m in metrics:
-        bian, block, trace, lem21, spec_res, cor_res = (0.0,) * 6
+        bian, block, trace, lem21, spec_res, cor_res, ricci = (0.0,) * 7
         for chart, pts in m.sample_points(np.random.default_rng(seed), 6):
             c = curvature_batch(m, chart, pts)
             bian = max(bian, bianchi_residual(c["M6"]).max())
@@ -267,6 +273,9 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
                     s[:, None, None] / 6 * np.eye(3) - c["wplus"]), axis=-1)
                 expect2 = np.stack([0 * s, s / 4, s / 4], axis=-1)
                 cor_res = max(cor_res, np.abs(lam2 - expect2).max())
+                # s by the Ricci potential, free of Christoffel symbols
+                ricci = max(ricci, np.abs(kaehler_scalar_curvature(
+                    m.coeffs, chart, pts)[0] - s).max())
         add("first-bianchi", m.name, bian, 1e-6)
         add("block-decomposition", m.name, block, 1e-6)
         add("weyl-traces", m.name, trace, 1e-8)
@@ -274,6 +283,7 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
         if m.is_kaehler:
             add("kaehler-weyl-spectrum", m.name, spec_res, 1e-6)
             add("kaehler-s6-spectrum", m.name, cor_res, 1e-6)
+            add("kaehler-ricci-potential", m.name, ricci, 1e-10)
 
     # Weitzenboeck on 2-forms, one batch of 5 points per form
     for m, chart in ((flat_space(), "e"), (round_sphere4(1.0), "n"),

@@ -26,8 +26,7 @@ from . import bivector as bv
 from .bivector import PAIRS, kn_tensor4, operator6, to_eta_basis
 from .errors import MetricConstructionError
 from .jets import jlog, value
-from .metrics import (J_STANDARD, comps_jets, toric_metric, twisted_parts,
-                      twisted_eps_max)
+from .metrics import J_STANDARD, toric_metric, twisted_parts, twisted_eps_max
 
 I3 = np.eye(3)
 I4 = np.eye(4)
@@ -478,21 +477,19 @@ def kaehler_residuals(m):
 # ---------------------------------------------------------------------
 # the Weitzenboeck identity on 2-forms
 #
-# A 2-form is its ring-generic components comps(chart, x), an antisymmetric
-# 4x4 nested list; ``metrics.comps_jets`` gives its jets.
+# A 2-form is its jets form(chart, pts) -> (A, dA, d2A) on (n, 4) batches,
+# laid out as ``MetricField.jets`` lays out (g, dg, d2g).
 
 def kaehler_form(m):
-    """Components of the Kahler 2-form omega(X, Y) = g(JX, Y) of a Kahler
-    built-in."""
+    """The Kahler 2-form omega(X, Y) = g(JX, Y) of a Kahler built-in: J is
+    constant in every chart, so its jets are J^T applied to those of g."""
     if not m.is_kaehler:
         raise MetricConstructionError("%s has no complex structure" % m.name)
 
-    def comps(chart, x):
-        g = m.comps_ring(chart, x)
-        return [[sum((J_STANDARD[k][i] * g[k][j] for k in range(4)), 0.0)
-                 for j in range(4)] for i in range(4)]
+    def form(chart, pts):
+        return tuple(np.transpose(J_STANDARD) @ a for a in m.jets(chart, pts))
 
-    return comps
+    return form
 
 
 def _covariant_2form(Gamma, dGamma, A, dA, d2A):
@@ -545,7 +542,7 @@ def _coord_form_to_frame6(A, frame):
 
 def weitzenboeck_residual(m, alpha, chart, pts):
     """|| Delta alpha - (nabla^* nabla alpha - 2 W alpha + (s/3) alpha) ||
-    at each of the (n, 4) points pts, for the 2-form with components alpha.
+    at the (n, 4) points pts, for the 2-form with jets alpha(chart, pts).
 
     In dimension 4 the identity holds on Lambda^2 for every metric: the
     traceless-Ricci terms of the curvature term cancel.  The Hodge route
@@ -558,7 +555,7 @@ def weitzenboeck_residual(m, alpha, chart, pts):
     """
     m.require_inside(chart, pts)
     g, dg, d2g = m.jets(chart, pts)
-    A, dA, d2A = comps_jets(alpha, chart, pts)
+    A, dA, d2A = alpha(chart, pts)
     c = curvature_from_arrays(g, dg, d2g)
     nabA, dnabA = _covariant_2form(c["Gamma"], c["dGamma"], A, dA, d2A)
     hodge = hodge_laplacian_2form(c["ginv"], dg, c["Gamma"], dA, d2A,

@@ -6,9 +6,9 @@ other Jets: nesting jets two deep yields exact second derivatives, three
 deep yields mixed third-order data (used when connection coefficients have
 to be differentiated along an immersed surface).
 
-All closed-form fields in this package (metric components, Kahler
-potentials, immersions, test 2-forms, spherical harmonics) are written as
-plain arithmetic over a generic scalar ring, so the same code path produces
+All closed-form fields in this package (metric coefficients, Kahler
+potentials, immersions, spherical harmonics) are written as plain
+arithmetic over a generic scalar ring, so the same code path produces
 values, gradients and Hessians depending on how the inputs are seeded.
 
 The interface is arithmetic (``+ - * / **``), ``jsqrt``, ``jlog`` and the
@@ -23,7 +23,8 @@ and reads results through
 * ``array(x, shape)``, ``grad_array(x, shape, m)``,
   ``hess_array(x, shape, m)``: value, gradient and Hessian as float arrays
   with the partial indices last;
-* ``component_jets(rows, shape)``: a twice-seeded 4x4 field as arrays.
+* ``from_arrays(v, d, d2)``: their inverse, from value, gradient and
+  Hessian arrays (such as those of ``MetricField.jets``) back to a jet.
 
 Constructing ``Jet(value, partials)`` directly stays allowed.  A jet times
 the float 0.0 (a seed's or a constant's partial) is 0.0, so the layers of a
@@ -169,13 +170,12 @@ def hess_array(x, shape, m):
                     axis=-2)
 
 
-def component_jets(rows, shape):
-    """(A, dA, d2A) of a 4x4 nested list of twice-seeded ring elements,
-    with dA[..., k, i, j] = d_k A_ij and d2A[..., l, k, i, j] = d_l d_k A_ij.
-    Constant entries and partials leave zeros."""
-    def field(read):
-        out = np.array([[read(e) for e in row] for row in rows])
-        return np.moveaxis(out, (0, 1), (-2, -1))
-    return (field(lambda e: array(e, shape)),
-            field(lambda e: grad_array(e, shape, 4)),
-            np.swapaxes(field(lambda e: hess_array(e, shape, 4)), -4, -3))
+def from_arrays(v, d, d2=None):
+    """The jet of value v, gradient d[..., a] and, if given, Hessian
+    d2[..., a, b]: a 1-jet, or a 2-jet whose first partials are d at both
+    layers.  The inverse of ``array``, ``grad_array`` and ``hess_array``."""
+    grads = [d[..., a] for a in range(d.shape[-1])]
+    if d2 is None:
+        return Jet(v, grads)
+    return Jet(Jet(v, grads), [from_arrays(g, d2[..., a, :])
+                               for a, g in enumerate(grads)])

@@ -10,8 +10,8 @@ f1 on the (x2, y2) block and f12 times R = Re zbar_1 z_2 = x1 x2 + y1 y2 at
 (x1, x2), (y1, y2) and I = Im zbar_1 z_2 = x1 y2 - y1 x2 at (x1, y2),
 (x2, y1) with a minus, symmetric.  ``MetricField.jets`` seeds s with two
 dual layers (curv4.jets) over plain arrays and goes to x by the chain rule
-through s(x), d_k s_a = 2 x_k and d_l d_k s_a = 2 delta_kl on factor a;
-``comps_ring`` forms s in the caller's ring instead.  Central finite
+through s(x), d_k s_a = 2 x_k and d_l d_k s_a = 2 delta_kl on factor a.
+It is the one route from the coefficients to the jets of g.  Central finite
 differences are used only as a cross check in the test suite.
 
 Every Kahler potential here is U(1)^2-invariant: a function
@@ -50,8 +50,7 @@ import re
 import numpy as np
 
 from .errors import ChartDomainError, MetricConstructionError, SpecParseError
-from .jets import (array, component_jets, drop, grad_array, hess_array, jlog,
-                   partial, seedn)
+from .jets import array, drop, grad_array, hess_array, jlog, partial, seedn
 
 CHART_MARGIN = 0.1
 
@@ -138,14 +137,6 @@ def _as_batch(pts):
     return pts, single
 
 
-def comps_jets(comps, chart, pts):
-    """(A, dA, d2A) of a ring-generic 4x4 component field at points."""
-    pts, single = _as_batch(pts)
-    out = component_jets(comps(chart, seedn([pts[:, i] for i in range(4)], 2)),
-                         pts.shape[:-1])
-    return tuple(a[0] for a in out) if single else out
-
-
 def _s(x):
     """s = (|z1|^2, |z2|^2) in the ring of the coordinates x."""
     return [x[0] * x[0] + x[1] * x[1], x[2] * x[2] + x[3] * x[3]]
@@ -206,22 +197,13 @@ class MetricField:
         self.get_chart(chart)
         return self._coeffs(chart, s)
 
-    def _entries(self, chart, x):
-        """(f0, f1, f12 R, f12 I) over the scalar ring of x."""
-        f0, f1, f12 = self.coeffs(chart, _s(x))
-        return (f0, f1, f12 * (x[0] * x[2] + x[1] * x[3]),
-                f12 * (x[0] * x[3] - x[1] * x[2]))
-
-    def comps_ring(self, chart, x):
-        """Metric components over an arbitrary scalar ring (jets allowed)."""
-        f0, f1, re, im = self._entries(chart, x)
-        return [[f0, 0.0, re, im], [0.0, f0, -im, re],
-                [re, -im, f1, 0.0], [im, re, 0.0, f1]]
-
     def eval(self, chart, pts):
         pts, single = _as_batch(pts)
-        g = _pattern(*(array(e, pts.shape[:-1]) for e in
-                       self._entries(chart, [pts[:, i] for i in range(4)])))
+        x1, y1, x2, y2 = pts.T
+        f0, f1, f12 = (array(e, pts.shape[:-1])
+                       for e in self.coeffs(chart, _s(pts.T)))
+        g = _pattern(f0, f1, f12 * (x1 * x2 + y1 * y2),
+                     f12 * (x1 * y2 - y1 * x2))
         return g[0] if single else g
 
     def jets(self, chart, pts):

@@ -50,8 +50,8 @@ from . import bivector as bv
 from .curvature import curvature_from_arrays
 from .errors import (ChartDomainError, NonMinimalSurfaceError, SectionError,
                      SpecParseError)
-from .jets import (Jet, array, drop, grad_array, hess_array, jsqrt, partial,
-                   seedn)
+from .jets import (Jet, array, drop, from_arrays, grad_array, hess_array,
+                   jsqrt, partial, seedn)
 from .metrics import QuadSpec, parse_spec, sphere_chart_nodes
 
 TOL_MIN = 1e-8  # minimality threshold on the mean curvature vector
@@ -297,11 +297,22 @@ class ChartGeometry:
             raise ChartDomainError("surface %s: %s" % (S.name, exc)) from None
 
         # at the representatives: the immersion three jet layers deep, so
-        # tangents are 2-layer jets, and the ambient metric along it
+        # tangents are 2-layer jets, and the ambient metric along it as
+        # 2-layer u-jets, from its x-jets by the chain rule: d_a g = dg F_a
+        # and d_a d_b g = d2g F_a F_b + dg F_ab
         Fj = S.fmap(chart, seedn([ur[:, 0], ur[:, 1]], 3))
         dF0 = np.stack([grad_array(f, sh, 2) for f in Fj], axis=-2)
         d2F0 = np.stack([hess_array(f, sh, 2) for f in Fj], axis=-3)
-        g2 = m.comps_ring(self.amb, drop(Fj))
+        F0 = F[::n_angles]
+        g, dg, d2g = gx = m.jets(self.amb, F0)
+        gu = np.einsum("npij,npa->nija", dg, dF0)
+        guu = (np.einsum("nqpij,npa,nqb->nijab", d2g, dF0, dF0)
+               + np.einsum("npij,npab->nijab", dg, d2F0))
+        # an entry that vanishes to second order stays the float 0.0, whose
+        # jet products cost nothing
+        live = g.any(axis=0) | gu.any(axis=(0, 3)) | guu.any(axis=(0, 3, 4))
+        g2 = [[from_arrays(g[:, i, j], gu[:, i, j], guu[:, i, j])
+               if live[i, j] else 0.0 for j in range(4)] for i in range(4)]
 
         # Gram matrix of B (lower triangle); its tangent block is h
         B = [[partial(f, a) for f in Fj] for a in range(2)] + [
@@ -339,9 +350,8 @@ class ChartGeometry:
 
         # ambient curvature record at the immersed representatives; of it
         # the chart keeps only M6
-        F0 = F[::n_angles]
         self.orbit_keys = np.sum(F0.reshape(-1, 2, 2) ** 2, axis=-1)
-        curv = curvature_from_arrays(*m.jets(self.amb, F0))
+        curv = curvature_from_arrays(*gx)
         self.M6 = curv["M6"]
         k = len(self.M6)
 

@@ -1,4 +1,11 @@
-"""Test oracles and fixtures over the surface geometry.
+"""Test oracles and fixtures over the metric jets and the surface geometry.
+
+``comps_ring`` forms a metric's components in any scalar ring, and
+``comps_jets`` reads the jets of such a ring-generic 4x4 field over nested
+duals.  They are the oracles of ``MetricField.jets``, of
+``curvature.kaehler_form`` (through ``kaehler_comps``) and of the array
+2-forms of the Weitzenboeck check; ``ring_form`` turns a ring-generic
+2-form into such an array form.
 
 The chart geometry stores values and first u-derivatives only.  The
 Laplacian check of Lemma 3.15 and the order-2 frame coefficients of a
@@ -20,21 +27,60 @@ import numpy as np
 
 from curv4.curvature import christoffel_arrays
 from curv4.errors import SectionError
-from curv4.jets import (Jet, array, drop, grad_array, hess_array, jlog, jsqrt,
-                        partial, seedn)
+from curv4.jets import (array, drop, from_arrays, grad_array, hess_array, jlog,
+                        jsqrt, partial, seedn)
+from curv4.metrics import J_STANDARD
 from curv4.surfaces import (ChartGeometry, NormalSection, dbar_sq,
                             second_variation_density, section_data)
 
 
-def from_arrays(v, d, d2=None):
-    """The jet of value v, gradient d[..., a] and, if given, Hessian
-    d2[..., a, b]: a 1-jet, or a 2-jet whose first partials are d at both
-    layers.  The inverse of ``array``, ``grad_array`` and ``hess_array``."""
-    grads = [d[..., a] for a in range(d.shape[-1])]
-    if d2 is None:
-        return Jet(v, grads)
-    return Jet(Jet(v, grads), [from_arrays(g, d2[..., a, :])
-                               for a, g in enumerate(grads)])
+def comps_ring(m, chart, x):
+    """The components of m's metric over the scalar ring of x (jets
+    allowed), a 4x4 nested list: the declaration of ``curv4.metrics``
+    formed in the caller's ring, the nested-dual oracle of
+    ``MetricField.jets``."""
+    f0, f1, f12 = m.coeffs(chart, [x[0] * x[0] + x[1] * x[1],
+                                   x[2] * x[2] + x[3] * x[3]])
+    re = f12 * (x[0] * x[2] + x[1] * x[3])
+    im = f12 * (x[0] * x[3] - x[1] * x[2])
+    return [[f0, 0.0, re, im], [0.0, f0, -im, re],
+            [re, -im, f1, 0.0], [im, re, 0.0, f1]]
+
+
+def comps_jets(comps, chart, pts):
+    """(A, dA, d2A) of a ring-generic 4x4 field comps(chart, x) at a point
+    or an (n, 4) batch, over nested duals: dA[..., k, i, j] = d_k A_ij and
+    d2A[..., l, k, i, j] = d_l d_k A_ij.  Constant entries and partials
+    leave zeros."""
+    pts = np.asarray(pts, dtype=float)
+    batch = np.atleast_2d(pts)
+    shape = batch.shape[:-1]
+    rows = comps(chart, seedn(list(batch.T), 2))
+
+    def field(read):
+        out = np.array([[read(e) for e in row] for row in rows])
+        return np.moveaxis(out, (0, 1), (-2, -1))
+
+    out = (field(lambda e: array(e, shape)),
+           field(lambda e: grad_array(e, shape, 4)),
+           np.swapaxes(field(lambda e: hess_array(e, shape, 4)), -4, -3))
+    return tuple(a[0] for a in out) if pts.ndim == 1 else out
+
+
+def kaehler_comps(m):
+    """The components J^T g of the Kahler form of m over the scalar ring of
+    x, from ``comps_ring``: the oracle of ``curvature.kaehler_form``."""
+    def comps(chart, x):
+        g = comps_ring(m, chart, x)
+        return [[sum((J_STANDARD[k][i] * g[k][j] for k in range(4)), 0.0)
+                 for j in range(4)] for i in range(4)]
+    return comps
+
+
+def ring_form(comps):
+    """The 2-form(chart, pts) -> (A, dA, d2A) of ring-generic antisymmetric
+    components comps(chart, x), through ``comps_jets``."""
+    return lambda chart, pts: comps_jets(comps, chart, pts)
 
 
 def _dot(g, u, v):
@@ -47,7 +93,7 @@ def second_order_jets(S, m, cg):
     coefficients p = <V_c, n_s> (zero on a trivial bundle, where p = I)."""
     sh = cg.shape
     Fj = S.fmap(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], 3))
-    g2 = m.comps_ring(cg.amb, drop(Fj))
+    g2 = comps_ring(m, cg.amb, drop(Fj))
     B = [[partial(f, a) for f in Fj] for a in range(2)] + [
         [float(i == s) for i in range(4)] for s in S.normal_seeds]
     G = [[_dot(g2, B[j], B[i]) for j in range(i + 1)] for i in range(4)]

@@ -30,7 +30,8 @@ from curv4.surfaces import (
     variational_identity_lemma310, weitzenboeck_variation,
     NormalSection, kperp_extrinsic_field,
 )
-from oracles import curvature_override, parallel_section, second_variation
+from oracles import (curvature_override, parallel_section, ring_form,
+                     second_variation)
 from test_curvature import lemma21_rejection_trials
 
 QUAD = QuadSpec(48)
@@ -204,7 +205,7 @@ def test_criterion_7_weitzenboeck():
     for m, chart in ((flat_space(), "e"), (round_sphere4(1.0), "n"),
                      (product_spheres(1.0, 1.0), "aa")):
         for _ in range(5):
-            alpha = poly_form(rng.normal(size=30))
+            alpha = ring_form(poly_form(rng.normal(size=30)))
             pts = rng.uniform(-0.8, 0.8, size=(50, 4))
             worst = max(worst,
                         weitzenboeck_residual(m, alpha, chart, pts)[0].max())

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,16 @@ from curv4.surfaces import (
 )
 
 RUN = [sys.executable, "-m", "curv4.cli"]
+# the child imports the curv4 that this process imported, also when
+# PYTHONPATH is not set (pytest's own pythonpath setting)
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(cli.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(args, **kw):
-    return subprocess.run(RUN + args, capture_output=True, text=True, **kw)
+    return subprocess.run(RUN + args, capture_output=True, text=True,
+                          env=ENV, **kw)
 
 
 def test_analyze_product(tmp_path):

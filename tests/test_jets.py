@@ -6,12 +6,12 @@ import numpy as np
 from numpy.testing import assert_allclose
 import pytest
 
-from curv4.curvature import kaehler_form
 from curv4.jets import (
-    Jet, array, drop, grad_array, hess_array, jlog, jsqrt, seedn, value,
+    Jet, array, drop, from_arrays, grad_array, hess_array, jlog, jsqrt, seedn,
+    value,
 )
-from curv4.metrics import comps_jets, twisted_metric
-from oracles import from_arrays
+from curv4.metrics import twisted_metric
+from oracles import comps_jets, kaehler_comps
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "curv4"
 
@@ -294,7 +294,7 @@ def _fd2(alpha, chart, p, h):
 def _form_cases():
     rng = np.random.default_rng(3)
     m = twisted_metric(0.5, 0.05)
-    kf = kaehler_form(m)
+    kf = kaehler_comps(m)
     cases = [pytest.param(kf, chart, pts, id="kaehler-twisted-" + chart)
              for chart, pts in m.sample_points(rng, 2)]
     cases.append(pytest.param(_cubic_form, "e",

@@ -25,8 +25,8 @@ from curv4.surfaces import (
     weitzenboeck_variation,
 )
 from oracles import (
-    coeff_jets, log_norm_check, normal_connection, parallel_section,
-    point_geometry, second_order_jets, second_variation,
+    coeff_jets, comps_ring, log_norm_check, normal_connection,
+    parallel_section, point_geometry, second_order_jets, second_variation,
 )
 
 QUAD = QuadSpec(32)
@@ -725,7 +725,7 @@ def _frame_jets(S, m, cg, order):
     along it and the normal frame rebuilt here by Gram-Schmidt, n4
     oriented like the chart geometry's frame."""
     Fj = S.fmap(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], order + 1))
-    g = m.comps_ring(S.chart_map[cg.chart], drop(Fj))
+    g = comps_ring(m, S.chart_map[cg.chart], drop(Fj))
     frame = []
     seeds = [[1.0 if i == s else 0.0 for i in range(4)]
              for s in S.normal_seeds]

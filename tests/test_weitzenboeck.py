@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from curv4 import cli
 from curv4.curvature import curvature_batch, kaehler_form, weitzenboeck_residual
 from curv4.metrics import (
-    flat_space, ht_metric, product_spheres, round_sphere4, twisted_metric,
+    flat_space, fubini_study, ht_metric, product_spheres, round_sphere4,
+    twisted_metric,
 )
+from oracles import comps_jets, kaehler_comps, ring_form
 
 
 def constant_form(chart, x):
@@ -33,9 +36,9 @@ def polynomial_form(coeffs):
 
 
 def _make_forms(rng, n=5):
-    forms = [constant_form]
+    forms = [ring_form(constant_form)]
     for _ in range(n - 1):
-        forms.append(polynomial_form(rng.normal(size=30)))
+        forms.append(ring_form(polynomial_form(rng.normal(size=30))))
     return forms
 
 
@@ -72,7 +75,7 @@ def test_identity_holds_without_einstein(m):
 def test_flat_reduces_to_coordinate_laplacian():
     m = flat_space()
     rng = np.random.default_rng(22)
-    alpha = polynomial_form(rng.normal(size=30))
+    alpha = ring_form(polynomial_form(rng.normal(size=30)))
     p = np.array([[0.2, -0.4, 0.1, 0.3]])
     res, parts = weitzenboeck_residual(m, alpha, "e", p)
     assert res[0] < 1e-12
@@ -97,6 +100,37 @@ def test_kaehler_form_is_harmonic_on_product():
 def test_round_sphere_constant_coefficient_form():
     m = round_sphere4(1.0)
     rng = np.random.default_rng(24)
-    res, _ = weitzenboeck_residual(m, constant_form, "n",
+    res, _ = weitzenboeck_residual(m, ring_form(constant_form), "n",
                                    rng.uniform(-0.9, 0.9, (10, 4)))
     assert res.max() < 1e-6
+
+
+def test_poly_form_matches_nested_duals_of_its_polynomial():
+    # the suite's array form against the nested-dual jets of the same
+    # ring polynomial, from the same 30 draws
+    for seed in (1, 2, 3):
+        form = cli._poly_form(np.random.default_rng(seed))
+        ring = polynomial_form(np.random.default_rng(seed).normal(size=30))
+        pts = np.random.default_rng(seed + 10).uniform(-0.8, 0.8, (7, 4))
+        for got, want in zip(form("e", pts), comps_jets(ring, "e", pts)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14
+
+
+def _kaehler_cases():
+    fields = [product_spheres(1.0, 1.0), product_spheres(0.7, 1.3),
+              ht_metric(0.6), twisted_metric(0.5, 0.05), fubini_study()]
+    return [pytest.param(m, chart, id="%s-%s" % (m.name, chart))
+            for m in fields for chart in m.chart_order]
+
+
+@pytest.mark.parametrize("m, chart", _kaehler_cases())
+def test_kaehler_form_matches_nested_duals(m, chart):
+    # J^T applied to the metric jets against J^T g formed over nested
+    # duals, on every chart of every Kahler built-in
+    pts = m.charts[chart].sample(np.random.default_rng(31), 6)
+    for got, want in zip(kaehler_form(m)(chart, pts),
+                         comps_jets(kaehler_comps(m), chart, pts)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0,
+                                                      np.abs(want).max())
