@@ -15,15 +15,17 @@ at L = quad the sphere rule no longer resolves the index form.
 
 Exit codes: 0 success; 1 identity violation or another curv4 error, e.g. a
 surface that lies in a chart the metric's atlas does not have, or whose
-immersed nodes leave that chart's domain, or an index that does not
-stabilize by min(--L-max, --quad - 1); 2 parse error: an unknown flag, a
-malformed metric or surface spec (the grammar of ``metrics.parse_spec``), a
-value a surface constructor rejects, a malformed --t-values or --eps-values
-list or one with a non-finite entry, --grid below 3, --quad below 8, a
-negative --seed, --sections below 1, --tol not finite and positive, --L0
-below 0, --L-max below --L0 + 4, or --L0 + 4 above --quad - 1; 3 metric
-construction failure, e.g. |eps| above the twisted family's eps_max.  Spec,
-range and construction errors print one line on stderr and no traceback.
+immersed nodes leave that chart's domain, an index that does not stabilize
+by min(--L-max, --quad - 1), or an --out or --csv path that cannot be
+written; 2 parse error: an unknown flag, a malformed metric or surface spec
+(the grammar of ``metrics.parse_spec``), a value a surface constructor
+rejects, a malformed --t-values or --eps-values list or one with a
+non-finite entry, --grid below 3, --quad below 8, a negative --seed,
+--sections below 1, --tol not finite and positive, --L0 below 0, --L-max
+below --L0 + 4, or --L0 + 4 above --quad - 1; 3 metric construction
+failure, e.g. |eps| above the twisted family's eps_max.  Spec, range,
+construction and output-path errors print one line on stderr and no
+traceback.
 """
 
 import argparse
@@ -41,7 +43,8 @@ from .curvature import (
     kaehler_residuals, kaehler_scalar_curvature, lemma21_check,
     positivity_eps_max, weitzenboeck_residual,
 )
-from .errors import Curv4Error, MetricConstructionError, SpecParseError
+from .errors import (Curv4Error, MetricConstructionError, OutputError,
+                     SpecParseError)
 from .metrics import (
     QuadSpec, flat_space, fubini_study, ht_metric, parse_metric_spec,
     product_spheres, round_sphere4, twisted_eps_max, twisted_metric,
@@ -75,10 +78,17 @@ def _base_report(args, command):
             "config": cfg}
 
 
+def _open_output(path, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as e:
+        raise OutputError("cannot write %s: %s" % (path, e.strerror)) from None
+
+
 def _write_report(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
+        with _open_output(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -118,7 +128,7 @@ def cmd_analyze(args):
         report["kaehler_residuals"] = kaehler_residuals(m)
     if args.csv:
         keys = sorted(records[0][2].keys())
-        with open(args.csv, "w", newline="") as fh:
+        with _open_output(args.csv, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["chart", "x0", "x1", "x2", "x3"] + keys)
             for chart, pts, out in records:
@@ -166,12 +176,11 @@ def cmd_scan_family(args):
                          cell["margins"]["s6_minus_wplus"]])
     report["cells"] = cells
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with _open_output(args.csv, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "eps", "eps_max_pd", "eps_max_positivity",
                         "volume", "s6_minus_wplus"])
-            for row in rows:
-                w.writerow([repr(float(v)) for v in row])
+            w.writerows([repr(float(v)) for v in row] for row in rows)
     _write_report(report, args.out)
     return EXIT_OK
 
@@ -309,14 +318,10 @@ def run_identity_suite(seed=42, quad_n=32, n_sections=5, tol_scale=1.0):
         _surface_identities(surface_geometry(S, m, quad), minimal, rng,
                             n_sections, add)
 
-    # synthetic shear algebra
-    worst = 0.0
-    for _ in range(200):
-        A = np.zeros((2, 2, 2))
-        for s_ in range(2):
-            a, b = rng.normal(size=2)
-            A[..., s_] = [[a, b], [b, -a]]
-        worst = max(worst, abs(a_wedge_a_sq(A) - a_wedge_a_sq_expansion(A)))
+    # synthetic shear algebra: 200 traceless A[..., s] = [[a, b], [b, -a]]
+    a, b = np.moveaxis(rng.normal(size=(200, 2, 2)), -1, 0)
+    A = np.stack([np.stack([a, b], 1), np.stack([b, -a], 1)], 1)
+    worst = np.abs(a_wedge_a_sq(A) - a_wedge_a_sq_expansion(A)).max()
     add("shear-wedge-expansion", "synthetic", worst, 1e-12)
     return rows
 

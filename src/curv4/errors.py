@@ -27,3 +27,7 @@ class SectionError(Curv4Error):
 
 class RefinementError(Curv4Error):
     """Basis refinement exhausted without the reported index stabilizing."""
+
+
+class OutputError(Curv4Error):
+    """A report or CSV output path cannot be written."""

@@ -96,15 +96,13 @@ class IndexForm:
 
     def __init__(self, Q, G, basis, D):
         self.Q = Q
-        self.G = G
         self.D = D
         self.basis = basis
         self.Z = Z = _mass_whitening(G)
         self.mass_rank = Z.shape[1]
         Qw = Z.T @ Q @ Z
         Qw = 0.5 * (Qw + Qw.T)
-        self.spectrum, V = np.linalg.eigh(Qw)
-        self.vectors = Z @ V
+        self.spectrum = np.linalg.eigh(Qw)[0]
         self.tol_idx = 1e-6 * max(1.0, np.abs(self.spectrum).max())
         self.morse_index = int(np.sum(self.spectrum < -self.tol_idx))
         self.nullity = int(np.sum(np.abs(self.spectrum) <= self.tol_idx))

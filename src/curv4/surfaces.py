@@ -13,11 +13,11 @@ the connection form ``omega``, the frame coefficients ``p`` of the normal
 directions with their u-gradients ``dp``, and the Jacobi block ``jacobi``.
 Sections here and the index-form basis of ``stability`` read it.  Every
 built-in surface is S^1-equivariant: turning a chart's u-plane moves the
-immersed point by a rotation of the ambient factor planes (the declared
-weights of ``SurfaceImmersion``), an isometry of every T^2-invariant metric
-(see ``metrics``).  So the geometry is built over jets at one node per
-radius of the sphere rule and carried to the other nodes of that radius
-by the rotation, in the Gram-Schmidt gauge of each node.
+immersed point by a rotation of the ambient factor planes (measured and
+verified by the chart), an isometry of every T^2-invariant metric (see
+``metrics``).  So the geometry is built over jets at one node per radius
+of the sphere rule and carried to the other nodes of that radius by the
+rotation, in the Gram-Schmidt gauge of each node.
 
 ``SurfaceGeometry`` holds one ChartGeometry per surface chart at the sphere
 quadrature nodes.  The caller builds it once (``surface_geometry``) and
@@ -50,8 +50,8 @@ from . import bivector as bv
 from .curvature import curvature_from_arrays
 from .errors import (ChartDomainError, NonMinimalSurfaceError, SectionError,
                      SpecParseError)
-from .jets import (Jet, array, drop, from_arrays, grad_array, hess_array,
-                   jsqrt, partial, seedn)
+from .jets import (array, drop, from_arrays, grad_array, hess_array, jsqrt,
+                   partial, seedn)
 from .metrics import QuadSpec, parse_spec, sphere_chart_nodes
 
 TOL_MIN = 1e-8  # minimality threshold on the mean curvature vector
@@ -61,13 +61,14 @@ TOL_MIN = 1e-8  # minimality threshold on the mean curvature vector
 # ring-generic vector algebra
 
 def _dot(g, u, v):
-    """<u, v> with a 4x4 metric, all entries in a common jet ring."""
+    """<u, v> with a 4x4 metric over a common jet ring, skipping the terms
+    with a float 0.0 in u or v, which an array entry of g would not drop."""
+    iu, iv = ([i for i in range(4) if x[i].__class__ is not float or x[i]]
+              for x in (u, v))
     acc = 0.0
-    for i in range(4):
-        gi = g[i]
-        ui = u[i]
-        for j in range(4):
-            acc = acc + gi[j] * ui * v[j]
+    for i in iu:
+        for j in iv:
+            acc = acc + g[i][j] * u[i] * v[j]
     return acc
 
 
@@ -105,17 +106,13 @@ class SurfaceImmersion:
     Gram-Schmidted into the normal frame (else ValueError);
     normal_generators: optional ambient vector fields gen(chart, u, F) -> 4
     ring components in (re, im) pairs, spanning the normal bundle globally
-    (where no global normal frame exists, e.g. c1 != 0);
-    weights: chart -> (k1, k2) with F(R u) = Phi F(u) for R the turn of u
-    by th and Phi that of factor plane a by k_a th (default (0, 0));
-    charges: chart -> q per generator pair: the pair at R u is Phi (c V_re
-    + s V_im, -s V_re + c V_im) of the pair at u, (c, s) at the angle q th.
+    (where no global normal frame exists, e.g. c1 != 0).
     n_directions counts the normal directions a NormalSection takes
     coefficients on: the generators, else the two frame vectors n3, n4.
     """
 
     def __init__(self, name, chart_map, fmap, normal_seeds=(2, 3),
-                 normal_generators=None, weights=None, charges=None):
+                 normal_generators=None):
         self.name = name
         self.chart_map = dict(chart_map)
         self.fmap = fmap
@@ -123,8 +120,6 @@ class SurfaceImmersion:
         if sorted(self.normal_seeds) not in ([0, 1], [2, 3]):
             raise ValueError("normal_seeds must span one factor plane")
         self.normal_generators = normal_generators
-        self.weights = weights or dict.fromkeys(self.chart_map, (0, 0))
-        self.charges = charges
         self.n_directions = (2 if normal_generators is None
                              else len(normal_generators))
 
@@ -134,36 +129,25 @@ class SurfaceImmersion:
 
 def product_slice(factor=1, point=(0.0, 0.0)):
     """The slice S^2 x {q} (or {q} x S^2) inside a product metric."""
-    q0, q1 = float(point[0]), float(point[1])
-    if factor == 1:
-        chart_map = {"a": "aa", "b": "ba"}
-
-        def fmap(chart, u):
-            return [u[0], u[1], q0, q1]
-        seeds, k = (2, 3), (1, 0)
-    elif factor == 2:
-        chart_map = {"a": "aa", "b": "ab"}
-
-        def fmap(chart, u):
-            return [q0, q1, u[0], u[1]]
-        seeds, k = (0, 1), (0, 1)
-    else:
+    if factor not in (1, 2):
         raise ValueError("factor must be 1 or 2")
-    return SurfaceImmersion("slice", chart_map, fmap, normal_seeds=seeds,
-                            weights={"a": k, "b": k})
+    q, first = [float(point[0]), float(point[1])], factor == 1
+
+    def fmap(chart, u):
+        return [u[0], u[1]] + q if first else q + [u[0], u[1]]
+
+    return SurfaceImmersion("slice", {"a": "aa", "b": "ba" if first else "ab"},
+                            fmap, normal_seeds=(2, 3) if first else (0, 1))
 
 
 def equator_sphere():
     """The great 2-sphere x3 = x4 = 0 inside the round S^4 atlas."""
-    chart_map = {"a": "n", "b": "s"}
-
     def fmap(chart, u):
         if chart == "a":
             return [u[0], u[1], 0.0, 0.0]
         return [u[0], -u[1], 0.0, 0.0]
 
-    return SurfaceImmersion("equator4", chart_map, fmap, normal_seeds=(2, 3),
-                            weights={"a": (1, 0), "b": (-1, 0)})
+    return SurfaceImmersion("equator4", {"a": "n", "b": "s"}, fmap)
 
 
 def cp1_line():
@@ -173,8 +157,6 @@ def cp1_line():
     sections are spanned by projections of the four global linear fields
     below (real and J-rotated forms of d/dz2 and z1 d/dz2).
     """
-    chart_map = {"a": "u0", "b": "u1"}
-
     def fmap(chart, u):
         return [u[0], u[1], 0.0, 0.0]
 
@@ -199,9 +181,8 @@ def cp1_line():
         return [0.0, 0.0, 0.0, 1.0]
 
     return SurfaceImmersion(
-        "cp1-line", chart_map, fmap, normal_seeds=(2, 3),
-        normal_generators=[gen_re_dz2, gen_im_dz2, gen_re_z1dz2, gen_im_z1dz2],
-        weights={"a": (1, 0), "b": (1, 0)}, charges={"a": (0, 1), "b": (1, 0)})
+        "cp1-line", {"a": "u0", "b": "u1"}, fmap,
+        normal_generators=[gen_re_dz2, gen_im_dz2, gen_re_z1dz2, gen_im_z1dz2])
 
 
 def perturbed_slice(c=0.1):
@@ -209,15 +190,11 @@ def perturbed_slice(c=0.1):
 
     Not minimal; used for cross-path identity checks only.
     """
-    chart_map = {"a": "aa", "b": "ba"}
-
     def fmap(chart, u):
         n1, n2, _ = sphere_functions(chart, u)
         return [u[0], u[1], c * n1, c * n2]
 
-    return SurfaceImmersion("perturbed-slice", chart_map, fmap,
-                            normal_seeds=(2, 3),
-                            weights={"a": (1, 1), "b": (1, -1)})
+    return SurfaceImmersion("perturbed-slice", {"a": "aa", "b": "ba"}, fmap)
 
 
 SURFACES = {"slice": product_slice, "equator4": equator_sphere,
@@ -232,11 +209,25 @@ def parse_surface_spec(spec):
 # ---------------------------------------------------------------------
 # per-node geometry
 
-def _rot(t):
-    """Rotations of the plane by the angles t, shape t.shape + (2, 2)."""
-    c, s = np.cos(t), np.sin(t)
-    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)],
-                    axis=-2)
+def _rot(t, ks=(1,)):
+    """Block-diagonal rotations (..., 2 m, 2 m), plane j by angles ks[j] t."""
+    out = np.zeros(t.shape + (2 * len(ks),) * 2)
+    for j, k in enumerate(ks):
+        c, s = np.cos(k * t), np.sin(k * t)
+        out[..., 2 * j:2 * j + 2, 2 * j:2 * j + 2] = np.stack(
+            [np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    return out
+
+
+def _turns(x, y, th, n_angles):
+    """Integers k[j] with y = e^(i k[j] th) x, summed over the second nodes
+    of the runs, for x and y (n, 2 m, d) whose (re, im) row pairs are
+    complex vectors; 0 where x vanishes there, or with one node a run."""
+    if n_angles == 1:
+        return (0,) * (x.shape[1] // 2)
+    x, y = (a[1::n_angles, ::2] + 1j * a[1::n_angles, 1::2] for a in (x, y))
+    w = np.sum(np.conj(x) * y, axis=(0, -1))
+    return tuple(np.rint(np.angle(w) / th[1]).astype(int).tolist())
 
 
 class ChartGeometry:
@@ -255,16 +246,17 @@ class ChartGeometry:
     giving the run of each.  All of the above is computed over jets, with
     the curvature record, at the first node of each run only and carried
     to the others by the turn R of the u-plane onto the node and its
-    ambient rotation Phi (the surface's weights), in each node's
-    Gram-Schmidt gauge: dF = Phi dF0 R^T, h = R h0 R^T, c from the
-    Cholesky factor of h; the tangent frame turns by V = c R L0 and the
-    normal one by U, the Q factor of L_nn^T S^T with n4's sign (L0, L_nn
-    the tangent and normal Cholesky blocks, S Phi on the seed plane).  A
-    turns by V and U, Rterm and jacobi by U, omega = R (omega0 + d psi)
-    with psi U's angle, p = T p0 U (T turns each generator pair by its
-    charge) and dp likewise, its u-index turned by R; scalars are copied.
-    Raises SpecParseError unless F and the generators at the nodes are the
-    carried ones to 1e-12.
+    ambient rotation Phi, factor plane a by ``weights``[a] times R's angle,
+    in each node's Gram-Schmidt gauge: dF = Phi dF0 R^T, h = R h0 R^T, c
+    from the Cholesky factor of h; the tangent frame turns by V = c R L0
+    and the normal one by U, the Q factor of L_nn^T S^T with n4's sign (L0,
+    L_nn the tangent and normal Cholesky blocks, S Phi on the seed plane).
+    A turns by V and U, Rterm and jacobi by U, omega = R (omega0 + d psi)
+    with psi U's angle, p = T p0 U (T turns generator pair j by
+    ``charges``[j]) and dp likewise, its u-index turned by R; scalars are
+    copied.  Weights and charges are read off the first two nodes of each
+    run (0 with one); SpecParseError unless F and the generators at every
+    node are then the carried ones to 1e-12.
 
     Of the record the chart keeps only the curvature operator ``M6`` on the
     orthonormal frame, once per orbit with its ``orbit_keys`` (|z1|^2,
@@ -278,11 +270,11 @@ class ChartGeometry:
     outside that chart's domain.
     """
 
-    def __init__(self, S, m, chart, u_nodes, weights, n_angles=1):
+    def __init__(self, S, m, chart, u_nodes, w, n_angles=1):
         self.chart = chart
         self.amb = S.chart_map[chart]
         self.u = u = np.asarray(u_nodes, dtype=float)
-        self.w = np.asarray(weights, dtype=float)
+        self.w = np.asarray(w, dtype=float)
         n = len(u)
         self.shape = shape = (n,)
         self.orbit = o = np.repeat(np.arange(n // n_angles), n_angles)
@@ -308,11 +300,12 @@ class ChartGeometry:
         gu = np.einsum("npij,npa->nija", dg, dF0)
         guu = (np.einsum("nqpij,npa,nqb->nijab", d2g, dF0, dF0)
                + np.einsum("npij,npab->nijab", dg, d2F0))
-        # an entry that vanishes to second order stays the float 0.0, whose
-        # jet products cost nothing
-        live = g.any(axis=0) | gu.any(axis=(0, 3)) | guu.any(axis=(0, 3, 4))
+        # an entry constant along the surface stays its value array, and one
+        # that vanishes the float 0.0, whose jet products cost nothing
+        moves = gu.any(axis=(0, 3)) | guu.any(axis=(0, 3, 4))
         g2 = [[from_arrays(g[:, i, j], gu[:, i, j], guu[:, i, j])
-               if live[i, j] else 0.0 for j in range(4)] for i in range(4)]
+               if moves[i, j] else g[:, i, j] if g[:, i, j].any() else 0.0
+               for j in range(4)] for i in range(4)]
 
         # Gram matrix of B (lower triangle); its tangent block is h
         B = [[partial(f, a) for f in Fj] for a in range(2)] + [
@@ -376,11 +369,11 @@ class ChartGeometry:
         # normal connection form and intrinsic bundle curvature:
         # omega_a = <nabla_a n3, n4>, K_perp = (d1 w2 - d2 w1)/sqrt(det h);
         # nabla_a n3 = d_a n3 + Gamma(F_a) n3 with Gamma(F_a) a 1-jet in u,
-        # b first in its derivative
-        dGF = np.moveaxis(dGF.reshape(k, 2, 2, 4, 4), 2, 0)
+        # the u-index b of dGF last
+        dGF = np.moveaxis(dGF.reshape(k, 2, 2, 4, 4), 2, -1)
         omega = []
         for a in range(2):
-            cov = [sum((Jet(GF[..., a, i, q], dGF[:, ..., a, i, q]) * n3_1[q]
+            cov = [sum((from_arrays(GF[:, a, i, q], dGF[:, a, i, q]) * n3_1[q]
                         for q in range(4)), partial(n3[i], a))
                    for i in range(4)]
             omega.append(_dot(g1, cov, n4_1))
@@ -412,23 +405,22 @@ class ChartGeometry:
         Rterm0 = Rf[:, 0, :, 0, :] + Rf[:, 1, :, 1, :]
         jacobi0 = Rterm0 + np.einsum("...ijs,...ijt->...st", A0, A0)
 
-        # the turn R of the u-plane from each node's representative to the
-        # node, its ambient rotation Phi, and T, which turns each (re, im)
-        # generator pair by its charge; F and the generators must agree
+        # R turns the u-plane from each node's representative onto it, Phi
+        # the factor planes and T each pair v = V_re + i V_im by its charge,
+        # v = e^(-i q th) Phi v_rep; all measured, then checked at every node
         z = u @ [1.0, 1.0j]
         th = np.angle(z * np.conj(z[::n_angles][o]))
-        R, (k1, k2) = _rot(th), S.weights[chart]
-        Phi = np.zeros((n, 4, 4))
-        Phi[:, :2, :2], Phi[:, 2:, 2:] = _rot(k1 * th), _rot(k2 * th)
+        self.weights = _turns(F0[o, :, None], F[..., None], th, n_angles)
+        R, Phi = _rot(th), _rot(th, self.weights)
         Pt = np.swapaxes(Phi, -1, -2)
-        pairs = [(F, (F0[o, None] @ Pt)[:, 0])]
+        pairs, self.charges = [(F, (F0[o, None] @ Pt)[:, 0])], ()
         if S.normal_generators is not None:
-            T = np.zeros((n, S.n_directions, S.n_directions))
-            for j, q in enumerate(S.charges[chart]):
-                T[:, 2 * j:2 * j + 2, 2 * j:2 * j + 2] = _rot(-q * th)
             V = _values([gen(chart, list(u.T), list(F.T))
                          for gen in S.normal_generators], shape)
-            pairs.append((V, T @ V[::n_angles][o] @ Pt))
+            W = V[::n_angles][o] @ Pt
+            turns = _turns(W, V, th, n_angles)
+            self.charges, T = tuple(-q for q in turns), _rot(th, turns)
+            pairs.append((V, T @ W))
         if not all(np.allclose(*ab, rtol=1e-12, atol=1e-12) for ab in pairs):
             raise SpecParseError("surface %s: chart %s does not turn by its "
                                  "weights and charges" % (S.name, chart))

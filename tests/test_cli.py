@@ -183,6 +183,20 @@ def test_exit_code_surface_outside_its_chart_domain(surface):
     assert "outside chart 'aa'" in proc.stderr
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["analyze", "--metric", "flat", "--grid", "3", "--no-sectional"], "--out"),
+    (["scan-family", "--t-values", "0.5", "--grid", "3", "--quad", "8"],
+     "--csv")], ids=["analyze-out", "scan-family-csv"])
+def test_exit_code_unwritable_output(tmp_path, args, flag):
+    # an output path in a directory that does not exist is a typed error
+    path = str(tmp_path / "missing" / "x")
+    proc = run_cli(args + [flag, path])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: cannot write %s: " % path)
+
+
 def test_verify_identities_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify-identities", "--seed", "42", "--quad", "16",

@@ -276,21 +276,45 @@ def test_carried_geometry_matches_per_node_path(name, S, m, quad):
             assert err.max() <= 1e-13, (key, err.max())
 
 
+# the rotation weights (k1, k2) of each chart, and on cp1-line the charge of
+# each generator pair, as ChartGeometry measures them
+TURNS = {
+    "slice": {"a": ((1, 0), ()), "b": ((1, 0), ())},
+    "equator": {"a": ((1, 0), ()), "b": ((-1, 0), ())},
+    "cp1": {"a": ((1, 0), (0, 1)), "b": ((1, 0), (1, 0))},
+    "perturbed": {"a": ((1, 1), ()), "b": ((1, -1), ())},
+    "twisted-slice2": {"a": ((0, 1), ()), "b": ((0, 1), ())},
+    "twisted-perturbed": {"a": ((1, 1), ()), "b": ((1, -1), ())},
+    "twisted-slice-off": {"a": ((1, 0), ()), "b": ((1, 0), ())},
+}
+
+
+@pytest.mark.parametrize("quad", [8, 32, 33])
+@pytest.mark.parametrize("name, S, m", CARRY_CASES,
+                         ids=[name for name, _, _ in CARRY_CASES])
+def test_rotation_weights_and_charges_are_measured(name, S, m, quad):
+    for cg in surface_geometry(S, m, QuadSpec(quad)).charts:
+        assert (cg.weights, cg.charges) == TURNS[name][cg.chart]
+        # one angle per radius turns by nothing
+        one = point_geometry(S, m, cg.chart, [0.3, -0.2])
+        assert (one.weights, one.charges) == ((0, 0), (0,) * len(cg.charges))
+
+
 def test_wrong_rotation_weight_is_rejected():
-    # the carry checks the declared weights and generator charges on every
-    # build; a wrong one raises the typed error instead of a wrong geometry.
-    # (The slice through the origin of the second factor would turn with
-    # any k2, so the wrong k2 is tried off the origin.)
-    for S, m, wrong in [
-            (product_slice(point=(0.3, -0.2)), MP,
-             {"weights": {"a": (1, 1), "b": (1, 0)}}),
-            (equator_sphere(), MR, {"weights": {"a": (1, 0), "b": (1, 0)}}),
-            (cp1_line(), MF, {"charges": {"a": (1, 0), "b": (1, 0)}})]:
-        args = dict(normal_seeds=S.normal_seeds,
-                    normal_generators=S.normal_generators,
-                    weights=S.weights, charges=S.charges)
-        bad = surfaces.SurfaceImmersion(S.name, S.chart_map, S.fmap,
-                                        **dict(args, **wrong))
+    # the carry checks the measured weights and generator charges at every
+    # node; a surface that does not turn with u raises the typed error
+    # instead of giving a wrong geometry
+    def wobble(chart, u):
+        # a slice whose second-factor point moves with Re u
+        return [u[0], u[1], 0.3 + 0.1 * u[0], -0.2]
+
+    cp1 = cp1_line()
+    mispaired = [cp1.normal_generators[i] for i in (0, 2, 1, 3)]
+    for bad, m in [
+            (surfaces.SurfaceImmersion("wobble", {"a": "aa", "b": "ba"},
+                                       wobble), MP),
+            (surfaces.SurfaceImmersion(cp1.name, cp1.chart_map, cp1.fmap,
+                                       normal_generators=mispaired), MF)]:
         with pytest.raises(SpecParseError, match="weights and charges"):
             surface_geometry(bad, m, QuadSpec(8))
         # one angle per radius carries by the identity
@@ -300,7 +324,7 @@ def test_wrong_rotation_weight_is_rejected():
     S = perturbed_slice(0.15)
     with pytest.raises(ValueError, match="one factor plane"):
         surfaces.SurfaceImmersion(S.name, S.chart_map, S.fmap,
-                                  normal_seeds=(1, 3), weights=S.weights)
+                                  normal_seeds=(1, 3))
 
 
 @pytest.mark.filterwarnings("error")
