@@ -116,27 +116,27 @@ def _parse_values(spec):
 
 def cmd_analyze(args):
     m = parse_metric_spec(args.metric)
-    rep, records = condition_check(
-        m, grid_n=args.grid, include_sectional=not args.no_sectional,
-        return_points=True)
+    conditions, records = condition_check(
+        m, grid_n=args.grid, include_sectional=not args.no_sectional)
     report = _base_report(args, "analyze")
     report["metric"] = {"name": m.name, "params": m.params}
-    report["conditions"] = rep.as_dict()
+    report["conditions"] = conditions
     report["volume"], report["volume_error"] = volume_estimate(
         m, QuadSpec(args.quad))
     if m.is_kaehler:
         report["kaehler_residuals"] = kaehler_residuals(m)
     if args.csv:
-        keys = sorted(records[0][2].keys())
+        keys = sorted(records[0][1])
+        n = args.grid ** 4
         with _open_output(args.csv, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["chart", "x0", "x1", "x2", "x3"] + keys)
-            for chart, pts, out in records:
-                for i in range(len(pts)):
+            for chart, out in records:
+                pts = m.charts[chart].grid_point(args.grid, np.arange(n))
+                for i in range(n):
                     w.writerow([chart] + [repr(v) for v in pts[i]]
                                + [repr(float(out[k][i])) for k in keys])
-        report["csv"] = {"path": args.csv,
-                         "rows": sum(len(p) for _, p, _ in records)}
+        report["csv"] = {"path": args.csv, "rows": len(records) * n}
     _write_report(report, args.out)
     return EXIT_OK
 
@@ -166,9 +166,8 @@ def cmd_scan_family(args):
                 cell["error"] = str(exc)
                 cells.append(cell)
                 continue
-            rep = condition_check(m, grid_n=args.grid | 1,
-                                  include_sectional=False)
-            cell["margins"] = rep.as_dict()["margins"]
+            cell["margins"] = condition_check(
+                m, grid_n=args.grid | 1, include_sectional=False)[0]["margins"]
             cell["volume"], cell["volume_error"] = volume_estimate(
                 m, QuadSpec(args.quad))
             cells.append(cell)

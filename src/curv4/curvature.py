@@ -26,7 +26,8 @@ from . import bivector as bv
 from .bivector import PAIRS, kn_tensor4, operator6, to_eta_basis
 from .errors import MetricConstructionError
 from .jets import jlog, value
-from .metrics import J_STANDARD, toric_metric, twisted_parts, twisted_eps_max
+from .metrics import (J_STANDARD, toric_metric, twisted_coeffs,
+                      twisted_eps_max, twisted_metric)
 
 I3 = np.eye(3)
 I4 = np.eye(4)
@@ -210,13 +211,12 @@ def sectional_extremes(M6):
     at a bottom eigenvector v, and its maximum lies in |t| <= lambda_max(M)
     - lambda_min(M), so all points bisect together on the sign of that
     slope.  The bottom eigenvectors kept at the two bracket ends have slopes
-    of opposite sign; their mix with <*xi, xi> = 0 is decomposable, and the
-    plane is the column space of its rank-2 antisymmetric matrix.
+    of opposite sign, and their mix with <*xi, xi> = 0 is decomposable.
 
     M6 may be batched (..., 6, 6); the computation is deterministic.
-    Returns (value, plane, bound): value = <M xi, xi> is the curvature of
-    the returned plane, an upper bound on the minimum, plane is an
-    orthonormal (..., 4, 2) pair spanning it, and bound is the certified
+    Returns (value, xi, bound): xi is that unit decomposable bivector
+    (..., 6) in the basis of PAIRS, value = <M xi, xi> its sectional
+    curvature, an upper bound on the minimum, and bound is the certified
     lower bound lambda_min(M + t* *) at the better bracket end; value minus
     bound is the primal-dual gap.
     """
@@ -253,13 +253,7 @@ def sectional_extremes(M6):
     xi = np.cos(th)[:, None] * x + np.sin(th)[:, None] * y
     xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
     value = np.einsum("ni,nij,nj->n", xi, M, xi)
-
-    A = np.zeros((len(M), 4, 4))
-    for p, (i, j) in enumerate(PAIRS):
-        A[:, i, j] = xi[:, p]
-        A[:, j, i] = -xi[:, p]
-    plane = np.linalg.eigh(A @ np.swapaxes(A, -1, -2))[1][..., 2:]
-    return (value.reshape(batch), plane.reshape(batch + (4, 2)),
+    return (value.reshape(batch), xi.reshape(batch + (6,)),
             f.max(axis=1).reshape(batch))
 
 
@@ -270,41 +264,7 @@ def psd_tolerance(s):
     return 1e-9 * (1.0 + np.abs(s) / 12.0)
 
 
-class ConditionReport:
-    """Aggregate positivity margins of the pointwise curvature conditions.
-
-    ``npoints`` counts the grid points the margins cover, not the points
-    evaluated (one per T^2 orbit).  ``sectional_gap`` is the largest
-    primal-dual gap of the sectional search over the points (None when it
-    did not run).  ``worst`` maps each margin to (chart, point, ties): the
-    first grid point within ``tol_psd`` of the minimum and the number of
-    such points.
-    """
-
-    def __init__(self, margins, worst, tol_psd, npoints, sectional_gap=None):
-        self.margins = margins
-        self.worst = worst
-        self.tol_psd = tol_psd
-        self.npoints = npoints
-        self.sectional_gap = sectional_gap
-        self.satisfied = {k: margins[k] >= -tol_psd for k in margins}
-
-    def as_dict(self):
-        out = {
-            "npoints": self.npoints,
-            "tol_psd": self.tol_psd,
-            "margins": {k: float(v) for k, v in self.margins.items()},
-            "satisfied": {k: bool(v) for k, v in self.satisfied.items()},
-            "worst_point": {k: {"chart": c, "point": list(map(float, p)),
-                                "ties": n}
-                            for k, (c, p, n) in self.worst.items()},
-        }
-        if self.sectional_gap is not None:
-            out["sectional_gap"] = self.sectional_gap
-        return out
-
-
-def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
+def condition_check(m, grid_n=6, include_sectional=True):
     """Aggregate eigenvalue margins over chart.grid(grid_n) of every chart.
 
     Margins are minima over all points of: min eig(s/6 - W+-),
@@ -317,11 +277,18 @@ def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
     exact up to the certified gap (Thorpe duality, see
     ``sectional_extremes``): each point's value is the curvature of an
     actual plane, so it is an upper bound, and it exceeds the dual lower
-    bound by at most the report's ``sectional_gap``.  Nothing is random, so
-    the result does not depend on a seed.
+    bound by at most ``sectional_gap``.  Nothing is random, so the result
+    does not depend on a seed.
 
-    With return_points, also returns [(chart, grid points, margins)] with
-    the per-point margins in grid order, for CSV dumps.
+    Returns (conditions, records).  ``conditions`` is the report block:
+    ``npoints`` counts the grid points the margins cover, not the points
+    evaluated (one per T^2 orbit); ``tol_psd`` is the tolerance of
+    ``satisfied`` (margin >= -tol_psd); ``sectional_gap``, the largest
+    primal-dual gap of the sectional search, is present only when the
+    search ran; ``worst_point`` gives each margin's first grid point, in
+    chart and grid order, within tol_psd of its minimum, and the number of
+    such points as ``ties``.  ``records`` is [(chart, margins)] with each
+    margin an array over the chart's grid points in grid order.
     """
     smax, gap, total = 0.0, -np.inf, 0
     records = []
@@ -343,26 +310,26 @@ def condition_check(m, grid_n=6, include_sectional=True, return_points=False):
         total += len(index)
         records.append((chart, {k: v[index] for k, v in out.items()}))
 
-    # a margin's worst point is the first point, in chart and grid order,
-    # within tol_psd of its minimum: where the margin is flat up to rounding
-    # (s/12 + W+ on a Kaehler metric), the grid fixes the point, not the
-    # order of the kernel's sums
+    # where a margin is flat up to rounding (s/12 + W+ on a Kaehler metric),
+    # the tie rule lets the grid fix the worst point, not the order of the
+    # kernel's sums
     tol = psd_tolerance(smax)
-    mins, worst = {}, {}
+    conditions = {"npoints": total, "tol_psd": tol, "margins": {},
+                  "satisfied": {}, "worst_point": {}}
     for key in records[0][1]:
-        mins[key] = min(float(out[key].min()) for _, out in records)
-        near = [(chart, np.flatnonzero(out[key] <= mins[key] + tol))
+        low = min(float(out[key].min()) for _, out in records)
+        near = [(chart, np.flatnonzero(out[key] <= low + tol))
                 for chart, out in records]
         chart, flat = next((c, f) for c, f in near if len(f))
         point = m.charts[chart].grid_point(grid_n, flat[0])
-        worst[key] = (chart, point.tolist(), sum(len(f) for _, f in near))
-    report = ConditionReport(mins, worst, tol, total,
-                             gap if include_sectional else None)
-    if return_points:
-        # the dump has a row per grid point; only coordinates are built
-        return report, [(chart, m.charts[chart].grid_point(
-            grid_n, np.arange(grid_n ** 4)), out) for chart, out in records]
-    return report
+        conditions["margins"][key] = low
+        conditions["satisfied"][key] = bool(low >= -tol)
+        conditions["worst_point"][key] = {
+            "chart": chart, "point": point.tolist(),
+            "ties": sum(len(f) for _, f in near)}
+    if include_sectional:
+        conditions["sectional_gap"] = gap
+    return conditions, records
 
 
 def kaehler_scalar_curvature(coeffs, chart, pts):
@@ -404,24 +371,16 @@ def positivity_eps_max(t, grid_n=5):
     double roots, where s does not go negative.
 
     s is T^2-invariant, so it is taken once per orbit that the grid meets
-    (``Chart.orbit_grid``).  Per chart, the coefficients of h_t and of the
-    perturbation are read once each, with the six nodes in a leading axis;
-    no metric jet or curvature tensor is formed.  Use odd grid sizes: the
-    tightest spot of the perturbation sits at a chart centre, which even
-    grids skip.
+    (``Chart.orbit_grid``).  Per chart, the family's coefficients are read
+    once, with the six nodes in a leading axis (node, point); no metric jet
+    or curvature tensor is formed.  Use odd grid sizes: the tightest spot of
+    the perturbation sits at a chart centre, which even grids skip.
     """
     hi = 0.95 * twisted_eps_max(t)
     x = np.polynomial.chebyshev.chebpts1(6)
-    eps = 0.5 * hi * (x + 1.0)[:, None]
-    base, pert = twisted_parts(t)
-
-    def coeffs(chart, s):
-        # leading axes (node, point)
-        return [h + eps * p for h, p in zip(base.coeffs(chart, s),
-                                            pert.coeffs(chart, s))]
-
+    coeffs = twisted_coeffs(t, 0.5 * hi * (x + 1.0)[:, None])
     roots = [1.0]
-    for chart, reps, _ in base.orbit_points(grid_n):
+    for chart, reps, _ in twisted_metric(t, 0.0).orbit_points(grid_n):
         s, det = kaehler_scalar_curvature(coeffs, chart, reps)
         for c in np.polynomial.chebyshev.chebfit(x, s * det ** 3, 5).T:
             r = np.polynomial.chebyshev.chebroots(c)

@@ -50,7 +50,8 @@ import re
 import numpy as np
 
 from .errors import ChartDomainError, MetricConstructionError, SpecParseError
-from .jets import array, drop, grad_array, hess_array, jlog, partial, seedn
+from .jets import (array, drop, grad_array, hess_array, jlog, partial,
+                   seedn, value)
 
 CHART_MARGIN = 0.1
 
@@ -168,7 +169,7 @@ class MetricField:
     """
 
     def __init__(self, name, charts, coeffs, params=None, kaehler=None,
-                 volume_nodes=None, validate=True):
+                 volume_nodes=None):
         self.name = name
         self.params = dict(params or {})
         self.charts = {c.name: c for c in charts}
@@ -176,8 +177,7 @@ class MetricField:
         self._coeffs = coeffs
         self.kaehler = kaehler
         self.volume_nodes = volume_nodes  # n -> [(chart, pts, w)]
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def is_kaehler(self):
@@ -251,19 +251,6 @@ class MetricField:
         """[(chart, reps, index)]: ``Chart.orbit_grid(n)`` of every chart."""
         return [(name,) + self.charts[name].orbit_grid(n)
                 for name in self.chart_order]
-
-    def transition(self, src, dst, pts):
-        """Map points from chart src to chart dst (plain values);
-        ChartDomainError if either chart is missing or src is not glued to
-        dst."""
-        fmap = self.get_chart(src).transitions.get(dst)
-        if fmap is None:
-            raise ChartDomainError("%s: chart %r has no transition to %r" % (
-                self.name, src, dst))
-        pts, single = _as_batch(pts)
-        out = fmap([pts[:, i] for i in range(4)])
-        res = np.stack([np.asarray(c, dtype=float) for c in out], axis=-1)
-        return res[0] if single else res
 
     def _validate(self):
         # the orbit representatives of grid(5): finiteness and the spectrum
@@ -558,12 +545,24 @@ def _phi_coeffs(name, s):
     return 2.0 * Du * v, 2.0 * u * Dv, 2.0 * du * dv
 
 
-def twisted_parts(t):
-    """(h_t, 2 Re ddbar phi) as fields; the second is not a metric."""
-    base = ht_metric(t)
-    pert = MetricField("twisted-part", list(base.charts.values()),
-                       _phi_coeffs, validate=False)
-    return base, pert
+def twisted_coeffs(t, eps):
+    """coeffs(chart, s) of the twisted family h_t + eps (2 Re ddbar phi) on
+    the product charts; eps may be an array whose axes lead those of s, or
+    a jet.  h_t is ``ht_metric(t)``'s, the product of spheres of radii a
+    and 1/a with a = sqrt(1 - t^2/4)."""
+    if not 0.0 <= t <= 1.0:
+        raise MetricConstructionError(
+            "twisted_metric: t=%.4g does not lie in [0, 1]" % t)
+    a = np.sqrt(1.0 - t * t / 4.0)
+    b = 1.0 / a
+    fa, fb = 4.0 * a * a, 4.0 * b * b
+
+    def coeffs(name, s):
+        q1, q2 = 1.0 + s[0], 1.0 + s[1]
+        p0, p1, p12 = _phi_coeffs(name, s)
+        return fa / (q1 * q1) + eps * p0, fb / (q2 * q2) + eps * p1, eps * p12
+
+    return coeffs
 
 
 def twisted_eps_max(t, grid_n=16):
@@ -594,25 +593,29 @@ def twisted_eps_max(t, grid_n=16):
     roots of det(H_P - mu H_G) = A mu^2 - B mu + C with A = a c,
     B = p c + r a and C = p r - |q|^2, so
     max |mu| = (|B| + sqrt(B^2 - 4 A C)) / 2A, a form free of
-    cancellation.  Cached per (t, grid_n) in a bounded LRU.
+    cancellation.  G and P are the value and the eps-partial of
+    ``twisted_coeffs`` on eps seeded at 0, one read per chart, and q is
+    real at the orbit representatives, where Im zbar_1 z_2 = 0.  Cached
+    per (t, grid_n) in a bounded LRU.
     """
     return _eps_max(round(float(t), 12), grid_n)
 
 
 @functools.lru_cache(maxsize=64)
 def _eps_max(t, grid_n):
-    base, pert = twisted_parts(t)
-    points = [(name, np.concatenate([chart.orbit_grid(n)[0]
-                                     for n in (grid_n, 5)]))
-              for name, chart in base.charts.items()]
-    # copies of the entries used, so the 4x4 arrays can go
-    diag = [base.eval(name, pts)[:, [0, 2], [0, 2]] for name, pts in points]
-    floor = 1e-3 * min(float(d.min()) for d in diag)
+    coeffs = twisted_coeffs(t, seedn([0.0], 1)[0])
+    parts = []
+    for chart in _product_charts():
+        x = np.concatenate([chart.orbit_grid(n)[0]
+                            for n in (grid_n, 5)]).T
+        f0, f1, f12 = coeffs(chart.name, _s(x))
+        parts.append((value(f0), value(f1), partial(f0, 0), partial(f1, 0),
+                      partial(f12, 0) * (x[0] * x[2] + x[1] * x[3])))
+    floor = 1e-3 * min(float(min(a.min(), c.min())) for a, c, *_ in parts)
     mu = 0.0
-    for d, (name, pts) in zip(diag, points):
-        a, c = (d - floor).T
-        p, r, qr, qi = pert.eval(name, pts)[:, [0, 2, 0, 0], [0, 2, 2, 3]].T
-        A, B, C = a * c, p * c + r * a, p * r - qr * qr - qi * qi
+    for a, c, p, r, q in parts:
+        a, c = a - floor, c - floor
+        A, B, C = a * c, p * c + r * a, p * r - q * q
         root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
         mu = max(mu, float(np.max((np.abs(B) + root) / (2.0 * A))))
     return 1.0 / mu
@@ -620,22 +623,14 @@ def _eps_max(t, grid_n):
 
 def twisted_metric(t, eps):
     """Kahler deformation g = h_t + eps * (2 Re ddbar phi) on S^2 x S^2."""
-    if not 0.0 <= t <= 1.0:
-        raise MetricConstructionError(
-            "twisted_metric: t=%.4g does not lie in [0, 1]" % t)
+    coeffs = twisted_coeffs(t, eps)
     emax = twisted_eps_max(t)
     if abs(eps) > emax:
         raise MetricConstructionError(
             "twisted_metric: |eps|=%.4g exceeds eps_max(t=%.3g)=%.4g "
             "(metric loses positive definiteness)" % (abs(eps), t, emax))
-    base, pert = twisted_parts(t)
     lam = 1.0 - t * t / 4.0
     base_pot = _product_potential(lam, 1.0 / lam)
-
-    def coeffs(name, s):
-        h0, h1, _ = base.coeffs(name, s)
-        p0, p1, p12 = pert.coeffs(name, s)
-        return h0 + eps * p0, h1 + eps * p1, eps * p12
 
     def potential(name, s):
         return base_pot(name, s) + eps * _phi_height_product(name, s)

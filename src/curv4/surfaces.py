@@ -259,8 +259,8 @@ class ChartGeometry:
     node are then the carried ones to 1e-12.
 
     Of the record the chart keeps only the curvature operator ``M6`` on the
-    orthonormal frame, once per orbit with its ``orbit_keys`` (|z1|^2,
-    |z2|^2), for the sectional search; g, Gamma, Rm and s are spent here.
+    orthonormal frame, once per orbit, for the sectional search; g, Gamma,
+    Rm and s are spent here.
     ``F`` holds the immersed points (n, 4), so a caller that needs the
     record at the nodes recomputes it as ``curvature_batch(m, cg.amb,
     cg.F)``.
@@ -343,7 +343,6 @@ class ChartGeometry:
 
         # ambient curvature record at the immersed representatives; of it
         # the chart keeps only M6
-        self.orbit_keys = np.sum(F0.reshape(-1, 2, 2) ** 2, axis=-1)
         curv = curvature_from_arrays(*gx)
         self.M6 = curv["M6"]
         k = len(self.M6)

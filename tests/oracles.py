@@ -14,6 +14,10 @@ every node: the induced metric and the frame coefficients p of the normal
 directions, with the frame taken by Cholesky of the Gram matrix as the
 chart geometry takes it.
 
+``twisted_parts`` splits the twisted family into its two forms as fields,
+and ``transition`` maps points through a declared chart gluing: the
+fixtures of the eps-bound oracles and of the gluing tests.
+
 The pointwise readers (``point_geometry``, ``normal_connection``), the
 parallel section of a trivial normal bundle and the single-section
 ``second_variation`` are references for the batched paths that the
@@ -25,11 +29,12 @@ import copy
 
 import numpy as np
 
+from curv4 import metrics
 from curv4.curvature import christoffel_arrays
 from curv4.errors import SectionError
 from curv4.jets import (array, drop, from_arrays, grad_array, hess_array, jlog,
                         jsqrt, partial, seedn)
-from curv4.metrics import J_STANDARD
+from curv4.metrics import J_STANDARD, ht_metric
 from curv4.surfaces import (ChartGeometry, NormalSection, dbar_sq,
                             second_variation_density, section_data)
 
@@ -65,6 +70,25 @@ def comps_jets(comps, chart, pts):
            field(lambda e: grad_array(e, shape, 4)),
            np.swapaxes(field(lambda e: hess_array(e, shape, 4)), -4, -3))
     return tuple(a[0] for a in out) if pts.ndim == 1 else out
+
+
+def twisted_parts(t):
+    """(h_t, 2 Re ddbar phi) as fields on h_t's atlas; the second, a copy of
+    ``ht_metric(t)`` whose coefficients read ``metrics._phi_coeffs`` at
+    call time (so a test may patch it), is not a metric."""
+    base = ht_metric(t)
+    pert = copy.copy(base)
+    pert.name, pert.kaehler = "twisted-part", None
+    pert._coeffs = lambda chart, s: metrics._phi_coeffs(chart, s)
+    return base, pert
+
+
+def transition(m, src, dst, pts):
+    """Points of chart src of m mapped to chart dst through the declared
+    gluing (plain values; a single point or an (n, 4) batch)."""
+    pts = np.asarray(pts, dtype=float)
+    out = m.charts[src].transitions[dst](list(np.moveaxis(pts, -1, 0)))
+    return np.stack([np.asarray(c, dtype=float) for c in out], axis=-1)
 
 
 def kaehler_comps(m):

@@ -148,15 +148,23 @@ def test_subcommands_reject_options_they_do_not_read(args, capsys):
 
 def test_exit_code_construction_error():
     # a finite radius whose metric components overflow is a construction
-    # failure, caught before the eigenvalue check; a t outside [0, 1] is
-    # reported by the builder of the spec given, not by one it calls
-    for spec in ("twisted(t=0.2,eps=99)", "product(a=1e200,b=1)",
-                 "twisted(t=1.5,eps=0)"):
-        proc = run_cli(["analyze", "--metric", spec])
-        assert proc.returncode == 3, spec
+    # failure, caught before the eigenvalue check; one whose square
+    # underflows fails the eigenvalue check; a t outside [0, 1] is reported
+    # by the twisted family, not by a builder it calls, in analyze and in
+    # scan-family alike
+    for args in (["analyze", "--metric", "twisted(t=0.2,eps=99)"],
+                 ["analyze", "--metric", "product(a=1e200,b=1)"],
+                 ["analyze", "--metric", "round4(r=1e-200)"],
+                 ["analyze", "--metric", "twisted(t=1.5,eps=0)"],
+                 ["scan-family", "--t-values", "1.5"]):
+        proc = run_cli(args)
+        assert proc.returncode == 3, args
         assert "construction error" in proc.stderr
         assert "ht_metric" not in proc.stderr
-    assert "twisted_metric: t=1.5" in proc.stderr
+        if "1.5" in args[-1]:
+            assert "twisted_metric: t=1.5" in proc.stderr, args
+        elif "r=1e-200" in args[-1]:
+            assert "metric not positive definite" in proc.stderr
 
 
 def test_exit_code_surface_in_foreign_atlas():

@@ -8,7 +8,8 @@ from curv4.curvature import (
     lemma21_check, riemann_at, ric_block_from_traceless, sectional_extremes,
 )
 from curv4.bivector import (
-    bianchi_residual, kn_tensor4, operator6, to_eta_basis, wedge,
+    bianchi_residual, kn_tensor4, operator6, plucker_residual, to_eta_basis,
+    wedge,
 )
 from curv4.metrics import (
     J_STANDARD, flat_space, fubini_study, ht_metric, product_spheres,
@@ -275,10 +276,9 @@ def test_min_sectional_round_product_fs():
     assert_allclose(sectional_extremes(c["M6"])[0], 1.0, atol=1e-6)
 
     cp = riemann_at(product_spheres(1.0, 1.0), "aa", rng.uniform(-0.8, 0.8, 4))
-    val, plane, _ = sectional_extremes(cp["M6"])
+    val, xi, _ = sectional_extremes(cp["M6"])
     assert abs(val) < 1e-6
     # argmin is a mixed plane: its bivector has no pure-factor component
-    xi = wedge(plane[..., 0], plane[..., 1])
     assert abs(xi[0]) < 1e-3 and abs(xi[5]) < 1e-3
 
     cf = riemann_at(fubini_study(), "u0", rng.uniform(-0.7, 0.7, 4))
@@ -324,18 +324,18 @@ def _sampled_sectional(M, n=100_000):
 
 def test_sectional_extremes_exact_with_certificate():
     M = _solver_cases()
-    val, plane, bound = sectional_extremes(M)
+    val, xi, bound = sectional_extremes(M)
     sampled = _sampled_sectional(M)
     norm = np.linalg.norm(M, ord=2, axis=(1, 2))
     # primal: never above any sampled plane; dual: never above the primal
     assert np.all(val <= sampled + 1e-12)
     assert np.all(bound <= val + 1e-12)
     assert np.all(val - bound <= 1e-10 * (1.0 + norm))
-    # the plane is orthonormal and its curvature is the returned value
-    gram = np.einsum("mia,mib->mab", plane, plane)
-    assert np.abs(gram - np.eye(2)).max() < 1e-12
-    w = wedge(plane[..., 0], plane[..., 1])
-    assert_allclose(np.einsum("mi,mij,mj->m", w, M, w), val, rtol=0, atol=1e-12)
+    # xi is a unit decomposable bivector and its curvature is the value
+    assert np.abs(np.linalg.norm(xi, axis=-1) - 1.0).max() <= 1e-12
+    assert np.abs(plucker_residual(xi)).max() <= 1e-12
+    assert_allclose(np.einsum("mi,mij,mj->m", xi, M, xi), val, rtol=0,
+                    atol=1e-12)
     # known minima: 1 for I, 0 for the star and for S^2 x S^2
     assert_allclose(val[-5:], [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -348,8 +348,8 @@ def test_sectional_extremes_ignore_star_and_batch_shape():
     shifted = M + np.array([-1.5, 0.3, 2.0, 7.0])[:, None, None] * STAR6
     assert_allclose(sectional_extremes(shifted)[0], sectional_extremes(M)[0],
                     rtol=0, atol=1e-10)
-    val, plane, _ = sectional_extremes(M.reshape(2, 2, 6, 6))
-    assert val.shape == (2, 2) and plane.shape == (2, 2, 4, 2)
+    val, xi, _ = sectional_extremes(M.reshape(2, 2, 6, 6))
+    assert val.shape == (2, 2) and xi.shape == (2, 2, 6)
     single, _, _ = sectional_extremes(M[3])
     assert single.shape == () and single == val[1, 1]
 
@@ -357,19 +357,21 @@ def test_sectional_extremes_ignore_star_and_batch_shape():
 # ------------------------------------------------------------- conditions
 
 def test_condition_check_product():
-    rep = condition_check(product_spheres(1.0, 1.0), grid_n=3)
-    assert abs(rep.margins["s6_minus_wplus"]) < 1e-6
-    assert abs(rep.margins["min_sectional"]) < 1e-6
-    assert rep.margins["curvature_operator"] >= -1e-9
-    assert rep.satisfied["s6_minus_wplus"]
-    d = rep.as_dict()
+    d = condition_check(product_spheres(1.0, 1.0), grid_n=3)[0]
+    assert abs(d["margins"]["s6_minus_wplus"]) < 1e-6
+    assert abs(d["margins"]["min_sectional"]) < 1e-6
+    assert d["margins"]["curvature_operator"] >= -1e-9
+    assert d["satisfied"]["s6_minus_wplus"] is True
     assert d["npoints"] == 4 * 3 ** 4
+    assert d["sectional_gap"] <= 1e-9
+    assert "sectional_gap" not in condition_check(
+        product_spheres(1.0, 1.0), grid_n=3, include_sectional=False)[0]
 
 
 def test_condition_check_round():
-    rep = condition_check(round_sphere4(1.0), grid_n=3)
-    assert_allclose(rep.margins["s6_minus_wplus"], 2.0, atol=1e-8)
-    assert_allclose(rep.margins["min_sectional"], 1.0, atol=1e-6)
+    margins = condition_check(round_sphere4(1.0), grid_n=3)[0]["margins"]
+    assert_allclose(margins["s6_minus_wplus"], 2.0, atol=1e-8)
+    assert_allclose(margins["min_sectional"], 1.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("m", [round_sphere4(1.0), product_spheres(1.0, 1.0)],
@@ -378,7 +380,7 @@ def test_worst_point_is_first_of_ties(m):
     # on a homogeneous metric every margin is flat up to rounding, so each
     # worst point is the first grid point of the first chart, whatever the
     # order of the sums that produced the rounding
-    d = condition_check(m, grid_n=3).as_dict()
+    d = condition_check(m, grid_n=3)[0]
     chart = m.chart_order[0]
     pts = m.charts[chart].grid(3)
     assert set(d["worst_point"]) == set(d["margins"])

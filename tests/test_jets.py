@@ -181,23 +181,36 @@ UNREACHED_ALLOWED = {
 }
 
 
+def _definitions(body):
+    """(name, nodes read) of each definition in a module or class body: a
+    function, a class without its methods, each method that Python does
+    not call implicitly (not a dunder) on its own, and the targets of an
+    assignment."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            methods = [n for n in node.body if isinstance(n, ast.FunctionDef)
+                       and not n.name.startswith("__")]
+            yield node.name, node.bases + node.decorator_list + [
+                n for n in node.body if n not in methods]
+            yield from _definitions(methods)
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, [node]
+        elif isinstance(node, ast.Assign):
+            for t in node.targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id, [node]
+
+
 def test_every_definition_is_reachable_from_main():
-    # no dead code: walking the names and attributes that each top-level
-    # definition of src/ reads, starting at cli.main, reaches every other
-    # one, or it is on the allow-list; a module-level assignment is a
-    # definition of its targets
+    # no dead code: walking the names and attributes that each definition
+    # of src/ reads, starting at cli.main, reaches every other one, or it
+    # is on the allow-list; a method is reached by its name, not by its
+    # class
     defs = {}
     for p in sorted(SRC.glob("*.py")):
-        for node in ast.parse(p.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [n.id for t in node.targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
-            for name in names:
-                defs.setdefault(name, []).append(node)
+        for name, nodes in _definitions(ast.parse(p.read_text()).body):
+            defs.setdefault(name, []).extend(nodes)
     seen, todo = set(), ["main"]
     while todo:
         name = todo.pop()

@@ -7,7 +7,7 @@ import pytest
 from curv4 import metrics
 from curv4 import curvature
 from curv4.curvature import (
-    ConditionReport, condition_check, curvature_batch, curvature_from_arrays,
+    condition_check, curvature_batch, curvature_from_arrays,
     kaehler_form, kaehler_residuals, kaehler_scalar_curvature,
     positivity_eps_max, psd_tolerance, sectional_extremes,
 )
@@ -21,7 +21,7 @@ from curv4.metrics import (
     parse_metric_spec, parse_spec, product_spheres, round_sphere4,
     twisted_eps_max, twisted_metric, volume,
 )
-from oracles import comps_jets, comps_ring
+from oracles import comps_jets, comps_ring, transition, twisted_parts
 
 RNG = np.random.default_rng(42)
 
@@ -105,22 +105,12 @@ def test_chart_overlap_consistency(m):
             assert np.abs(pulled - g_src).max() < 1e-8
 
 
-@pytest.mark.parametrize("src, dst, what", [
-    ("aa", "bb", "chart 'aa' has no transition to 'bb'"),
-    ("aa", "zz", "chart 'aa' has no transition to 'zz'"),
-    ("zz", "aa", "does not have chart 'zz'"),
-], ids=["not-glued", "foreign-target", "foreign-source"])
-def test_transition_without_a_gluing_is_a_chart_domain_error(src, dst, what):
-    with pytest.raises(ChartDomainError, match=what):
-        product_spheres().transition(src, dst, np.array([0.1, 0.2, 0.3, 0.4]))
-
-
 def test_transition_involution():
     m = product_spheres(1.0, 2.0)
     rng = np.random.default_rng(3)
     pts = m.charts["aa"].sample(rng, 20) + np.array([0.5, 0, 0.5, 0])
-    there = m.transition("aa", "ba", pts)
-    back = m.transition("ba", "aa", there)
+    there = transition(m, "aa", "ba", pts)
+    back = transition(m, "ba", "aa", there)
     assert_allclose(back, pts, atol=1e-12)
 
 
@@ -371,7 +361,7 @@ def test_twisted_is_potential_hessian_of_full_potential(make):
 def test_perturbation_closed_form_is_toric_metric_of_phi():
     # the perturbation's coefficients equal the toric rule on phi, in values
     # and in the first and second derivatives in s, on all four charts
-    pert = metrics.twisted_parts(0.5)[1]
+    pert = twisted_parts(0.5)[1]
     oracle = metrics.toric_metric(metrics._phi_height_product)
     rng = np.random.default_rng(3)
     s = list(rng.uniform(0.0, 1.3, size=(2, 50)))
@@ -414,7 +404,7 @@ def test_ricci_potential_scalar_curvature_matches_curvature_record(m, chart):
 def _oracle_cases():
     # every chart of the six built-ins and of the twisted family's
     # perturbation, which is not a metric but goes through the same jets
-    fields = builtin_fields() + [metrics.twisted_parts(0.5)[1]]
+    fields = builtin_fields() + [twisted_parts(0.5)[1]]
     return [pytest.param(m, chart, id=m.name + "-" + chart)
             for m in fields for chart in m.chart_order]
 
@@ -589,7 +579,8 @@ def test_orbit_grid_covers_the_grid(name):
 
 
 def _full_grid_condition_check(m, grid_n):
-    """The scan condition_check replaced: every grid point evaluated."""
+    """The margins, worst points and point count of the scan
+    condition_check replaced: every grid point evaluated."""
     I3 = np.eye(3)
     smax, gap, total = 0.0, -np.inf, 0
     records = []
@@ -617,8 +608,9 @@ def _full_grid_condition_check(m, grid_n):
         near = [(chart, pts[out[key] <= mins[key] + tol])
                 for chart, pts, out in records]
         chart, pts = next((c, p) for c, p in near if len(p))
-        worst[key] = (chart, pts[0].tolist(), sum(len(p) for _, p in near))
-    return ConditionReport(mins, worst, tol, total, gap)
+        worst[key] = {"chart": chart, "point": pts[0].tolist(),
+                      "ties": sum(len(p) for _, p in near)}
+    return {"npoints": total, "margins": mins, "worst_point": worst}
 
 
 @pytest.mark.parametrize("spec, grid_n", [
@@ -626,8 +618,8 @@ def _full_grid_condition_check(m, grid_n):
     ("twisted(t=0.5,eps=0.05)", 5)])
 def test_condition_check_matches_full_grid(spec, grid_n):
     m = parse_metric_spec(T2_SPECS.get(spec, spec))
-    got = condition_check(m, grid_n=grid_n).as_dict()
-    want = _full_grid_condition_check(m, grid_n).as_dict()
+    got = condition_check(m, grid_n=grid_n)[0]
+    want = _full_grid_condition_check(m, grid_n)
     for key, v in want["margins"].items():
         assert abs(got["margins"][key] - v) <= 1e-13, key
     assert got["worst_point"] == want["worst_point"]
@@ -643,14 +635,19 @@ def test_condition_check_evaluates_one_point_per_orbit(monkeypatch):
 
     monkeypatch.setattr(curvature, "curvature_batch", counting)
     m = twisted_metric(0.5, 0.05)
-    rep = condition_check(m, grid_n=5)
+    conditions, records = condition_check(m, grid_n=5)
     assert seen == [(chart, 36) for chart in m.chart_order]
-    assert rep.npoints == 4 * 5 ** 4
+    assert conditions["npoints"] == 4 * 5 ** 4
+    # the margins come back scattered to every grid point, in grid order
+    assert [c for c, _ in records] == m.chart_order
+    for _, out in records:
+        assert set(out) == set(conditions["margins"])
+        assert all(v.shape == (5 ** 4,) for v in out.values())
 
 
 def _full_grid_eps_max(t, grid_n=16):
     """The eps bound on every point of chart.grid(grid_n) + chart.grid(5)."""
-    base, pert = metrics.twisted_parts(t)
+    base, pert = twisted_parts(t)
     points = [(name, np.concatenate([chart.grid(grid_n), chart.grid(5)]))
               for name, chart in base.charts.items()]
     diag = [base.eval(name, pts)[:, [0, 2], [0, 2]] for name, pts in points]
@@ -676,7 +673,7 @@ def _full_grid_positivity_eps_max(t, grid_n=5):
     on min eig(s/6 - W+) >= -1e-6."""
     tol, steps = 1e-6, 24
     pd_max = _full_grid_eps_max(t)
-    base, pert = metrics.twisted_parts(t)
+    base, pert = twisted_parts(t)
     parts = []
     for chart in base.chart_order:
         pts = base.charts[chart].grid(grid_n)
@@ -744,29 +741,42 @@ def test_positivity_eps_max_at_t0_is_four_fifths():
     assert abs(positivity_eps_max(0.0) - 0.8) <= 1e-12
 
 
-def test_positivity_eps_max_reads_the_coefficients_twice_per_chart(
+def test_positivity_eps_max_reads_the_coefficients_once_per_chart(
         monkeypatch):
-    # no metric jet and no curvature record: per chart, one read of h_t's
-    # and one of the perturbation's coefficients on seeded s, each at the
-    # 36 orbit representatives of grid(5)
+    # no metric jet and no curvature record: per chart, one read of the
+    # family's coefficients on seeded s at the 36 orbit representatives of
+    # grid(5), with the six eps nodes in a leading axis
     def forbidden(*args, **kwargs):
         raise AssertionError("positivity_eps_max formed a jet or a record")
 
     seen = []
-    read = metrics.MetricField.coeffs
 
-    def counting(self, chart, s):
-        if isinstance(s[0], Jet):
-            seen.append((self.name, chart, np.shape(value(s[0]))))
-        return read(self, chart, s)
+    def family(t, eps):
+        coeffs = metrics.twisted_coeffs(t, eps)
+
+        def counting(chart, s):
+            seen.append((chart, np.shape(value(s[0])), np.shape(eps)))
+            assert isinstance(s[0], Jet)
+            return coeffs(chart, s)
+        return counting
 
     twisted_eps_max(0.5)
     monkeypatch.setattr(curvature, "curvature_from_arrays", forbidden)
     monkeypatch.setattr(metrics.MetricField, "jets", forbidden)
-    monkeypatch.setattr(metrics.MetricField, "coeffs", counting)
+    monkeypatch.setattr(curvature, "twisted_coeffs", family)
     positivity_eps_max(0.5, grid_n=5)
-    assert seen == [(name, chart, (36,)) for chart in ("aa", "ab", "ba", "bb")
-                    for name in ("ht", "twisted-part")]
+    assert seen == [(chart, (36,), (6, 1))
+                    for chart in ("aa", "ab", "ba", "bb")]
+
+
+def test_metric_that_is_not_positive_definite_is_rejected():
+    # indefinite only through the cross coefficient f12: g has the
+    # eigenvalues 1 +- 10 |z1| |z2|, negative away from the chart axes
+    with pytest.raises(MetricConstructionError,
+                       match=r"metric not positive definite on chart 'aa' "
+                             r"\(min eigenvalue -\d"):
+        metrics.MetricField("indefinite", metrics._product_charts(),
+                            lambda chart, s: (1.0, 1.0, 10.0))
 
 
 def test_quadspec_minimum():

@@ -219,8 +219,6 @@ def test_orbit_curvature_matches_per_node_oracle(name, S, m, quad, geoms):
     for cg in charts:
         radii = np.sum(cg.F.reshape(-1, 2, 2) ** 2, axis=-1)
         assert np.array_equal(cg.orbit, np.arange(len(cg.u)) // n_angles)
-        assert_allclose(cg.orbit_keys[cg.orbit], radii, rtol=1e-14, atol=0)
-        assert len(np.unique(cg.orbit_keys, axis=0)) == len(cg.orbit_keys)
         if name == "twisted-slice-origin":
             assert np.all(radii[:, 1] == 0.0)
         got = {key: getattr(cg, key) for key in
