@@ -12,6 +12,13 @@ block with the hypothesis margins of Theorem C
 (``stability.theorem_c_margins``); a non-minimal one gets a warning in
 their place.  The index is refined up to degree min(--L-max, --quad - 1):
 at L = quad the sphere rule no longer resolves the index form.
+``index_by_charge`` names the unstable and null modes: one entry
+{"charges": [ka, kb], "index": i, "nullity": z} per S^1 charge block of
+the index form with a negative or null direction, [ka, kb] the
+lexicographically larger of +-(kappa_a, kappa_b), each in (-quad, quad],
+where kappa_a and kappa_b are the charges under the rotation of charts a
+and b (``stability``); the entries sum to ``morse_index`` and
+``nullity``.
 
 Exit codes: 0 success; 1 identity violation or another curv4 error, e.g. a
 surface that lies in a chart the metric's atlas does not have, or whose
@@ -134,7 +141,7 @@ def cmd_analyze(args):
             for chart, out in records:
                 pts = m.charts[chart].grid_point(args.grid, np.arange(n))
                 for i in range(n):
-                    w.writerow([chart] + [repr(v) for v in pts[i]]
+                    w.writerow([chart] + [repr(float(v)) for v in pts[i]]
                                + [repr(float(out[k][i])) for k in keys])
         report["csv"] = {"path": args.csv, "rows": len(records) * n}
     _write_report(report, args.out)
@@ -366,6 +373,7 @@ def cmd_surface(args):
     report["nullity"] = out["nullity"]
     report["L_used"] = out["L_used"]
     report["refinement_history"] = [list(h) for h in out["history"]]
+    report["index_by_charge"] = form.index_by_charge
     report["mass_rank"] = form.mass_rank
     report["basis_dim"] = form.basis.dim
     report["spectrum_head"] = [float(v) for v in form.spectrum[:8]]

@@ -1,19 +1,50 @@
-"""Second-variation index forms over minimal 2-spheres.
+"""Second-variation index forms over minimal 2-spheres, graded by charge.
 
 Normal sections are discretized by real spherical harmonics times the
 surface's normal directions: the adapted normal frame on trivial normal
 bundles, or a globally spanning set of projected ambient fields on twisted
 ones (e.g. the projective line).  A combination of basis elements is the
 ``surfaces.NormalSection`` of the harmonics family with its coefficients
-as the matrix W.  The polarized second variation and the mass matrix
+as the matrix W.  The polarized second variation Q and the mass matrix G
 define a generalized eigenvalue pencil whose negative count is the Morse
-index.
+index; the dbar matrix D gives the near-holomorphic section.  Every
+function here takes the ``surfaces.SurfaceGeometry`` its caller built once.
 
-An element is a direction V_c times a harmonic Y_k, so its rows at a node
-are outer products of the chart's ``surfaces.direction_factor`` with Y_k
-and its frame gradient: the product rule of ``section_data``, factored
-once per node.  Every function here takes the ``surfaces.SurfaceGeometry``
-its caller built once.
+Every built-in surface is S^1-equivariant (``surfaces.ChartGeometry``
+measures the turn), and the rotation commutes with Q, G and D, so they are
+assembled and solved one charge at a time (symmetry-adapted assembly,
+Faessler & Stiefel, Group Theoretical Methods and Their Applications,
+1992).  The columns are the charge basis: a, b = sqrt2 (Re e, Im e) of
+
+    e = (Y_lm + i Y_l,-m)(V_re + i tau V_im) / 2      (/ sqrt2 at m = 0)
+
+for each degree l, order m >= 0, sign tau and direction pair (V_re, V_im),
+a sparse orthogonal change of the elements Y_k V_c.  The harmonic has
+charge m on chart a and -m on chart b, whose u-angle runs backwards; the
+direction has -tau q, q the pair's entry of the chart's ``charges`` or, on
+a trivial bundle, whose directions are the frame, its ``frame_charge``
+(SpecParseError where the frame does not turn by one).  At node j of a
+run the rows of e are e^(i kappa th_j) times those at the run's first
+node, up to a turn of the frame that no integrand sees.  So
+``SectionBasis.node_data`` runs at the first node of each run only, with
+weight n_angles dA, and the angular rule keeps the terms whose charges
+agree mod n_angles: the Gram of a and b where 2 kappa = 0 mod n_angles,
+else its average with the Gram of -b and a, which drops the terms that
+turn by e^(2 i kappa th).
+
+The sum over the two charts is then block-diagonal in both charts'
+gradings.  A block holds the pairs whose (kappa_a, kappa_b) mod n_angles
+is one class or its conjugate, with e replaced by its conjugate (b by -b)
+where that puts it in the class whose representative is the
+lexicographically larger of +-(kappa_a, kappa_b), each value in
+(-n_angles/2, n_angles/2]: the block's ``charges``, which the report's
+``index_by_charge`` names.  Each block is solved as a real
+symmetric matrix: mass whitening with the global ``MASS_COND_MAX`` cut,
+the eigenvalues of Qw and the dbar pencil of ``near_holomorphic_section``.
+
+On a per-node geometry (``ChartGeometry(..., n_angles=1)``) every charge
+agrees mod 1, so the same routine assembles the whole basis as one block
+from the rows at every node: the dense oracle of the tests.
 
 ``theorem_c_margins`` reads the hypotheses of Theorem C off the same
 geometry: the eta-pairing, the shear and the minimal sectional curvature.
@@ -26,7 +57,7 @@ theorem's argument.
 import numpy as np
 
 from .curvature import sectional_extremes
-from .errors import RefinementError
+from .errors import RefinementError, SpecParseError
 from .sphharm import real_harmonics
 from .surfaces import (
     NormalSection, a_wedge_a_sq, direction_factor, read_family, section_data,
@@ -44,14 +75,38 @@ class SectionBasis:
     is projected out when solving.  Element j = c (L+1)^2 + k is the
     NormalSection of ``family`` (the Y_k) whose W is the unit matrix at
     [c, k].
+
+    In the charge basis (module docstring) pair p has order ``m``[p], sign
+    ``tau``[p] and direction pair ``pair``[p]; its vectors a and b, v = 2 p
+    and 2 p + 1, are sum_t ``coef``[v, t] times element ``cols``[v, t].
     """
 
     def __init__(self, S, L):
         self.S = S
         self.L = int(L)
-        self.n_harmonics = (L + 1) ** 2
+        self.n_harmonics = K = (L + 1) ** 2
         self.n_fields = S.n_directions
         self.dim = self.n_fields * self.n_harmonics
+        m, tau, pair, cols, coef = [], [], [], [], []
+        h = np.sqrt(0.5)
+        for j in range(self.n_fields // 2):
+            re, im = 2 * j * K, (2 * j + 1) * K
+            for l in range(L + 1):
+                k0 = l * l + l
+                m += [0]
+                tau += [1]
+                cols += [(re + k0, re + k0), (im + k0, im + k0)]
+                coef += [(1.0, 0.0), (1.0, 0.0)]
+                for mm in range(1, l + 1):
+                    kp, kn = k0 + mm, k0 - mm
+                    for t in (1, -1):
+                        m += [mm]
+                        tau += [t]
+                        cols += [(re + kp, im + kn), (re + kn, im + kp)]
+                        coef += [(h, -t * h), (h, t * h)]
+            pair += [j] * (len(m) - len(pair))
+        self.m, self.tau, self.pair = (np.array(x) for x in (m, tau, pair))
+        self.cols, self.coef = np.array(cols), np.array(coef)
 
     def family(self, chart, u):
         """The harmonics Y_k, k = 0 .. (L+1)^2 - 1, ordered by (l, m)."""
@@ -63,118 +118,193 @@ class SectionBasis:
         return NormalSection(self.family, np.reshape(coefs, (
             self.n_fields, self.n_harmonics) + np.shape(coefs)[1:]))
 
+    def coefficients(self, vecs, y):
+        """The element coefficients of sum_i y[i] (charge-basis vector
+        vecs[i]); trailing axes of y index a batch."""
+        x = np.zeros((self.dim,) + np.shape(y)[1:])
+        for t in range(2):
+            c = self.coef[vecs, t].reshape((-1,) + (1,) * (np.ndim(y) - 1))
+            np.add.at(x, self.cols[vecs, t], c * y)
+        return x
+
     def node_data(self, cg):
-        """Rows X (n, 4, dim) of the covariant derivatives 3e1, 3e2, 4e1,
-        4e2 and V (n, 2, dim) of the coefficients c3, c4 of every element
-        Y_k V_c.  With the chart's ``direction_factor`` (P, B), row (s, i)
-        of X is B_{s,i} Y + P_s e_i Y: at each node one (4 C, 3) by (3, K)
-        product against (Y, e1 Y, e2 Y), written into X; V_s = P_s Y."""
-        Y, eY = read_family(cg, self.family)
-        P, B = direction_factor(cg, cg.p, cg.dp)
+        """Rows X (r, 4, dim) of the covariant derivatives 3e1, 3e2, 4e1,
+        4e2 and V (r, 2, dim) of the coefficients c3, c4 of every vector of
+        the charge basis, at the first node of each of the chart's r runs.
+        Those of the elements Y_k V_c come first: with the chart's
+        ``direction_factor`` (P, B), row (s, i) of X is B_{s,i} Y + P_s e_i
+        Y, at each node one (4 C, 3) by (3, K) product against (Y, e1 Y,
+        e2 Y); V_s = P_s Y."""
+        r = slice(None, None, cg.n_angles)
+        c = cg.c[r]
+        Y, eY = read_family(self.family, cg.chart, cg.u[r], c)
+        P, B = direction_factor(c, cg.omega[r], cg.p[r], cg.dp[r])
         n = len(Y)
         A = np.zeros((n, 2, 2, self.n_fields, 3))
         A[..., 0] = B.reshape(n, 2, 2, -1)
         A[:, :, 0, :, 1] = A[:, :, 1, :, 2] = P
         X = A.reshape(n, -1, 3) @ np.concatenate([Y[:, None], eY], axis=1)
         V = P.reshape(n, -1, 1) @ Y[:, None]
-        return X.reshape(n, 4, self.dim), V.reshape(n, 2, self.dim)
+        return tuple(x[..., self.cols[:, 0]] * self.coef[:, 0]
+                     + x[..., self.cols[:, 1]] * self.coef[:, 1]
+                     for x in (X.reshape(n, 4, -1), V.reshape(n, 2, -1)))
 
 
-def _mass_whitening(G):
-    """Z with Z^T G Z = I on the directions kept by the MASS_COND_MAX cut."""
-    lam, U = np.linalg.eigh(G)
-    keep = lam > lam[-1] / MASS_COND_MAX
-    return U[:, keep] / np.sqrt(lam[keep])
+class ChargeBlock:
+    """Q, G and D of one charge block: charge-basis vectors ``vecs``, those
+    of b turned by ``signs`` into the block's class ``charges``."""
+
+    def __init__(self, charges, vecs, signs, Q, G, D):
+        self.charges = charges
+        self.vecs, self.signs = vecs, signs
+        self.Q, self.G, self.D = Q, G, D
+
+    def coefficients(self, basis, y):
+        """The element coefficients of the block's combinations y."""
+        return basis.coefficients(self.vecs, self.signs.reshape(
+            (-1,) + (1,) * (np.ndim(y) - 1)) * y)
 
 
 class IndexForm:
-    """Discretized second-variation pencil Q x = lambda G x.
+    """Discretized second-variation pencil Q x = lambda G x, block by block.
 
-    D, the dbar matrix assembled with Q and G, is kept for
-    ``near_holomorphic_section``.
+    Each block is whitened with the global MASS_COND_MAX cut (``Z``) and
+    solved; ``spectrum`` gathers the eigenvalues of all blocks, and
+    ``index_by_charge`` lists the blocks with a negative or null direction.
+    D is kept per block for ``near_holomorphic_section``.
     """
 
-    def __init__(self, Q, G, basis, D):
-        self.Q = Q
-        self.D = D
+    def __init__(self, blocks, basis):
+        self.blocks = blocks
         self.basis = basis
-        self.Z = Z = _mass_whitening(G)
-        self.mass_rank = Z.shape[1]
-        Qw = Z.T @ Q @ Z
-        Qw = 0.5 * (Qw + Qw.T)
-        self.spectrum = np.linalg.eigh(Qw)[0]
-        self.tol_idx = 1e-6 * max(1.0, np.abs(self.spectrum).max())
-        self.morse_index = int(np.sum(self.spectrum < -self.tol_idx))
-        self.nullity = int(np.sum(np.abs(self.spectrum) <= self.tol_idx))
+        mass = [np.linalg.eigh(b.G) for b in blocks]
+        cut = max(lam[-1] for lam, _ in mass) / MASS_COND_MAX
+        for b, (lam, U) in zip(blocks, mass):
+            keep = lam > cut
+            b.Z = U[:, keep] / np.sqrt(lam[keep])
+            Qw = b.Z.T @ b.Q @ b.Z
+            b.spectrum = np.linalg.eigvalsh(0.5 * (Qw + Qw.T))
+        self.spectrum = np.sort(np.concatenate([b.spectrum for b in blocks]))
+        self.mass_rank = len(self.spectrum)
+        tol = 1e-6 * max(1.0, np.abs(self.spectrum).max())
+        self.morse_index = int(np.sum(self.spectrum < -tol))
+        self.nullity = int(np.sum(np.abs(self.spectrum) <= tol))
+        self.index_by_charge = []
+        for b in blocks:
+            i = int(np.sum(b.spectrum < -tol))
+            z = int(np.sum(np.abs(b.spectrum) <= tol))
+            if i or z:
+                self.index_by_charge.append(
+                    {"charges": list(b.charges), "index": i, "nullity": z})
 
 
-def _accumulate_forms(geom, basis):
-    """The index form Q, mass matrix G and dbar matrix D of the basis.
+def _quarter_average(M):
+    """The average of Grams M[..., :, :] on the columns (a, b) of one pair
+    basis with those on (-b, a)."""
+    k = M.shape[-1] // 2
+    S = 0.5 * (M[..., :k, :k] + M[..., k:, k:])
+    A = 0.5 * (M[..., :k, k:] - M[..., k:, :k])
+    return np.concatenate([np.concatenate([S, A], axis=-1),
+                           np.concatenate([-A, S], axis=-1)], axis=-2)
 
-    Each is a quadrature sum over nodes n of dA_n F_n^T M_n F_n for the
-    per-node feature rows of ``SectionBasis.node_data``: the frame
-    covariant derivatives X and the frame coefficients V of every element.
-    The area weights dA are positive, so scaling each node's rows in place
-    by the real factor r = sqrt(dA) turns every sum into a single BLAS
-    product over the stacked rows: X^T X, or V^T (M V) for the indefinite
-    curvature-plus-shear block M, the chart's ``jacobi``.
-    """
-    dim = basis.dim
-    Q, G, D = (np.zeros((dim, dim)) for _ in range(3))
+
+def _charge_blocks(geom, basis):
+    """The ChargeBlocks of Q, G and D over the basis, from the rows at the
+    first node of each run; SpecParseError where a trivial bundle's frame
+    does not turn by one charge."""
+    # the charges of every pair's e on each chart, and its class
+    kappa, n = [], []
     for cg in geom.charts:
+        # a trivial bundle has no generator charges: its directions are the
+        # frame
+        q = cg.charges or (cg.frame_charge,)
+        if None in q:
+            raise SpecParseError("surface %s: the normal frame of chart %s "
+                                 "does not turn by one charge"
+                                 % (geom.S.name, cg.chart))
+        m = basis.m if cg.chart == "a" else -basis.m
+        kappa.append(m - basis.tau * np.take(q, basis.pair))
+        n.append(cg.n_angles)
+    n = np.array(n)[:, None]
+
+    def reduced(k):
+        k = k % n
+        return np.where(k > n // 2, k - n, k)
+
+    pos, neg = reduced(np.array(kappa)), reduced(-np.array(kappa))
+    flip = (neg[0] > pos[0]) | ((neg[0] == pos[0]) & (neg[1] > pos[1]))
+    keys, inv = np.unique(np.where(flip, neg, pos).T, axis=0,
+                          return_inverse=True)
+    members = [np.flatnonzero(inv.ravel() == i) for i in range(len(keys))]
+    vecs = np.concatenate([np.concatenate([2 * p, 2 * p + 1])
+                           for p in members])
+    signs = np.concatenate([np.concatenate([np.ones(len(p)),
+                                            np.where(flip[p], -1.0, 1.0)])
+                            for p in members])
+    ends = np.cumsum([0] + [2 * len(p) for p in members])
+
+    # each chart's rows at its run starts, in block order, scaled by the
+    # square root of the weight n_angles dA
+    forms = [0.0] * len(members)
+    for ci, (cg, nc) in enumerate(zip(geom.charts, n[:, 0])):
         X, V = basis.node_data(cg)
-        n = len(cg.w)
-        r = np.sqrt(cg.dA)[:, None, None]
-        X *= r
-        V *= r
-        Xf = X.reshape(4 * n, dim)
-        Vf = V.reshape(2 * n, dim)
-        Q += Xf.T @ Xf
-        Q -= Vf.T @ np.matmul(cg.jacobi, V).reshape(2 * n, dim)
-        G += Vf.T @ Vf
-        # dbar rows in place: b3 = D3_1 - D4_2 in row 0, b4 = D4_1 + D3_2
-        # in row 2; rows 0 and 2 of every node are then one strided view
-        X[:, 0] -= X[:, 3]
-        X[:, 2] += X[:, 1]
-        B = X[:, ::2].reshape(2 * n, dim)
-        D += B.T @ B
-        del X, V, Xf, Vf, B   # free this chart's rows before the next's
-    return 0.5 * (Q + Q.T), 0.5 * (G + G.T), 0.5 * (D + D.T)
+        r = slice(None, None, nc)
+        s = np.sqrt(nc * cg.dA[r])[:, None, None] * signs
+        X, V = X[..., vecs] * s, V[..., vecs] * s
+        MV = cg.jacobi[r] @ V
+        # dbar rows b3 = D3_1 - D4_2 and b4 = D4_1 + D3_2
+        Bd = np.stack([X[:, 0] - X[:, 3], X[:, 2] + X[:, 1]], axis=1)
+        X, V, MV, Bd = (x.reshape(-1, x.shape[-1]) for x in (X, V, MV, Bd))
+        for i, (key, lo, hi) in enumerate(zip(keys, ends[:-1], ends[1:])):
+            x, v, b = X[:, lo:hi], V[:, lo:hi], Bd[:, lo:hi]
+            F = np.stack([x.T @ x - v.T @ MV[:, lo:hi], v.T @ v, b.T @ b])
+            if (2 * key[ci]) % nc:
+                F = _quarter_average(F)
+            forms[i] = forms[i] + F
+    return [ChargeBlock(tuple(int(k) for k in key), vecs[lo:hi],
+                        signs[lo:hi], *(0.5 * (F + np.swapaxes(F, 1, 2))))
+            for key, lo, hi, F in zip(keys, ends[:-1], ends[1:], forms)]
 
 
 def assemble_index_form(geom, basis):
-    """Polarized second-variation matrix and mass matrix over the basis;
-    NonMinimalSurfaceError on a non-minimal surface."""
+    """The charge blocks of the polarized second variation, mass and dbar
+    matrices over the basis, solved; NonMinimalSurfaceError on a
+    non-minimal surface, SpecParseError where the normal frame of a trivial
+    bundle does not turn by one charge."""
     geom.require_minimal()
-    Q, G, D = _accumulate_forms(geom, basis)
-    return IndexForm(Q, G, basis, D)
+    return IndexForm(_charge_blocks(geom, basis), basis)
 
 
 def near_holomorphic_section(geom, form):
     """Minimize the dbar energy over unit-mass sections of ``form.basis``.
 
-    ``form`` is the IndexForm assembled over geom; its mass whitening and
-    dbar matrix are used as they are.
+    ``form`` is the IndexForm assembled over geom; each block's mass
+    whitening and dbar matrix are used as they are, and the least energy
+    is taken over all blocks.
 
-    Returns {section, energy, coefficients}; runs regardless of the sign
-    of c1 (a negative Chern number just means the energy cannot reach 0).
+    Returns {section, energy}; runs regardless of the sign of c1 (a
+    negative Chern number just means the energy cannot reach 0).
     """
-    basis, Z, D = form.basis, form.Z, form.D
-    Dw = Z.T @ D @ Z
-    ev, V = np.linalg.eigh(0.5 * (Dw + Dw.T))
-    lo = ev[0]
-    ties = np.nonzero(ev <= lo + 1e-10 * max(1.0, abs(lo)))[0]
+    solved = []
+    for b in form.blocks:
+        Dw = b.Z.T @ b.D @ b.Z
+        ev, V = np.linalg.eigh(0.5 * (Dw + Dw.T))
+        solved += [(e, b, V[:, i]) for i, e in enumerate(ev)]
+    ev = np.array([e for e, _, _ in solved])
+    lo = ev.min()
+    ties = np.flatnonzero(ev <= lo + 1e-10 * max(1.0, abs(lo)))
+    ties = ties[np.argsort(ev[ties], kind="stable")]
+    coefs = np.stack([b.coefficients(form.basis, b.Z @ v)
+                      for _, b, v in (solved[k] for k in ties)], axis=-1)
+    k0 = 0
     if len(ties) > 1:
         # prefer sections that stay away from zero: largest L4 mass, with
         # all tied candidates read in one batch
-        tied = basis.as_section(Z @ V[:, ties])
-        k0 = ties[np.argmax(geom.integrate(
-            [section_data(cg, tied)["norm2"] ** 2 for cg in geom.charts]))]
-    else:
-        k0 = ties[0]
-    coefs = Z @ V[:, k0]
-    return {"section": basis.as_section(coefs), "energy": float(ev[k0]),
-            "coefficients": coefs}
+        tied = form.basis.as_section(coefs)
+        k0 = int(np.argmax(geom.integrate(
+            [section_data(cg, tied)["norm2"] ** 2 for cg in geom.charts])))
+    return {"section": form.basis.as_section(coefs[:, k0]),
+            "energy": float(ev[ties[k0]])}
 
 
 def refine_until_stable(op, L0=2, L_max=12):

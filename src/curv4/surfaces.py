@@ -256,7 +256,11 @@ class ChartGeometry:
     ``charges``[j]) and dp likewise, its u-index turned by R; scalars are
     copied.  Weights and charges are read off the first two nodes of each
     run (0 with one); SpecParseError unless F and the generators at every
-    node are then the carried ones to 1e-12.
+    node are then the carried ones to 1e-12.  ``frame_charge`` is read the
+    same way off the normal frame, n3 + i n4 = e^(-i q th) Phi (n3 + i
+    n4)_rep, and is None, without an error, where the frame does not turn
+    by one such q to 1e-12: the charge of the directions of a trivial
+    bundle, which the charge-graded index forms of ``stability`` need.
 
     Of the record the chart keeps only the curvature operator ``M6`` on the
     orthonormal frame, once per orbit, for the sectional search; g, Gamma,
@@ -277,6 +281,7 @@ class ChartGeometry:
         self.w = np.asarray(w, dtype=float)
         n = len(u)
         self.shape = shape = (n,)
+        self.n_angles = n_angles
         self.orbit = o = np.repeat(np.arange(n // n_angles), n_angles)
         ur = u[::n_angles]
         sh = (len(ur),)
@@ -447,6 +452,15 @@ class ChartGeometry:
         U = _rot(np.arctan2(y[0], x[0]))
         dpsi = ((x[0] * y[1:] - y[0] * x[1:]) / (x[0] ** 2 + y[0] ** 2)).T
         self.n = Phi @ n0[o] @ U
+        # the gauge frame's charge, measured like the generators' on the
+        # rows of U^T, the frame on the carried one: n3 + i n4 = e^(-i q th)
+        # Phi (n3 + i n4)_rep, or None where the Gram-Schmidt gauge does not
+        # turn so uniformly (the perturbed slice)
+        Ut = np.swapaxes(U, -1, -2)
+        (turn,) = _turns(np.broadcast_to(np.eye(2), Ut.shape), Ut, th,
+                         n_angles)
+        self.frame_charge = (-turn if np.allclose(
+            _rot(th, (turn,)), Ut, rtol=1e-12, atol=1e-12) else None)
         self.omega = (R @ (omega0[o] + dpsi)[..., None])[..., 0]
         AU = Vt[:, None] @ (A0[o] @ U[:, None])
         self.A = (Vt @ AU.reshape(n, 2, 4)).reshape(n, 2, 2, 2)
@@ -572,24 +586,27 @@ def embedding_family(chart, u):
 # ---------------------------------------------------------------------
 # pointwise operators on sections
 
-def direction_factor(cg, p, dp):
+def direction_factor(c, omega, p, dp):
     """P[n, s, c] = p[n, c, s] and B[n, 2 s + i, c] = sum_a c[n, i, a]
     (dp[n, c, s, a] + omega[n, a] (J p)[n, c, s]), J (x3, x4) -> (-x4, x3),
-    from the frame coefficients p of the normal directions V_c and their
-    u-gradients dp: sum_c f_c V_c has frame coefficients P f and covariant
-    derivatives D_{s,i} = B f + P e_i f along e_i = c[i, a] d_a."""
+    from a chart's frame map c and connection form omega at some of its
+    nodes, and there the frame coefficients p of the normal directions V_c
+    and their u-gradients dp: sum_c f_c V_c has frame coefficients P f and
+    covariant derivatives D_{s,i} = B f + P e_i f along e_i = c[i, a] d_a."""
     P = np.swapaxes(p, 1, 2)
     Jp = np.stack([-P[:, 1], P[:, 0]], axis=1)
-    dP = np.moveaxis(dp, 1, -1) + cg.omega[:, None, :, None] * Jp[:, :, None]
-    return P, (cg.c[:, None] @ dP).reshape(len(P), 4, -1)
+    dP = np.moveaxis(dp, 1, -1) + omega[:, None, :, None] * Jp[:, :, None]
+    return P, (c[:, None] @ dP).reshape(len(P), 4, -1)
 
 
-def read_family(cg, family):
+def read_family(family, chart, u, c):
     """Values Y[n, k] and frame gradients eY[n, i, k] = c[n, i, a] dY[n, k, a]
-    of a scalar family at the chart's nodes, read once over 1-jets."""
-    Y = family(cg.chart, seedn([cg.u[:, 0], cg.u[:, 1]], 1))
-    dY = np.stack([grad_array(y, cg.shape, 2) for y in Y], axis=-1)
-    return np.stack([array(y, cg.shape) for y in Y], axis=-1), cg.c @ dY
+    of a scalar family at nodes u of a chart with frame map c, read once
+    over 1-jets."""
+    sh = (len(u),)
+    Y = family(chart, seedn([u[:, 0], u[:, 1]], 1))
+    dY = np.stack([grad_array(y, sh, 2) for y in Y], axis=-1)
+    return np.stack([array(y, sh) for y in Y], axis=-1), c @ dY
 
 
 def section_data(cg, sigma):
@@ -602,8 +619,9 @@ def section_data(cg, sigma):
     Raises SectionError unless W has one row per normal direction and one
     column per family member.
     """
-    P, B = direction_factor(cg, sigma.frame(cg.p), sigma.frame(cg.dp))
-    Y, eY = read_family(cg, sigma.family)
+    P, B = direction_factor(cg.c, cg.omega, sigma.frame(cg.p),
+                            sigma.frame(cg.dp))
+    Y, eY = read_family(sigma.family, cg.chart, cg.u, cg.c)
     sigma.require_columns(Y.shape[-1])
     (C, K), n, sh = sigma.W.shape[:2], len(Y), sigma.W.shape[2:] + cg.shape
     # W as a (k, c t) matrix, t the flattened section axes

@@ -23,6 +23,11 @@ parallel section of a trivial normal bundle and the single-section
 ``second_variation`` are references for the batched paths that the
 commands take.  ``curvature_override`` is the fixture of the instability
 branch that no constructible metric reaches.
+
+``per_node_geometry`` rebuilds a surface geometry with every node its own
+run, so that the charge-graded index form assembles the whole basis as one
+block from the rows at every node; ``dense_forms`` reads that block back
+on the elements Y_k V_c: the dense oracle of the charge blocks.
 """
 
 import copy
@@ -35,6 +40,7 @@ from curv4.errors import SectionError
 from curv4.jets import (array, drop, from_arrays, grad_array, hess_array, jlog,
                         jsqrt, partial, seedn)
 from curv4.metrics import J_STANDARD, ht_metric
+from curv4.stability import _charge_blocks
 from curv4.surfaces import (ChartGeometry, NormalSection, dbar_sq,
                             second_variation_density, section_data)
 
@@ -244,3 +250,21 @@ def curvature_override(geom, kappa):
         cg.jacobi = cg.jacobi - cg.Rterm + 2.0 * float(kappa) * np.eye(2)
         out.charts.append(cg)
     return out
+
+
+def per_node_geometry(geom):
+    """A copy of geom whose charts are built node by node, each over its own
+    jets (``ChartGeometry`` with one angle a run)."""
+    out = copy.copy(geom)
+    out.charts = [ChartGeometry(geom.S, geom.m, cg.chart, cg.u, cg.w)
+                  for cg in geom.charts]
+    return out
+
+
+def dense_forms(geom, basis):
+    """(Q, G, D) on the elements Y_k V_c of basis over a per-node geometry,
+    where the charge-graded assembly is one block: that block turned back
+    by the block's charge-basis vectors, C M C^T."""
+    (block,) = _charge_blocks(geom, basis)
+    C = block.coefficients(basis, np.eye(basis.dim))
+    return tuple(C @ M @ C.T for M in (block.Q, block.G, block.D))

@@ -45,6 +45,20 @@ def test_analyze_product(tmp_path):
     assert len(rows) - 1 == rep["conditions"]["npoints"]
 
 
+def test_analyze_csv_cells_are_plain_floats(tmp_path):
+    # the coordinates are numpy scalars; their cells read as floats, like
+    # the margin columns, not as np.float64(...)
+    out, csvp = tmp_path / "rep.json", tmp_path / "pts.csv"
+    assert main(["analyze", "--metric", "twisted(t=0.5,eps=0.05)",
+                 "--grid", "3", "--no-sectional", "--out", str(out),
+                 "--csv", str(csvp)]) == 0
+    rows = csvp.read_text().strip().splitlines()[1:]
+    assert len(rows) == json.loads(out.read_text())["csv"]["rows"]
+    for row in rows:
+        for cell in row.split(",")[1:]:
+            float(cell)
+
+
 def test_analyze_round_sphere(tmp_path):
     out = tmp_path / "rep.json"
     code = main(["analyze", "--metric", "round4(r=1)", "--grid", "3",

@@ -2,13 +2,14 @@ import numpy as np
 from numpy.testing import assert_allclose
 import pytest
 
-from curv4.errors import NonMinimalSurfaceError, RefinementError
+from curv4.errors import NonMinimalSurfaceError, RefinementError, SpecParseError
 from curv4.jets import array as _arr, partial as _jd
-from curv4.metrics import QuadSpec, fubini_study, ht_metric, product_spheres, round_sphere4
+from curv4.metrics import (QuadSpec, fubini_study, ht_metric, product_spheres,
+                           round_sphere4, twisted_metric)
 from curv4.sphharm import real_harmonics
 from curv4.stability import (
     IndexForm, SectionBasis, assemble_index_form, near_holomorphic_section,
-    refine_until_stable, theorem_c_margins, _accumulate_forms,
+    refine_until_stable, theorem_c_margins, _charge_blocks,
 )
 from curv4.surfaces import (
     NormalSection, averaged_second_variation, chern_number, cp1_line, dbar_sq,
@@ -16,8 +17,8 @@ from curv4.surfaces import (
     surface_geometry, weitzenboeck_variation,
 )
 from oracles import (
-    coeff_jets, curvature_override, parallel_section, point_geometry,
-    second_order_jets, second_variation,
+    coeff_jets, curvature_override, dense_forms, parallel_section,
+    per_node_geometry, point_geometry, second_order_jets, second_variation,
 )
 
 QUAD = QuadSpec(32)
@@ -58,6 +59,19 @@ class LinearSection:
 def element(basis, j):
     """Basis element j as a section: the basis family with a unit W."""
     return basis.as_section(np.eye(basis.dim)[j])
+
+
+def charge_vectors(basis):
+    """The element coefficients of every charge-basis vector, (dim, dim)."""
+    return basis.coefficients(np.arange(basis.dim), np.eye(basis.dim))
+
+
+def block_combination(form, rng):
+    """Random coefficients y of every charge block of form, and the element
+    coefficients of their sum."""
+    ys = [rng.normal(size=len(b.vecs)) for b in form.blocks]
+    return ys, sum(b.coefficients(form.basis, y)
+                   for b, y in zip(form.blocks, ys))
 
 
 def test_harmonics_orthonormal_on_unit_sphere():
@@ -123,18 +137,22 @@ def test_mass_rank_on_cp1_line(L, geoms):
 
 
 def test_assembly_matches_quadratic_form(geoms):
-    # zeta^T Q zeta = delta^2(zeta) for individual basis elements
-    geom = geoms["equator4"]
-    basis = SectionBasis(geom.S, 2)
-    form = assemble_index_form(geom, basis)
+    # y^T Q y = delta^2(zeta) for single columns y of the charge blocks
     rng = np.random.default_rng(1)
-    for k in rng.choice(basis.dim, size=5, replace=False):
-        direct = second_variation(geom, element(basis, k))
-        assert abs(direct - form.Q[k, k]) < 1e-8
-    # and for a random combination
-    w = rng.normal(size=basis.dim)
-    combo = basis.as_section(w)
-    assert abs(second_variation(geom, combo) - w @ form.Q @ w) < 1e-6
+    for name in ("equator4", "cp1-line"):
+        geom = geoms[name]
+        basis = SectionBasis(geom.S, 2)
+        form = assemble_index_form(geom, basis)
+        for i in rng.choice(len(form.blocks), size=3, replace=False):
+            b = form.blocks[i]
+            k = rng.integers(len(b.vecs))
+            direct = second_variation(geom, basis.as_section(
+                b.coefficients(basis, np.eye(len(b.vecs))[k])))
+            assert abs(direct - b.Q[k, k]) < 1e-8
+        # and for a random combination of all blocks: they do not couple
+        ys, w = block_combination(form, rng)
+        assert abs(second_variation(geom, basis.as_section(w))
+                   - sum(y @ b.Q @ y for b, y in zip(form.blocks, ys))) < 1e-6
 
 
 def _partials(x, shape, order):
@@ -154,16 +172,19 @@ def _partials(x, shape, order):
 def test_as_section_matches_sum_of_elements(make_surface, metric):
     S = make_surface()
     basis = SectionBasis(S, 3)
-    w = np.random.default_rng(2).normal(size=basis.dim)
+    yc = np.random.default_rng(2).normal(size=basis.dim)
+    w = charge_vectors(basis) @ yc
     fast = basis.as_section(w)
     ref = LinearSection([element(basis, j) for j in range(basis.dim)], w)
     for cg in surface_geometry(S, metric, QuadSpec(12)).charts:
         d2p = second_order_jets(S, metric, cg)[1]
-        # section_data of the combination against the basis' node data
+        # section_data of the combination against the basis' node data, on
+        # the charge basis at the first node of each run
         _, V = basis.node_data(cg)
         d = section_data(cg, fast)
-        assert_allclose(d["c3"], V[:, 0] @ w, rtol=0, atol=1e-12)
-        assert_allclose(d["c4"], V[:, 1] @ w, rtol=0, atol=1e-12)
+        r = slice(None, None, cg.n_angles)
+        assert_allclose(d["c3"][r], V[:, 0] @ yc, rtol=0, atol=1e-12)
+        assert_allclose(d["c4"][r], V[:, 1] @ yc, rtol=0, atol=1e-12)
         for order in (1, 2):
             for a, b in zip(coeff_jets(fast, cg, order, d2p),
                             ref.coeff_jets(cg, order, d2p)):
@@ -175,17 +196,19 @@ def test_as_section_matches_sum_of_elements(make_surface, metric):
 @pytest.mark.parametrize("name", ["cp1-line", "slice", "equator4",
                                   "perturbed-slice"])
 def test_node_rows_are_section_data_of_unit_sections(name, geoms):
-    # node_data's rows of element j = c K + k against the batched
-    # section_data of the unit sections, W = identity as (C, K, dim):
-    # V[n, s, j] = c3, c4 and X[n, 2 s + i, j] = D3_i, D4_i of section j
+    # node_data's rows of charge-basis vector j against the batched
+    # section_data of the vectors as sections, at the first node of each
+    # run: V[n, s, j] = c3, c4 and X[n, 2 s + i, j] = D3_i, D4_i of section j
     geom = geoms[name]
     basis = SectionBasis(geom.S, 4)
-    units = basis.as_section(np.eye(basis.dim))
+    units = basis.as_section(charge_vectors(basis))
     for cg in geom.charts:
         X, V = basis.node_data(cg)
-        assert X.shape == cg.shape + (4, basis.dim)
-        assert V.shape == cg.shape + (2, basis.dim)
-        d = section_data(cg, units)
+        runs = len(cg.M6)
+        assert X.shape == (runs, 4, basis.dim)
+        assert V.shape == (runs, 2, basis.dim)
+        d = {k: v[:, ::cg.n_angles]
+             for k, v in section_data(cg, units).items()}
         for got, rows in ((V, [d["c3"][..., None], d["c4"][..., None]]),
                           (X, [d["D3"], d["D4"]])):
             want = np.moveaxis(np.concatenate(rows, axis=-1), 0, -1)
@@ -201,16 +224,106 @@ def test_mass_and_dbar_matrices_match_section_integrals(make_surface,
     # w^T G w = int |sigma|^2 and w^T D w = 2 int |dbar sigma|^2
     geom = geoms[make_surface().name]
     assert geom.m is metric
-    basis = SectionBasis(geom.S, 4)
-    _, G, D = _accumulate_forms(geom, basis)
-    w = np.random.default_rng(5).normal(size=basis.dim)
-    sigma = basis.as_section(w)
+    form = assemble_index_form(geom, SectionBasis(geom.S, 4))
+    ys, w = block_combination(form, np.random.default_rng(5))
+    sigma = form.basis.as_section(w)
     mass = geom.integrate([section_data(cg, sigma)["norm2"]
                            for cg in geom.charts])
     dbar = geom.integrate([dbar_sq(section_data(cg, sigma))
                            for cg in geom.charts])
-    assert_allclose(w @ G @ w, mass, rtol=1e-8)
-    assert_allclose(w @ D @ w, 2.0 * dbar, rtol=1e-8)
+    for M, want in (("G", mass), ("D", 2.0 * dbar)):
+        assert_allclose(sum(y @ getattr(b, M) @ y
+                            for b, y in zip(form.blocks, ys)), want,
+                        rtol=1e-8)
+
+
+# the five cases of the charge-graded assembly against its per-node oracle
+CHARGE_CASES = {
+    "cp1-line": (cp1_line(), MF),
+    "slice": (product_slice(), MP),
+    "equator4": (equator_sphere(), MR),
+    "twisted-slice-off": (product_slice(point=(0.3, 0.0)),
+                          twisted_metric(0.5, 0.05)),
+    "slice-factor2": (product_slice(factor=2), MP),
+}
+_ORACLE_GEOMS = {}
+
+
+def _with_oracle(name, quad):
+    """The geometry of a CHARGE_CASES surface at quad and its per-node
+    copy, built once for the module."""
+    key = (name, quad)
+    if key not in _ORACLE_GEOMS:
+        geom = surface_geometry(*CHARGE_CASES[name], QuadSpec(quad))
+        _ORACLE_GEOMS[key] = geom, per_node_geometry(geom)
+    return _ORACLE_GEOMS[key]
+
+
+def _dbar_spectrum(form):
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(b.Z.T @ b.D @ b.Z) for b in form.blocks]))
+
+
+@pytest.mark.parametrize("quad, L", [(32, 2), (32, 4), (32, 6), (32, 10),
+                                     (8, 7)])
+@pytest.mark.parametrize("name", list(CHARGE_CASES))
+def test_charge_blocks_match_per_node_oracle(name, quad, L):
+    # on the per-node geometry the charge basis is one block, summed over
+    # every node: the dense forms.  Each charge block is its restriction,
+    # nothing couples two blocks, and the spectra agree; at L = quad - 1
+    # charge differences reach 2 quad, where the angular rule aliases
+    geom, dense = _with_oracle(name, quad)
+    basis = SectionBasis(geom.S, L)
+    form = assemble_index_form(geom, basis)
+    oracle = IndexForm(_charge_blocks(dense, basis), basis)
+    (whole,) = oracle.blocks
+    assert np.all(whole.signs == 1.0)
+    pos = np.empty(basis.dim, dtype=int)
+    pos[whole.vecs] = np.arange(basis.dim)
+    for M in ("Q", "G", "D"):
+        full = getattr(whole, M)
+        scale = np.abs(full).max()
+        off = np.ones(full.shape, dtype=bool)
+        for b in form.blocks:
+            i = np.ix_(pos[b.vecs], pos[b.vecs])
+            assert np.abs(full[i] * np.outer(b.signs, b.signs)
+                          - getattr(b, M)).max() <= 1e-12 * scale, M
+            off[i] = False
+        assert np.abs(full[off]).max() <= 1e-12 * scale, M
+    assert form.mass_rank == oracle.mass_rank
+    for got, want in ((form.spectrum, oracle.spectrum),
+                      (_dbar_spectrum(form), _dbar_spectrum(oracle))):
+        assert_allclose(got, want, rtol=0,
+                        atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("name, splits", [
+    ("equator4", [([0, 0], 2, 2), ([1, -1], 0, 4)]),
+    ("cp1-line", [([0, 1], 0, 2), ([1, 0], 0, 2)]),
+    ("slice", [([0, 0], 0, 2)]),
+])
+def test_index_by_charge(geoms, name, splits):
+    # the unstable and null modes by charge at L = 6: on the equator the
+    # constant sections (index 2) and the parallel ones at charge 0, and
+    # the rotations at charge +-(1, -1); on the projective line the
+    # holomorphic sections d/dz2 and z1 d/dz2
+    geom = geoms[name]
+    form = assemble_index_form(geom, SectionBasis(geom.S, 6))
+    got = form.index_by_charge
+    assert got == [{"charges": c, "index": i, "nullity": z}
+                   for c, i, z in splits]
+    assert sum(e["index"] for e in got) == form.morse_index
+    assert sum(e["nullity"] for e in got) == form.nullity
+
+
+def test_assemble_rejects_frame_without_one_charge(geoms):
+    # the perturbed slice's frame does not turn by one charge; with its
+    # minimality gate passed, assembly raises the typed error
+    import copy
+    geom = copy.copy(geoms["perturbed-slice"])
+    geom.min_residual = 0.0
+    with pytest.raises(SpecParseError, match="one charge"):
+        assemble_index_form(geom, SectionBasis(geom.S, 2))
 
 
 def test_index_monotone_in_L(geoms):
@@ -257,11 +370,11 @@ def test_near_holomorphic_section_is_holomorphic_pointwise(geoms):
 def test_assembly_memory_is_bounded(geoms):
     # tracemalloc sees numpy's buffers; the second of two assemblies at
     # L = 6 (dim 196) on the quad-32 cp1-line is measured.  With the rows
-    # built by one product per node from the direction factor, and each
-    # chart's rows freed before the next chart's, it peaks at 13.46 MiB
-    # (numpy 2.4.6; 26.69 MiB with the element-by-element product rule and
-    # its five full-size temporaries); the bound is about 5% above.  One
-    # more full-size temporary exceeds it.
+    # read at the first node of each run only (16 of 1,024 a chart) and
+    # every charge block assembled on its own, it peaks at 0.93 MiB (numpy
+    # 2.4.6; 13.46 MiB with the dense assembly from the rows at every
+    # node); the bound is about 5% above.  One more copy of a chart's rows
+    # (0.10 MiB) exceeds it.
     import gc
     import tracemalloc
     geom = geoms["cp1-line"]
@@ -274,8 +387,8 @@ def test_assembly_memory_is_bounded(geoms):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert form.Q.shape == (196, 196)
-    assert peak <= 14.13 * 2 ** 20
+    assert sum(len(b.vecs) for b in form.blocks) == form.basis.dim == 196
+    assert peak <= 0.97 * 2 ** 20
 
 
 def test_surface_command_assembles_each_level_once(tmp_path, monkeypatch):
@@ -283,13 +396,13 @@ def test_surface_command_assembles_each_level_once(tmp_path, monkeypatch):
     from curv4 import stability
     from curv4.cli import main
     levels = []
-    real = stability._accumulate_forms
+    real = stability._charge_blocks
 
     def counted(geom, basis, *args, **kw):
         levels.append(basis.L)
         return real(geom, basis, *args, **kw)
 
-    monkeypatch.setattr(stability, "_accumulate_forms", counted)
+    monkeypatch.setattr(stability, "_charge_blocks", counted)
     out = tmp_path / "surf.json"
     assert main(["surface", "--metric", "product(a=1,b=1)",
                  "--surface", "slice(factor=1)", "--quad", "16",
@@ -405,7 +518,10 @@ def test_index_two_construction_matches_assembled_form_with_shear(geoms):
     kappa = 0.8
     basis = SectionBasis(geom.S, 2)
     fixture = curvature_override(geom, kappa)
-    Q = _accumulate_forms(fixture, basis)[0]
+    # the frame of the perturbed slice does not turn by one charge: the
+    # form comes from the per-node geometry, where the basis is one block
+    Q = dense_forms(curvature_override(per_node_geometry(geom), kappa),
+                    basis)[0]
     k = 2                                  # Y_k n3; J turns it into Y_k n4
     j = basis.n_harmonics + k
     fix = averaged_second_variation(fixture, [

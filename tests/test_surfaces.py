@@ -26,7 +26,8 @@ from curv4.surfaces import (
 )
 from oracles import (
     coeff_jets, comps_ring, log_norm_check, normal_connection,
-    parallel_section, point_geometry, second_order_jets, second_variation,
+    parallel_section, per_node_geometry, point_geometry, second_order_jets,
+    second_variation,
 )
 
 QUAD = QuadSpec(32)
@@ -323,6 +324,27 @@ def test_wrong_rotation_weight_is_rejected():
     with pytest.raises(ValueError, match="one factor plane"):
         surfaces.SurfaceImmersion(S.name, S.chart_map, S.fmap,
                                   normal_seeds=(1, 3))
+
+
+@pytest.mark.parametrize("name, S, m, charge", [
+    ("slice", product_slice(), MP, 0),
+    ("equator", equator_sphere(), MR, 0),
+    ("twisted-slice-off", product_slice(point=(0.3, 0.0)), MT, 0),
+    ("perturbed", perturbed_slice(0.15), MP, None),
+], ids=["slice", "equator", "twisted-slice-off", "perturbed"])
+def test_frame_charge_is_measured(name, S, m, charge, geoms):
+    # the Gram-Schmidt frame of the slices and the equator is carried by
+    # the ambient rotation alone, n = Phi n_rep; that of the perturbed slice
+    # turns by angles that are no one multiple of the node's, which the
+    # chart records without an error; one angle per radius turns by nothing
+    geom = geoms[name] if name in geoms else surface_geometry(S, m, QUAD)
+    for cg in geom.charts:
+        assert cg.frame_charge == charge
+        z = cg.u @ [1.0, 1.0j]
+        th = np.angle(z * np.conj(z[::cg.n_angles][cg.orbit]))
+        carried = surfaces._rot(th, cg.weights) @ cg.n[::cg.n_angles][cg.orbit]
+        assert bool(np.abs(carried - cg.n).max() <= 1e-12) is (charge == 0)
+        assert point_geometry(S, m, cg.chart, [0.3, -0.2]).frame_charge == 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -892,13 +914,15 @@ def test_log_norm_rejects_nonholomorphic(geoms):
 def test_log_norm_with_solver_section_on_perturbed_slice(geoms):
     # feed the dbar-energy minimizer back into the Lemma-3.15 check on the
     # curved (non-geodesic) test immersion
-    from curv4.stability import (IndexForm, SectionBasis, _accumulate_forms,
+    from curv4.stability import (IndexForm, SectionBasis, _charge_blocks,
                                  near_holomorphic_section)
-    geom = geoms["perturbed"]
+    # its frame does not turn by one charge: on the per-node geometry the
+    # basis is one block
+    geom = per_node_geometry(geoms["perturbed"])
     basis = SectionBasis(geom.S, 8)
     # not minimal: the form is assembled without assemble_index_form's gate
-    Q, G, D = _accumulate_forms(geom, basis)
-    out = near_holomorphic_section(geom, IndexForm(Q, G, basis, D))
+    out = near_holomorphic_section(
+        geom, IndexForm(_charge_blocks(geom, basis), basis))
     assert abs(out["energy"]) < 1e-8
     res = log_norm_check(geom, out["section"])
     assert res < 1e-3
