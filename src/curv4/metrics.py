@@ -63,6 +63,30 @@ J_STANDARD = [[0.0, -1.0, 0.0, 0.0],
               [0.0, 0.0, 1.0, 0.0]]
 
 
+def _grid_axis(b, n):
+    """The n grid values of every axis of the sample box [-b, b]^4.
+    Mirrored so that x -> -x maps them onto themselves in floats too
+    (linspace alone does not), and x^2 takes ceil(n / 2) values, as in exact
+    arithmetic."""
+    a = np.linspace(-b, b, n)
+    return 0.5 * (a - a[::-1])
+
+
+@functools.lru_cache(maxsize=16)
+def _orbit_radii(b, n):
+    """(reps, i, k) of grid(n) on the sample box [-b, b]^4: the orbit
+    representatives, read-only, and the class in 0..k-1 of the radius
+    x^2 + y^2 of each (x, y) pair of one factor plane."""
+    a2 = _grid_axis(b, n) ** 2
+    u, i = np.unique(np.add.outer(a2, a2).ravel(), return_inverse=True)
+    h = np.sqrt(u / 2.0)
+    reps = np.stack(np.broadcast_arrays(h[:, None], h[:, None],
+                                        h[None, :], h[None, :]),
+                    axis=-1).reshape(-1, 4)
+    reps.flags.writeable = False
+    return reps, i, len(u)
+
+
 class Chart:
     """A coordinate chart: open ball |x| < radius (or a box) in R^4.
 
@@ -92,13 +116,6 @@ class Chart:
             ok &= np.hypot(pts[..., 2], pts[..., 3]) < self.factor_radius - margin
         return ok
 
-    def _axis(self, n):
-        """The n grid values of every axis.  Mirrored so that x -> -x maps
-        them onto themselves in floats too (linspace alone does not), and
-        x^2 takes ceil(n / 2) values, as in exact arithmetic."""
-        a = np.linspace(-self.sample_box, self.sample_box, n)
-        return 0.5 * (a - a[::-1])
-
     def grid(self, n):
         """All n^4 points of the sample-box grid; the scans use orbit_grid."""
         return self.grid_point(n, np.arange(n ** 4))
@@ -106,8 +123,8 @@ class Chart:
     def grid_point(self, n, flat):
         """The points of grid(n) with the flat indices ``flat``, in grid
         order, read off the axes without building the grid."""
-        return self._axis(n)[np.stack(np.unravel_index(flat, (n,) * 4),
-                                      axis=-1)]
+        return _grid_axis(self.sample_box, n)[
+            np.stack(np.unravel_index(flat, (n,) * 4), axis=-1)]
 
     def orbit_grid(self, n):
         """(reps, index): one point per T^2 orbit that grid(n) meets, and
@@ -116,15 +133,13 @@ class Chart:
         The orbits are the pairs of distinct radii x^2 + y^2 of the two
         factor planes (exact float values, no rounding).  Each
         representative lies on the diagonal x_a = y_a = r_a / sqrt(2), so
-        it stays in the sample box and in the chart.
+        it stays in the sample box and in the chart.  The representatives
+        are shared by every chart of the same sample box (a bounded LRU on
+        the box and n), so they are read-only; the index, n^4 entries, is
+        formed per call and not kept.
         """
-        a2 = self._axis(n) ** 2
-        u, i = np.unique(np.add.outer(a2, a2).ravel(), return_inverse=True)
-        h = np.sqrt(u / 2.0)
-        reps = np.stack(np.broadcast_arrays(h[:, None], h[:, None],
-                                            h[None, :], h[None, :]),
-                        axis=-1).reshape(-1, 4)
-        return reps, (i[:, None] * len(u) + i[None, :]).ravel()
+        reps, i, k = _orbit_radii(self.sample_box, n)
+        return reps, (i[:, None] * k + i[None, :]).ravel()
 
     def sample(self, rng, n):
         return rng.uniform(-self.sample_box, self.sample_box, size=(n, 4))

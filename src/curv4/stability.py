@@ -280,7 +280,9 @@ def near_holomorphic_section(geom, form):
 
     ``form`` is the IndexForm assembled over geom; each block's mass
     whitening and dbar matrix are used as they are, and the least energy
-    is taken over all blocks.
+    is taken over all blocks.  Among the sections within 1e-10 of it the
+    largest L4 mass wins, to 1e-12 relative, and then the first in block
+    order.
 
     Returns {section, energy}; runs regardless of the sign of c1 (a
     negative Chern number just means the energy cannot reach 0).
@@ -293,16 +295,17 @@ def near_holomorphic_section(geom, form):
     ev = np.array([e for e, _, _ in solved])
     lo = ev.min()
     ties = np.flatnonzero(ev <= lo + 1e-10 * max(1.0, abs(lo)))
-    ties = ties[np.argsort(ev[ties], kind="stable")]
     coefs = np.stack([b.coefficients(form.basis, b.Z @ v)
                       for _, b, v in (solved[k] for k in ties)], axis=-1)
     k0 = 0
     if len(ties) > 1:
-        # prefer sections that stay away from zero: largest L4 mass, with
-        # all tied candidates read in one batch
+        # prefer sections that stay away from zero: the largest L4 mass to
+        # 1e-12 relative, then the first in block order, so that rounding
+        # does not choose; all tied candidates are read in one batch
         tied = form.basis.as_section(coefs)
-        k0 = int(np.argmax(geom.integrate(
-            [section_data(cg, tied)["norm2"] ** 2 for cg in geom.charts])))
+        mass = geom.integrate(
+            [section_data(cg, tied)["norm2"] ** 2 for cg in geom.charts])
+        k0 = int(np.flatnonzero(mass >= (1.0 - 1e-12) * mass.max())[0])
     return {"section": form.basis.as_section(coefs[:, k0]),
             "energy": float(ev[ties[k0]])}
 

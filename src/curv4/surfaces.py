@@ -21,9 +21,16 @@ rotation, in the Gram-Schmidt gauge of each node.
 
 ``SurfaceGeometry`` holds one ChartGeometry per surface chart at the sphere
 quadrature nodes.  The caller builds it once (``surface_geometry``) and
-passes it to every integral: ``chern_number``, ``lemma310_integrals``,
-``averaged_second_variation`` and the index forms of ``stability``.
-Nothing caches it, so it lives exactly as long as the caller holds it.
+passes it to ``chern_number``, to the index forms of ``stability`` and,
+one chart at a time, to the section integrals.  Nothing caches it, so it
+lives exactly as long as the caller holds it.
+
+The integrals of Lemma 3.10 and of the averaged second variation are
+reduced chart by chart: ``chart_integrals`` turns one chart's section data
+into per-section sums, so the data can be dropped before the next chart
+is read, and ``sum_charts`` adds them in chart order, as
+``SurfaceGeometry.integrate`` does.  ``lemma310_integrals`` and
+``averaged_second_variation`` combine those totals.
 
 There is one section type, ``NormalSection``: a coefficient matrix W on
 one scalar family Y (K functions, e.g. harmonics), sigma = sum_{c,k}
@@ -492,6 +499,12 @@ class ChartGeometry:
             n, 2, S.n_directions, 2), 1, -1)
 
 
+def _total(parts):
+    """sum(parts) from 0 in the order given; a 0-d total becomes a float."""
+    total = sum(parts)
+    return float(total) if np.ndim(total) == 0 else total
+
+
 class SurfaceGeometry:
     """The ChartGeometry of each surface chart at the sphere quadrature
     nodes of ``quad`` (default QuadSpec()), built once by the caller."""
@@ -508,9 +521,8 @@ class SurfaceGeometry:
     def integrate(self, values_per_chart):
         """sum over the nodes of dA * values; leading section axes of the
         values are kept, a single section gives a float."""
-        total = sum(np.sum(cg.dA * vals, axis=-1)
-                    for cg, vals in zip(self.charts, values_per_chart))
-        return float(total) if np.ndim(total) == 0 else total
+        return _total(np.sum(cg.dA * vals, axis=-1)
+                      for cg, vals in zip(self.charts, values_per_chart))
 
     def area(self):
         return self.integrate([np.ones(cg.shape) for cg in self.charts])
@@ -624,17 +636,25 @@ def section_data(cg, sigma):
     Y, eY = read_family(sigma.family, cg.chart, cg.u, cg.c)
     sigma.require_columns(Y.shape[-1])
     (C, K), n, sh = sigma.W.shape[:2], len(Y), sigma.W.shape[2:] + cg.shape
-    # W as a (k, c t) matrix, t the flattened section axes
+    # W as a (k, c t) matrix, t the flattened section axes; each product is
+    # released once spent, and D adds B f into P e_i f's buffer
     W = np.swapaxes(sigma.W.reshape(C, K, -1), 0, 1).reshape(K, -1)
-    f, ef = (Y @ W).reshape(n, C, -1), (eY @ W).reshape(n, 2, C, -1)
+    ef = (eY @ W).reshape(n, 2, C, -1)
+    D = np.swapaxes(P[:, None] @ ef, 1, 2)
+    del ef
+    f = (Y @ W).reshape(n, C, -1)
     v = np.moveaxis(P @ f, -1, 0).reshape(sh + (2,))              # s last
-    D = (B @ f).reshape(n, 2, 2, -1) + np.swapaxes(P[:, None] @ ef, 1, 2)
+    D += (B @ f).reshape(n, 2, 2, -1)
+    del f
     D = np.moveaxis(D, -1, 0).reshape(sh + (2, 2))                # s, i last
     v3, v4, e3, e4 = v[..., 0], v[..., 1], D[..., 0, :], D[..., 1, :]
+    norm2 = v3 ** 2
+    norm2 += v4 ** 2
+    grad2 = e3[..., 0] ** 2
+    for x in (e3[..., 1], e4[..., 0], e4[..., 1]):
+        grad2 += x ** 2
     return {"c3": v3, "c4": v4, "D3": e3, "D4": e4,
-            "norm2": v3 ** 2 + v4 ** 2,
-            "grad2": e3[..., 0] ** 2 + e3[..., 1] ** 2
-                     + e4[..., 0] ** 2 + e4[..., 1] ** 2}
+            "norm2": norm2, "grad2": grad2}
 
 
 def j_rotated_data(d):
@@ -649,13 +669,14 @@ def dbar_sq(d, tau=0.0):
     dbar(sigma; e) = nabla^perp_e sigma + nabla^perp_{Ie}(J sigma) and
     e = cos(tau) e1 + sin(tau) e2."""
     ct, st = np.cos(tau), np.sin(tau)
-    # I e = -sin(tau) e1 + cos(tau) e2
-    D3_e = ct * d["D3"][..., 0] + st * d["D3"][..., 1]
-    D4_e = ct * d["D4"][..., 0] + st * d["D4"][..., 1]
-    # J sigma has coefficients (-c4, c3): covariant derivative rotates too
-    D3J_Ie = -(-st * d["D4"][..., 0] + ct * d["D4"][..., 1])
-    D4J_Ie = (-st * d["D3"][..., 0] + ct * d["D3"][..., 1])
-    b3, b4 = D3_e + D3J_Ie, D4_e + D4J_Ie
+    D3, D4 = d["D3"], d["D4"]
+    # the e-derivative of sigma plus the Ie-derivative, I e = -sin(tau) e1 +
+    # cos(tau) e2, of J sigma, whose coefficients (-c4, c3) and covariant
+    # derivatives are sigma's turned
+    b3 = ((ct * D3[..., 0] + st * D3[..., 1])
+          - (-st * D4[..., 0] + ct * D4[..., 1]))
+    b4 = ((ct * D4[..., 0] + st * D4[..., 1])
+          + (-st * D3[..., 0] + ct * D3[..., 1]))
     return 0.5 * (b3 ** 2 + b4 ** 2)
 
 
@@ -697,9 +718,10 @@ def a_wedge_a_sq_expansion(A):
 
 def _jacobi_pairing(cg, d, e):
     """c_d^T M c_e, c the frame coefficients of section_data d and e and M
-    the chart's Jacobi block ``jacobi``."""
-    c, ce = (np.stack([x["c3"], x["c4"]], axis=-1) for x in (d, e))
-    return np.einsum("...s,...st,...t->...", c, cg.jacobi, ce)
+    the chart's Jacobi block ``jacobi``, as 2x2 products per node."""
+    M = cg.jacobi
+    return (d["c3"] * (M[:, 0, 0] * e["c3"] + M[:, 0, 1] * e["c4"])
+            + d["c4"] * (M[:, 1, 0] * e["c3"] + M[:, 1, 1] * e["c4"]))
 
 
 def second_variation_density(cg, d):
@@ -707,23 +729,55 @@ def second_variation_density(cg, d):
     return d["grad2"] - _jacobi_pairing(cg, d, d)
 
 
-def lemma310_integrals(geom, data):
-    """Both sides of Lemma 3.10 from the per-chart section_data of sigma."""
-    lhs = geom.integrate([d["grad2"] for d in data])
-    rhs = geom.integrate([2 * dbar_sq(d) + cg.kperp * d["norm2"]
-                          for cg, d in zip(geom.charts, data)])
+def chart_integrals(cg, d):
+    """The integrals over one chart of the integrands of Lemma 3.10 and of
+    the averaged second variation, from the chart's section_data d of
+    sigma; J sigma's data is its rotation.  W's section axes lead each
+    value, and d can be dropped once they are formed.
+
+    grad2 |nabla sigma|^2, lemma310_rhs 2 |dbar sigma|^2 + Kperp |sigma|^2,
+    d2_sigma and d2_jsigma the delta^2 densities of sigma and J sigma, dbar
+    4 |dbar sigma|^2, weyl <(s/6 - W+) eta, eta> |sigma|^2, shear
+    |A ^ A|^2 |sigma|^2 and cross c^T M (J c).
+    """
+    def over_chart(vals):
+        return np.sum(cg.dA * vals, axis=-1)
+
+    dj, dbar = j_rotated_data(d), dbar_sq(d)
+    return {"grad2": over_chart(d["grad2"]),
+            "lemma310_rhs": over_chart(2 * dbar + cg.kperp * d["norm2"]),
+            "d2_sigma": over_chart(second_variation_density(cg, d)),
+            "d2_jsigma": over_chart(second_variation_density(cg, dj)),
+            "dbar": over_chart(4.0 * dbar),
+            "weyl": over_chart(cg.s6_pairing * d["norm2"]),
+            "shear": over_chart(a_wedge_a_sq(cg.A) * d["norm2"]),
+            "cross": over_chart(_jacobi_pairing(cg, d, dj))}
+
+
+def sum_charts(per_chart):
+    """Each integral of ``chart_integrals`` summed over the charts in chart
+    order, from 0 as ``SurfaceGeometry.integrate`` sums; a single section
+    gives floats."""
+    per_chart = list(per_chart)
+    return {k: _total(ints[k] for ints in per_chart) for k in per_chart[0]}
+
+
+def lemma310_integrals(t):
+    """Both sides of Lemma 3.10 from the ``sum_charts`` totals of sigma."""
+    lhs, rhs = t["grad2"], t["lemma310_rhs"]
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 
 def variational_identity_lemma310(geom, sigma):
-    """| int |nabla sigma|^2 - int (2 |dbar sigma|^2 + Kperp |sigma|^2) |."""
-    return lemma310_integrals(geom, [section_data(cg, sigma)
-                                     for cg in geom.charts])
+    """| int |nabla sigma|^2 - int (2 |dbar sigma|^2 + Kperp |sigma|^2) |,
+    sigma evaluated once per chart."""
+    return lemma310_integrals(sum_charts(
+        chart_integrals(cg, section_data(cg, sigma)) for cg in geom.charts))
 
 
-def averaged_second_variation(geom, data):
+def averaged_second_variation(t):
     """Both sides of the averaged second-variation identity from the
-    per-chart section_data of sigma; J sigma's data is its rotation.
+    ``sum_charts`` totals of sigma.
 
     lhs = delta^2(sigma) + delta^2(J sigma); rhs integrates
     4 |dbar sigma|^2 - [ <(s/6 - W+) eta, eta> + |A ^ A|^2 ] |sigma|^2.
@@ -734,25 +788,16 @@ def averaged_second_variation(geom, data):
     is unstable if both are below -1e-9 max(1, int |nabla sigma|^2); a
     single section gives floats and a bool, a batch arrays.
     """
-    def delta2(ds):
-        return geom.integrate([second_variation_density(cg, d)
-                               for cg, d in zip(geom.charts, ds)])
-
-    jdata = [j_rotated_data(d) for d in data]
-    d2s, d2j = delta2(data), delta2(jdata)
+    d2s, d2j = t["d2_sigma"], t["d2_jsigma"]
     lhs = d2s + d2j
-    t_dbar = geom.integrate([4.0 * dbar_sq(d) for d in data])
+    t_dbar = t["dbar"]
     # 0.0 - x, not -x, so that a zero integral is reported as 0.0
-    t_weyl = 0.0 - geom.integrate([cg.s6_pairing * d["norm2"]
-                                   for cg, d in zip(geom.charts, data)])
-    t_shear = 0.0 - geom.integrate([a_wedge_a_sq(cg.A) * d["norm2"]
-                                    for cg, d in zip(geom.charts, data)])
+    t_weyl, t_shear = 0.0 - t["weyl"], 0.0 - t["shear"]
     rhs = t_dbar + t_weyl + t_shear
-    cross = 0.0 - geom.integrate([_jacobi_pairing(cg, d, dj) for cg, d, dj
-                                  in zip(geom.charts, data, jdata)])
+    cross = 0.0 - t["cross"]
     low, high = np.minimum(d2s, d2j), np.maximum(d2s, d2j)
     pair = low + high - 2.0 * np.abs(cross)
-    tol = 1e-9 * np.maximum(1.0, geom.integrate([d["grad2"] for d in data]))
+    tol = 1e-9 * np.maximum(1.0, t["grad2"])
     unstable = np.maximum(low, pair) < -tol
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
             "terms": {"dbar": t_dbar, "weyl_pairing": t_weyl,
@@ -767,8 +812,8 @@ def weitzenboeck_variation(geom, sigma):
     """averaged_second_variation of sigma on a minimal surface, sigma
     evaluated once per chart."""
     geom.require_minimal()
-    return averaged_second_variation(
-        geom, [section_data(cg, sigma) for cg in geom.charts])
+    return averaged_second_variation(sum_charts(
+        chart_integrals(cg, section_data(cg, sigma)) for cg in geom.charts))
 
 
 def ric_perp_identity_residual(cg):

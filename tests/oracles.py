@@ -28,6 +28,11 @@ branch that no constructible metric reaches.
 run, so that the charge-graded index form assembles the whole basis as one
 block from the rows at every node; ``dense_forms`` reads that block back
 on the elements Y_k V_c: the dense oracle of the charge blocks.
+
+``lemma310_all_charts``, ``averaged_second_variation_all_charts`` and
+``surface_identities_all_charts`` integrate sigma's section data with
+every chart's held at once: the oracles of the chart-by-chart integrals
+and of the identity rows that ``verify-identities`` streams.
 """
 
 import copy
@@ -41,7 +46,11 @@ from curv4.jets import (array, drop, from_arrays, grad_array, hess_array, jlog,
                         jsqrt, partial, seedn)
 from curv4.metrics import J_STANDARD, ht_metric
 from curv4.stability import _charge_blocks
-from curv4.surfaces import (ChartGeometry, NormalSection, dbar_sq,
+from curv4.surfaces import (ChartGeometry, NormalSection, _jacobi_pairing,
+                            a_wedge_a_sq, chern_number, dbar_sq,
+                            embedding_family, j_rotated_data,
+                            kperp_extrinsic_field,
+                            ric_perp_identity_residual,
                             second_variation_density, section_data)
 
 
@@ -268,3 +277,76 @@ def dense_forms(geom, basis):
     (block,) = _charge_blocks(geom, basis)
     C = block.coefficients(basis, np.eye(basis.dim))
     return tuple(C @ M @ C.T for M in (block.Q, block.G, block.D))
+
+
+def lemma310_all_charts(geom, data):
+    """Both sides of Lemma 3.10 from the section_data of sigma on every
+    chart at once, integrated by ``SurfaceGeometry.integrate``: the route
+    that ``surfaces.chart_integrals`` streams chart by chart."""
+    lhs = geom.integrate([d["grad2"] for d in data])
+    rhs = geom.integrate([2 * dbar_sq(d) + cg.kperp * d["norm2"]
+                          for cg, d in zip(geom.charts, data)])
+    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
+
+
+def averaged_second_variation_all_charts(geom, data):
+    """``surfaces.averaged_second_variation`` from the section_data of
+    sigma on every chart at once, each integral by
+    ``SurfaceGeometry.integrate``."""
+    def delta2(ds):
+        return geom.integrate([second_variation_density(cg, d)
+                               for cg, d in zip(geom.charts, ds)])
+
+    jdata = [j_rotated_data(d) for d in data]
+    d2s, d2j = delta2(data), delta2(jdata)
+    lhs = d2s + d2j
+    t_dbar = geom.integrate([4.0 * dbar_sq(d) for d in data])
+    t_weyl = 0.0 - geom.integrate([cg.s6_pairing * d["norm2"]
+                                   for cg, d in zip(geom.charts, data)])
+    t_shear = 0.0 - geom.integrate([a_wedge_a_sq(cg.A) * d["norm2"]
+                                    for cg, d in zip(geom.charts, data)])
+    rhs = t_dbar + t_weyl + t_shear
+    cross = 0.0 - geom.integrate([_jacobi_pairing(cg, d, dj) for cg, d, dj
+                                  in zip(geom.charts, data, jdata)])
+    low, high = np.minimum(d2s, d2j), np.maximum(d2s, d2j)
+    pair = low + high - 2.0 * np.abs(cross)
+    tol = 1e-9 * np.maximum(1.0, geom.integrate([d["grad2"] for d in data]))
+    unstable = np.maximum(low, pair) < -tol
+    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
+            "terms": {"dbar": t_dbar, "weyl_pairing": t_weyl,
+                      "shear": t_shear},
+            "index_two": {"d2_sigma": low, "d2_jsigma": high, "cross": cross,
+                          "d2_pair": (low, pair),
+                          "unstable_pair": unstable if np.ndim(unstable)
+                          else bool(unstable)}}
+
+
+def surface_identities_all_charts(geom, minimal, rng, n_sections, add):
+    """``cli._surface_identities`` with sigma's section data held for every
+    chart at once and J sigma read beside it, on the two routes above."""
+    S = geom.S
+    ctx = "%s@%s" % (S.name, geom.m.name)
+    add("kperp-cross-path", ctx,
+        max(np.abs(cg.kperp - kperp_extrinsic_field(cg)).max()
+            for cg in geom.charts), 1e-5)
+    add("ric-perp-eta-pairing", ctx,
+        max(ric_perp_identity_residual(cg) for cg in geom.charts), 1e-5)
+    b = rng.uniform(-0.6, 0.6, (n_sections, S.n_directions, 4))
+    sig = NormalSection(embedding_family, np.moveaxis(b, 0, -1))
+    data = [section_data(cg, sig) for cg in geom.charts]
+    add("lemma-3-10", ctx, lemma310_all_charts(geom, data)["residual"].max(),
+        1e-5)
+    dbar_rot = 0.0
+    for cg, d in zip(geom.charts, data):
+        dj = section_data(cg, sig.rotated())
+        dbar_rot = max(dbar_rot,
+                       np.abs(dbar_sq(d, 0.0) - dbar_sq(d, 0.785)).max(),
+                       np.abs(dj["grad2"] - d["grad2"]).max(),
+                       np.abs(dj["norm2"] - d["norm2"]).max())
+    add("dbar-frame-independence", ctx, dbar_rot, 1e-8)
+    if minimal:
+        add("averaged-second-variation", ctx,
+            averaged_second_variation_all_charts(geom, data)[
+                "residual"].max(), 1e-4)
+    cn = chern_number(geom)
+    add("chern-integrality", ctx, abs(cn - round(cn)), 1e-3)

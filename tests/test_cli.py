@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,14 @@ from curv4 import cli, curvature
 from curv4.cli import main
 from curv4.metrics import (
     QuadSpec, fubini_study, product_spheres, round_sphere4,
+    sphere_chart_nodes,
 )
 from curv4.surfaces import (
-    NormalSection, averaged_second_variation, cp1_line, dbar_sq,
-    embedding_family, equator_sphere, lemma310_integrals, perturbed_slice,
-    surface_geometry,
+    NormalSection, averaged_second_variation, chart_integrals, cp1_line,
+    dbar_sq, embedding_family, equator_sphere, lemma310_integrals,
+    perturbed_slice, sum_charts, surface_geometry,
 )
+from oracles import surface_identities_all_charts
 
 RUN = [sys.executable, "-m", "curv4.cli"]
 # the child imports the curv4 that this process imported, also when
@@ -332,7 +335,9 @@ def test_identity_rows_in_one_batch_match_section_loop(S, m, minimal,
         sig = NormalSection(embedding_family,
                             ref.uniform(-0.6, 0.6, (S.n_directions, 4)))
         data = [real(cg, sig) for cg in geom.charts]
-        l310 = max(l310, lemma310_integrals(geom, data)["residual"])
+        ints = sum_charts(chart_integrals(cg, d)
+                          for cg, d in zip(geom.charts, data))
+        l310 = max(l310, lemma310_integrals(ints)["residual"])
         for cg, d in zip(geom.charts, data):
             dj = real(cg, sig.rotated())
             dbar_rot = max(dbar_rot,
@@ -340,8 +345,7 @@ def test_identity_rows_in_one_batch_match_section_loop(S, m, minimal,
                            np.abs(dj["grad2"] - d["grad2"]).max(),
                            np.abs(dj["norm2"] - d["norm2"]).max())
         if minimal:
-            t318 = max(t318,
-                       averaged_second_variation(geom, data)["residual"])
+            t318 = max(t318, averaged_second_variation(ints)["residual"])
     assert rng.uniform() == ref.uniform()
     assert abs(rows["lemma-3-10"] - l310) <= 1e-12
     assert abs(rows["dbar-frame-independence"] - dbar_rot) <= 1e-12
@@ -349,6 +353,36 @@ def test_identity_rows_in_one_batch_match_section_loop(S, m, minimal,
         assert abs(rows["averaged-second-variation"] - t318) <= 1e-12
     else:
         assert "averaged-second-variation" not in rows
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_streamed_identity_rows_equal_all_charts_route(seed, monkeypatch):
+    # the chart-by-chart rows are those of the route that holds every
+    # chart's section data at once, to the last bit
+    streamed = cli.run_identity_suite(seed=seed, quad_n=16)
+    monkeypatch.setattr(cli, "_surface_identities",
+                        surface_identities_all_charts)
+    assert streamed == cli.run_identity_suite(seed=seed, quad_n=16)
+
+
+def test_identity_suite_memory_is_bounded():
+    # tracemalloc sees numpy's buffers.  Each section adds at most three
+    # times one chart's section data (eight float arrays over its nodes)
+    # to the peak: one chart is read at a time and reduced to its
+    # integrals.  At quad 16 (256 nodes a chart) the slope reads 0.63 of
+    # that bound (numpy 2.4.6); holding both charts' data and J sigma's
+    # beside it read 2.17.
+    cli.run_identity_suite(quad_n=16, n_sections=10)
+    peaks = []
+    for n in (10, 40):
+        tracemalloc.start()
+        try:
+            cli.run_identity_suite(quad_n=16, n_sections=n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    nodes = sum(len(u) for _, u, _ in sphere_chart_nodes(16)) // 2
+    assert (peaks[1] - peaks[0]) / 30 <= 3 * 8 * 8 * nodes
 
 
 def test_verify_identities_tolerance_override(tmp_path):

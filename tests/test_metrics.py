@@ -578,6 +578,19 @@ def test_orbit_grid_covers_the_grid(name):
             assert len(reps) == ORBIT_COUNTS[n, chart.sample_box]
 
 
+def test_orbit_grid_representatives_are_shared_and_read_only():
+    # charts of the same sample box share one memoized set of
+    # representatives, even across metrics rebuilt per cell, so no caller
+    # may write into it
+    charts = [m.charts[name] for m in (twisted_metric(0.5, 0.05),
+                                       twisted_metric(0.5, 0.05))
+              for name in m.chart_order]
+    reps = [c.orbit_grid(5)[0] for c in charts]
+    assert all(r is reps[0] for r in reps)
+    with pytest.raises(ValueError):
+        reps[0][0] = 0.0
+
+
 def _full_grid_condition_check(m, grid_n):
     """The margins, worst points and point count of the scan
     condition_check replaced: every grid point evaluated."""

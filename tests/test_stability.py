@@ -2,6 +2,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 import pytest
 
+from curv4 import stability
 from curv4.errors import NonMinimalSurfaceError, RefinementError, SpecParseError
 from curv4.jets import array as _arr, partial as _jd
 from curv4.metrics import (QuadSpec, fubini_study, ht_metric, product_spheres,
@@ -12,9 +13,9 @@ from curv4.stability import (
     refine_until_stable, theorem_c_margins, _charge_blocks,
 )
 from curv4.surfaces import (
-    NormalSection, averaged_second_variation, chern_number, cp1_line, dbar_sq,
-    equator_sphere, perturbed_slice, product_slice, section_data,
-    surface_geometry, weitzenboeck_variation,
+    NormalSection, averaged_second_variation, chart_integrals, chern_number,
+    cp1_line, dbar_sq, equator_sphere, perturbed_slice, product_slice,
+    section_data, sum_charts, surface_geometry, weitzenboeck_variation,
 )
 from oracles import (
     coeff_jets, curvature_override, dense_forms, parallel_section,
@@ -358,6 +359,27 @@ def test_near_holomorphic_energies(geoms):
     assert abs(out["energy"]) < 1e-4
 
 
+def test_near_holomorphic_choice_survives_reversed_tie(geoms, monkeypatch):
+    # on cp1-line four candidates tie in energy and in L4 mass up to
+    # rounding; handing their masses back in reverse order must not change
+    # the choice, which is then the first candidate in block order
+    geom = geoms["cp1-line"]
+    form = assemble_index_form(geom, SectionBasis(geom.S, 6))
+    want = near_holomorphic_section(geom, form)
+    real, tied = stability.section_data, []
+
+    def reversed_norms(cg, sig):
+        norm2 = real(cg, sig)["norm2"]
+        tied.append(len(norm2))
+        return {"norm2": norm2[::-1]}
+
+    monkeypatch.setattr(stability, "section_data", reversed_norms)
+    got = near_holomorphic_section(geom, form)
+    assert tied == [4, 4]
+    assert got["energy"] == want["energy"]
+    np.testing.assert_array_equal(got["section"].W, want["section"].W)
+
+
 def test_near_holomorphic_section_is_holomorphic_pointwise(geoms):
     out = _near_holomorphic(geoms["slice"], 4)
     sig = out["section"]
@@ -524,9 +546,9 @@ def test_index_two_construction_matches_assembled_form_with_shear(geoms):
                     basis)[0]
     k = 2                                  # Y_k n3; J turns it into Y_k n4
     j = basis.n_harmonics + k
-    fix = averaged_second_variation(fixture, [
-        section_data(cg, element(basis, k)) for cg in fixture.charts])[
-            "index_two"]
+    fix = averaged_second_variation(sum_charts(
+        chart_integrals(cg, section_data(cg, element(basis, k)))
+        for cg in fixture.charts))["index_two"]
     assert_allclose([fix["d2_sigma"], fix["d2_jsigma"]],
                     sorted([Q[k, k], Q[j, j]]), rtol=1e-10)
     assert_allclose(fix["cross"], Q[k, j], atol=1e-10 * abs(Q[k, k]))

@@ -25,7 +25,8 @@ from curv4.surfaces import (
     weitzenboeck_variation,
 )
 from oracles import (
-    coeff_jets, comps_ring, log_norm_check, normal_connection,
+    averaged_second_variation_all_charts, coeff_jets, comps_ring,
+    lemma310_all_charts, log_norm_check, normal_connection,
     parallel_section, per_node_geometry, point_geometry, second_order_jets,
     second_variation,
 )
@@ -722,6 +723,28 @@ def test_weitzenboeck_variation_random_sections(geoms):
                 sig = smooth_frame_section(seed)
             out = weitzenboeck_variation(geoms[name], sig)
             assert out["residual"] < 1e-4, (name, out)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+def test_chart_by_chart_integrals_equal_all_charts_route(geoms, batch):
+    # summing each chart's integrals in chart order is the all-charts
+    # integration to the last bit, for one section (floats) and a batch
+    for name, S, m in SURFACES:
+        W = np.random.default_rng(25).uniform(
+            -0.6, 0.6, (S.n_directions, 4) + batch)
+        sig = NormalSection(embedding_family, W)
+        geom = geoms[name]
+        data = [section_data(cg, sig) for cg in geom.charts]
+        for got, want in (
+                (variational_identity_lemma310(geom, sig),
+                 lemma310_all_charts(geom, data)),
+                (surfaces.averaged_second_variation(surfaces.sum_charts(
+                    surfaces.chart_integrals(cg, d)
+                    for cg, d in zip(geom.charts, data))),
+                 averaged_second_variation_all_charts(geom, data))):
+            np.testing.assert_equal(got, want, err_msg=name)
+            # and of the same types: a single section's values are floats
+            assert repr(got) == repr(want), name
 
 
 def test_j_rotated_data_matches_rotated_section(geoms):
