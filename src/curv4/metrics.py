@@ -315,7 +315,7 @@ class QuadSpec:
 
     MIN_N = 8
 
-    def __init__(self, n=48):
+    def __init__(self, n):
         if n < self.MIN_N:
             raise ValueError("quadrature resolution must be >= %d" % self.MIN_N)
         self.n = int(n)
@@ -410,7 +410,7 @@ def _node_sum(m, n):
     return total
 
 
-def volume(m, quad=None):
+def volume(m, quad):
     """Integral of sqrt(det g) over the atlas partition of the field.
 
     Precondition of the curved built-ins: the rotations z_a -> e^{i th_a} z_a
@@ -420,7 +420,7 @@ def volume(m, quad=None):
     Gauss rule with quad.n nodes per axis.  Flat space integrates its box
     with a 4-D rule.
     """
-    return _node_sum(m, (quad or QuadSpec()).n)
+    return _node_sum(m, quad.n)
 
 
 def volume_estimate(m, quad):

@@ -18,19 +18,21 @@ Faessler & Stiefel, Group Theoretical Methods and Their Applications,
 
     e = (Y_lm + i Y_l,-m)(V_re + i tau V_im) / 2      (/ sqrt2 at m = 0)
 
-for each degree l, order m >= 0, sign tau and direction pair (V_re, V_im),
-a sparse orthogonal change of the elements Y_k V_c.  The harmonic has
-charge m on chart a and -m on chart b, whose u-angle runs backwards; the
-direction has -tau q, q the pair's entry of the chart's ``charges`` or, on
-a trivial bundle, whose directions are the frame, its ``frame_charge``
-(SpecParseError where the frame does not turn by one).  At node j of a
-run the rows of e are e^(i kappa th_j) times those at the run's first
-node, up to a turn of the frame that no integrand sees.  So
-``SectionBasis.node_data`` runs at the first node of each run only, with
-weight n_angles dA, and the angular rule keeps the terms whose charges
-agree mod n_angles: the Gram of a and b where 2 kappa = 0 mod n_angles,
-else its average with the Gram of -b and a, which drops the terms that
-turn by e^(2 i kappa th).
+for each degree l, order m >= 0, sign tau and direction pair (V_re, V_im):
+one orthogonal matrix on the elements Y_k V_c, ``SectionBasis.change``,
+with at most two nonzeros a column, each sqrt(1/2) up to sign or 1.  The
+harmonic has charge m on chart a and -m on chart b, whose u-angle runs
+backwards; the direction has -tau q, q the pair's entry of the chart's
+``charges`` or, on a trivial bundle, whose directions are the frame, its
+``frame_charge`` (SpecParseError where the frame does not turn by one).
+At node j of a run the rows of e are e^(i kappa th_j) times those at the
+run's first node, up to a turn of the frame that no integrand sees.  So
+the rows are read at the first node of each run only
+(``SectionBasis.node_data``, the ``surfaces.section_data`` of the charge
+basis there), with weight n_angles dA, and the angular rule keeps the
+terms whose charges agree mod n_angles: the Gram of a and b where 2 kappa
+= 0 mod n_angles, else its average with the Gram of -b and a, which drops
+the terms that turn by e^(2 i kappa th).
 
 The sum over the two charts is then block-diagonal in both charts'
 gradings.  A block holds the pairs whose (kappa_a, kappa_b) mod n_angles
@@ -38,9 +40,10 @@ is one class or its conjugate, with e replaced by its conjugate (b by -b)
 where that puts it in the class whose representative is the
 lexicographically larger of +-(kappa_a, kappa_b), each value in
 (-n_angles/2, n_angles/2]: the block's ``charges``, which the report's
-``index_by_charge`` names.  Each block is solved as a real
-symmetric matrix: mass whitening with the global ``MASS_COND_MAX`` cut,
-the eigenvalues of Qw and the dbar pencil of ``near_holomorphic_section``.
+``index_by_charge`` names.  Each block is solved as a real symmetric
+matrix: mass whitening with the global ``MASS_COND_MAX`` cut, the
+eigenvalues of Qw and the dbar pencil.  ``near_holomorphic_section`` takes
+the least dbar eigenvector of the first block to tie the least eigenvalue.
 
 On a per-node geometry (``ChartGeometry(..., n_angles=1)``) every charge
 agrees mod 1, so the same routine assembles the whole basis as one block
@@ -59,9 +62,7 @@ import numpy as np
 from .curvature import sectional_extremes
 from .errors import RefinementError, SpecParseError
 from .sphharm import real_harmonics
-from .surfaces import (
-    NormalSection, a_wedge_a_sq, direction_factor, read_family, section_data,
-)
+from .surfaces import NormalSection, a_wedge_a_sq, section_data
 
 MASS_COND_MAX = 1e6
 
@@ -78,7 +79,9 @@ class SectionBasis:
 
     In the charge basis (module docstring) pair p has order ``m``[p], sign
     ``tau``[p] and direction pair ``pair``[p]; its vectors a and b, v = 2 p
-    and 2 p + 1, are sum_t ``coef``[v, t] times element ``cols``[v, t].
+    and 2 p + 1, have the element coefficients ``change``[k, c, v], an
+    orthogonal matrix laid out (K, C, dim) so that the W of all vectors,
+    its (C, K, dim) transpose, is read by ``section_data`` without a copy.
     """
 
     def __init__(self, S, L):
@@ -87,26 +90,27 @@ class SectionBasis:
         self.n_harmonics = K = (L + 1) ** 2
         self.n_fields = S.n_directions
         self.dim = self.n_fields * self.n_harmonics
-        m, tau, pair, cols, coef = [], [], [], [], []
+        self.change = E = np.zeros((K, self.n_fields, self.dim))
+        m, tau, pair = [], [], []
         h = np.sqrt(0.5)
         for j in range(self.n_fields // 2):
-            re, im = 2 * j * K, (2 * j + 1) * K
+            re, im = 2 * j, 2 * j + 1
             for l in range(L + 1):
                 k0 = l * l + l
+                v = 2 * len(m)
+                E[k0, re, v] = E[k0, im, v + 1] = 1.0
                 m += [0]
                 tau += [1]
-                cols += [(re + k0, re + k0), (im + k0, im + k0)]
-                coef += [(1.0, 0.0), (1.0, 0.0)]
                 for mm in range(1, l + 1):
                     kp, kn = k0 + mm, k0 - mm
                     for t in (1, -1):
+                        v = 2 * len(m)
+                        E[kp, re, v], E[kn, im, v] = h, -t * h
+                        E[kn, re, v + 1], E[kp, im, v + 1] = h, t * h
                         m += [mm]
                         tau += [t]
-                        cols += [(re + kp, im + kn), (re + kn, im + kp)]
-                        coef += [(h, -t * h), (h, t * h)]
             pair += [j] * (len(m) - len(pair))
         self.m, self.tau, self.pair = (np.array(x) for x in (m, tau, pair))
-        self.cols, self.coef = np.array(cols), np.array(coef)
 
     def family(self, chart, u):
         """The harmonics Y_k, k = 0 .. (L+1)^2 - 1, ordered by (l, m)."""
@@ -121,33 +125,19 @@ class SectionBasis:
     def coefficients(self, vecs, y):
         """The element coefficients of sum_i y[i] (charge-basis vector
         vecs[i]); trailing axes of y index a batch."""
-        x = np.zeros((self.dim,) + np.shape(y)[1:])
-        for t in range(2):
-            c = self.coef[vecs, t].reshape((-1,) + (1,) * (np.ndim(y) - 1))
-            np.add.at(x, self.cols[vecs, t], c * y)
-        return x
+        x = self.change[..., vecs] @ y
+        return np.swapaxes(x, 0, 1).reshape((self.dim,) + np.shape(y)[1:])
 
     def node_data(self, cg):
         """Rows X (r, 4, dim) of the covariant derivatives 3e1, 3e2, 4e1,
         4e2 and V (r, 2, dim) of the coefficients c3, c4 of every vector of
-        the charge basis, at the first node of each of the chart's r runs.
-        Those of the elements Y_k V_c come first: with the chart's
-        ``direction_factor`` (P, B), row (s, i) of X is B_{s,i} Y + P_s e_i
-        Y, at each node one (4 C, 3) by (3, K) product against (Y, e1 Y,
-        e2 Y); V_s = P_s Y."""
-        r = slice(None, None, cg.n_angles)
-        c = cg.c[r]
-        Y, eY = read_family(self.family, cg.chart, cg.u[r], c)
-        P, B = direction_factor(c, cg.omega[r], cg.p[r], cg.dp[r])
-        n = len(Y)
-        A = np.zeros((n, 2, 2, self.n_fields, 3))
-        A[..., 0] = B.reshape(n, 2, 2, -1)
-        A[:, :, 0, :, 1] = A[:, :, 1, :, 2] = P
-        X = A.reshape(n, -1, 3) @ np.concatenate([Y[:, None], eY], axis=1)
-        V = P.reshape(n, -1, 1) @ Y[:, None]
-        return tuple(x[..., self.cols[:, 0]] * self.coef[:, 0]
-                     + x[..., self.cols[:, 1]] * self.coef[:, 1]
-                     for x in (X.reshape(n, 4, -1), V.reshape(n, 2, -1)))
+        the charge basis, at the first node of each of the chart's r runs:
+        the section_data of the vectors there."""
+        d = section_data(cg, NormalSection(self.family, np.swapaxes(
+            self.change, 0, 1)), slice(None, None, cg.n_angles))
+        X = np.concatenate([d["D3"], d["D4"]], axis=-1)
+        V = np.stack([d["c3"], d["c4"]], axis=-1)
+        return np.moveaxis(X, 0, -1), np.moveaxis(V, 0, -1)
 
 
 class ChargeBlock:
@@ -279,35 +269,25 @@ def near_holomorphic_section(geom, form):
     """Minimize the dbar energy over unit-mass sections of ``form.basis``.
 
     ``form`` is the IndexForm assembled over geom; each block's mass
-    whitening and dbar matrix are used as they are, and the least energy
-    is taken over all blocks.  Among the sections within 1e-10 of it the
-    largest L4 mass wins, to 1e-12 relative, and then the first in block
-    order.
+    whitening and dbar matrix are used as they are.  The section is the
+    least eigenvector of the first block, in block order, whose least
+    eigenvalue is within 1e-10 max(1, |lo|) of the least one lo over all
+    blocks.  dbar is J-linear, so a degenerate least eigenspace holds pairs
+    (sigma, J sigma), and |J sigma| = |sigma| at every node.
 
     Returns {section, energy}; runs regardless of the sign of c1 (a
     negative Chern number just means the energy cannot reach 0).
     """
-    solved = []
+    least = []
     for b in form.blocks:
         Dw = b.Z.T @ b.D @ b.Z
         ev, V = np.linalg.eigh(0.5 * (Dw + Dw.T))
-        solved += [(e, b, V[:, i]) for i, e in enumerate(ev)]
-    ev = np.array([e for e, _, _ in solved])
-    lo = ev.min()
-    ties = np.flatnonzero(ev <= lo + 1e-10 * max(1.0, abs(lo)))
-    coefs = np.stack([b.coefficients(form.basis, b.Z @ v)
-                      for _, b, v in (solved[k] for k in ties)], axis=-1)
-    k0 = 0
-    if len(ties) > 1:
-        # prefer sections that stay away from zero: the largest L4 mass to
-        # 1e-12 relative, then the first in block order, so that rounding
-        # does not choose; all tied candidates are read in one batch
-        tied = form.basis.as_section(coefs)
-        mass = geom.integrate(
-            [section_data(cg, tied)["norm2"] ** 2 for cg in geom.charts])
-        k0 = int(np.flatnonzero(mass >= (1.0 - 1e-12) * mass.max())[0])
-    return {"section": form.basis.as_section(coefs[:, k0]),
-            "energy": float(ev[ties[k0]])}
+        least.append((ev[0], b, V[:, 0]))
+    lo = min(e for e, _, _ in least)
+    tol = lo + 1e-10 * max(1.0, abs(lo))
+    e, b, v = next(x for x in least if x[0] <= tol)
+    w = b.coefficients(form.basis, b.Z @ v)
+    return {"section": form.basis.as_section(w), "energy": float(e)}
 
 
 def refine_until_stable(op, L0=2, L_max=12):

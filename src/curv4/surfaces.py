@@ -11,7 +11,7 @@ derivatives that the normal connection and the normal-bundle curvature need.
 ``ChartGeometry`` computes the per-node data of the second variation once:
 the connection form ``omega``, the frame coefficients ``p`` of the normal
 directions with their u-gradients ``dp``, and the Jacobi block ``jacobi``.
-Sections here and the index-form basis of ``stability`` read it.  Every
+Of these ``section_data`` alone reads omega, p and dp.  Every
 built-in surface is S^1-equivariant: turning a chart's u-plane moves the
 immersed point by a rotation of the ambient factor planes (measured and
 verified by the chart), an isometry of every T^2-invariant metric (see
@@ -36,11 +36,14 @@ There is one section type, ``NormalSection``: a coefficient matrix W on
 one scalar family Y (K functions, e.g. harmonics), sigma = sum_{c,k}
 W[c, k] Y_k V_c.  The directions V_c are the surface's normal generator
 fields, or on a trivial bundle the adapted frame (n3, n4) with constant
-coefficients (1, 0) and (0, 1).  ``section_data`` reads the family once
-per chart, contracts W with it and applies the chart's ``direction_factor``
-to the result; trailing axes of W give a batch of sections in one read.
-It is linear in the section, so the data of J sigma and of a sigma + b J
-sigma follow from one evaluation of sigma.
+coefficients (1, 0) and (0, 1).  ``section_data`` is the one reader of a
+section: it reads the family once at the chart's nodes ``at`` (all of
+them, or the first node of each run for the index-form rows of
+``stability``), contracts W with it and applies the frame coefficients of
+the directions and the connection form to the result; trailing axes of W
+give a batch of sections in one read.  It is linear in the section, so
+the data of J sigma and of a sigma + b J sigma follow from one evaluation
+of sigma.
 
 Adapted frames are Gram-Schmidt of B = (F_u, F_v, d_s3, d_s4), the
 coordinate tangents and two fixed ambient coordinate directions, read off
@@ -59,7 +62,7 @@ from .errors import (ChartDomainError, NonMinimalSurfaceError, SectionError,
                      SpecParseError)
 from .jets import (array, drop, from_arrays, grad_array, hess_array, jsqrt,
                    partial, seedn)
-from .metrics import QuadSpec, parse_spec, sphere_chart_nodes
+from .metrics import parse_spec, sphere_chart_nodes
 
 TOL_MIN = 1e-8  # minimality threshold on the mean curvature vector
 
@@ -507,13 +510,13 @@ def _total(parts):
 
 class SurfaceGeometry:
     """The ChartGeometry of each surface chart at the sphere quadrature
-    nodes of ``quad`` (default QuadSpec()), built once by the caller."""
+    nodes of the QuadSpec ``quad``, built once by the caller."""
 
-    def __init__(self, S, m, quad=None):
+    def __init__(self, S, m, quad):
         self.S = S
         self.m = m
         # sphere_chart_nodes puts 2 n uniform angles on each of its radii
-        n = (quad or QuadSpec()).n
+        n = quad.n
         self.charts = [ChartGeometry(S, m, hemi, u, w, 2 * n) for hemi, u, w
                        in sphere_chart_nodes(n)]
         self.min_residual = max(float(cg.H_norm.max()) for cg in self.charts)
@@ -537,7 +540,7 @@ class SurfaceGeometry:
                 % (self.S.name, self.m.name, self.min_residual))
 
 
-def surface_geometry(S, m, quad=None):
+def surface_geometry(S, m, quad):
     """The SurfaceGeometry of immersion S in metric m; each call builds
     a new one."""
     return SurfaceGeometry(S, m, quad)
@@ -598,44 +601,31 @@ def embedding_family(chart, u):
 # ---------------------------------------------------------------------
 # pointwise operators on sections
 
-def direction_factor(c, omega, p, dp):
-    """P[n, s, c] = p[n, c, s] and B[n, 2 s + i, c] = sum_a c[n, i, a]
-    (dp[n, c, s, a] + omega[n, a] (J p)[n, c, s]), J (x3, x4) -> (-x4, x3),
-    from a chart's frame map c and connection form omega at some of its
-    nodes, and there the frame coefficients p of the normal directions V_c
-    and their u-gradients dp: sum_c f_c V_c has frame coefficients P f and
-    covariant derivatives D_{s,i} = B f + P e_i f along e_i = c[i, a] d_a."""
-    P = np.swapaxes(p, 1, 2)
-    Jp = np.stack([-P[:, 1], P[:, 0]], axis=1)
-    dP = np.moveaxis(dp, 1, -1) + omega[:, None, :, None] * Jp[:, :, None]
-    return P, (c[:, None] @ dP).reshape(len(P), 4, -1)
+def section_data(cg, sigma, at=slice(None)):
+    """Values, frame covariant derivatives along e1/e2, and norms at the
+    chart's nodes ``at`` (a slice or index array).
 
-
-def read_family(family, chart, u, c):
-    """Values Y[n, k] and frame gradients eY[n, i, k] = c[n, i, a] dY[n, k, a]
-    of a scalar family at nodes u of a chart with frame map c, read once
-    over 1-jets."""
-    sh = (len(u),)
-    Y = family(chart, seedn([u[:, 0], u[:, 1]], 1))
-    dY = np.stack([grad_array(y, sh, 2) for y in Y], axis=-1)
-    return np.stack([array(y, sh) for y in Y], axis=-1), c @ dY
-
-
-def section_data(cg, sigma):
-    """Values, frame covariant derivatives along e1/e2, and norms.
-
-    The family is read once and W contracted with it first, f = Y W and
-    e_i f = eY W; then c_s = P f and D_{s,i} = B f + P e_i f with the
-    chart's ``direction_factor``.  W's section axes lead every returned
-    array: (..., n) for c3, c4, norm2 and grad2, (..., n, 2) for D3 and D4.
-    Raises SectionError unless W has one row per normal direction and one
-    column per family member.
+    The family is read once over 1-jets and W contracted with it first, f =
+    Y W and e_i f = eY W; the directions V_c have frame coefficients
+    P[n, s, c] = p[n, c, s], so c_s = P f and D_{s,i} = B f + P e_i f, B[n,
+    2 s + i, c] = c[n, i, a] (dp[n, c, s, a] + omega[n, a] (J p)[n, c, s]),
+    J (x3, x4) -> (-x4, x3).  W's section axes lead every returned array:
+    (..., n) for c3, c4, norm2 and grad2, (..., n, 2) for D3 and D4, n the
+    selected nodes.  Raises SectionError unless W has one row per normal
+    direction and one column per family member.
     """
-    P, B = direction_factor(cg.c, cg.omega, sigma.frame(cg.p),
-                            sigma.frame(cg.dp))
-    Y, eY = read_family(sigma.family, cg.chart, cg.u, cg.c)
+    c, u = cg.c[at], cg.u[at]
+    n = len(u)
+    P = np.swapaxes(sigma.frame(cg.p[at]), 1, 2)
+    Jp = np.stack([-P[:, 1], P[:, 0]], axis=1)
+    dP = (np.moveaxis(sigma.frame(cg.dp[at]), 1, -1)
+          + cg.omega[at][:, None, :, None] * Jp[:, :, None])
+    B = (c[:, None] @ dP).reshape(n, 4, -1)
+    fam = sigma.family(cg.chart, seedn([u[:, 0], u[:, 1]], 1))
+    Y = np.stack([array(y, (n,)) for y in fam], axis=-1)
+    eY = c @ np.stack([grad_array(y, (n,), 2) for y in fam], axis=-1)
     sigma.require_columns(Y.shape[-1])
-    (C, K), n, sh = sigma.W.shape[:2], len(Y), sigma.W.shape[2:] + cg.shape
+    (C, K), sh = sigma.W.shape[:2], sigma.W.shape[2:] + (n,)
     # W as a (k, c t) matrix, t the flattened section axes; each product is
     # released once spent, and D adds B f into P e_i f's buffer
     W = np.swapaxes(sigma.W.reshape(C, K, -1), 0, 1).reshape(K, -1)

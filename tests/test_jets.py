@@ -263,6 +263,33 @@ def test_no_module_scans_the_full_grid():
     assert calls == []
 
 
+def test_only_section_data_reads_a_normal_section():
+    # a chart's connection form omega and the frame coefficients p, dp of
+    # its normal directions are read in surfaces.section_data alone, apart
+    # from ChartGeometry's own self. reads, so that no second evaluation of
+    # a normal section can creep back in
+    reads = []
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        allowed = set()
+        for node in ast.walk(tree) if p.stem == "surfaces" else ():
+            if isinstance(node, ast.FunctionDef) and \
+                    node.name == "section_data":
+                allowed |= set(ast.walk(node))
+            elif isinstance(node, ast.ClassDef) and \
+                    node.name == "ChartGeometry":
+                allowed |= {n for n in ast.walk(node)
+                            if isinstance(n, ast.Attribute)
+                            and isinstance(n.value, ast.Name)
+                            and n.value.id == "self"}
+        reads += ["%s:%d" % (p.name, node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("p", "dp", "omega")
+                  and isinstance(node.ctx, ast.Load) and node not in allowed]
+    assert reads == []
+
+
 # ------------------------------------------------------------- 2-form jets
 
 def _cubic_form(chart, x):

@@ -197,10 +197,17 @@ def test_as_section_matches_sum_of_elements(make_surface, metric):
 @pytest.mark.parametrize("name", ["cp1-line", "slice", "equator4",
                                   "perturbed-slice"])
 def test_node_rows_are_section_data_of_unit_sections(name, geoms):
-    # node_data's rows of charge-basis vector j against the batched
-    # section_data of the vectors as sections, at the first node of each
-    # run: V[n, s, j] = c3, c4 and X[n, 2 s + i, j] = D3_i, D4_i of section j
+    # the change from the elements to the charge basis is orthogonal, with
+    # at most 2 nonzeros a column; node_data's rows of charge-basis vector
+    # j are the batched section_data of the vectors as sections, read at
+    # every node, at the first node of each run: V[n, s, j] = c3, c4 and
+    # X[n, 2 s + i, j] = D3_i, D4_i of section j
     geom = geoms[name]
+    for L in (0, 2, 6):
+        basis = SectionBasis(geom.S, L)
+        M = np.swapaxes(basis.change, 0, 1).reshape(basis.dim, basis.dim)
+        assert np.abs(M.T @ M - np.eye(basis.dim)).max() <= 1e-15
+        assert np.count_nonzero(M, axis=0).max() <= 2
     basis = SectionBasis(geom.S, 4)
     units = basis.as_section(charge_vectors(basis))
     for cg in geom.charts:
@@ -359,25 +366,32 @@ def test_near_holomorphic_energies(geoms):
     assert abs(out["energy"]) < 1e-4
 
 
-def test_near_holomorphic_choice_survives_reversed_tie(geoms, monkeypatch):
-    # on cp1-line four candidates tie in energy and in L4 mass up to
-    # rounding; handing their masses back in reverse order must not change
-    # the choice, which is then the first candidate in block order
+def test_near_holomorphic_choice_reads_no_section(geoms, monkeypatch):
+    # on cp1-line at L = 6 the least dbar eigenvalue ties across blocks
+    # [0, 1] and [1, 0]; the choice is read off the blocks' matrices alone,
+    # takes the first tied block, and a rounding-level nudge of the later
+    # block's D does not move it
     geom = geoms["cp1-line"]
     form = assemble_index_form(geom, SectionBasis(geom.S, 6))
-    want = near_holomorphic_section(geom, form)
-    real, tied = stability.section_data, []
 
-    def reversed_norms(cg, sig):
-        norm2 = real(cg, sig)["norm2"]
-        tied.append(len(norm2))
-        return {"norm2": norm2[::-1]}
+    def no_read(*args, **kwargs):
+        raise AssertionError("section_data read")
 
-    monkeypatch.setattr(stability, "section_data", reversed_norms)
+    monkeypatch.setattr(stability, "section_data", no_read)
     got = near_holomorphic_section(geom, form)
-    assert tied == [4, 4]
-    assert got["energy"] == want["energy"]
-    np.testing.assert_array_equal(got["section"].W, want["section"].W)
+    y = charge_vectors(form.basis).T @ got["section"].W.ravel()
+    (first,) = [b for b in form.blocks if b.charges == (0, 1)]
+    outside = np.ones(form.basis.dim, dtype=bool)
+    outside[first.vecs] = False
+    assert np.abs(y[outside]).max() <= 1e-12 < np.abs(y[first.vecs]).max()
+    assert_allclose(got["energy"], _dbar_spectrum(form)[0], rtol=0,
+                    atol=1e-12)
+    (later,) = [b for b in form.blocks if b.charges == (1, 0)]
+    tied = np.linalg.eigvalsh(later.Z.T @ later.D @ later.Z)[0]
+    assert abs(tied - got["energy"]) <= 1e-10
+    later.D = later.D * (1.0 - 1e-13)
+    nudged = near_holomorphic_section(geom, form)
+    np.testing.assert_array_equal(nudged["section"].W, got["section"].W)
 
 
 def test_near_holomorphic_section_is_holomorphic_pointwise(geoms):
